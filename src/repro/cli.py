@@ -45,7 +45,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.config import THP_POLICIES, ScenarioSpec
+from repro.config import DEFAULT_SCAN_ENGINE, THP_POLICIES, ScenarioSpec
+from repro.core.columnar.backend import resolve_backend
 from repro.core.experiments.consolidation import (
     run_daytrader_consolidation,
     run_specj_consolidation,
@@ -112,12 +113,12 @@ def add_scenario_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--scan-engine",
-        choices=["object", "batch"],
-        default="object",
+        choices=["batch", "object"],
+        default=DEFAULT_SCAN_ENGINE,
         help=(
-            "KSM scanner implementation: 'object' per-page walk or "
-            "'batch' columnar whole-worklist kernels (identical "
-            "results, faster passes)"
+            "KSM scanner implementation: 'batch' columnar "
+            "whole-worklist kernels (default) or 'object', the per-page "
+            "reference walk (identical results, slower passes)"
         ),
     )
     parser.add_argument(
@@ -153,10 +154,11 @@ def add_scenario_options(parser: argparse.ArgumentParser) -> None:
         choices=["dict", "columnar", "columnar-numpy", "columnar-stdlib"],
         default=None,
         help=(
-            "dump-analysis pipeline: 'dict' per-page walk (default), "
-            "'columnar' vectorized arrays (numpy when available, "
-            "stdlib fallback otherwise), or an explicitly pinned "
-            "columnar implementation; $REPRO_BACKEND sets the default"
+            "dump-analysis pipeline: 'columnar' vectorized arrays "
+            "(default; numpy when available, stdlib fallback "
+            "otherwise), an explicitly pinned columnar implementation, "
+            "or 'dict', the per-page reference walk (identical "
+            "results); $REPRO_BACKEND overrides the default"
         ),
     )
     parser.add_argument(
@@ -459,18 +461,19 @@ def _run_fig6(args) -> None:
 def _run_consolidation(figure: str, args) -> None:
     faults = _fault_plan(args)
     cache = _cache_from(args)
+    backend = resolve_backend(args.backend)
     if figure == "fig7":
         result = run_daytrader_consolidation(
             footprint_scale=args.scale, seed=args.seed, faults=faults,
             scan_policy=args.scan_policy, scan_engine=args.scan_engine,
-            jobs=args.jobs, cache=cache,
+            backend=backend, jobs=args.jobs, cache=cache,
         )
         unit = "req/s"
     else:
         result = run_specj_consolidation(
             footprint_scale=args.scale, seed=args.seed, faults=faults,
             scan_policy=args.scan_policy, scan_engine=args.scan_engine,
-            jobs=args.jobs, cache=cache,
+            backend=backend, jobs=args.jobs, cache=cache,
         )
         unit = "EjOPS"
     print(render_series(

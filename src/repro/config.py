@@ -22,6 +22,18 @@ from typing import Optional
 
 from repro.units import GiB, MiB
 
+#: The KSM scan engine a run uses unless told otherwise: "batch", the
+#: columnar engine of :mod:`repro.ksm.batch`.  "object", the per-page
+#: scanner, gives identical results and stays as an opt-in reference.
+DEFAULT_SCAN_ENGINE = "batch"
+
+#: The dump-analysis backend a run uses unless told otherwise.
+#: ``repro.core.columnar.backend.resolve_backend`` turns "columnar" into
+#: numpy when importable and the stdlib fallback otherwise; "dict", the
+#: per-page walk, gives identical results and stays as an opt-in
+#: reference.
+DEFAULT_BACKEND = "columnar"
+
 
 class GcPolicy(enum.Enum):
     """J9 garbage-collection policies used in the paper."""
@@ -77,9 +89,9 @@ class KsmSettings:
     #: Scan policy ("full", "incremental" or "hybrid"); "full" is the
     #: paper's configuration, the others use PML-style dirty tracking.
     scan_policy: str = "full"
-    #: Scan engine ("object", the historical per-page scanner, or
-    #: "batch", the columnar engine — identical results, bulk kernels).
-    scan_engine: str = "object"
+    #: Scan engine ("batch", the columnar engine, or "object", the
+    #: per-page reference scanner — identical results).
+    scan_engine: str = DEFAULT_SCAN_ENGINE
 
 
 #: Tiering modes accepted by :class:`TieringSettings` and the CLI.
@@ -227,7 +239,7 @@ class ScenarioSpec:
     ksm: KsmSettings = field(default_factory=KsmSettings)
     tiering: TieringSettings = field(default_factory=TieringSettings)
     hugepages: HugePageSettings = field(default_factory=HugePageSettings)
-    backend: str = "dict"
+    backend: str = DEFAULT_BACKEND
     #: A ``repro.faults.plan.FaultPlan`` or None (untyped: see above).
     faults: Optional[object] = None
     #: Worker processes for fan-out inside the run (None = serial);
@@ -276,7 +288,7 @@ class ScenarioSpec:
             seed=get("seed", 20130421),
             ksm=KsmSettings(
                 scan_policy=get("scan_policy", "full"),
-                scan_engine=get("scan_engine", "object"),
+                scan_engine=get("scan_engine", DEFAULT_SCAN_ENGINE),
             ),
             tiering=TieringSettings(mode=get("tiering") or "off"),
             hugepages=HugePageSettings(
@@ -306,28 +318,32 @@ class ScenarioSpec:
         Legacy-representable specs emit the exact historical
         ``("scenario-run", ScenarioRequest(...))`` parts so existing
         cache entries stay valid; anything new fingerprints the spec
-        itself (minus ``jobs``).
+        itself (minus ``jobs``).  Either way the backend enters under
+        its resolved name, so a run keeps one key whether its caller
+        wrote ``columnar`` or the implementation that name picks.
         """
         if self._legacy_representable():
             from repro.core.experiments.scenarios import ScenarioRequest
 
-            return (
-                "scenario-run",
-                ScenarioRequest(
-                    scenario=self.scenario,
-                    deployment=self.resolved_deployment,
-                    scale=self.scale,
-                    measurement_ticks=self.measurement_ticks,
-                    seed=self.seed,
-                    scan_policy=self.ksm.scan_policy,
-                    scan_engine=self.ksm.scan_engine,
-                    faults=self.faults,
-                    tiering=self.tiering.mode,
-                    backend=self.backend,
-                ),
-            )
+            return ScenarioRequest(
+                scenario=self.scenario,
+                deployment=self.resolved_deployment,
+                scale=self.scale,
+                measurement_ticks=self.measurement_ticks,
+                seed=self.seed,
+                scan_policy=self.ksm.scan_policy,
+                scan_engine=self.ksm.scan_engine,
+                faults=self.faults,
+                tiering=self.tiering.mode,
+                backend=self.backend,
+            ).cache_parts()
+        from repro.core.columnar.backend import resolve_backend
+
         normalized = replace(
-            self, deployment=self.resolved_deployment, jobs=None
+            self,
+            deployment=self.resolved_deployment,
+            backend=resolve_backend(self.backend),
+            jobs=None,
         )
         return ("scenario-spec", normalized)
 

@@ -255,9 +255,10 @@ def owner_oriented_accounting(
     physical memory and ``usage + shared`` equals mapped guest memory.
 
     ``backend`` selects the pipeline (``None`` reads ``$REPRO_BACKEND``,
-    defaulting to the historical dict walk): any columnar backend runs
+    defaulting to ``columnar``): any columnar backend runs
     :func:`repro.core.columnar.owner_accounting_columnar` — same
-    tallies, flat arrays instead of per-page ``Mapping`` lists.  A
+    tallies, flat arrays instead of per-page ``Mapping`` lists — and
+    ``dict`` runs the per-page reference walk below.  A
     pre-built ``usage`` table always takes the dict aggregation (the
     columnar path never materializes one).
     """

@@ -23,11 +23,12 @@ the group-by accounting need:
 * ``owner_reduce`` / ``group_sizes`` — the group-by-fid kernels behind
   owner-oriented and PSS accounting.
 
-Backend selection lives in :func:`resolve_backend`: the ``dict``
-backend name keeps the historical per-page pipeline, ``columnar`` picks
-numpy when importable (and not vetoed by ``REPRO_NO_NUMPY=1``), and the
-explicit ``columnar-numpy`` / ``columnar-stdlib`` names pin one
-implementation.
+Backend selection lives in :func:`resolve_backend`: ``columnar`` (the
+default, :data:`repro.config.DEFAULT_BACKEND`) picks numpy when
+importable (and not vetoed by ``REPRO_NO_NUMPY=1``), the explicit
+``columnar-numpy`` / ``columnar-stdlib`` names pin one implementation,
+and the ``dict`` backend name selects the per-page pipeline, kept as an
+opt-in reference.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
+
+from repro.config import DEFAULT_BACKEND
 
 __all__ = [
     "BACKEND_DICT",
@@ -101,16 +104,17 @@ def available_backends() -> Tuple[str, ...]:
 def resolve_backend(name: Optional[str] = None) -> str:
     """Canonicalize a backend selection.
 
-    ``None`` falls back to ``$REPRO_BACKEND``, then to ``dict`` (the
-    historical pipeline stays the default; the columnar path is opt-in
-    per run).  ``columnar`` means "the fastest columnar implementation
-    available": numpy when importable, the stdlib fallback otherwise —
-    so a numpy-less install silently degrades instead of failing.
+    ``None`` falls back to ``$REPRO_BACKEND``; that or an empty name
+    means :data:`repro.config.DEFAULT_BACKEND` (``columnar``).
+    ``columnar`` means "the fastest columnar implementation available":
+    numpy when importable, the stdlib fallback otherwise — so a
+    numpy-less install silently degrades instead of failing.  ``dict``
+    selects the per-page reference pipeline.
     """
     if name is None:
-        name = os.environ.get(ENV_BACKEND) or BACKEND_DICT
-    name = name.strip().lower()
-    if name in (BACKEND_DICT, ""):
+        name = os.environ.get(ENV_BACKEND, "")
+    name = name.strip().lower() or DEFAULT_BACKEND
+    if name == BACKEND_DICT:
         return BACKEND_DICT
     if name == "columnar":
         return BACKEND_NUMPY if numpy_available() else BACKEND_STDLIB

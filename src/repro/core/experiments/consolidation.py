@@ -29,7 +29,13 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.config import Benchmark, SPECJ_JVM_GENCON
+from repro.config import (
+    DEFAULT_BACKEND,
+    DEFAULT_SCAN_ENGINE,
+    SPECJ_JVM_GENCON,
+    Benchmark,
+)
+from repro.core.columnar.backend import resolve_backend
 from repro.core.experiments.testbed import (
     GuestSpec,
     KvmTestbed,
@@ -70,14 +76,16 @@ def measure_footprint(
     seed: int = 20130421,
     faults=None,
     scan_policy: str = "full",
-    scan_engine: str = "object",
+    scan_engine: str = DEFAULT_SCAN_ENGINE,
+    backend: str = DEFAULT_BACKEND,
 ) -> Footprint:
     """Stage 1: measure R and S from a small page-level testbed.
 
     ``faults`` (a :class:`repro.faults.FaultPlan`) switches collection
     to resilient mode: quarantined guests drop out and R/S come from the
-    surviving VMs only.  ``scan_policy`` selects the KSM scan policy
-    used during the footprint measurement.
+    surviving VMs only.  ``scan_policy``, ``scan_engine`` and
+    ``backend`` select the KSM scan policy, the scan engine and the
+    dump-analysis backend of the footprint testbed.
     """
     scaled = scale_workload(workload, scale)
     specs = [
@@ -90,6 +98,7 @@ def measure_footprint(
         measurement_ticks=measurement_ticks,
         seed=seed,
         scale=scale,
+        backend=backend,
     )
     config.ksm = dataclasses.replace(
         config.ksm, scan_policy=scan_policy, scan_engine=scan_engine
@@ -180,12 +189,17 @@ class FootprintRequest:
     measurement_ticks: int = 4
     seed: int = 20130421
     scan_policy: str = "full"
-    scan_engine: str = "object"
+    scan_engine: str = DEFAULT_SCAN_ENGINE
+    backend: str = DEFAULT_BACKEND
     faults: Optional[object] = None
 
     def cache_parts(self):
-        """Input parts for :meth:`repro.exec.ResultCache.key`."""
-        return ("footprint", self)
+        """Input parts for :meth:`repro.exec.ResultCache.key` (the
+        backend under its resolved name)."""
+        return (
+            "footprint",
+            dataclasses.replace(self, backend=resolve_backend(self.backend)),
+        )
 
 
 def _measure_footprint_request(request: FootprintRequest) -> Footprint:
@@ -201,6 +215,7 @@ def _measure_footprint_request(request: FootprintRequest) -> Footprint:
         faults=request.faults,
         scan_policy=request.scan_policy,
         scan_engine=request.scan_engine,
+        backend=request.backend,
     )
 
 
@@ -257,7 +272,8 @@ def _sweep(
     seed: int,
     faults=None,
     scan_policy: str = "full",
-    scan_engine: str = "object",
+    scan_engine: str = DEFAULT_SCAN_ENGINE,
+    backend: str = DEFAULT_BACKEND,
     measurement_ticks: int = 4,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
@@ -285,6 +301,7 @@ def _sweep(
                 seed=seed,
                 scan_policy=scan_policy,
                 scan_engine=scan_engine,
+                backend=backend,
                 faults=faults,
             ),
         )
@@ -320,7 +337,8 @@ def run_daytrader_consolidation(
     seed: int = 20130421,
     faults=None,
     scan_policy: str = "full",
-    scan_engine: str = "object",
+    scan_engine: str = DEFAULT_SCAN_ENGINE,
+    backend: str = DEFAULT_BACKEND,
     measurement_ticks: int = 4,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
@@ -354,6 +372,7 @@ def run_daytrader_consolidation(
         faults=faults,
         scan_policy=scan_policy,
         scan_engine=scan_engine,
+        backend=backend,
         measurement_ticks=measurement_ticks,
         jobs=jobs,
         cache=cache,
@@ -368,7 +387,8 @@ def run_specj_consolidation(
     seed: int = 20130421,
     faults=None,
     scan_policy: str = "full",
-    scan_engine: str = "object",
+    scan_engine: str = DEFAULT_SCAN_ENGINE,
+    backend: str = DEFAULT_BACKEND,
     measurement_ticks: int = 4,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
@@ -399,6 +419,7 @@ def run_specj_consolidation(
         faults=faults,
         scan_policy=scan_policy,
         scan_engine=scan_engine,
+        backend=backend,
         measurement_ticks=measurement_ticks,
         jobs=jobs,
         cache=cache,

@@ -18,10 +18,12 @@ shared-copy cache deployment; the same driver serves the "before" and
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from repro.config import (
+    DEFAULT_BACKEND,
+    DEFAULT_SCAN_ENGINE,
     Benchmark,
     HugePageSettings,
     KsmSettings,
@@ -30,6 +32,7 @@ from repro.config import (
 )
 from repro.core.accounting import OwnerAccounting
 from repro.core.breakdown import JavaBreakdown, VmBreakdown
+from repro.core.columnar.backend import resolve_backend
 from repro.core.dump import CollectionReport, SystemDump
 from repro.core.validate import ValidationReport
 from repro.core.experiments.testbed import (
@@ -175,9 +178,9 @@ def run_scenario(
     seed: int = 20130421,
     faults: Optional[FaultPlan] = None,
     scan_policy: str = "full",
-    scan_engine: str = "object",
+    scan_engine: str = DEFAULT_SCAN_ENGINE,
     tiering: str = "off",
-    backend: str = "dict",
+    backend: str = DEFAULT_BACKEND,
     profiler=None,
 ) -> ScenarioResult:
     """Deprecated shim over :func:`run` (the historical signature).
@@ -221,19 +224,21 @@ class ScenarioRequest:
     #: Scanner implementation; like ``backend``, part of the cache
     #: fingerprint so engine runs are never mixed even though the
     #: engines produce identical results.
-    scan_engine: str = "object"
+    scan_engine: str = DEFAULT_SCAN_ENGINE
     faults: Optional[FaultPlan] = None
     tiering: str = "off"
-    #: Dump-analysis backend.  Part of the frozen dataclass, hence of
-    #: the cache fingerprint: results computed by different backends
-    #: are never mixed in the cache, even though they should be
-    #: identical (the equivalence suite asserts it; the cache does not
-    #: rely on it).
-    backend: str = "dict"
+    #: Dump-analysis backend.  Part of the cache fingerprint, under its
+    #: resolved name: results computed by different backends are never
+    #: mixed in the cache, even though they should be identical (the
+    #: equivalence suite asserts it; the cache does not rely on it).
+    backend: str = DEFAULT_BACKEND
 
     def cache_parts(self):
         """Input parts for :meth:`repro.exec.ResultCache.key`."""
-        return ("scenario-run", self)
+        return (
+            "scenario-run",
+            replace(self, backend=resolve_backend(self.backend)),
+        )
 
     def to_spec(self) -> ScenarioSpec:
         """The equivalent :class:`ScenarioSpec` (same fingerprint)."""

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.config import (
+    DEFAULT_BACKEND,
     HugePageSettings,
     JvmConfig,
     KsmSettings,
@@ -89,10 +90,10 @@ class TestbedConfig:
     #: The pressure-scenario family disables KSM on its non-TPS arms so
     #: compression and ballooning compete without sharing in the mix.
     ksm_enabled: bool = True
-    #: Dump-analysis pipeline: "dict" (historical per-page walk),
-    #: "columnar" (fastest available), "columnar-numpy",
-    #: "columnar-stdlib".  All produce identical breakdowns.
-    backend: str = "dict"
+    #: Dump-analysis pipeline: "columnar" (fastest available, the
+    #: default), "columnar-numpy", "columnar-stdlib" or "dict" (the
+    #: per-page reference walk).  All produce identical breakdowns.
+    backend: str = DEFAULT_BACKEND
     #: Transparent-huge-page policy; None (or policy "never") keeps
     #: every mapping at 4 KiB, the paper's configuration.
     hugepages: Optional[HugePageSettings] = None

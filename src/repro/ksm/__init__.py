@@ -15,9 +15,9 @@ from repro.ksm.stats import KsmStats
 def create_scanner(physmem, clock, config: Optional[KsmConfig] = None):
     """Build the scanner selected by ``config.scan_engine``.
 
-    ``"object"`` (the default) is the historical per-page engine;
-    ``"batch"`` is the columnar engine from :mod:`repro.ksm.batch`,
-    bit-identical in results but examining worklists in bulk.
+    ``"batch"`` (the default) is the columnar engine from
+    :mod:`repro.ksm.batch`, examining worklists in bulk; ``"object"`` is
+    the per-page reference engine, bit-identical in results.
     """
     config = config or KsmConfig()
     if config.scan_engine == "batch":

@@ -38,15 +38,27 @@ examination, and the examined-at-segment-start snapshot of
    the steady-state hot path, where almost every page is merged;
 2. **groups** the survivors by content token with the shared
    ``ops.group_sizes`` kernel (a stable argsort, so in-group order is
-   segment order — the only order that matters);
-3. dispatches **singleton groups** — the common case — through one
-   fused kernel: a bulk index probe (:meth:`TokenIndex.bulk_lookup`),
-   the volatility filter with a single ``volatile_skips``/recheck
-   update, one bulk fresh-unstable insert
-   (:meth:`TokenIndex.bulk_set_unstable_fresh`), and one
+   segment order — the only order that matters), picking the rows out
+   of the cached vpn/fid lists by position so the ints the scanner
+   keeps are the page table's own.  When a set of the segment's tokens
+   shows them all distinct, every row is a singleton and the sort is
+   skipped;
+3. applies **unseen singletons** — when no singleton token has a node
+   in either tree (one C-level :meth:`TokenIndex.any_node` check) —
+   with list and dict operations only: the volatility filter is a
+   list compare against the volatility map, and the unchanged rows go
+   into the unstable tree in one bulk insert
+   (:meth:`TokenIndex.bulk_set_unstable_fresh`).  A *settled* segment,
+   where no content changed since the last pass, is just the compare
+   and the insert.  This is the steady-state FULL pass over converged
+   memory, where the object engine inserts every unique page one by
+   one;
+4. otherwise dispatches **singleton groups** through one fused kernel:
+   a bulk index probe (:meth:`TokenIndex.lookup` per token), step 3
+   for the rows without a node, and one
    :meth:`HostPhysicalMemory.merge_many` call for the elected
    stable-tree merges;
-4. runs **multi-page groups** (and the rare stale/unstable tails)
+5. runs **multi-page groups** (and the rare stale/unstable tails)
    through :meth:`_examine_row`, a faithful per-row replica of the
    object engine's state machine, in segment order.
 
@@ -59,6 +71,8 @@ change a result.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import eq, not_
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.columnar.backend import (
@@ -201,19 +215,9 @@ class BatchKsmScanner(KsmScanner):
         # Incremental worklists are fresh objects every pass; no reuse.
         self._cur = self._fresh_columns(self._scan_list)
 
-    def _fresh_columns(self, vpns: List[int]) -> dict:
-        np = self._np
-        return {
-            "vpns": vpns,
-            "vpn_arr": (
-                np.fromiter(vpns, np.int64, len(vpns))
-                if np is not None
-                else None
-            ),
-            "fids": None,
-            "fid_arr": None,
-            "fkey": None,
-        }
+    @staticmethod
+    def _fresh_columns(vpns: List[int]) -> dict:
+        return {"vpns": vpns, "fids": None, "fid_arr": None, "fkey": None}
 
     def _segment_fids(self, table: PageTable, cur: dict):
         """The worklist's translation column, rebuilt only when some
@@ -261,15 +265,29 @@ class BatchKsmScanner(KsmScanner):
         )
         if not active.any():
             return None
-        act_f = fid_view[active]
-        act_v = cur["vpn_arr"][start:stop][active]
-        masked = np.frombuffer(mirror.masked, dtype=np.uint64)
-        order, sizes = self._ops.group_sizes(masked[act_f])
-        ov = act_v[order].tolist()
-        of = act_f[order].tolist()
+        positions = np.flatnonzero(active)
+        # Pick rows out of the cached vpn/fid lists by position rather
+        # than materializing them from int64 columns: the ints the
+        # volatility map and the unstable tree keep are then the page
+        # table's own objects, not fresh per-pass copies.
+        vpns = cur["vpns"].__getitem__
+        fids = cur["fids"].__getitem__
         tokens = mirror.tokens
-        if bool((sizes == 1).all()):
-            return ov, of, [tokens[f] for f in of], ()
+        picks = (positions + start).tolist()
+        of = list(map(fids, picks))
+        ot = list(map(tokens.__getitem__, of))
+        if len(set(ot)) == len(ot):
+            # Every token occurs once: all rows are singletons, left in
+            # segment order (groups are independent, so any order is).
+            return list(map(vpns, picks)), of, ot, ()
+        # Some token repeats: reorder the gathered rows by token (stable,
+        # so segment order within a group) and split off the groups.
+        masked = np.frombuffer(mirror.masked, dtype=np.uint64)
+        order, sizes = self._ops.group_sizes(masked[fid_view[positions]])
+        order = order.tolist()
+        ov = list(map(vpns, map(picks.__getitem__, order)))
+        of = list(map(of.__getitem__, order))
+        ot = list(map(ot.__getitem__, order))
         sv: List[int] = []
         sf: List[int] = []
         st: List[int] = []
@@ -280,17 +298,12 @@ class BatchKsmScanner(KsmScanner):
         while i < total:
             size = sizes_list[i]
             if size == 1:
-                f = of[i]
                 sv.append(ov[i])
-                sf.append(f)
-                st.append(tokens[f])
+                sf.append(of[i])
+                st.append(ot[i])
             else:
-                multis.append(
-                    [
-                        (ov[j], of[j], tokens[of[j]])
-                        for j in range(i, i + size)
-                    ]
-                )
+                end = i + size
+                multis.append(list(zip(ov[i:end], of[i:end], ot[i:end])))
             i += size
         return sv, sf, st, multis
 
@@ -350,66 +363,90 @@ class BatchKsmScanner(KsmScanner):
         # Token groups are independent (module docstring), so group
         # processing order is free; in-group order is segment order.
         if sv:
-            index = self._index
-            physmem = self.physmem
-            frame_of = physmem.frame
-            row = self._examine_row
-            last = self._last_tokens[table]
-            last_get = last.get
-            track_recheck = self.config.scan_policy is not ScanPolicy.FULL
-            recheck = self._recheck[table] if track_recheck else None
-            volatile = 0
-            fresh_v: List[int] = []
-            fresh_t: List[int] = []
-            merges: List[Tuple[int, int]] = []
-            for vpn, fid, token, node in zip(
-                sv, sf, st, index.bulk_lookup(st)
-            ):
-                if node is None:
-                    # Volatility filter, then a fresh unstable insert
-                    # for the settled survivors (applied in bulk below).
-                    previous = last_get(vpn)
-                    last[vpn] = token
-                    if previous != token:
-                        volatile += 1
-                        if track_recheck:
-                            recheck.add(vpn)
-                    else:
-                        fresh_v.append(vpn)
-                        fresh_t.append(token)
-                elif node[0] == STABLE:
-                    stable_fid = node[1]
-                    stable_frame = frame_of(stable_fid)
-                    if (
-                        stable_frame is None
-                        or stable_frame.token != token
-                        or not stable_frame.ksm_stable
-                    ):
-                        # Dead stable node: prune, then rerun the row —
-                        # the re-probe misses, exactly the object
-                        # engine's fall-through.
-                        index.drop(token)
-                        row(table, vpn, fid, token)
-                    elif stable_fid != fid:
-                        # Split-on-KSM-merge happens eagerly (matching
-                        # the object engine's examination order) even
-                        # though the merge itself is deferred — splits
-                        # are idempotent and blocks never re-form
-                        # mid-pass, so the deferral cannot diverge.
-                        self._split_for_merge(fid)
-                        merges.append((vpn, stable_fid))
-                    # else: this frame *is* the stable node.
-                else:
-                    row(table, vpn, fid, token)
-            if volatile:
-                self.stats.volatile_skips += volatile
-            if fresh_v:
-                index.bulk_set_unstable_fresh(fresh_t, table, fresh_v)
-            if merges:
-                self.stats.merges += physmem.merge_many(table, merges)
+            if self._index.any_node(st):
+                self._examine_singletons(table, sv, sf, st)
+            else:
+                self._insert_unseen(table, sv, st)
         for rows in multis:
             for vpn, fid, token in rows:
                 self._examine_row(table, vpn, fid, token)
+
+    def _insert_unseen(
+        self, table: PageTable, sv: List[int], st: List[int]
+    ) -> None:
+        """Singletons none of whose tokens has a node in either tree.
+
+        Each row then only runs the volatility filter and, when its
+        content is unchanged since the page was last examined, becomes a
+        fresh unstable candidate — so the rows are applied with C-level
+        list and dict operations instead of a per-row loop.  A settled
+        segment, where no row's content changed, is one list compare
+        and one bulk insert.
+        """
+        last = self._last_tokens[table]
+        previous = list(map(last.get, sv))
+        if previous == st:
+            self._index.bulk_set_unstable_fresh(st, table, sv)
+            return
+        # A worklist never repeats a vpn, so reading every previous
+        # token before storing the new ones matches the per-row order.
+        last.update(zip(sv, st))
+        same = list(map(eq, previous, st))
+        fresh_v = list(compress(sv, same))
+        self.stats.volatile_skips += len(sv) - len(fresh_v)
+        if self.config.scan_policy is not ScanPolicy.FULL:
+            self._recheck[table].update(compress(sv, map(not_, same)))
+        if fresh_v:
+            self._index.bulk_set_unstable_fresh(
+                list(compress(st, same)), table, fresh_v
+            )
+
+    def _examine_singletons(
+        self, table: PageTable, sv: List[int], sf: List[int], st: List[int]
+    ) -> None:
+        """The fused singleton kernel: one bulk probe, then per-row
+        stable-merge handling with bulk-applied effects; the rows with
+        no node take :meth:`_insert_unseen` together."""
+        index = self._index
+        physmem = self.physmem
+        frame_of = physmem.frame
+        row = self._examine_row
+        unseen_v: List[int] = []
+        unseen_t: List[int] = []
+        merges: List[Tuple[int, int]] = []
+        nodes = list(map(index.lookup, st))
+        for vpn, fid, token, node in zip(sv, sf, st, nodes):
+            if node is None:
+                unseen_v.append(vpn)
+                unseen_t.append(token)
+            elif node[0] == STABLE:
+                stable_fid = node[1]
+                stable_frame = frame_of(stable_fid)
+                if (
+                    stable_frame is None
+                    or stable_frame.token != token
+                    or not stable_frame.ksm_stable
+                ):
+                    # Dead stable node: prune, then rerun the row — the
+                    # re-probe misses, exactly the object engine's
+                    # fall-through.
+                    index.drop(token)
+                    row(table, vpn, fid, token)
+                elif stable_fid != fid:
+                    # Split-on-KSM-merge happens eagerly (matching the
+                    # object engine's examination order) even though the
+                    # merge itself is deferred — splits are idempotent
+                    # and blocks never re-form mid-pass, so the deferral
+                    # cannot diverge.
+                    self._split_for_merge(fid)
+                    merges.append((vpn, stable_fid))
+                # else: this frame *is* the stable node.
+            else:
+                row(table, vpn, fid, token)
+        if unseen_v:
+            self._insert_unseen(table, unseen_v, unseen_t)
+        if merges:
+            self.stats.merges += physmem.merge_many(table, merges)
 
     def _examine_row(
         self, table: PageTable, vpn: int, fid: int, token: int

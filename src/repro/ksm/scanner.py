@@ -71,6 +71,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.config import DEFAULT_SCAN_ENGINE
 from repro.ksm.index import STABLE, TokenIndex
 from repro.ksm.stats import KsmStats
 from repro.mem.address_space import PageTable
@@ -112,10 +113,10 @@ class KsmConfig:
     dirty_log_cost_us: float = DEFAULT_DIRTY_LOG_COST_US
     #: Under HYBRID, every Nth pass is a full pass (1 = always full).
     hybrid_full_interval: int = 8
-    #: Which scan-engine implementation runs the passes: "object" (the
-    #: per-page loop below) or "batch" (the columnar engine in
-    #: :mod:`repro.ksm.batch`, bit-identical results).
-    scan_engine: str = "object"
+    #: Which scan-engine implementation runs the passes: "batch" (the
+    #: columnar engine in :mod:`repro.ksm.batch`) or "object" (the
+    #: per-page loop below, the bit-identical reference).
+    scan_engine: str = DEFAULT_SCAN_ENGINE
 
     def __post_init__(self) -> None:
         if self.pages_to_scan <= 0:

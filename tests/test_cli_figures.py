@@ -3,6 +3,13 @@
 import pytest
 
 from repro.cli import main
+from repro.config import Benchmark
+from repro.core.columnar.backend import ENV_BACKEND, resolve_backend
+from repro.core.experiments import testbed
+from repro.core.experiments.consolidation import FootprintRequest
+from repro.core.preload import CacheDeployment
+from repro.exec.fingerprint import fingerprint_hex
+from repro.workloads.base import build_workload
 
 ARGS = ["--scale", "0.02", "--ticks", "1"]
 
@@ -45,3 +52,45 @@ class TestFigureCommands:
         assert main(["fig3a", *ARGS, "--seed", "7"]) == 0
         second = capsys.readouterr().out
         assert first == second  # deterministic per seed
+
+
+class TestConsolidationBackend:
+    """fig7/fig8 carry ``--backend`` into the footprint testbeds."""
+
+    def test_fig7_backend_reaches_the_testbed(self, capsys, monkeypatch):
+        seen = []
+        accounting = testbed.owner_oriented_accounting
+
+        def spy(dump, *args, backend=None, **kwargs):
+            seen.append(backend)
+            return accounting(dump, *args, backend=backend, **kwargs)
+
+        monkeypatch.delenv(ENV_BACKEND, raising=False)
+        monkeypatch.setattr(testbed, "owner_oriented_accounting", spy)
+        # --jobs 1 keeps both footprint testbeds in-process, in the spy's
+        # reach.
+        argv = ["fig7", "--scale", "0.02", "--no-cache", "--jobs", "1"]
+
+        assert main(argv + ["--backend", "dict"]) == 0
+        via_dict = capsys.readouterr().out
+        assert seen == ["dict", "dict"]
+
+        seen.clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == via_dict
+        assert seen == [resolve_backend(None)] * 2
+
+    def test_backend_enters_the_footprint_fingerprint(self):
+        def key(backend):
+            request = FootprintRequest(
+                workload=build_workload(Benchmark.DAYTRADER),
+                deployment=CacheDeployment.NONE,
+                guest_memory_bytes=1 << 30,
+                backend=backend,
+            )
+            return fingerprint_hex(*request.cache_parts())
+
+        assert key("dict") != key("columnar-stdlib")
+        # The CLI passes the resolved name, library callers the default
+        # "columnar": one key for the one implementation.
+        assert key("columnar") == key(resolve_backend("columnar"))

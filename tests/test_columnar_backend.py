@@ -237,9 +237,9 @@ class TestPureHelpers:
 
 
 class TestBackendSelection:
-    def test_default_is_dict(self, monkeypatch):
+    def test_default_is_columnar(self, monkeypatch):
         monkeypatch.delenv(ENV_BACKEND, raising=False)
-        assert resolve_backend(None) == BACKEND_DICT
+        assert resolve_backend(None) == resolve_backend("columnar")
         assert resolve_backend("dict") == BACKEND_DICT
 
     def test_env_fallback(self, monkeypatch):

@@ -22,6 +22,7 @@ from repro.config import (
     ScenarioSpec,
     TieringSettings,
 )
+from repro.core.columnar.backend import ENV_BACKEND, resolve_backend
 from repro.core.experiments.scenarios import (
     ScenarioRequest,
     run,
@@ -152,8 +153,23 @@ class TestFromCliArgs:
         assert spec.hugepages == HugePageSettings(
             policy="khugepaged", block_pages=64
         )
-        assert spec.backend == "dict"
+        assert spec.backend == resolve_backend("columnar")
         assert spec.jobs == 3
+
+    @pytest.mark.parametrize("thp_policy", ["never", "khugepaged"])
+    def test_default_backend_has_one_fingerprint(
+        self, monkeypatch, thp_policy
+    ):
+        """The CLI stores the resolved default backend, a programmatic
+        spec the name "columnar"; both are one cache key."""
+        monkeypatch.delenv(ENV_BACKEND, raising=False)
+        namespace = self._namespace(
+            thp_policy=thp_policy, tiering=None, deployment=None
+        )
+        from_cli = ScenarioSpec.from_cli_args(namespace, scenario="mixed3")
+        written = dataclasses.replace(from_cli, backend="columnar")
+        assert from_cli.backend != written.backend
+        assert from_cli.to_fingerprint() == written.to_fingerprint()
 
     def test_faults_parsed_from_spec_string(self):
         spec = ScenarioSpec.from_cli_args(
