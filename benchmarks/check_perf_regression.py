@@ -4,22 +4,21 @@
 Compares a freshly generated ``BENCH_core.json`` against the committed
 ``benchmarks/BENCH_core.baseline.json`` and fails (exit 1) when:
 
-* any backend's breakdowns diverged from the dict pipeline
-  (``analysis.identical`` false), or the batch scan engine's stats
-  diverged from the object engine (``scan.identical`` false) —
-  correctness regressions; or
+* the columnar breakdowns diverged from the per-frame dict oracle
+  (``analysis.identical`` false), or the columnar scanner's stats
+  diverged from the per-page oracle scanner (``scan.identical``
+  false) — correctness regressions; or
 * the columnar dump analysis lost more than ``--tolerance`` (default
-  20%) relative to the dict pipeline compared to the baseline run; or
-* the batch scan engine lost more than ``--tolerance`` relative to the
-  object scan engine compared to the baseline run.
+  20%) relative to the dict oracle compared to the baseline run; or
+* the columnar scanner lost more than ``--tolerance`` relative to the
+  per-page oracle scanner compared to the baseline run.
 
 The gate compares *fractions* (``columnar_wall / dict_wall``,
 ``batch_wall / object_wall``) rather than absolute walls, so the
 machine's speed cancels out: a slower CI runner slows both sides
 alike, but a code change that pessimizes only the fast path moves the
-fraction.  numpy is gated when both runs have it; the stdlib fallback
-fraction is always gated.  Baselines predating a section skip that
-section's gate with a warning instead of failing.
+fraction.  Baselines predating a section skip that section's gate with
+a warning instead of failing.
 
 Runs at different ``REPRO_BENCH_SCALE`` are not comparable; the gate
 warns and exits 0 instead of guessing.
@@ -125,7 +124,7 @@ def gate_core(report: dict, baseline: dict, tolerance: float) -> bool:
         print("FAIL: report has no 'analysis' section (bench not run?)")
         return True
     if not analysis.get("identical", False):
-        print("FAIL: columnar breakdowns diverged from the dict pipeline")
+        print("FAIL: columnar breakdowns diverged from the dict oracle")
         return True
     if not base_analysis:
         print("warning: baseline has no 'analysis' section; gate skipped")
@@ -138,70 +137,42 @@ def gate_core(report: dict, baseline: dict, tolerance: float) -> bool:
         )
         return False
 
-    failed = False
-    checks = [("stdlib_wall_s", "columnar-stdlib")]
-    if "numpy_wall_s" in analysis and "numpy_wall_s" in base_analysis:
-        checks.append(("numpy_wall_s", "columnar-numpy"))
-    elif "numpy_wall_s" in base_analysis:
-        print(
-            "warning: baseline has numpy but this run does not; only "
-            "the stdlib fraction is gated"
-        )
-    for wall_key, label in checks:
-        current = fraction(analysis, wall_key)
-        base = fraction(base_analysis, wall_key)
-        limit = base * (1.0 + tolerance)
-        verdict = "ok" if current <= limit else "FAIL"
-        print(
-            f"{verdict}: {label} fraction {current:.4f} "
-            f"(baseline {base:.4f}, limit {limit:.4f})"
-        )
-        failed = failed or current > limit
+    current = fraction(analysis, "numpy_wall_s")
+    base = fraction(base_analysis, "numpy_wall_s")
+    limit = base * (1.0 + tolerance)
+    verdict = "ok" if current <= limit else "FAIL"
+    print(
+        f"{verdict}: columnar-numpy fraction {current:.4f} "
+        f"(baseline {base:.4f}, limit {limit:.4f})"
+    )
+    failed = current > limit
 
     return gate_scan(report, baseline, tolerance) or failed
 
 
 def gate_scan(report: dict, baseline: dict, tolerance: float) -> bool:
-    """Gate the batch-scan fraction; returns True on failure."""
+    """Gate the columnar scan fraction; returns True on failure."""
     scan = report.get("scan") or {}
     base_scan = baseline.get("scan") or {}
     if not scan:
         print("FAIL: report has no 'scan' section (bench not run?)")
         return True
     if not scan.get("identical", False):
-        print("FAIL: batch scan engine stats diverged from object engine")
+        print("FAIL: columnar scanner stats diverged from the oracle")
         return True
     if not base_scan:
         print("warning: baseline has no 'scan' section; scan gate skipped")
         return False
 
-    def scan_fraction(data: dict, wall_key: str) -> float:
-        return data[wall_key] / data["object_wall_s"]
-
-    checks = [("stdlib_wall_s", "batch-stdlib")]
-    both_numpy = (
-        scan.get("batch_backend") == "columnar-numpy"
-        and base_scan.get("batch_backend") == "columnar-numpy"
+    current = scan["batch_wall_s"] / scan["object_wall_s"]
+    base = base_scan["batch_wall_s"] / base_scan["object_wall_s"]
+    limit = base * (1.0 + tolerance)
+    verdict = "ok" if current <= limit else "FAIL"
+    print(
+        f"{verdict}: batch-numpy fraction {current:.4f} "
+        f"(baseline {base:.4f}, limit {limit:.4f})"
     )
-    if both_numpy:
-        checks.append(("batch_wall_s", "batch-numpy"))
-    elif base_scan.get("batch_backend") == "columnar-numpy":
-        print(
-            "warning: baseline scan has numpy but this run does not; "
-            "only the batch-stdlib fraction is gated"
-        )
-    failed = False
-    for wall_key, label in checks:
-        current = scan_fraction(scan, wall_key)
-        base = scan_fraction(base_scan, wall_key)
-        limit = base * (1.0 + tolerance)
-        verdict = "ok" if current <= limit else "FAIL"
-        print(
-            f"{verdict}: {label} fraction {current:.4f} "
-            f"(baseline {base:.4f}, limit {limit:.4f})"
-        )
-        failed = failed or current > limit
-    return failed
+    return current > limit
 
 
 def gate_hugepages(report: dict, baseline: dict) -> bool:

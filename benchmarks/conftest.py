@@ -14,8 +14,6 @@ Environment knobs:
   (default 1.0 = the paper's actual sizes; use e.g. 0.1 for a quick pass).
 * ``REPRO_BENCH_TICKS`` — measurement ticks per scenario (default 6).
 * ``REPRO_BENCH_SEED`` — the seed every bench scenario runs with.
-* ``REPRO_BENCH_BACKEND`` — dump-analysis backend for the scenario runs
-  (default ``dict``; ``columnar`` opts into the vectorized pipeline).
 * ``REPRO_CACHE_DIR`` / ``REPRO_CACHE=0`` — result-cache directory /
   kill switch (see ``repro cache``).
 """
@@ -41,7 +39,6 @@ BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 BENCH_TICKS = int(os.environ.get("REPRO_BENCH_TICKS", "6"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "20130421"))
 BENCH_SCAN_POLICY = os.environ.get("REPRO_BENCH_SCAN_POLICY", "full")
-BENCH_BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "dict")
 
 #: Tight absolute-MB assertions only hold near full scale (fixed-size
 #: pieces like the 256 KiB cache header distort shrunk runs slightly).
@@ -63,8 +60,8 @@ def bench_request(
 ) -> ScenarioRequest:
     """The full fingerprint of a bench scenario run.
 
-    Scale, ticks, seed, scan policy and analysis backend are all part
-    of the request, so changing any ``REPRO_BENCH_*`` knob between runs
+    Scale, ticks, seed and scan policy are all part of the request, so
+    changing any ``REPRO_BENCH_*`` knob between runs
     can never serve a stale result.  (The old session dict keyed only
     on ``(scenario, deployment)`` and could.)
     """
@@ -75,7 +72,6 @@ def bench_request(
         measurement_ticks=BENCH_TICKS,
         seed=BENCH_SEED,
         scan_policy=BENCH_SCAN_POLICY,
-        backend=BENCH_BACKEND,
     )
 
 

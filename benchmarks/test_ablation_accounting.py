@@ -11,7 +11,6 @@ one process while PSS smears it.
 from conftest import BENCH_SCALE
 from repro.core.accounting import (
     UserKind,
-    build_frame_usage,
     distribution_oriented_accounting,
     owner_oriented_accounting,
 )
@@ -53,9 +52,8 @@ def run():
     testbed = KvmTestbed(specs, config)
     testbed.run()
     dump = collect_system_dump(testbed.host, testbed.kernels)
-    usage = build_frame_usage(dump)
-    owner = owner_oriented_accounting(dump, usage)
-    pss = distribution_oriented_accounting(dump, usage)
+    owner = owner_oriented_accounting(dump)
+    pss = distribution_oriented_accounting(dump)
     return owner, pss
 
 

@@ -16,24 +16,22 @@ with ``REPRO_BENCH_CORE_JSON``) so CI can archive and compare them:
   ``REPRO_BENCH_SCALE >= 0.25``, where the footprint measurements are
   heavy enough for fan-out to beat fork overhead.
 
-* **KSM scan pass, object vs. batch engine.**  A steady-state guest
-  memory image (four identical JVM tables, ~90% shared class-cache
-  pages, a unique heap remainder and a volatile tail rewritten every
-  pass) is scanned by the per-page object engine and by the columnar
-  batch engine (numpy when importable, stdlib always).  Merges,
+* **KSM scan pass, per-page oracle vs. production.**  A steady-state
+  guest memory image (four identical JVM tables, ~90% shared
+  class-cache pages, a unique heap remainder and a volatile tail
+  rewritten every pass) is scanned by the per-page oracle scanner of
+  ``tests/oracle.py`` and by the columnar production scanner.  Merges,
   volatile skips and scanned counts must match exactly; walls and
-  speedups land in the report and the numpy batch path must beat the
-  object engine by >= 5x (>= 1.3x for stdlib) at
-  ``REPRO_BENCH_SCALE >= 0.1``.
+  speedups land in the report and production must beat the oracle by
+  >= 5x at ``REPRO_BENCH_SCALE >= 0.1``.
 
-* **Fig. 2 dump analysis, dict vs. columnar.**  The full daytrader4
-  system dump is analysed by every backend (the historical dict
-  pipeline, columnar-numpy when importable, columnar-stdlib always,
-  plus the streaming fold); the Fig. 2/Fig. 3 breakdowns must be
-  byte-identical across all of them, and the numpy columnar path must
-  beat the dict pipeline by >= 10x (asserted whenever numpy is present
-  and ``REPRO_BENCH_SCALE >= 0.1``).  Walls and speedups land in the
-  report for the CI regression gate
+* **Fig. 2 dump analysis, dict oracle vs. columnar.**  The full
+  daytrader4 system dump is analysed by the per-frame dict oracle of
+  ``tests/oracle.py``, by the production columnar pipeline and by its
+  streaming fold; the Fig. 2/Fig. 3 breakdowns must be byte-identical
+  across all of them, and the columnar path must beat the dict oracle
+  by >= 10x (asserted at ``REPRO_BENCH_SCALE >= 0.1``).  Walls and
+  speedups land in the report for the CI regression gate
   (``benchmarks/check_perf_regression.py``).
 """
 
@@ -211,15 +209,11 @@ def _analysis_fingerprint(accounting):
 
 
 def test_fig2_analysis_columnar_speedup(figure_cache):
-    """Time the Fig. 2 dump analysis on every backend, one shared dump."""
+    """Time the Fig. 2 dump analysis, dict oracle vs columnar."""
     from repro.core.accounting import owner_oriented_accounting
-    from repro.core.columnar.backend import (
-        BACKEND_DICT,
-        BACKEND_NUMPY,
-        BACKEND_STDLIB,
-        numpy_available,
-    )
     from repro.core.columnar.pipeline import stream_owner_accounting
+
+    from tests.oracle import dict_owner_accounting
 
     result = run_scenario_cached(
         bench_request("daytrader4", CacheDeployment.NONE),
@@ -237,74 +231,43 @@ def test_fig2_analysis_columnar_speedup(figure_cache):
             fingerprint = _analysis_fingerprint(accounting)
         return best, fingerprint
 
-    # The dict pipeline is the slow one — a single timed run; the
+    # The dict oracle is the slow one — a single timed run; the
     # columnar paths take best-of-3 to shed warmup noise.
-    walls = {}
-    dict_wall, reference = best_of(
-        lambda: owner_oriented_accounting(dump, backend=BACKEND_DICT), 1
+    dict_wall, reference = best_of(lambda: dict_owner_accounting(dump), 1)
+    numpy_wall, fingerprint = best_of(
+        lambda: owner_oriented_accounting(dump), 3
     )
-    walls[BACKEND_DICT] = dict_wall
-
-    backends = [BACKEND_STDLIB] + (
-        [BACKEND_NUMPY] if numpy_available() else []
-    )
-    identical = True
-    for backend in backends:
-        wall, fingerprint = best_of(
-            lambda b=backend: owner_oriented_accounting(dump, backend=b),
-            3,
-        )
-        walls[backend] = wall
-        identical = identical and fingerprint == reference
-        assert fingerprint == reference, (
-            f"{backend} breakdown diverges from dict"
-        )
-
-    stream_backend = BACKEND_NUMPY if numpy_available() else BACKEND_STDLIB
+    assert fingerprint == reference, "columnar breakdown diverges from dict"
     stream_wall, stream_fingerprint = best_of(
-        lambda: stream_owner_accounting(dump, backend=stream_backend), 3
+        lambda: stream_owner_accounting(dump), 3
     )
     assert stream_fingerprint == reference
 
     analysis = {
         "dict_wall_s": round(dict_wall, 4),
-        "stdlib_wall_s": round(walls[BACKEND_STDLIB], 4),
+        "numpy_wall_s": round(numpy_wall, 4),
+        "speedup_numpy": round(dict_wall / numpy_wall, 3),
         "streaming_wall_s": round(stream_wall, 4),
-        "streaming_backend": stream_backend,
-        "speedup_stdlib": round(dict_wall / walls[BACKEND_STDLIB], 3),
-        "numpy_available": numpy_available(),
-        "identical": identical,
+        "identical": True,
     }
-    if numpy_available():
-        analysis["numpy_wall_s"] = round(walls[BACKEND_NUMPY], 4)
-        analysis["speedup_numpy"] = round(
-            dict_wall / walls[BACKEND_NUMPY], 3
-        )
     REPORT["analysis"] = analysis
     print(
-        "\nfig2 analysis: dict {:.3f}s, stdlib {:.3f}s ({:.1f}x)".format(
-            dict_wall, walls[BACKEND_STDLIB], analysis["speedup_stdlib"]
+        "\nfig2 analysis: dict {:.3f}s, columnar {:.3f}s ({:.1f}x), "
+        "streaming {:.3f}s".format(
+            dict_wall, numpy_wall, analysis["speedup_numpy"], stream_wall
         )
-        + (
-            ", numpy {:.3f}s ({:.1f}x)".format(
-                walls[BACKEND_NUMPY], analysis["speedup_numpy"]
-            )
-            if numpy_available()
-            else ", numpy absent"
-        )
-        + f", streaming[{stream_backend}] {stream_wall:.3f}s"
     )
 
-    # The acceptance bar: the vectorized numpy path must be an order of
-    # magnitude faster than the dict pipeline on a fig2-class dump.
+    # The acceptance bar: the vectorized path must be an order of
+    # magnitude faster than the dict oracle on a fig2-class dump.
     # Tiny scales leave too little work to amortize lowering, so the
     # assert is gated the same way the fig7 speedup is.
-    if numpy_available() and BENCH_SCALE >= 0.1:
+    if BENCH_SCALE >= 0.1:
         assert analysis["speedup_numpy"] >= 10.0, analysis
 
 
 # ----------------------------------------------------------------------
-# KSM scan engine: object vs batch
+# KSM scan pass: per-page oracle vs production
 # ----------------------------------------------------------------------
 
 SCAN_TABLES = 4
@@ -313,9 +276,8 @@ _SCAN_DUP = int(SCAN_PAGES * 0.90)   # shared class-cache image
 _SCAN_UNIQ = int(SCAN_PAGES * 0.07)  # unique heap remainder
 
 
-def _build_scan_workload(engine, backend=None):
-    from repro.ksm.batch import BatchKsmScanner
-    from repro.ksm.scanner import KsmConfig, KsmScanner, ScanPolicy
+def _build_scan_workload(scanner_class):
+    from repro.ksm.scanner import KsmConfig, ScanPolicy
     from repro.mem.address_space import PageTable
     from repro.mem.physmem import HostPhysicalMemory
     from repro.sim.clock import SimClock
@@ -325,13 +287,9 @@ def _build_scan_workload(engine, backend=None):
     physmem = HostPhysicalMemory(
         capacity_bytes=2 * SCAN_TABLES * SCAN_PAGES * 4096, page_size=4096
     )
-    config = KsmConfig(scan_policy=ScanPolicy.FULL)
-    if engine == "object":
-        scanner = KsmScanner(physmem, clock, config)
-    else:
-        scanner = BatchKsmScanner(
-            physmem, clock, config, columnar_backend=backend
-        )
+    scanner = scanner_class(
+        physmem, clock, KsmConfig(scan_policy=ScanPolicy.FULL)
+    )
     tables = []
     for t in range(SCAN_TABLES):
         table = PageTable(f"jvm{t}")
@@ -348,11 +306,11 @@ def _build_scan_workload(engine, backend=None):
     return physmem, scanner, tables
 
 
-def _measure_scan(engine, backend=None, passes=5):
+def _measure_scan(scanner_class, passes=5):
     """Best steady-state wall of one full scan pass (plus final stats)."""
     from repro.sim.rng import stable_hash64
 
-    physmem, scanner, tables = _build_scan_workload(engine, backend)
+    physmem, scanner, tables = _build_scan_workload(scanner_class)
     budget = SCAN_TABLES * SCAN_PAGES
     for _ in range(3):  # settle: merge the duplicates, warm volatility
         scanner.scan_pages(budget)
@@ -371,19 +329,13 @@ def _measure_scan(engine, backend=None, passes=5):
 
 
 def test_scan_engine_speedup():
-    """Steady-state scan passes: batch engine vs the object baseline."""
-    from repro.core.columnar.backend import (
-        BACKEND_NUMPY,
-        BACKEND_STDLIB,
-        numpy_available,
-    )
+    """Steady-state scan passes: production vs the per-page oracle."""
+    from repro.ksm.scanner import KsmScanner
 
-    object_wall, object_stats = _measure_scan("object")
-    batch_backend = (
-        BACKEND_NUMPY if numpy_available() else BACKEND_STDLIB
-    )
-    batch_wall, batch_stats = _measure_scan("batch", batch_backend)
-    stdlib_wall, stdlib_stats = _measure_scan("batch", BACKEND_STDLIB)
+    from tests.oracle import PerPageScanner
+
+    object_wall, object_stats = _measure_scan(PerPageScanner)
+    batch_wall, batch_stats = _measure_scan(KsmScanner)
 
     def fingerprint(stats):
         return (
@@ -391,41 +343,28 @@ def test_scan_engine_speedup():
             stats.pages_shared, stats.pages_sharing, stats.full_scans,
         )
 
-    identical = (
-        fingerprint(batch_stats) == fingerprint(object_stats)
-        == fingerprint(stdlib_stats)
-    )
-    assert identical, (
-        fingerprint(object_stats), fingerprint(batch_stats),
-        fingerprint(stdlib_stats),
-    )
+    identical = fingerprint(batch_stats) == fingerprint(object_stats)
+    assert identical, (fingerprint(object_stats), fingerprint(batch_stats))
 
     scan = {
         "tables": SCAN_TABLES,
         "pages_per_table": SCAN_PAGES,
         "object_wall_s": round(object_wall, 4),
         "batch_wall_s": round(batch_wall, 4),
-        "batch_backend": batch_backend,
-        "stdlib_wall_s": round(stdlib_wall, 4),
         "speedup_batch": round(object_wall / batch_wall, 3),
-        "speedup_stdlib": round(object_wall / stdlib_wall, 3),
-        "numpy_available": numpy_available(),
         "identical": identical,
     }
     REPORT["scan"] = scan
     print(
-        "\nscan pass ({}x{} pages): object {:.1f} ms, batch[{}] {:.1f} ms "
-        "({:.2f}x), batch[stdlib] {:.1f} ms ({:.2f}x)".format(
-            SCAN_TABLES, SCAN_PAGES, object_wall * 1e3, batch_backend,
+        "\nscan pass ({}x{} pages): per-page {:.1f} ms, columnar {:.1f} ms "
+        "({:.2f}x)".format(
+            SCAN_TABLES, SCAN_PAGES, object_wall * 1e3,
             batch_wall * 1e3, scan["speedup_batch"],
-            stdlib_wall * 1e3, scan["speedup_stdlib"],
         )
     )
 
-    # Acceptance bar for the batch engine, gated like the columnar
+    # Acceptance bar for the columnar scanner, gated like the columnar
     # analysis assert: tiny scales leave too little work per pass for
     # the vectorized kernels to amortize their fixed costs.
     if BENCH_SCALE >= 0.1:
-        if numpy_available():
-            assert scan["speedup_batch"] >= 5.0, scan
-        assert scan["speedup_stdlib"] >= 1.3, scan
+        assert scan["speedup_batch"] >= 5.0, scan

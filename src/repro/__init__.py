@@ -109,7 +109,7 @@ from repro.mem.workingset import WorkingSetEstimator
 from repro.tiering import TieringEngine
 from repro.workloads import Workload, build_workload
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     # configuration

@@ -45,8 +45,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.config import DEFAULT_SCAN_ENGINE, THP_POLICIES, ScenarioSpec
-from repro.core.columnar.backend import resolve_backend
+from repro.config import THP_POLICIES, ScenarioSpec
 from repro.core.experiments.consolidation import (
     run_daytrader_consolidation,
     run_specj_consolidation,
@@ -112,16 +111,6 @@ def add_scenario_options(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--scan-engine",
-        choices=["batch", "object"],
-        default=DEFAULT_SCAN_ENGINE,
-        help=(
-            "KSM scanner implementation: 'batch' columnar "
-            "whole-worklist kernels (default) or 'object', the per-page "
-            "reference walk (identical results, slower passes)"
-        ),
-    )
-    parser.add_argument(
         "--tiering",
         choices=["off", "hints", "compress", "balloon", "combined"],
         default="off",
@@ -147,18 +136,6 @@ def add_scenario_options(parser: argparse.ArgumentParser) -> None:
         help=(
             "huge-block size in base pages (power of two; default 512 "
             "= 2 MiB); only meaningful with --thp-policy != never"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["dict", "columnar", "columnar-numpy", "columnar-stdlib"],
-        default=None,
-        help=(
-            "dump-analysis pipeline: 'columnar' vectorized arrays "
-            "(default; numpy when available, stdlib fallback "
-            "otherwise), an explicitly pinned columnar implementation, "
-            "or 'dict', the per-page reference walk (identical "
-            "results); $REPRO_BACKEND overrides the default"
         ),
     )
     parser.add_argument(
@@ -276,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "run the huge-page trade-off curve: bytes KSM saves by "
             "splitting huge blocks vs the translation benefit lost, "
-            "across THP policies, both scan engines cross-checked"
+            "across THP policies"
         ),
     )
     hugepages.add_argument(
@@ -354,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--calibrate", type=int, default=0, metavar="N",
         help=(
             "after the run, re-simulate N sampled occupied hosts as "
-            "real guest memory scanned by the batch KSM engine and "
+            "real guest memory scanned by the KSM scanner and "
             "report the analytic-vs-simulated savings error (0 = off)"
         ),
     )
@@ -408,7 +385,7 @@ def _run_scenario_result(args, scenario: str, deployment):
     result = run(spec, profiler=profiler)
     print(profiler.render(
         f"phase profile: {scenario} ({deployment.value}), "
-        f"scale={args.scale}, engine={spec.ksm.scan_engine}"
+        f"scale={args.scale}"
     ))
     if profile_path is not None:
         profiler.write_json(profile_path)
@@ -461,19 +438,16 @@ def _run_fig6(args) -> None:
 def _run_consolidation(figure: str, args) -> None:
     faults = _fault_plan(args)
     cache = _cache_from(args)
-    backend = resolve_backend(args.backend)
     if figure == "fig7":
         result = run_daytrader_consolidation(
             footprint_scale=args.scale, seed=args.seed, faults=faults,
-            scan_policy=args.scan_policy, scan_engine=args.scan_engine,
-            backend=backend, jobs=args.jobs, cache=cache,
+            scan_policy=args.scan_policy, jobs=args.jobs, cache=cache,
         )
         unit = "req/s"
     else:
         result = run_specj_consolidation(
             footprint_scale=args.scale, seed=args.seed, faults=faults,
-            scan_policy=args.scan_policy, scan_engine=args.scan_engine,
-            backend=backend, jobs=args.jobs, cache=cache,
+            scan_policy=args.scan_policy, jobs=args.jobs, cache=cache,
         )
         unit = "EjOPS"
     print(render_series(
@@ -745,8 +719,7 @@ def _run_hugepages(args) -> int:
     else:
         print(
             f"hugepages: {args.hugepages}-page blocks "
-            f"({args.hugepages * 4} KiB) at scale {args.scale}; "
-            "savings engine-verified object==batch"
+            f"({args.hugepages * 4} KiB) at scale {args.scale}"
         )
         for scenario in scenarios:
             print(f"  {scenario}:")

@@ -22,18 +22,6 @@ from typing import Optional
 
 from repro.units import GiB, MiB
 
-#: The KSM scan engine a run uses unless told otherwise: "batch", the
-#: columnar engine of :mod:`repro.ksm.batch`.  "object", the per-page
-#: scanner, gives identical results and stays as an opt-in reference.
-DEFAULT_SCAN_ENGINE = "batch"
-
-#: The dump-analysis backend a run uses unless told otherwise.
-#: ``repro.core.columnar.backend.resolve_backend`` turns "columnar" into
-#: numpy when importable and the stdlib fallback otherwise; "dict", the
-#: per-page walk, gives identical results and stays as an opt-in
-#: reference.
-DEFAULT_BACKEND = "columnar"
-
 
 class GcPolicy(enum.Enum):
     """J9 garbage-collection policies used in the paper."""
@@ -89,9 +77,6 @@ class KsmSettings:
     #: Scan policy ("full", "incremental" or "hybrid"); "full" is the
     #: paper's configuration, the others use PML-style dirty tracking.
     scan_policy: str = "full"
-    #: Scan engine ("batch", the columnar engine, or "object", the
-    #: per-page reference scanner — identical results).
-    scan_engine: str = DEFAULT_SCAN_ENGINE
 
 
 #: Tiering modes accepted by :class:`TieringSettings` and the CLI.
@@ -207,8 +192,8 @@ class ScenarioSpec:
 
     Composes every knob that accumulated across the CLI and the three
     ``run_scenario*`` entry points — KSM settings, tiering, huge pages,
-    the accounting backend, fault plan and parallelism — into a single
-    frozen value that fingerprints itself for the result cache.
+    fault plan and parallelism — into a single frozen value that
+    fingerprints itself for the result cache.
 
     Construction paths:
 
@@ -239,7 +224,6 @@ class ScenarioSpec:
     ksm: KsmSettings = field(default_factory=KsmSettings)
     tiering: TieringSettings = field(default_factory=TieringSettings)
     hugepages: HugePageSettings = field(default_factory=HugePageSettings)
-    backend: str = DEFAULT_BACKEND
     #: A ``repro.faults.plan.FaultPlan`` or None (untyped: see above).
     faults: Optional[object] = None
     #: Worker processes for fan-out inside the run (None = serial);
@@ -267,7 +251,6 @@ class ScenarioSpec:
         subcommands hard-code both); missing attributes fall back to
         their defaults so partially-wired parsers keep working.
         """
-        from repro.core.columnar.backend import resolve_backend
         from repro.faults.plan import FaultPlan
 
         get = lambda name, default=None: getattr(args, name, default)
@@ -286,16 +269,12 @@ class ScenarioSpec:
             scale=get("scale", 1.0),
             measurement_ticks=get("ticks"),
             seed=get("seed", 20130421),
-            ksm=KsmSettings(
-                scan_policy=get("scan_policy", "full"),
-                scan_engine=get("scan_engine", DEFAULT_SCAN_ENGINE),
-            ),
+            ksm=KsmSettings(scan_policy=get("scan_policy", "full")),
             tiering=TieringSettings(mode=get("tiering") or "off"),
             hugepages=HugePageSettings(
                 policy=get("thp_policy") or "never",
                 block_pages=get("hugepages") or 512,
             ),
-            backend=resolve_backend(get("backend")),
             faults=faults,
             jobs=get("jobs"),
         )
@@ -304,11 +283,7 @@ class ScenarioSpec:
         """True when the legacy ScenarioRequest vocabulary covers us."""
         return (
             not self.hugepages.enabled
-            and self.ksm
-            == KsmSettings(
-                scan_policy=self.ksm.scan_policy,
-                scan_engine=self.ksm.scan_engine,
-            )
+            and self.ksm == KsmSettings(scan_policy=self.ksm.scan_policy)
             and self.tiering == TieringSettings(mode=self.tiering.mode)
         )
 
@@ -318,9 +293,7 @@ class ScenarioSpec:
         Legacy-representable specs emit the exact historical
         ``("scenario-run", ScenarioRequest(...))`` parts so existing
         cache entries stay valid; anything new fingerprints the spec
-        itself (minus ``jobs``).  Either way the backend enters under
-        its resolved name, so a run keeps one key whether its caller
-        wrote ``columnar`` or the implementation that name picks.
+        itself (minus ``jobs``).
         """
         if self._legacy_representable():
             from repro.core.experiments.scenarios import ScenarioRequest
@@ -332,18 +305,11 @@ class ScenarioSpec:
                 measurement_ticks=self.measurement_ticks,
                 seed=self.seed,
                 scan_policy=self.ksm.scan_policy,
-                scan_engine=self.ksm.scan_engine,
                 faults=self.faults,
                 tiering=self.tiering.mode,
-                backend=self.backend,
             ).cache_parts()
-        from repro.core.columnar.backend import resolve_backend
-
         normalized = replace(
-            self,
-            deployment=self.resolved_deployment,
-            backend=resolve_backend(self.backend),
-            jobs=None,
+            self, deployment=self.resolved_deployment, jobs=None
         )
         return ("scenario-spec", normalized)
 

@@ -14,7 +14,10 @@ two policies for splitting shared frames:
 * **Distribution-oriented** (Linux PSS): each of ``n`` sharers is charged
   ``page_size / n``.
 
-Both operate purely on a :class:`~repro.core.dump.SystemDump`.
+Both operate purely on a :class:`~repro.core.dump.SystemDump` and run on
+the columnar pipeline of :mod:`repro.core.columnar`.
+:func:`build_frame_usage` lists every frame's mappings one by one; the
+per-frame diagnostics of :mod:`repro.core.diagnostics` are built on it.
 """
 
 from __future__ import annotations
@@ -25,12 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.categories import MemoryCategory, categorize_tag
-from repro.core.columnar.backend import (
-    BACKEND_DICT,
-    merge_intervals,
-    point_in_intervals,
-    resolve_backend,
-)
+from repro.core.columnar.backend import merge_intervals, point_in_intervals
 from repro.core.dump import SystemDump
 from repro.core.translate import (
     iter_process_frames,
@@ -234,52 +232,21 @@ class OwnerAccounting:
         return total, total + self.total_unattributable()
 
 
-def _owner_sort_key(mapping: Mapping) -> Tuple:
-    """Ownership priority: Java first, then smallest PID, then VM order."""
-    user = mapping.user
-    return (user.kind, user.pid if user.pid >= 0 else 1 << 30,
-            user.vm_index, mapping.tag)
-
-
-def owner_oriented_accounting(
-    dump: SystemDump,
-    usage: Optional[FrameUsage] = None,
-    backend: Optional[str] = None,
-) -> OwnerAccounting:
+def owner_oriented_accounting(dump: SystemDump) -> OwnerAccounting:
     """The paper's accounting: one owner per frame, the rest share free.
 
-    The owner is charged the frame once, under the category of its own
-    mapping; every further mapping — other users, and any additional
-    mappings the owner itself has — adds the page size to that user's
-    *shared* tally.  Summed over all users, ``usage`` equals backed
-    physical memory and ``usage + shared`` equals mapped guest memory.
-
-    ``backend`` selects the pipeline (``None`` reads ``$REPRO_BACKEND``,
-    defaulting to ``columnar``): any columnar backend runs
-    :func:`repro.core.columnar.owner_accounting_columnar` — same
-    tallies, flat arrays instead of per-page ``Mapping`` lists — and
-    ``dict`` runs the per-page reference walk below.  A
-    pre-built ``usage`` table always takes the dict aggregation (the
-    columnar path never materializes one).
+    The owner — by user kind (Java first), then smallest PID, then VM
+    order, then tag — is charged the frame once, under the category of
+    its own mapping; every further mapping — other users, and any
+    additional mappings the owner itself has — adds the page size to
+    that user's *shared* tally.  Summed over all users, ``usage`` equals
+    backed physical memory and ``usage + shared`` equals mapped guest
+    memory.  Computed by
+    :func:`repro.core.columnar.owner_accounting_columnar`.
     """
-    if usage is None:
-        resolved = resolve_backend(backend)
-        if resolved != BACKEND_DICT:
-            from repro.core.columnar.pipeline import (
-                owner_accounting_columnar,
-            )
+    from repro.core.columnar.pipeline import owner_accounting_columnar
 
-            return owner_accounting_columnar(dump, backend=resolved)
-        usage = build_frame_usage(dump)
-    result = OwnerAccounting(page_size=dump.host.page_size)
-    page = dump.host.page_size
-    for fid, mappings in usage.items():
-        ordered = sorted(mappings, key=_owner_sort_key)
-        owner_mapping = ordered[0]
-        result.cell(owner_mapping.user, owner_mapping.category).usage_bytes += page
-        for mapping in ordered[1:]:
-            result.cell(mapping.user, mapping.category).shared_bytes += page
-    return result
+    return owner_accounting_columnar(dump)
 
 
 @dataclass
@@ -297,37 +264,14 @@ class PssAccounting:
         return sum(self.pss_bytes.values())
 
 
-def distribution_oriented_accounting(
-    dump: SystemDump,
-    usage: Optional[FrameUsage] = None,
-    backend: Optional[str] = None,
-) -> PssAccounting:
+def distribution_oriented_accounting(dump: SystemDump) -> PssAccounting:
     """Linux-PSS-style accounting: each sharer pays 1/n of the frame.
 
-    ``backend`` as in :func:`owner_oriented_accounting`.  Columnar
-    ``rss`` tallies are bit-identical; ``pss`` floats can differ from
-    the dict path by summation order (a few ULP).
+    Computed by :func:`repro.core.columnar.distribution_accounting_columnar`.
     """
-    if usage is None:
-        resolved = resolve_backend(backend)
-        if resolved != BACKEND_DICT:
-            from repro.core.columnar.pipeline import (
-                distribution_accounting_columnar,
-            )
+    from repro.core.columnar.pipeline import distribution_accounting_columnar
 
-            return distribution_accounting_columnar(
-                dump, backend=resolved
-            )
-        usage = build_frame_usage(dump)
-    result = PssAccounting(page_size=dump.host.page_size)
-    page = dump.host.page_size
-    for fid, mappings in usage.items():
-        share = page / len(mappings)
-        for mapping in mappings:
-            user = mapping.user
-            result.pss_bytes[user] = result.pss_bytes.get(user, 0.0) + share
-            result.rss_bytes[user] = result.rss_bytes.get(user, 0) + page
-    return result
+    return distribution_accounting_columnar(dump)
 
 
 # ----------------------------------------------------------------------

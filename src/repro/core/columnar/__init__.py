@@ -1,12 +1,10 @@
-"""Columnar dump-analysis backend (vectorized three-layer translation
-and group-by accounting).
+"""Columnar dump analysis (vectorized three-layer translation and
+group-by accounting).
 
 Public surface:
 
-* backend selection — :func:`resolve_backend` (``dict`` /
-  ``columnar`` / ``columnar-numpy`` / ``columnar-stdlib``, env
-  ``REPRO_BACKEND``), :func:`available_backends`,
-  :func:`numpy_available`, :func:`ops_for`;
+* kernels — :class:`NumpyOps` and the pure-python interval helpers
+  :func:`merge_intervals` / :func:`point_in_intervals`;
 * accounting — :func:`owner_accounting_columnar`,
   :func:`distribution_accounting_columnar`, and the bounded-memory
   :func:`stream_owner_accounting` /
@@ -16,28 +14,15 @@ Public surface:
   :func:`iter_mapping_chunks` for callers composing their own passes.
 
 The usual entry point is the façade in :mod:`repro.core.accounting`:
-``owner_oriented_accounting(dump, backend="columnar")``.
+``owner_oriented_accounting(dump)``.
 
 The lowering/pipeline halves import :mod:`repro.core.accounting` (they
-produce its result types), while accounting itself needs the backend
-selector and interval helpers from here — so those halves load lazily
-(PEP 562) and only :mod:`.backend`, which has no repro dependencies,
-loads eagerly.
+produce its result types), while accounting itself needs the interval
+helpers from here — so those halves load lazily (PEP 562) and only
+:mod:`.backend`, which has no repro dependencies, loads eagerly.
 """
 
-from .backend import (
-    BACKEND_DICT,
-    BACKEND_NUMPY,
-    BACKEND_STDLIB,
-    ENV_BACKEND,
-    ENV_NO_NUMPY,
-    available_backends,
-    merge_intervals,
-    numpy_available,
-    ops_for,
-    point_in_intervals,
-    resolve_backend,
-)
+from .backend import NumpyOps, merge_intervals, point_in_intervals
 
 _LOWER_EXPORTS = frozenset((
     "Registry",
@@ -55,17 +40,9 @@ _PIPELINE_EXPORTS = frozenset((
 ))
 
 __all__ = [
-    "BACKEND_DICT",
-    "BACKEND_NUMPY",
-    "BACKEND_STDLIB",
-    "ENV_BACKEND",
-    "ENV_NO_NUMPY",
-    "available_backends",
+    "NumpyOps",
     "merge_intervals",
-    "numpy_available",
-    "ops_for",
     "point_in_intervals",
-    "resolve_backend",
     *sorted(_LOWER_EXPORTS),
     *sorted(_PIPELINE_EXPORTS),
 ]

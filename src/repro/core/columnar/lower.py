@@ -5,8 +5,8 @@ once per dump:
 
 * a :class:`Registry` — the interned string side of the analysis: every
   VMA/owner tag mapped to an integer *rank* whose numeric order equals
-  the lexicographic tag order (so the owner-election tie-break of
-  :func:`repro.core.accounting._owner_sort_key` survives vectorization),
+  the lexicographic tag order (so the owner-election tie-break on the
+  tag survives vectorization),
   plus interned :class:`~repro.core.accounting.UserKey` users and
   ``(user, category)`` accounting cells;
 * per guest, a :class:`GuestTables` — the memslot array as an interval

@@ -1,9 +1,10 @@
 """The columnar dump→accounting pipeline.
 
-Mirrors :func:`repro.core.accounting.build_frame_usage` +
-:func:`owner_oriented_accounting` / :func:`distribution_oriented_accounting`
-— same three passes, same ownership rule, same tallies — but expressed as
-column algebra over the lowered tables of
+Runs the three passes of :func:`repro.core.accounting.build_frame_usage`
+(guest processes, guest kernel, QEMU overhead) and the paper's ownership
+rule behind :func:`repro.core.accounting.owner_oriented_accounting` /
+:func:`~repro.core.accounting.distribution_oriented_accounting`, expressed
+as column algebra over the lowered tables of
 :mod:`repro.core.columnar.lower`:
 
 * the three-layer walk is one interval ``searchsorted`` (memslots) plus
@@ -37,7 +38,7 @@ from repro.core.accounting import (
 )
 from repro.core.dump import SystemDump
 
-from .backend import MISS, ops_for, resolve_backend
+from .backend import MISS, NumpyOps
 from .lower import (
     GuestTables,
     ProcessTables,
@@ -109,8 +110,9 @@ def iter_mapping_chunks(
     """Yield mapping chunks per (process | guest kernel | QEMU) pass.
 
     Chunk rows correspond one-to-one with the
-    :class:`~repro.core.accounting.Mapping` objects the dict pipeline
-    appends, with the ownership sort key pre-flattened to integers.
+    :class:`~repro.core.accounting.Mapping` objects
+    :func:`~repro.core.accounting.build_frame_usage` appends, with the
+    ownership sort key pre-flattened to integers.
     """
     for guest in dump.guests:
         tables = lower_guest(ops, dump, guest, registry)
@@ -257,11 +259,9 @@ class StreamingOwnerAccumulator:
         return result
 
 
-def owner_accounting_columnar(
-    dump: SystemDump, backend: Optional[str] = None
-) -> OwnerAccounting:
+def owner_accounting_columnar(dump: SystemDump) -> OwnerAccounting:
     """Owner-oriented accounting on the columnar pipeline (batch)."""
-    ops = ops_for(resolve_backend(backend or "columnar"))
+    ops = NumpyOps()
     registry = build_registry(dump)
     accumulator = StreamingOwnerAccumulator(
         ops, registry, dump.host.page_size
@@ -272,9 +272,7 @@ def owner_accounting_columnar(
 
 
 def stream_owner_accounting(
-    dump: SystemDump,
-    backend: Optional[str] = None,
-    compact_rows: int = DEFAULT_COMPACT_ROWS,
+    dump: SystemDump, compact_rows: int = DEFAULT_COMPACT_ROWS
 ) -> OwnerAccounting:
     """Owner-oriented accounting in streaming mode.
 
@@ -283,7 +281,7 @@ def stream_owner_accounting(
     resident rows stay around ``max(compact_rows, distinct frames)``
     instead of the full mapping count.
     """
-    ops = ops_for(resolve_backend(backend or "columnar"))
+    ops = NumpyOps()
     registry = build_registry(dump)
     accumulator = StreamingOwnerAccumulator(
         ops, registry, dump.host.page_size, compact_rows=compact_rows
@@ -293,15 +291,13 @@ def stream_owner_accounting(
     return accumulator.finish()
 
 
-def distribution_accounting_columnar(
-    dump: SystemDump, backend: Optional[str] = None
-) -> PssAccounting:
+def distribution_accounting_columnar(dump: SystemDump) -> PssAccounting:
     """PSS accounting as a group-by-fid size count.
 
-    Integer ``rss`` tallies are bit-identical to the dict pipeline;
-    ``pss`` floats may differ by summation order (within a few ULP).
+    Integer ``rss`` tallies are exact; ``pss`` floats may differ from a
+    per-frame summation by summation order (within a few ULP).
     """
-    ops = ops_for(resolve_backend(backend or "columnar"))
+    ops = NumpyOps()
     registry = build_registry(dump)
     chunks = list(iter_mapping_chunks(ops, dump, registry))
     if chunks:

@@ -29,13 +29,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.config import (
-    DEFAULT_BACKEND,
-    DEFAULT_SCAN_ENGINE,
-    SPECJ_JVM_GENCON,
-    Benchmark,
-)
-from repro.core.columnar.backend import resolve_backend
+from repro.config import SPECJ_JVM_GENCON, Benchmark
 from repro.core.experiments.testbed import (
     GuestSpec,
     KvmTestbed,
@@ -76,16 +70,13 @@ def measure_footprint(
     seed: int = 20130421,
     faults=None,
     scan_policy: str = "full",
-    scan_engine: str = DEFAULT_SCAN_ENGINE,
-    backend: str = DEFAULT_BACKEND,
 ) -> Footprint:
     """Stage 1: measure R and S from a small page-level testbed.
 
     ``faults`` (a :class:`repro.faults.FaultPlan`) switches collection
     to resilient mode: quarantined guests drop out and R/S come from the
-    surviving VMs only.  ``scan_policy``, ``scan_engine`` and
-    ``backend`` select the KSM scan policy, the scan engine and the
-    dump-analysis backend of the footprint testbed.
+    surviving VMs only.  ``scan_policy`` selects the KSM scan policy of
+    the footprint testbed.
     """
     scaled = scale_workload(workload, scale)
     specs = [
@@ -98,11 +89,8 @@ def measure_footprint(
         measurement_ticks=measurement_ticks,
         seed=seed,
         scale=scale,
-        backend=backend,
     )
-    config.ksm = dataclasses.replace(
-        config.ksm, scan_policy=scan_policy, scan_engine=scan_engine
-    )
+    config.ksm = dataclasses.replace(config.ksm, scan_policy=scan_policy)
     if scale < 1.0:
         config.host_ram_bytes = max(
             int(config.host_ram_bytes * scale), 64 * MiB
@@ -189,17 +177,11 @@ class FootprintRequest:
     measurement_ticks: int = 4
     seed: int = 20130421
     scan_policy: str = "full"
-    scan_engine: str = DEFAULT_SCAN_ENGINE
-    backend: str = DEFAULT_BACKEND
     faults: Optional[object] = None
 
     def cache_parts(self):
-        """Input parts for :meth:`repro.exec.ResultCache.key` (the
-        backend under its resolved name)."""
-        return (
-            "footprint",
-            dataclasses.replace(self, backend=resolve_backend(self.backend)),
-        )
+        """Input parts for :meth:`repro.exec.ResultCache.key`."""
+        return ("footprint", self)
 
 
 def _measure_footprint_request(request: FootprintRequest) -> Footprint:
@@ -214,8 +196,6 @@ def _measure_footprint_request(request: FootprintRequest) -> Footprint:
         seed=request.seed,
         faults=request.faults,
         scan_policy=request.scan_policy,
-        scan_engine=request.scan_engine,
-        backend=request.backend,
     )
 
 
@@ -272,8 +252,6 @@ def _sweep(
     seed: int,
     faults=None,
     scan_policy: str = "full",
-    scan_engine: str = DEFAULT_SCAN_ENGINE,
-    backend: str = DEFAULT_BACKEND,
     measurement_ticks: int = 4,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
@@ -300,8 +278,6 @@ def _sweep(
                 measurement_ticks=measurement_ticks,
                 seed=seed,
                 scan_policy=scan_policy,
-                scan_engine=scan_engine,
-                backend=backend,
                 faults=faults,
             ),
         )
@@ -337,8 +313,6 @@ def run_daytrader_consolidation(
     seed: int = 20130421,
     faults=None,
     scan_policy: str = "full",
-    scan_engine: str = DEFAULT_SCAN_ENGINE,
-    backend: str = DEFAULT_BACKEND,
     measurement_ticks: int = 4,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
@@ -371,8 +345,6 @@ def run_daytrader_consolidation(
         seed,
         faults=faults,
         scan_policy=scan_policy,
-        scan_engine=scan_engine,
-        backend=backend,
         measurement_ticks=measurement_ticks,
         jobs=jobs,
         cache=cache,
@@ -387,8 +359,6 @@ def run_specj_consolidation(
     seed: int = 20130421,
     faults=None,
     scan_policy: str = "full",
-    scan_engine: str = DEFAULT_SCAN_ENGINE,
-    backend: str = DEFAULT_BACKEND,
     measurement_ticks: int = 4,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
@@ -418,8 +388,6 @@ def run_specj_consolidation(
         seed,
         faults=faults,
         scan_policy=scan_policy,
-        scan_engine=scan_engine,
-        backend=backend,
         measurement_ticks=measurement_ticks,
         jobs=jobs,
         cache=cache,

@@ -22,9 +22,7 @@ by whatever coverage survives.  Throughput composes the
 :class:`~repro.perf.tlb.TlbModel` multiplier with the scanner CPU cost,
 and the pressure point adds the :class:`~repro.perf.paging.PagingModel`
 penalty on a deliberately undersized host, the same composition the
-pressure family uses.  The per-point runs are executed for *both* scan
-engines and the experiment asserts their savings, merges and split
-counts are bit-identical before reporting anything.
+pressure family uses.
 """
 
 from __future__ import annotations
@@ -32,12 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.config import (
-    HugePageSettings,
-    KsmSettings,
-    ScenarioSpec,
-    THP_POLICIES,
-)
+from repro.config import HugePageSettings, ScenarioSpec, THP_POLICIES
 from repro.core.experiments.scenarios import (
     SCENARIOS,
     ScenarioResult,
@@ -245,7 +238,7 @@ class HugePageCurveResult:
     seed: int
     scale: float = 1.0
     measurement_ticks: int = 0
-    #: (scenario, policy) → curve point, savings engine-verified.
+    #: (scenario, policy) → curve point.
     points: Dict[Tuple[str, str], HugePagePoint] = field(
         default_factory=dict
     )
@@ -282,41 +275,26 @@ class HugePageCurveResult:
 
 
 def _curve_point(
-    scenario: str,
-    policy: str,
-    block_pages: int,
-    object_result: ScenarioResult,
-    batch_result: ScenarioResult,
+    scenario: str, policy: str, block_pages: int, result: ScenarioResult
 ) -> HugePagePoint:
-    """Verify engine lockstep and fold one run pair into a point."""
-    obj, bat = object_result.ksm_stats, batch_result.ksm_stats
-    if (obj.pages_saved, obj.merges, obj.thp_splits) != (
-        bat.pages_saved,
-        bat.merges,
-        bat.thp_splits,
-    ):
-        raise AssertionError(
-            f"engine divergence at {scenario}/{policy}: "
-            f"object saved={obj.pages_saved} merges={obj.merges} "
-            f"splits={obj.thp_splits} vs batch saved={bat.pages_saved} "
-            f"merges={bat.merges} splits={bat.thp_splits}"
-        )
-    thp = obj.extra.get("thp", {})
+    """Fold one scenario run into a point."""
+    stats = result.ksm_stats
+    thp = stats.extra.get("thp", {})
     guest_pages = thp.get("guest_pages", 0)
     huge_pages = thp.get("huge_pages", 0)
     coverage = huge_pages / guest_pages if guest_pages else 0.0
     tlb_multiplier = TlbModel().throughput_multiplier(coverage)
-    cpu_fraction = min(1.0, obj.cpu_percent / 100.0)
-    validation = object_result.validation_report
+    cpu_fraction = min(1.0, stats.cpu_percent / 100.0)
+    validation = result.validation_report
     return HugePagePoint(
         scenario=scenario,
         policy=policy,
         block_pages=block_pages,
-        saved_bytes=obj.pages_saved * DEFAULT_PAGE_SIZE,
-        merges=obj.merges,
-        thp_splits=obj.thp_splits,
+        saved_bytes=stats.pages_saved * DEFAULT_PAGE_SIZE,
+        merges=stats.merges,
+        thp_splits=stats.thp_splits,
         huge_bytes_sacrificed=(
-            obj.thp_splits * block_pages * DEFAULT_PAGE_SIZE
+            stats.thp_splits * block_pages * DEFAULT_PAGE_SIZE
         ),
         intact_blocks=thp.get("intact_blocks", 0),
         huge_pages=huge_pages,
@@ -346,9 +324,9 @@ def run_hugepage_tradeoff(
 ) -> HugePageCurveResult:
     """Produce the headline trade-off curve.
 
-    Every (scenario, policy) cell runs under *both* scan engines; the
-    runs are independent work units, so they fan out (and cache) like
-    the consolidation sweeps and the result is bit-identical with any
+    Every (scenario, policy) cell is one scenario run; the runs are
+    independent work units, so they fan out (and cache) like the
+    consolidation sweeps and the result is bit-identical with any
     worker count.  On top of the curve the result carries the pressure
     points (undersized host, paging penalty composed in) and a purely
     analytic per-policy fleet estimate.
@@ -362,16 +340,14 @@ def run_hugepage_tradeoff(
     specs: List[Tuple[str, object]] = []
     for scenario in scenarios:
         for policy in policies:
-            for engine in ("object", "batch"):
-                spec = ScenarioSpec(
-                    scenario=scenario,
-                    scale=scale,
-                    measurement_ticks=measurement_ticks,
-                    seed=seed,
-                    ksm=KsmSettings(scan_engine=engine),
-                    hugepages=_settings_for(policy, block_pages),
-                )
-                specs.append((f"{scenario}/{policy}/{engine}", spec))
+            spec = ScenarioSpec(
+                scenario=scenario,
+                scale=scale,
+                measurement_ticks=measurement_ticks,
+                seed=seed,
+                hugepages=_settings_for(policy, block_pages),
+            )
+            specs.append((f"{scenario}/{policy}", spec))
     pressure_requests = [
         (
             f"pressure/{policy}",
@@ -432,11 +408,7 @@ def run_hugepage_tradeoff(
     for scenario in scenarios:
         for policy in policies:
             curve.points[(scenario, policy)] = _curve_point(
-                scenario,
-                policy,
-                block_pages,
-                results[f"{scenario}/{policy}/object"],
-                results[f"{scenario}/{policy}/batch"],
+                scenario, policy, block_pages, results[f"{scenario}/{policy}"]
             )
     for label, request in pressure_requests:
         curve.pressure[request.policy] = results[label]

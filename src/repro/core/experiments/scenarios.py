@@ -18,12 +18,10 @@ shared-copy cache deployment; the same driver serves the "before" and
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.config import (
-    DEFAULT_BACKEND,
-    DEFAULT_SCAN_ENGINE,
     Benchmark,
     HugePageSettings,
     KsmSettings,
@@ -32,7 +30,6 @@ from repro.config import (
 )
 from repro.core.accounting import OwnerAccounting
 from repro.core.breakdown import JavaBreakdown, VmBreakdown
-from repro.core.columnar.backend import resolve_backend
 from repro.core.dump import CollectionReport, SystemDump
 from repro.core.validate import ValidationReport
 from repro.core.experiments.testbed import (
@@ -112,7 +109,6 @@ def run(spec: ScenarioSpec, profiler=None) -> ScenarioResult:
         kernel_profile=scale_kernel_profile(spec.scale),
         seed=spec.seed,
         scale=spec.scale,
-        backend=spec.backend,
         ksm=spec.ksm,
         tiering=spec.tiering if spec.tiering.mode != "off" else None,
         hugepages=spec.hugepages if spec.hugepages.enabled else None,
@@ -178,9 +174,7 @@ def run_scenario(
     seed: int = 20130421,
     faults: Optional[FaultPlan] = None,
     scan_policy: str = "full",
-    scan_engine: str = DEFAULT_SCAN_ENGINE,
     tiering: str = "off",
-    backend: str = DEFAULT_BACKEND,
     profiler=None,
 ) -> ScenarioResult:
     """Deprecated shim over :func:`run` (the historical signature).
@@ -195,10 +189,9 @@ def run_scenario(
         scale=scale,
         measurement_ticks=measurement_ticks,
         seed=seed,
-        ksm=KsmSettings(scan_policy=scan_policy, scan_engine=scan_engine),
+        ksm=KsmSettings(scan_policy=scan_policy),
         tiering=TieringSettings(mode=tiering),
         hugepages=HugePageSettings(),
-        backend=backend,
         faults=faults,
     )
     return run(spec, profiler=profiler)
@@ -221,24 +214,12 @@ class ScenarioRequest:
     measurement_ticks: Optional[int] = None
     seed: int = 20130421
     scan_policy: str = "full"
-    #: Scanner implementation; like ``backend``, part of the cache
-    #: fingerprint so engine runs are never mixed even though the
-    #: engines produce identical results.
-    scan_engine: str = DEFAULT_SCAN_ENGINE
     faults: Optional[FaultPlan] = None
     tiering: str = "off"
-    #: Dump-analysis backend.  Part of the cache fingerprint, under its
-    #: resolved name: results computed by different backends are never
-    #: mixed in the cache, even though they should be identical (the
-    #: equivalence suite asserts it; the cache does not rely on it).
-    backend: str = DEFAULT_BACKEND
 
     def cache_parts(self):
         """Input parts for :meth:`repro.exec.ResultCache.key`."""
-        return (
-            "scenario-run",
-            replace(self, backend=resolve_backend(self.backend)),
-        )
+        return ("scenario-run", self)
 
     def to_spec(self) -> ScenarioSpec:
         """The equivalent :class:`ScenarioSpec` (same fingerprint)."""
@@ -248,12 +229,9 @@ class ScenarioRequest:
             scale=self.scale,
             measurement_ticks=self.measurement_ticks,
             seed=self.seed,
-            ksm=KsmSettings(
-                scan_policy=self.scan_policy, scan_engine=self.scan_engine
-            ),
+            ksm=KsmSettings(scan_policy=self.scan_policy),
             tiering=TieringSettings(mode=self.tiering),
             hugepages=HugePageSettings(),
-            backend=self.backend,
             faults=self.faults,
         )
 

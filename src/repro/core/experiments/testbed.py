@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.config import (
-    DEFAULT_BACKEND,
     HugePageSettings,
     JvmConfig,
     KsmSettings,
@@ -90,10 +89,6 @@ class TestbedConfig:
     #: The pressure-scenario family disables KSM on its non-TPS arms so
     #: compression and ballooning compete without sharing in the mix.
     ksm_enabled: bool = True
-    #: Dump-analysis pipeline: "columnar" (fastest available, the
-    #: default), "columnar-numpy", "columnar-stdlib" or "dict" (the
-    #: per-page reference walk).  All produce identical breakdowns.
-    backend: str = DEFAULT_BACKEND
     #: Transparent-huge-page policy; None (or policy "never") keeps
     #: every mapping at 4 KiB, the paper's configuration.
     hugepages: Optional[HugePageSettings] = None
@@ -211,7 +206,6 @@ class KvmTestbed:
                 pages_to_scan=cfg.ksm.pages_to_scan,
                 sleep_millisecs=cfg.ksm.sleep_millisecs,
                 scan_policy=cfg.ksm.scan_policy,
-                scan_engine=cfg.ksm.scan_engine,
             ),
             seed=cfg.seed,
         )
@@ -379,9 +373,7 @@ class KvmTestbed:
                 self.host, self.kernels, faults=faults
             )
         with self._phase("accounting"):
-            accounting = owner_oriented_accounting(
-                dump, backend=self.config.backend
-            )
+            accounting = owner_oriented_accounting(dump)
             validation = None
             if faults is not None:
                 validation = validate_dump(dump)

@@ -103,19 +103,17 @@ def resolve_process_pages_columnar(
     dump: SystemDump,
     guest: GuestDump,
     process: GuestProcessDump,
-    backend: str = "columnar",
 ):
     """Vectorized :func:`iter_process_frames`: whole-table columns.
 
     Walks every page of ``process`` through all three layers at once —
     one interval ``searchsorted`` over the memslots, an affine add, one
     exact join against the QEMU host page table — and returns the
-    backed rows as four parallel backend columns ``(vpns, gfns,
+    backed rows as four parallel int64 columns ``(vpns, gfns,
     host_vpns, frame_ids)``.  Same rows :func:`iter_process_frames`
-    yields, minus the per-page Python overhead; ``backend`` picks the
-    column implementation (see :mod:`repro.core.columnar`).
+    yields, minus the per-page Python overhead.
     """
-    from repro.core.columnar.backend import ops_for, resolve_backend
+    from repro.core.columnar.backend import NumpyOps
     from repro.core.columnar.lower import (
         build_registry,
         lower_guest,
@@ -123,7 +121,7 @@ def resolve_process_pages_columnar(
     )
     from repro.core.columnar.pipeline import resolve_process_columns
 
-    ops = ops_for(resolve_backend(backend))
+    ops = NumpyOps()
     registry = build_registry(dump)
     return resolve_process_columns(
         ops,

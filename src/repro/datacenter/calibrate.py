@@ -12,10 +12,10 @@ sampled host as a real guest-memory simulation — one
 :class:`~repro.mem.address_space.PageTable` per placed VM, every shared
 token expanded to its :data:`~repro.datacenter.fleet.TOKEN_SPAN_PAGES`
 pages of actual content, plus private and volatile filler — and runs
-the batch KSM scan engine over it until the saved-byte count reaches a
-fixed point.  The batch engine is what makes this affordable: a
-calibration host scans hundreds of thousands of pages per pass, which
-the per-page object engine would turn into minutes of Python loops.
+the KSM scanner over it until the saved-byte count reaches a fixed
+point.  The scanner's columnar passes are what make this affordable: a
+calibration host scans hundreds of thousands of pages per pass, which a
+per-page walk would turn into minutes of Python loops.
 
 The comparison is exact by construction at convergence: the simulated
 scanner merges precisely the duplicated shared pages the analytic model
@@ -43,8 +43,7 @@ from repro.datacenter.fleet import (
     converge_host_savings,
 )
 from repro.exec.runner import ParallelRunner, WorkUnit
-from repro.ksm import create_scanner
-from repro.ksm.scanner import KsmConfig
+from repro.ksm.scanner import KsmConfig, KsmScanner
 from repro.mem.address_space import PageTable
 from repro.mem.physmem import HostPhysicalMemory
 from repro.sim.clock import SimClock
@@ -74,8 +73,8 @@ def simulate_host_savings(
     """Re-run one host's placement as a real simulation; report both sides.
 
     Builds the host's guest memory from the same inputs the analytic
-    model sees (catalog spec + image multiset), scans it with the batch
-    engine under the FULL policy until ``saved_bytes`` stops moving,
+    model sees (catalog spec + image multiset), scans it with the KSM
+    scanner under the FULL policy until ``saved_bytes`` stops moving,
     and returns the analytic and simulated saved-byte counts side by
     side.  Module-level and pure, so it ships as a ParallelRunner
     :class:`~repro.exec.runner.WorkUnit`.
@@ -98,14 +97,10 @@ def simulate_host_savings(
         capacity_bytes=(total_pages + 8) * page_size, page_size=page_size
     )
     clock = SimClock()
-    scanner = create_scanner(
+    scanner = KsmScanner(
         physmem,
         clock,
-        KsmConfig(
-            pages_to_scan=max(1, total_pages),
-            scan_policy="full",
-            scan_engine="batch",
-        ),
+        KsmConfig(pages_to_scan=max(1, total_pages), scan_policy="full"),
     )
 
     # (table, base vpn, vm identity) for the per-pass volatile rewrites.

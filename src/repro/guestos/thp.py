@@ -15,7 +15,7 @@ the guest side of that tension on top of the
   log (collapse-on-dirty), like the real khugepaged only promotes
   actively-used ranges.
 * **split-on-KSM-merge** — performed by the scanner, not here: when
-  either KSM engine decides to merge a subpage it calls
+  the KSM scanner decides to merge a subpage it calls
   ``physmem.split_block_of`` first, so sharing always wins over the
   huge mapping (madvise-mergeable beats THP, as on Linux).  Because a
   block is a pure grouping overlay (member frames keep their 4 KiB
@@ -28,8 +28,8 @@ absorb a merged page (one of the huge-block validation invariants).
 
 Everything is deterministic — ranges are probed in ascending address
 order and the histogram epoch advances exactly once per
-:meth:`tick` — so object/batch engine runs and serial/parallel
-experiment fan-outs stay bit-identical.
+:meth:`tick` — so serial and parallel experiment fan-outs stay
+bit-identical.
 """
 
 from __future__ import annotations

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.hypervisor.base import GuestVmBase, HypervisorHost
-from repro.ksm import create_scanner
-from repro.ksm.scanner import KsmConfig
+from repro.ksm.scanner import KsmConfig, KsmScanner
 from repro.mem.address_space import PageTable
 from repro.mem.physmem import HostPhysicalMemory
 from repro.sim.clock import SimClock
@@ -259,7 +258,7 @@ class KvmHost(HypervisorHost):
         self.clock = SimClock()
         self.rng = RngFactory(seed)
         self.physmem = HostPhysicalMemory(ram_bytes, page_size)
-        self.ksm = create_scanner(self.physmem, self.clock, ksm_config)
+        self.ksm = KsmScanner(self.physmem, self.clock, ksm_config)
         #: Optional Satori-style sharing-aware block device (§VI).
         self.satori = None
         #: Optional compressed-RAM store; when attached, guest accesses to

@@ -19,7 +19,7 @@ one (the scanner's stale-drop path).
 
 Keeping the trees in separate dicts makes the ``FULL`` policy's
 end-of-pass discard (:meth:`clear_unstable`) a single ``dict.clear`` and
-the batch engine's fresh-candidate insert
+the scanner's fresh-candidate insert
 (:meth:`bulk_set_unstable_fresh`) a single ``dict.update``, while
 stable-node iteration (the statistics gauges, recorded once per pass)
 stays O(stable) however many candidates the ``INCREMENTAL`` policy keeps
@@ -102,7 +102,7 @@ class TokenIndex:
     ) -> None:
         """Bulk-insert unstable candidates for tokens with **no** node.
 
-        The batch engine's fast path for settled, never-seen content:
+        The scanner's fast path for settled, never-seen content:
         the caller guarantees every token currently has no node (it just
         observed that with no intervening mutation of these tokens), so
         the stable-tree retirement in :meth:`set_unstable` is skipped

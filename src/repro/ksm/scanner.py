@@ -63,19 +63,85 @@ overheads (≈25 % CPU at 10 000 pages/100 ms, ≈2 % at 1 000 pages/100 ms).
 Dirty-log draining charges a far smaller per-entry cost (see
 :mod:`repro.perf.scancost`); under ``FULL`` nothing is drained and the
 charge is exactly the historical calibration.
+
+Columnar execution
+------------------
+
+Each scan burst examines whole worklist segments with columnar kernels
+instead of one page at a time, with the same merges, statistics,
+scan-cost charging and convergence history as a per-page walk.
+
+During a scan burst only the scanner mutates memory, and every mutation
+it performs is *token-local*:
+
+* a merge re-points one vpn at a frame holding the **same** token (the
+  frame backing any not-yet-examined page stays alive — its own mapping
+  holds a reference — and frame tokens never change mid-burst);
+* ``ksm_stable`` is only ever set on frames whose token equals the
+  group's token;
+* the token index and volatility map are keyed by token and vpn, and a
+  worklist never repeats a vpn.
+
+Hence pages of *different* tokens cannot affect each other's
+examination, and the examined-at-segment-start snapshot of
+(fid, token, stable) is exact.  The scanner therefore:
+
+1. **gathers** the segment as flat columns: a per-worklist vpn column
+   plus its bulk translation (:meth:`PageTable.translate_many`), cached
+   and keyed by ``(version, remap_epoch)`` so the steady state — where
+   no mapping moves between passes — re-translates nothing; frame
+   state and token columns come from the
+   :class:`repro.mem.physmem.FrameMirror` (zero-copy numpy views over
+   its ``array('Q')``/``bytearray`` storage).  Unmapped and
+   already-stable pages drop out in one vectorized mask — the
+   steady-state hot path, where almost every page is merged;
+2. **groups** the survivors by content token with the
+   :meth:`NumpyOps.group_sizes` kernel (a stable argsort, so in-group
+   order is segment order — the only order that matters), picking the
+   rows out of the cached vpn/fid lists by position so the ints the
+   scanner keeps are the page table's own.  When a set of the segment's
+   tokens shows them all distinct, every row is a singleton and the
+   sort is skipped;
+3. applies **unseen singletons** — when no singleton token has a node
+   in either tree (one C-level :meth:`TokenIndex.any_node` check) —
+   with list and dict operations only: the volatility filter is a
+   list compare against the volatility map, and the unchanged rows go
+   into the unstable tree in one bulk insert
+   (:meth:`TokenIndex.bulk_set_unstable_fresh`).  A *settled* segment,
+   where no content changed since the last pass, is just the compare
+   and the insert.  This is the steady-state FULL pass over converged
+   memory;
+4. otherwise dispatches **singleton groups** through one fused kernel:
+   a bulk index probe (:meth:`TokenIndex.lookup` per token), step 3
+   for the rows without a node, and one
+   :meth:`HostPhysicalMemory.merge_many` call for the elected
+   stable-tree merges;
+5. runs **multi-page groups** (and the rare stale/unstable tails)
+   through :meth:`KsmScanner._examine_row`, the per-page state
+   machine, in segment order.
+
+Tokens are full unsigned 64-bit hashes (and tests may feed arbitrary
+ints), so the grouping keys on the mirror's *masked* uint64 column
+while all semantic operations use the exact Python tokens; a masked
+collision can only route a group to the per-row path, never change a
+result.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
+from operator import eq, not_
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.config import DEFAULT_SCAN_ENGINE
+import numpy as np
+
+from repro.core.columnar.backend import NumpyOps
 from repro.ksm.index import STABLE, TokenIndex
 from repro.ksm.stats import KsmStats
 from repro.mem.address_space import PageTable
-from repro.mem.physmem import HostPhysicalMemory
+from repro.mem.physmem import FrameMirror, HostPhysicalMemory
 from repro.perf.scancost import (
     DEFAULT_COST_US_PER_PAGE,
     DEFAULT_DIRTY_LOG_COST_US,
@@ -83,9 +149,8 @@ from repro.perf.scancost import (
 )
 from repro.sim.clock import SimClock
 
-
-#: Valid values for :attr:`KsmConfig.scan_engine`.
-SCAN_ENGINES = ("object", "batch")
+#: Row = (vpn, fid, token); multi-page groups carry them in segment order.
+Row = Tuple[int, int, int]
 
 
 class ScanPolicy(enum.Enum):
@@ -113,10 +178,6 @@ class KsmConfig:
     dirty_log_cost_us: float = DEFAULT_DIRTY_LOG_COST_US
     #: Under HYBRID, every Nth pass is a full pass (1 = always full).
     hybrid_full_interval: int = 8
-    #: Which scan-engine implementation runs the passes: "batch" (the
-    #: columnar engine in :mod:`repro.ksm.batch`) or "object" (the
-    #: per-page loop below, the bit-identical reference).
-    scan_engine: str = DEFAULT_SCAN_ENGINE
 
     def __post_init__(self) -> None:
         if self.pages_to_scan <= 0:
@@ -129,11 +190,6 @@ class KsmConfig:
             raise ValueError("dirty_log_cost_us must be non-negative")
         if self.hybrid_full_interval < 1:
             raise ValueError("hybrid_full_interval must be >= 1")
-        if self.scan_engine not in SCAN_ENGINES:
-            raise ValueError(
-                f"unknown scan_engine {self.scan_engine!r}; "
-                f"expected one of {sorted(SCAN_ENGINES)}"
-            )
 
 
 class KsmScanner:
@@ -187,6 +243,18 @@ class KsmScanner:
         # logging (map/unmap/store/COW) on a registered table.  Spares
         # the len(tables)+1 empty-round spin on every idle call.
         self._work_hint = True
+        self._ops = NumpyOps()
+        self._mirror = physmem.attach_frame_mirror()
+        # Columnar worklist state: per-table persistent caches for the
+        # (version-cached) full worklists, and the columns of whatever
+        # worklist is currently installed.  ``fids`` lazily mirrors the
+        # vpn column's translation, keyed by (version, remap_epoch) —
+        # exact because any translation change bumps one of the two.
+        self._column_cache: Dict[PageTable, dict] = {}
+        self._cur: Optional[dict] = None
+        # Stable-tree fid column for the per-pass history gauges,
+        # cached against the index's stable revision.
+        self._stable_cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Registration
@@ -224,6 +292,7 @@ class KsmScanner:
                 self._recheck.pop(table, None)
                 self._cold_hints.pop(table, None)
                 self._full_cache.pop(table, None)
+                self._column_cache.pop(table, None)
                 self._pruned_version.pop(table, None)
                 # Unstable candidates pointing into this table must not
                 # survive it: a later identical page would merge against
@@ -289,12 +358,18 @@ class KsmScanner:
                         break
                     continue
                 empty_rounds = 0
-            vpn = self._scan_list[self._scan_pos]
-            self._scan_pos += 1
-            table = self._tables[self._table_cursor]
-            self._examine(table, vpn)
-            examined += 1
-            self._pass_examined += 1
+            # Consume the installed worklist in whole remaining-budget
+            # slices.
+            take = min(
+                budget - examined, len(self._scan_list) - self._scan_pos
+            )
+            start = self._scan_pos
+            self._scan_pos += take
+            self._examine_segment(
+                self._tables[self._table_cursor], start, self._scan_pos
+            )
+            examined += take
+            self._pass_examined += take
         self.stats.pages_scanned += examined
         return examined
 
@@ -379,34 +454,47 @@ class KsmScanner:
             hints.clear()
         self._scan_list = vpns
         self._scan_pos = 0
+        columns = self._column_cache.get(table)
+        if columns is None or columns["vpns"] is not vpns:
+            # The same list object is handed out while the table's
+            # mapping set is unchanged, so identity is the key.
+            columns = self._fresh_columns(vpns)
+            self._column_cache[table] = columns
+        self._cur = columns
 
     def _install_incremental_worklist(self, table: PageTable) -> None:
         """Dirty-logged vpns plus pending rechecks, ascending.
 
         Draining the log also prunes bookkeeping for vpns that were
         unmapped: their volatility history is dropped and any unstable
-        node still pointing at the dead mapping is retired.
+        node still pointing at the dead mapping is retired.  The
+        mapped/unmapped partition of the drained log is one bulk
+        translate.
         """
-        due: Set[int] = set()
         drained = table.drain_dirty()
         if drained:
             self.stats.dirty_log_drained += len(drained)
+        due = set()
         last = self._last_tokens[table]
-        for vpn in drained:
-            if table.is_mapped(vpn):
-                due.add(vpn)
-                continue
-            previous = last.pop(vpn, None)
-            if previous is None:
-                continue
-            node = self._index.lookup(previous)
-            if (
-                node is not None
-                and node[0] != STABLE
-                and node[1] is table
-                and node[2] == vpn
-            ):
-                self._index.drop(previous)
+        if drained:
+            dead: List[int] = []
+            for vpn, fid in zip(drained, table.translate_many(drained)):
+                if fid >= 0:
+                    due.add(vpn)
+                else:
+                    dead.append(vpn)
+            for vpn in dead:
+                previous = last.pop(vpn, None)
+                if previous is None:
+                    continue
+                node = self._index.lookup(previous)
+                if (
+                    node is not None
+                    and node[0] != STABLE
+                    and node[1] is table
+                    and node[2] == vpn
+                ):
+                    self._index.drop(previous)
         recheck = self._recheck[table]
         if recheck:
             due.update(vpn for vpn in recheck if table.is_mapped(vpn))
@@ -417,6 +505,8 @@ class KsmScanner:
             hints.clear()
         self._scan_list = sorted(due)
         self._scan_pos = 0
+        # Incremental worklists are fresh objects every pass; no reuse.
+        self._cur = self._fresh_columns(self._scan_list)
 
     def _prune_last_tokens(self) -> None:
         """Drop volatility history for vpns no longer mapped (full-pass
@@ -438,16 +528,206 @@ class KsmScanner:
             for vpn in dead:
                 del last[vpn]
 
-    def _examine(self, table: PageTable, vpn: int) -> None:
-        """Run the KSM state machine on one candidate page."""
-        fid = table.translate(vpn)
-        if fid is None:
-            return  # unmapped since the worklist was built
-        frame = self.physmem.get_frame(fid)
-        if frame.ksm_stable:
-            return  # already merged
-        token = frame.token
+    # ------------------------------------------------------------------
+    # Worklist columns (primed at install, cached across passes)
+    # ------------------------------------------------------------------
 
+    @staticmethod
+    def _fresh_columns(vpns: List[int]) -> dict:
+        return {"vpns": vpns, "fids": None, "fid_arr": None, "fkey": None}
+
+    def _segment_fids(self, table: PageTable, cur: dict):
+        """The worklist's translation column, rebuilt only when some
+        translation may have moved since it was built."""
+        fkey = (table.version, table.remap_epoch)
+        if cur["fids"] is None or cur["fkey"] != fkey:
+            fids = table.translate_many(cur["vpns"])
+            cur["fids"] = fids
+            cur["fid_arr"] = np.fromiter(fids, np.int64, len(fids))
+            cur["fkey"] = fkey
+        return cur
+
+    # ------------------------------------------------------------------
+    # Stage A/B: gather + group
+    # ------------------------------------------------------------------
+
+    def _examine_segment(
+        self, table: PageTable, start: int, stop: int
+    ) -> None:
+        cur = self._segment_fids(table, self._cur)
+        gathered = self._gather(cur, start, stop)
+        if gathered is not None:
+            self._process_groups(table, *gathered)
+
+    def _gather(self, cur: dict, start: int, stop: int):
+        mirror = self._mirror
+        fid_view = cur["fid_arr"][start:stop]
+        # Zero-copy views over the mirror columns.  Slot 0 is a
+        # permanent FREE pad, so unmapped translations (-1) clamp to it
+        # and fall out of the active mask with no extra branch.  The
+        # views never outlive this call, and in-burst mutations only
+        # store into existing slots (no resize), so exporting the
+        # buffers is safe.
+        states = np.frombuffer(mirror.states, dtype=np.uint8)
+        active = (
+            states[np.where(fid_view >= 0, fid_view, 0)]
+            == FrameMirror.ACTIVE
+        )
+        if not active.any():
+            return None
+        positions = np.flatnonzero(active)
+        # Pick rows out of the cached vpn/fid lists by position rather
+        # than materializing them from int64 columns: the ints the
+        # volatility map and the unstable tree keep are then the page
+        # table's own objects, not fresh per-pass copies.
+        vpns = cur["vpns"].__getitem__
+        fids = cur["fids"].__getitem__
+        tokens = mirror.tokens
+        picks = (positions + start).tolist()
+        of = list(map(fids, picks))
+        ot = list(map(tokens.__getitem__, of))
+        if len(set(ot)) == len(ot):
+            # Every token occurs once: all rows are singletons, left in
+            # segment order (groups are independent, so any order is).
+            return list(map(vpns, picks)), of, ot, ()
+        # Some token repeats: reorder the gathered rows by token (stable,
+        # so segment order within a group) and split off the groups.
+        masked = np.frombuffer(mirror.masked, dtype=np.uint64)
+        order, sizes = self._ops.group_sizes(masked[fid_view[positions]])
+        order = order.tolist()
+        ov = list(map(vpns, map(picks.__getitem__, order)))
+        of = list(map(of.__getitem__, order))
+        ot = list(map(ot.__getitem__, order))
+        sv: List[int] = []
+        sf: List[int] = []
+        st: List[int] = []
+        multis: List[List[Row]] = []
+        sizes_list = sizes.tolist()
+        i = 0
+        total = len(ov)
+        while i < total:
+            size = sizes_list[i]
+            if size == 1:
+                sv.append(ov[i])
+                sf.append(of[i])
+                st.append(ot[i])
+            else:
+                end = i + size
+                multis.append(list(zip(ov[i:end], of[i:end], ot[i:end])))
+            i += size
+        return sv, sf, st, multis
+
+    # ------------------------------------------------------------------
+    # Stage C/D: the fused singleton kernel + per-row group tails
+    # ------------------------------------------------------------------
+
+    def _process_groups(
+        self,
+        table: PageTable,
+        sv: List[int],
+        sf: List[int],
+        st: List[int],
+        multis,
+    ) -> None:
+        # Token groups are independent (module docstring), so group
+        # processing order is free; in-group order is segment order.
+        if sv:
+            if self._index.any_node(st):
+                self._examine_singletons(table, sv, sf, st)
+            else:
+                self._insert_unseen(table, sv, st)
+        for rows in multis:
+            for vpn, fid, token in rows:
+                self._examine_row(table, vpn, fid, token)
+
+    def _insert_unseen(
+        self, table: PageTable, sv: List[int], st: List[int]
+    ) -> None:
+        """Singletons none of whose tokens has a node in either tree.
+
+        Each row then only runs the volatility filter and, when its
+        content is unchanged since the page was last examined, becomes a
+        fresh unstable candidate — so the rows are applied with C-level
+        list and dict operations instead of a per-row loop.  A settled
+        segment, where no row's content changed, is one list compare
+        and one bulk insert.
+        """
+        last = self._last_tokens[table]
+        previous = list(map(last.get, sv))
+        if previous == st:
+            self._index.bulk_set_unstable_fresh(st, table, sv)
+            return
+        # A worklist never repeats a vpn, so reading every previous
+        # token before storing the new ones matches the per-row order.
+        last.update(zip(sv, st))
+        same = list(map(eq, previous, st))
+        fresh_v = list(compress(sv, same))
+        self.stats.volatile_skips += len(sv) - len(fresh_v)
+        if self.config.scan_policy is not ScanPolicy.FULL:
+            self._recheck[table].update(compress(sv, map(not_, same)))
+        if fresh_v:
+            self._index.bulk_set_unstable_fresh(
+                list(compress(st, same)), table, fresh_v
+            )
+
+    def _examine_singletons(
+        self, table: PageTable, sv: List[int], sf: List[int], st: List[int]
+    ) -> None:
+        """The fused singleton kernel: one bulk probe, then per-row
+        stable-merge handling with bulk-applied effects; the rows with
+        no node take :meth:`_insert_unseen` together."""
+        index = self._index
+        physmem = self.physmem
+        frame_of = physmem.frame
+        row = self._examine_row
+        unseen_v: List[int] = []
+        unseen_t: List[int] = []
+        merges: List[Tuple[int, int]] = []
+        nodes = list(map(index.lookup, st))
+        for vpn, fid, token, node in zip(sv, sf, st, nodes):
+            if node is None:
+                unseen_v.append(vpn)
+                unseen_t.append(token)
+            elif node[0] == STABLE:
+                stable_fid = node[1]
+                stable_frame = frame_of(stable_fid)
+                if (
+                    stable_frame is None
+                    or stable_frame.token != token
+                    or not stable_frame.ksm_stable
+                ):
+                    # Dead stable node: prune, then rerun the row — the
+                    # re-probe misses, exactly the per-row fall-through.
+                    index.drop(token)
+                    row(table, vpn, fid, token)
+                elif stable_fid != fid:
+                    # Split-on-KSM-merge happens eagerly (in examination
+                    # order) even though the merge itself is deferred —
+                    # splits are idempotent and blocks never re-form
+                    # mid-pass, so the deferral cannot diverge.
+                    self._split_for_merge(fid)
+                    merges.append((vpn, stable_fid))
+                # else: this frame *is* the stable node.
+            else:
+                row(table, vpn, fid, token)
+        if unseen_v:
+            self._insert_unseen(table, unseen_v, unseen_t)
+        if merges:
+            self.stats.merges += physmem.merge_many(table, merges)
+
+    def _examine_row(
+        self, table: PageTable, vpn: int, fid: int, token: int
+    ) -> None:
+        """Run the KSM state machine on one pre-gathered candidate page.
+
+        The gather already dropped unmapped and merged pages; the live
+        ``ksm_stable`` re-check matters because an earlier row of the
+        same group may have just promoted this frame.
+        """
+        physmem = self.physmem
+        frame = physmem.get_frame(fid)
+        if frame.ksm_stable:
+            return
         # One probe of the shared token index serves both trees.
         node = self._index.lookup(token)
 
@@ -455,7 +735,7 @@ class KsmScanner:
         # not require the volatility check (matches kernel behaviour).
         if node is not None and node[0] == STABLE:
             stable_fid = node[1]
-            stable_frame = self.physmem.frame(stable_fid)
+            stable_frame = physmem.frame(stable_fid)
             if (
                 stable_frame is None
                 or stable_frame.token != token
@@ -466,7 +746,7 @@ class KsmScanner:
                 node = None
             elif stable_fid != fid:
                 self._split_for_merge(fid)
-                self.physmem.merge_into(table, vpn, stable_fid)
+                physmem.merge_into(table, vpn, stable_fid)
                 self.stats.merges += 1
                 return
             else:
@@ -498,7 +778,7 @@ class KsmScanner:
             self.stats.stale_drops += 1
             self._index.set_unstable(token, table, vpn)
             return
-        partner_frame = self.physmem.get_frame(partner_fid)
+        partner_frame = physmem.get_frame(partner_fid)
         if partner_frame.token != token:
             # Partner was rewritten since insertion; replace it.
             self.stats.stale_drops += 1
@@ -509,7 +789,7 @@ class KsmScanner:
             # to merge at the host level, but promote it to stable so later
             # candidates can join it.
             self._split_for_merge(fid)
-            self.physmem.mark_ksm_stable(fid)
+            physmem.mark_ksm_stable(fid)
             self._index.set_stable(token, fid)
             return
 
@@ -518,9 +798,9 @@ class KsmScanner:
         # wins, so the blocks are split first (split-on-KSM-merge).
         self._split_for_merge(partner_fid)
         self._split_for_merge(fid)
-        self.physmem.mark_ksm_stable(partner_fid)
+        physmem.mark_ksm_stable(partner_fid)
         self._index.set_stable(token, partner_fid)
-        self.physmem.merge_into(table, vpn, partner_fid)
+        physmem.merge_into(table, vpn, partner_fid)
         self.stats.merges += 1
 
     def _split_for_merge(self, fid: int) -> None:
@@ -530,13 +810,28 @@ class KsmScanner:
             self.stats.thp_splits += 1
 
     def _record_history(self) -> None:
-        shared = 0
-        sharing = 0
-        for _token, fid in self._index.stable_items():
-            frame = self.physmem.frame(fid)
-            if frame is not None and frame.ksm_stable:
-                shared += 1
-                sharing += frame.refcount
+        """Sample the sharing gauges at a pass end, over mirror columns.
+
+        A stable node's frame is alive *and* ``ksm_stable`` exactly when
+        its mirror state is STABLE (``mark_ksm_stable`` is the only
+        setter, frees reset the state, and fids are never reused), and
+        the mirror's ``refs`` column tracks ``Frame.refcount`` exactly,
+        so no ``Frame`` is touched.
+        """
+        index = self._index
+        rev = index.stable_rev
+        cache = self._stable_cache
+        if cache is None or cache[0] != rev:
+            fids = index.stable_fids()
+            cache = (rev, np.fromiter(fids, np.int64, len(fids)))
+            self._stable_cache = cache
+        fid_arr = cache[1]
+        mirror = self._mirror
+        states = np.frombuffer(mirror.states, dtype=np.uint8)[fid_arr]
+        alive = states == FrameMirror.STABLE
+        shared = int(alive.sum())
+        refs = np.frombuffer(mirror.refs, dtype=np.int64)[fid_arr]
+        sharing = int(refs[alive].sum())
         self.history.append((self.clock.now_ms, shared, sharing))
 
     # ------------------------------------------------------------------

@@ -55,7 +55,7 @@ class PageTable:
         self._dirty: Dict[int, None] = {}
         self._version = 0
         # Bumped on every remap (COW breaks, KSM merges) — together
-        # with the version it keys the batch scan engine's cached
+        # with the version it keys the KSM scanner's cached
         # vpn→pfn columns: while neither moves, no translation result
         # can have changed.
         self._remap_epoch = 0

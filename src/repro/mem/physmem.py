@@ -27,7 +27,7 @@ _MASK64 = (1 << 64) - 1
 class FrameMirror:
     """Dense, fid-indexed shadow of the frame table.
 
-    The batch KSM scan engine needs columnar access to per-frame state
+    The KSM scanner needs columnar access to per-frame state
     (content token, alive/stable) without probing the ``fid -> Frame``
     dict one page at a time.  Because fids are monotonic and never
     reused, the mirror can be three flat arrays indexed by fid:
@@ -42,11 +42,11 @@ class FrameMirror:
     * ``states`` — a ``bytearray`` of {FREE, ACTIVE, STABLE}, likewise
       viewable zero-copy as uint8;
     * ``refs`` — the mapping refcount per fid in an ``array('q')``
-      (zero-copy int64 view), which lets the batch engine compute the
+      (zero-copy int64 view), which lets the scanner compute the
       per-pass sharing gauges without touching a single ``Frame``.
 
     Slot 0 is a permanent FREE pad (fids start at 1), which lets the
-    batch engine clamp missing translations to index 0 instead of
+    scanner clamp missing translations to index 0 instead of
     branch-filtering them.  The mirror is maintained by
     :class:`HostPhysicalMemory` on every frame mutation once attached;
     attachment is idempotent and backfills from the live frame table.
@@ -480,7 +480,7 @@ class HostPhysicalMemory:
     ) -> int:
         """Apply ``(vpn, target_fid)`` merges in order; returns the count.
 
-        The batch scan engine's bulk mutation API: one call per elected
+        The KSM scanner's bulk mutation API: one call per elected
         token group instead of one :meth:`merge_into` round-trip per
         page.  Semantics are identical to applying :meth:`merge_into`
         sequentially (including the no-dirty-log rule).

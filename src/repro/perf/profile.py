@@ -3,8 +3,8 @@
 A :class:`PhaseProfiler` splits a testbed run into its coarse phases —
 guest build, KSM warm-up, workload ticks, tiering, scan bursts, dump
 collection, accounting — and accumulates wall-clock and process-CPU
-time per phase.  It answers the practical tuning question behind the
-batch scan engine: *where does a scenario actually spend its time?*
+time per phase.  It answers the practical tuning question: *where
+does a scenario actually spend its time?*
 
 The profiler is deliberately dumb: named stopwatch accumulators around
 ``with profiler.phase("scan"):`` blocks.  No sampling, no threads, no

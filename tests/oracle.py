@@ -1,0 +1,222 @@
+"""Reference implementations the production paths are compared against.
+
+Each one is the paper's method written a page or a frame at a time:
+
+* :class:`PerPageScanner` — the KSM scanner with its columnar segment
+  kernels replaced by the per-page state machine (``_examine``), the
+  per-vpn incremental worklist and the stable-tree walk behind the
+  history gauges.  Everything else (registration, pass boundaries,
+  pruning, cost charging) is the production scanner's.
+* :func:`dict_owner_accounting` / :func:`dict_distribution_accounting`
+  — the per-frame aggregation over
+  :func:`repro.core.accounting.build_frame_usage`.
+* :func:`use_oracle` — swaps both into every testbed built afterwards,
+  for scenario-level comparisons.
+
+Importable from ``tests/`` and ``benchmarks/`` as ``tests.oracle``.
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Set, Tuple
+
+from repro.core.accounting import (
+    FrameUsage,
+    Mapping,
+    OwnerAccounting,
+    PssAccounting,
+    build_frame_usage,
+)
+from repro.core.dump import SystemDump
+from repro.ksm.index import STABLE
+from repro.ksm.scanner import KsmScanner, ScanPolicy
+from repro.mem.address_space import PageTable
+
+
+class PerPageScanner(KsmScanner):
+    """The KSM scanner, examining one page at a time."""
+
+    def scan_pages(self, budget: int) -> int:
+        if budget <= 0 or not self._tables:
+            return 0
+        if not self._work_hint and self._scan_pos >= len(self._scan_list):
+            if self._started_pass:
+                self._table_cursor = (
+                    self._table_cursor + 2
+                ) % len(self._tables)
+            return 0
+        examined = 0
+        empty_rounds = 0
+        while examined < budget:
+            if self._scan_pos >= len(self._scan_list):
+                if not self._advance_table():
+                    empty_rounds += 1
+                    if empty_rounds > len(self._tables) + 1:
+                        self._work_hint = False
+                        break
+                    continue
+                empty_rounds = 0
+            vpn = self._scan_list[self._scan_pos]
+            self._scan_pos += 1
+            self._examine(self._tables[self._table_cursor], vpn)
+            examined += 1
+            self._pass_examined += 1
+        self.stats.pages_scanned += examined
+        return examined
+
+    def _install_incremental_worklist(self, table: PageTable) -> None:
+        due: Set[int] = set()
+        drained = table.drain_dirty()
+        if drained:
+            self.stats.dirty_log_drained += len(drained)
+        last = self._last_tokens[table]
+        for vpn in drained:
+            if table.is_mapped(vpn):
+                due.add(vpn)
+                continue
+            previous = last.pop(vpn, None)
+            if previous is None:
+                continue
+            node = self._index.lookup(previous)
+            if (
+                node is not None
+                and node[0] != STABLE
+                and node[1] is table
+                and node[2] == vpn
+            ):
+                self._index.drop(previous)
+        recheck = self._recheck[table]
+        if recheck:
+            due.update(vpn for vpn in recheck if table.is_mapped(vpn))
+            recheck.clear()
+        hints = self._cold_hints[table]
+        if hints:
+            due.update(vpn for vpn in hints if table.is_mapped(vpn))
+            hints.clear()
+        self._scan_list = sorted(due)
+        self._scan_pos = 0
+
+    def _examine(self, table: PageTable, vpn: int) -> None:
+        fid = table.translate(vpn)
+        if fid is None:
+            return
+        frame = self.physmem.get_frame(fid)
+        if frame.ksm_stable:
+            return
+        token = frame.token
+        node = self._index.lookup(token)
+        if node is not None and node[0] == STABLE:
+            stable_fid = node[1]
+            stable_frame = self.physmem.frame(stable_fid)
+            if (
+                stable_frame is None
+                or stable_frame.token != token
+                or not stable_frame.ksm_stable
+            ):
+                self._index.drop(token)
+                node = None
+            elif stable_fid != fid:
+                self._split_for_merge(fid)
+                self.physmem.merge_into(table, vpn, stable_fid)
+                self.stats.merges += 1
+                return
+            else:
+                return
+        last = self._last_tokens[table]
+        previous = last.get(vpn)
+        last[vpn] = token
+        if previous != token:
+            self.stats.volatile_skips += 1
+            if self.config.scan_policy is not ScanPolicy.FULL:
+                self._recheck[table].add(vpn)
+            return
+        if node is None:
+            self._index.set_unstable(token, table, vpn)
+            return
+        _, partner_table, partner_vpn = node
+        if partner_table is table and partner_vpn == vpn:
+            return
+        partner_fid = partner_table.translate(partner_vpn)
+        if partner_fid is None:
+            self.stats.stale_drops += 1
+            self._index.set_unstable(token, table, vpn)
+            return
+        partner_frame = self.physmem.get_frame(partner_fid)
+        if partner_frame.token != token:
+            self.stats.stale_drops += 1
+            self._index.set_unstable(token, table, vpn)
+            return
+        if partner_fid == fid:
+            self._split_for_merge(fid)
+            self.physmem.mark_ksm_stable(fid)
+            self._index.set_stable(token, fid)
+            return
+        self._split_for_merge(partner_fid)
+        self._split_for_merge(fid)
+        self.physmem.mark_ksm_stable(partner_fid)
+        self._index.set_stable(token, partner_fid)
+        self.physmem.merge_into(table, vpn, partner_fid)
+        self.stats.merges += 1
+
+    def _record_history(self) -> None:
+        shared = 0
+        sharing = 0
+        for _token, fid in self._index.stable_items():
+            frame = self.physmem.frame(fid)
+            if frame is not None and frame.ksm_stable:
+                shared += 1
+                sharing += frame.refcount
+        self.history.append((self.clock.now_ms, shared, sharing))
+
+
+def _owner_sort_key(mapping: Mapping) -> Tuple:
+    """Ownership priority: Java first, then smallest PID, then VM order."""
+    user = mapping.user
+    return (user.kind, user.pid if user.pid >= 0 else 1 << 30,
+            user.vm_index, mapping.tag)
+
+
+def dict_owner_accounting(
+    dump: SystemDump, usage: Optional[FrameUsage] = None
+) -> OwnerAccounting:
+    """Owner-oriented accounting, one frame's mapping list at a time."""
+    if usage is None:
+        usage = build_frame_usage(dump)
+    result = OwnerAccounting(page_size=dump.host.page_size)
+    page = dump.host.page_size
+    for mappings in usage.values():
+        ordered = sorted(mappings, key=_owner_sort_key)
+        owner = ordered[0]
+        result.cell(owner.user, owner.category).usage_bytes += page
+        for mapping in ordered[1:]:
+            result.cell(mapping.user, mapping.category).shared_bytes += page
+    return result
+
+
+def dict_distribution_accounting(
+    dump: SystemDump, usage: Optional[FrameUsage] = None
+) -> PssAccounting:
+    """PSS accounting, one frame's mapping list at a time."""
+    if usage is None:
+        usage = build_frame_usage(dump)
+    result = PssAccounting(page_size=dump.host.page_size)
+    page = dump.host.page_size
+    for mappings in usage.values():
+        share = page / len(mappings)
+        for mapping in mappings:
+            user = mapping.user
+            result.pss_bytes[user] = result.pss_bytes.get(user, 0.0) + share
+            result.rss_bytes[user] = result.rss_bytes.get(user, 0) + page
+    return result
+
+
+def use_oracle(monkeypatch) -> None:
+    """Build every later testbed with the per-page scanner and run its
+    accounting through the per-frame dict aggregation."""
+    from repro.core.experiments import testbed
+    from repro.hypervisor import kvm
+
+    monkeypatch.setattr(kvm, "KsmScanner", PerPageScanner)
+    monkeypatch.setattr(
+        testbed, "owner_oriented_accounting", dict_owner_accounting
+    )

@@ -90,7 +90,7 @@ class TestConservation:
     def test_owner_usage_equals_backed_frames(self, spec):
         _host, dump, _mapped = build_world(spec)
         usage = build_frame_usage(dump)
-        accounting = owner_oriented_accounting(dump, usage)
+        accounting = owner_oriented_accounting(dump)
         assert accounting.total_usage() == len(usage) * PAGE
 
     @given(spec=worlds())
@@ -98,7 +98,7 @@ class TestConservation:
     def test_usage_plus_shared_equals_mappings(self, spec):
         _host, dump, _mapped = build_world(spec)
         usage = build_frame_usage(dump)
-        accounting = owner_oriented_accounting(dump, usage)
+        accounting = owner_oriented_accounting(dump)
         total_mappings = sum(len(m) for m in usage.values())
         total_accounted = sum(
             accounting.total_of(user) for user in accounting.users()
@@ -110,7 +110,7 @@ class TestConservation:
     def test_pss_equals_backed_frames(self, spec):
         _host, dump, _mapped = build_world(spec)
         usage = build_frame_usage(dump)
-        pss = distribution_oriented_accounting(dump, usage)
+        pss = distribution_oriented_accounting(dump)
         assert abs(pss.total_pss() - len(usage) * PAGE) < 1e-6
 
     @given(spec=worlds())
@@ -121,7 +121,7 @@ class TestConservation:
         could have carried, matching the paper's owner rule."""
         _host, dump, _mapped = build_world(spec)
         usage = build_frame_usage(dump)
-        accounting = owner_oriented_accounting(dump, usage)
+        accounting = owner_oriented_accounting(dump)
         # Reconstruct ownership from the result: the shared tally of a
         # kernel/daemon user must cover every frame a Java process also
         # maps.

@@ -4,6 +4,8 @@ import pytest
 
 from repro.cli import main
 
+from tests.test_golden_figures import golden
+
 
 class TestCli:
     def test_tables(self, capsys):
@@ -14,26 +16,19 @@ class TestCli:
 
     def test_fig3a_small(self, capsys):
         assert main(["fig3a", "--scale", "0.02", "--ticks", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "Class metadata" in out
-        assert "vm1" in out
+        assert capsys.readouterr().out == golden("fig3a")
 
     def test_fig2_small(self, capsys):
         assert main(["fig2", "--scale", "0.02", "--ticks", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "Guest kernel" in out
-        assert "TOTAL" in out
+        assert capsys.readouterr().out == golden("fig2")
 
     def test_fig6_small(self, capsys):
         assert main(["fig6", "--scale", "0.02"]) == 0
-        out = capsys.readouterr().out
-        assert "before sharing" in out
-        assert "preloaded" in out
+        assert capsys.readouterr().out == golden("fig6")
 
     def test_fig7_small(self, capsys):
         assert main(["fig7", "--scale", "0.02"]) == 0
-        out = capsys.readouterr().out
-        assert "max acceptable VMs" in out
+        assert capsys.readouterr().out == golden("fig7")
 
     def test_scenario_with_deployment(self, capsys):
         code = main([

@@ -1,11 +1,8 @@
-"""Unit tests for the columnar backend kernels.
+"""Unit tests for the columnar kernels (:class:`NumpyOps`).
 
-Every op is exercised on both implementations (numpy and the stdlib
-``array`` fallback) through one parametrized fixture, so the two
-backends can never drift apart silently.  The interval/exact/owner
-kernels are the load-bearing pieces of the vectorized three-layer
-translation; the edge cases here (overlaps, misses, empty inputs) are
-exactly the ones damaged dumps produce.
+The interval/exact/owner kernels are the load-bearing pieces of the
+vectorized three-layer translation; the edge cases here (overlaps,
+misses, empty inputs) are exactly the ones damaged dumps produce.
 """
 
 from __future__ import annotations
@@ -13,30 +10,16 @@ from __future__ import annotations
 import pytest
 
 from repro.core.columnar.backend import (
-    BACKEND_DICT,
-    BACKEND_NUMPY,
-    BACKEND_STDLIB,
-    ENV_BACKEND,
-    ENV_NO_NUMPY,
     MISS,
     NumpyOps,
-    StdlibOps,
-    available_backends,
     merge_intervals,
-    numpy_available,
-    ops_for,
     point_in_intervals,
-    resolve_backend,
-)
-
-BACKENDS = [BACKEND_STDLIB] + (
-    [BACKEND_NUMPY] if numpy_available() else []
 )
 
 
-@pytest.fixture(params=BACKENDS)
-def ops(request):
-    return ops_for(request.param)
+@pytest.fixture(params=["columnar-numpy"])
+def ops():
+    return NumpyOps()
 
 
 class TestColumns:
@@ -234,44 +217,3 @@ class TestPureHelpers:
         hits = [p for p in range(14) if point_in_intervals(cover, p)]
         assert hits == [0, 1, 2, 5, 6, 7, 8, 9, 10, 11]
         assert not point_in_intervals([], 0)
-
-
-class TestBackendSelection:
-    def test_default_is_columnar(self, monkeypatch):
-        monkeypatch.delenv(ENV_BACKEND, raising=False)
-        assert resolve_backend(None) == resolve_backend("columnar")
-        assert resolve_backend("dict") == BACKEND_DICT
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "columnar-stdlib")
-        assert resolve_backend(None) == BACKEND_STDLIB
-
-    def test_columnar_auto_selects(self, monkeypatch):
-        monkeypatch.delenv(ENV_NO_NUMPY, raising=False)
-        expected = BACKEND_NUMPY if numpy_available() else BACKEND_STDLIB
-        assert resolve_backend("columnar") == expected
-        monkeypatch.setenv(ENV_NO_NUMPY, "1")
-        assert resolve_backend("columnar") == BACKEND_STDLIB
-
-    def test_numpy_pinned_without_numpy_fails(self, monkeypatch):
-        monkeypatch.setenv(ENV_NO_NUMPY, "1")
-        with pytest.raises(ValueError):
-            resolve_backend("columnar-numpy")
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("pandas")
-
-    def test_ops_for_dict_rejected(self):
-        with pytest.raises(ValueError):
-            ops_for(BACKEND_DICT)
-
-    def test_available_backends_order(self):
-        names = available_backends()
-        assert names[0] == BACKEND_DICT
-        assert names[-1] == BACKEND_STDLIB
-
-    def test_ops_classes(self):
-        assert StdlibOps().name == BACKEND_STDLIB
-        if numpy_available():
-            assert NumpyOps().name == BACKEND_NUMPY

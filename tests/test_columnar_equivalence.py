@@ -1,13 +1,12 @@
-"""Equivalence suite: columnar backends vs the dict pipeline.
+"""Equivalence suite: the columnar pipeline vs the dict oracle.
 
 The columnar pipeline's entire contract is "same answers, faster".
 Hypothesis generates random multi-guest worlds — including damaged
 dumps with overlapping VMAs, overlapping memslots and quarantined
-guests — and asserts that every backend (dict, columnar-numpy when
-numpy is importable, columnar-stdlib always) produces byte-identical
-figure renderings and canonical JSON, that streaming mode equals batch
-mode, and that the numpy-absent fallback path (``REPRO_NO_NUMPY=1``)
-agrees too.
+guests — and asserts that the production accounting and the per-frame
+dict aggregation of :mod:`tests.oracle` produce byte-identical figure
+renderings and canonical JSON, and that streaming mode equals batch
+mode.
 """
 
 from __future__ import annotations
@@ -20,14 +19,6 @@ from repro.core.accounting import (
     owner_oriented_accounting,
 )
 from repro.core.breakdown import java_breakdown, vm_breakdown
-from repro.core.columnar.backend import (
-    BACKEND_DICT,
-    BACKEND_NUMPY,
-    BACKEND_STDLIB,
-    ENV_NO_NUMPY,
-    numpy_available,
-    resolve_backend,
-)
 from repro.core.dump import VmaRecord, collect_system_dump
 from repro.core.report import render_java_breakdown, render_vm_breakdown
 from repro.faults import FaultPlan
@@ -35,13 +26,10 @@ from repro.guestos.kernel import GuestKernel
 from repro.hypervisor.kvm import KvmHost, MemSlot
 from repro.units import MiB
 
+from tests.oracle import dict_distribution_accounting, dict_owner_accounting
 from tests.test_faults import build_host
 
 PAGE = 4096
-
-COLUMNAR_BACKENDS = [BACKEND_STDLIB] + (
-    [BACKEND_NUMPY] if numpy_available() else []
-)
 
 
 @st.composite
@@ -95,9 +83,8 @@ def build_world(spec, seed=17):
     return collect_system_dump(host, kernels)
 
 
-def breakdown_fingerprint(dump, backend):
-    """Canonical JSON + rendered-figure strings for one backend run."""
-    accounting = owner_oriented_accounting(dump, backend=backend)
+def breakdown_fingerprint(accounting):
+    """Canonical JSON + rendered-figure strings for one accounting."""
     vm = vm_breakdown(accounting)
     java = java_breakdown(accounting)
     return (
@@ -108,10 +95,9 @@ def breakdown_fingerprint(dump, backend):
     )
 
 
-def assert_all_backends_identical(dump):
-    reference = breakdown_fingerprint(dump, BACKEND_DICT)
-    for backend in COLUMNAR_BACKENDS:
-        assert breakdown_fingerprint(dump, backend) == reference, backend
+def assert_matches_oracle(dump):
+    reference = breakdown_fingerprint(dict_owner_accounting(dump))
+    assert breakdown_fingerprint(owner_oriented_accounting(dump)) == reference
     return reference
 
 
@@ -120,23 +106,20 @@ class TestRandomWorlds:
     @settings(max_examples=25, deadline=None)
     def test_breakdowns_byte_identical(self, spec):
         dump = build_world(spec)
-        assert_all_backends_identical(dump)
+        assert_matches_oracle(dump)
 
     @given(spec=worlds())
     @settings(max_examples=15, deadline=None)
     def test_distribution_rss_exact_pss_close(self, spec):
         dump = build_world(spec)
-        reference = distribution_oriented_accounting(
-            dump, backend=BACKEND_DICT
-        )
-        for backend in COLUMNAR_BACKENDS:
-            got = distribution_oriented_accounting(dump, backend=backend)
-            assert got.rss_bytes == reference.rss_bytes, backend
-            assert set(got.pss_bytes) == set(reference.pss_bytes)
-            for user, expected in reference.pss_bytes.items():
-                assert got.pss_bytes[user] == pytest.approx(
-                    expected, rel=1e-9, abs=1e-6
-                ), (backend, user)
+        reference = dict_distribution_accounting(dump)
+        got = distribution_oriented_accounting(dump)
+        assert got.rss_bytes == reference.rss_bytes
+        assert set(got.pss_bytes) == set(reference.pss_bytes)
+        for user, expected in reference.pss_bytes.items():
+            assert got.pss_bytes[user] == pytest.approx(
+                expected, rel=1e-9, abs=1e-6
+            ), user
 
     @given(spec=worlds(), compact_rows=st.sampled_from([1, 7, 64]))
     @settings(max_examples=15, deadline=None)
@@ -147,15 +130,10 @@ class TestRandomWorlds:
         )
 
         dump = build_world(spec)
-        for backend in COLUMNAR_BACKENDS:
-            batch = owner_accounting_columnar(dump, backend=backend)
-            streamed = stream_owner_accounting(
-                dump, backend=backend, compact_rows=compact_rows
-            )
-            assert streamed.cells == batch.cells, backend
-            assert (
-                streamed.unattributable_bytes == batch.unattributable_bytes
-            )
+        batch = owner_accounting_columnar(dump)
+        streamed = stream_owner_accounting(dump, compact_rows=compact_rows)
+        assert streamed.cells == batch.cells
+        assert streamed.unattributable_bytes == batch.unattributable_bytes
 
 
 class TestDamagedDumps:
@@ -189,7 +167,7 @@ class TestDamagedDumps:
 
     def test_overlapping_vmas_and_memslots(self):
         dump = self.overlapping_dump()
-        assert_all_backends_identical(dump)
+        assert_matches_oracle(dump)
 
     def test_quarantined_guests(self):
         # Seed 1337 quarantines at least one VM at the default rates
@@ -197,7 +175,7 @@ class TestDamagedDumps:
         host, kernels = build_host()
         dump = collect_system_dump(host, kernels, faults=FaultPlan(1337))
         assert dump.collection.quarantined_vms
-        reference = assert_all_backends_identical(dump)
+        reference = assert_matches_oracle(dump)
         # Damage is visible (nonzero unattributable) and preserved.
         assert '"unattributable_bytes":0' not in (
             reference[0].replace(" ", "")
@@ -210,24 +188,4 @@ class TestDamagedDumps:
         host, kernels = build_host(seed=23)
         plan = FaultPlan(41, rates=FaultRates.uniform(rate))
         dump = collect_system_dump(host, kernels, faults=plan)
-        assert_all_backends_identical(dump)
-
-
-class TestNumpyAbsent:
-    def test_auto_backend_falls_back_and_agrees(self, monkeypatch):
-        host, kernels = build_host(guests=2)
-        dump = collect_system_dump(host, kernels)
-        reference = breakdown_fingerprint(dump, BACKEND_DICT)
-        monkeypatch.setenv(ENV_NO_NUMPY, "1")
-        assert resolve_backend("columnar") == BACKEND_STDLIB
-        assert breakdown_fingerprint(dump, "columnar") == reference
-
-    @pytest.mark.skipif(
-        not numpy_available(), reason="numpy not importable"
-    )
-    def test_numpy_and_stdlib_agree_on_real_dump(self):
-        host, kernels = build_host(guests=3)
-        dump = collect_system_dump(host, kernels)
-        assert breakdown_fingerprint(
-            dump, BACKEND_NUMPY
-        ) == breakdown_fingerprint(dump, BACKEND_STDLIB)
+        assert_matches_oracle(dump)

@@ -86,7 +86,7 @@ class TestOwnerOriented:
         occupy — nothing double-counted, nothing lost."""
         _host, dump, _javas = build_env()
         usage = build_frame_usage(dump)
-        accounting = owner_oriented_accounting(dump, usage)
+        accounting = owner_oriented_accounting(dump)
         assert accounting.total_usage() == len(usage) * PAGE
 
     def test_java_smallest_pid_owns_shared_frame(self):
@@ -198,7 +198,7 @@ class TestDistributionOriented:
     def test_pss_conserves_physical_memory(self):
         _host, dump, _javas = build_env()
         usage = build_frame_usage(dump)
-        pss = distribution_oriented_accounting(dump, usage)
+        pss = distribution_oriented_accounting(dump)
         assert pss.total_pss() == pytest.approx(len(usage) * PAGE)
 
     def test_policies_agree_on_totals(self):

@@ -1,13 +1,13 @@
-"""Scenario-level check: the default path against the reference path.
+"""Scenario-level check: the production path against the oracle.
 
-The default path runs the ``batch`` scan engine with the ``columnar``
-dump-analysis backend; the per-page ``object`` engine with the ``dict``
-backend stays as the opt-in reference.  Each case below runs one small
+Production runs the columnar KSM scanner and the columnar dump
+analysis; the oracle (:mod:`tests.oracle`) runs the per-page scanner
+and the per-frame dict accounting.  Each case below runs one small
 testbed both ways and requires identical results: KSM statistics,
 breakdowns, owner accounting and, under a fault plan, the collection
 and validation reports.  The cases cover each scan policy, fault
 injection, the combined tiering mode and a huge-page policy, so every
-path that reaches the scanner or the analysis backend is compared.
+path that reaches the scanner or the dump analysis is compared.
 """
 
 import dataclasses
@@ -20,13 +20,12 @@ from repro.config import (
     ScenarioSpec,
     TieringSettings,
 )
-from repro.core.columnar.backend import (
-    BACKEND_DICT,
-    ENV_BACKEND,
-    resolve_backend,
-)
+from repro.core.experiments import testbed
 from repro.core.experiments.scenarios import run
 from repro.faults import FaultPlan
+from repro.hypervisor import kvm
+
+from tests.oracle import use_oracle
 
 BASE = ScenarioSpec("daytrader4", scale=0.02, measurement_ticks=2)
 
@@ -48,26 +47,20 @@ CASES = {
 }
 
 
-def reference(spec: ScenarioSpec) -> ScenarioSpec:
-    """The same run on the per-page engine and the dict backend."""
-    return dataclasses.replace(
-        spec,
-        ksm=dataclasses.replace(spec.ksm, scan_engine="object"),
-        backend=BACKEND_DICT,
-    )
-
-
-def test_default_path_is_not_the_reference():
+def test_default_path_is_not_the_reference(monkeypatch):
     """Otherwise the comparisons below would compare a path with itself."""
-    assert BASE.ksm.scan_engine != "object"
-    assert resolve_backend(BASE.backend) != BACKEND_DICT
+    scanner = kvm.KsmScanner
+    accounting = testbed.owner_oriented_accounting
+    use_oracle(monkeypatch)
+    assert kvm.KsmScanner is not scanner
+    assert testbed.owner_oriented_accounting is not accounting
 
 
 @pytest.mark.parametrize("spec", CASES.values(), ids=CASES.keys())
 def test_default_path_matches_reference(spec, monkeypatch):
-    monkeypatch.delenv(ENV_BACKEND, raising=False)
     default = run(spec)
-    ref = run(reference(spec))
+    use_oracle(monkeypatch)
+    ref = run(spec)
     assert default.ksm_stats == ref.ksm_stats
     assert default.vm_breakdown.rows == ref.vm_breakdown.rows
     assert default.java_breakdown.rows == ref.java_breakdown.rows

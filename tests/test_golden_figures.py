@@ -1,14 +1,18 @@
 """Golden figure output: the printed figure must not change by a byte.
 
-``tests/golden/fig3c.txt`` is the standard output of::
+Each ``tests/golden/<fig>.txt`` is the standard output of one figure
+command.  ``fig3c.txt`` is the output of::
 
     python -m repro fig3c --no-cache --seed 20130421
 
-recorded before the batch engine and the columnar backend became the
-defaults.  The default path and the opt-in reference path (the per-page
-``object`` scan engine with the ``dict`` backend) must both still print
-it exactly.  Its digest is also the end-to-end benchmark's recorded
-reference for that seed, so the two checks cannot drift apart.
+and both the production path and the oracle of :mod:`tests.oracle`
+(the per-page scanner with the per-frame dict accounting) must still
+print it exactly.  Its digest is also the end-to-end benchmark's
+recorded reference for that seed, so the two checks cannot drift
+apart.  The other files hold the small-scale runs of
+``tests/test_cli.py`` and ``tests/test_cli_figures.py`` (``--scale 0.02
+--ticks 1``; fig5c at ``--scale 0.1``), which compare against them
+through :func:`golden`.
 """
 
 import hashlib
@@ -18,7 +22,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.core.columnar.backend import ENV_BACKEND
+
+from tests.oracle import use_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
 BENCH_REFERENCES = (
@@ -27,16 +32,20 @@ BENCH_REFERENCES = (
 FIG3C_ARGV = ["fig3c", "--no-cache", "--seed", "20130421"]
 
 
+def golden(figure: str) -> str:
+    """The recorded standard output of one figure command."""
+    return (GOLDEN / f"{figure}.txt").read_text()
+
+
 @pytest.mark.parametrize(
-    "extra",
-    [[], ["--scan-engine", "object", "--backend", "dict"]],
-    ids=["default", "object-dict"],
+    "oracle", [False, True], ids=["default", "object-dict"]
 )
-def test_fig3c_matches_golden(extra, capsys, monkeypatch):
-    monkeypatch.delenv(ENV_BACKEND, raising=False)
-    assert main(FIG3C_ARGV + extra) == 0
+def test_fig3c_matches_golden(oracle, capsys, monkeypatch):
+    if oracle:
+        use_oracle(monkeypatch)
+    assert main(FIG3C_ARGV) == 0
     printed = capsys.readouterr().out
-    assert printed == (GOLDEN / "fig3c.txt").read_text()
+    assert printed == golden("fig3c")
 
 
 def test_fig3c_golden_is_the_benchmark_reference():

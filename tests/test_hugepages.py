@@ -6,20 +6,21 @@ claim is testable as an exact invariant: a universe that collapses
 ranges into huge blocks and then lets KSM split its way through them
 converges to *byte-identical* sharing as an all-4 KiB twin.  Hypothesis
 drives random contents and block layouts through that round-trip, checks
-that collapse never absorbs a KSM-shared page, and runs the object and
-batch engines in lockstep over huge-backed universes (including the
-``REPRO_NO_NUMPY=1`` stdlib fallback).
+that collapse never absorbs a KSM-shared page, and runs the production
+scanner in lockstep with the per-page oracle of :mod:`tests.oracle` over
+huge-backed universes.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.validate import validate_thp
-from repro.ksm.batch import BatchKsmScanner
 from repro.ksm.scanner import KsmConfig, KsmScanner
 from repro.mem.address_space import PageTable
 from repro.mem.physmem import HostPhysicalMemory
 from repro.sim.clock import SimClock
+
+from tests.oracle import PerPageScanner, use_oracle
 
 BLOCK = 4
 N_RANGES = 8
@@ -27,15 +28,10 @@ N_VPNS = BLOCK * N_RANGES
 N_TOKENS = 5
 
 
-def build_universe(tokens, block_ranges=(), engine="object", backend=None):
+def build_universe(tokens, block_ranges=(), scanner_class=KsmScanner):
     """One table mapped with ``tokens``, huge blocks over the ranges."""
     physmem = HostPhysicalMemory(capacity_bytes=1 << 26, page_size=4096)
-    if engine == "object":
-        scanner = KsmScanner(physmem, SimClock(), KsmConfig())
-    else:
-        scanner = BatchKsmScanner(
-            physmem, SimClock(), KsmConfig(), columnar_backend=backend
-        )
+    scanner = scanner_class(physmem, SimClock(), KsmConfig())
     table = PageTable("t0")
     for vpn, token in enumerate(tokens):
         physmem.map_token(table, vpn, token)
@@ -127,13 +123,11 @@ class TestEngineLockstepWithHugePages:
     @given(tokens=tokens_strategy, block_ranges=ranges_strategy)
     @settings(max_examples=40, deadline=None)
     def test_object_vs_batch(self, tokens, block_ranges):
-        """Identical merges *and* identical thp_splits, either engine."""
+        """Identical merges *and* identical thp_splits as the oracle."""
         obj_pm, obj, obj_table = build_universe(
-            tokens, block_ranges, engine="object"
+            tokens, block_ranges, PerPageScanner
         )
-        bat_pm, bat, bat_table = build_universe(
-            tokens, block_ranges, engine="batch"
-        )
+        bat_pm, bat, bat_table = build_universe(tokens, block_ranges)
         obj.run_until_converged(max_passes=8)
         bat.run_until_converged(max_passes=8)
         assert obj.snapshot_stats() == bat.snapshot_stats()
@@ -144,19 +138,6 @@ class TestEngineLockstepWithHugePages:
         assert (
             obj_pm.block_splits_by_reason == bat_pm.block_splits_by_reason
         )
-
-    def test_lockstep_without_numpy(self, monkeypatch):
-        """The stdlib fallback splits and merges identically too."""
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        tokens = [(vpn % 3) + 1 for vpn in range(N_VPNS)]
-        ranges = set(range(0, N_RANGES, 2))
-        obj_pm, obj, _ = build_universe(tokens, ranges, engine="object")
-        bat_pm, bat, _ = build_universe(tokens, ranges, engine="batch")
-        obj.run_until_converged(max_passes=8)
-        bat.run_until_converged(max_passes=8)
-        assert obj.snapshot_stats() == bat.snapshot_stats()
-        assert obj.stats.thp_splits == bat.stats.thp_splits > 0
-        assert obj_pm.blocks_intact == bat_pm.blocks_intact
 
 
 class TestBlockMechanics:
@@ -196,12 +177,8 @@ class TestBlockMechanics:
 class TestScenarioLevel:
     KWARGS = dict(scale=0.02, measurement_ticks=2, seed=20130421)
 
-    def _spec(self, policy, engine="object"):
-        from repro.config import (
-            HugePageSettings,
-            KsmSettings,
-            ScenarioSpec,
-        )
+    def _spec(self, policy):
+        from repro.config import HugePageSettings, ScenarioSpec
 
         hugepages = (
             HugePageSettings()
@@ -210,7 +187,6 @@ class TestScenarioLevel:
         )
         return ScenarioSpec(
             scenario="daytrader4",
-            ksm=KsmSettings(scan_engine=engine),
             hugepages=hugepages,
             **self.KWARGS,
         )
@@ -241,11 +217,12 @@ class TestScenarioLevel:
         assert khuge.ksm_stats.thp_splits <= always.ksm_stats.thp_splits
 
     @pytest.mark.parametrize("policy", ["always", "khugepaged"])
-    def test_engines_identical_at_scenario_level(self, policy):
+    def test_engines_identical_at_scenario_level(self, policy, monkeypatch):
         from repro.core.experiments.scenarios import run
 
-        ref = run(self._spec(policy, engine="object"))
-        bat = run(self._spec(policy, engine="batch"))
+        bat = run(self._spec(policy))
+        use_oracle(monkeypatch)
+        ref = run(self._spec(policy))
         assert ref.ksm_stats == bat.ksm_stats
         assert ref.vm_breakdown.rows == bat.vm_breakdown.rows
         assert ref.accounting == bat.accounting

@@ -1,56 +1,39 @@
-"""The batch scan engine is bit-identical to the object scanner.
+"""The columnar KSM scanner is bit-identical to the per-page oracle.
 
 Random op sequences (writes, maps, unmaps, cold hints, scan bursts,
-timed runs) drive twin universes — one scanned by the per-page object
-engine, one by the columnar batch engine — in lockstep, under all three
-scan policies and under both columnar backends.  After every scan the
-return value must agree; at the end the complete observable state must:
-stats (including scan-cost ``cpu_ms``), convergence history, table
-mappings, visible page contents, volatility bookkeeping, frame counts,
-COW breaks and unstable candidates.
-
-A scenario-level leg repeats the check through the full testbed,
-including under an armed fault-injection plan, and an explicit
-``REPRO_NO_NUMPY=1`` leg pins the stdlib fallback selection.
+timed runs) drive twin universes — one scanned by the per-page
+:class:`tests.oracle.PerPageScanner`, one by the production
+:class:`repro.ksm.scanner.KsmScanner` — in lockstep, under all three
+scan policies.  After every scan the return value must agree; at the
+end the complete observable state must: stats (including scan-cost
+``cpu_ms``), convergence history, table mappings, visible page
+contents, volatility bookkeeping, frame counts, COW breaks and unstable
+candidates.  Scenario-level comparisons live in
+``tests/test_default_path_equivalence.py``.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.columnar.backend import numpy_available
-from repro.ksm import create_scanner
-from repro.ksm.batch import BatchKsmScanner
 from repro.ksm.scanner import KsmConfig, KsmScanner, ScanPolicy
 from repro.mem.address_space import PageTable
 from repro.mem.physmem import HostPhysicalMemory
 from repro.sim.clock import SimClock
+
+from tests.oracle import PerPageScanner
 
 N_TABLES = 3
 N_VPNS = 24
 N_TOKENS = 6
 
 POLICIES = [ScanPolicy.FULL, ScanPolicy.INCREMENTAL, ScanPolicy.HYBRID]
-BACKENDS = [
-    pytest.param(
-        "columnar-numpy",
-        marks=pytest.mark.skipif(
-            not numpy_available(), reason="numpy not available"
-        ),
-    ),
-    "columnar-stdlib",
-]
 
 
-def build_universe(policy, engine, backend=None):
+def build_universe(policy, scanner_class):
     physmem = HostPhysicalMemory(capacity_bytes=1 << 28, page_size=4096)
-    clock = SimClock()
-    config = KsmConfig(scan_policy=policy)
-    if engine == "object":
-        scanner = KsmScanner(physmem, clock, config)
-    else:
-        scanner = BatchKsmScanner(
-            physmem, clock, config, columnar_backend=backend
-        )
+    scanner = scanner_class(
+        physmem, SimClock(), KsmConfig(scan_policy=policy)
+    )
     tables = []
     for t in range(N_TABLES):
         table = PageTable(f"t{t}")
@@ -142,13 +125,12 @@ ops_strategy = st.lists(
 )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("policy", POLICIES)
 @given(ops=ops_strategy)
 @settings(max_examples=30, deadline=None)
-def test_batch_engine_is_bit_identical(policy, backend, ops):
-    ref_pm, ref_sc, ref_tables = build_universe(policy, "object")
-    bat_pm, bat_sc, bat_tables = build_universe(policy, "batch", backend)
+def test_batch_engine_is_bit_identical(policy, ops):
+    ref_pm, ref_sc, ref_tables = build_universe(policy, PerPageScanner)
+    bat_pm, bat_sc, bat_tables = build_universe(policy, KsmScanner)
     for step, op in enumerate(ops):
         ref_obs = apply_op(ref_pm, ref_sc, ref_tables, op)
         bat_obs = apply_op(bat_pm, bat_sc, bat_tables, op)
@@ -158,16 +140,15 @@ def test_batch_engine_is_bit_identical(policy, backend, ops):
     assert ref_state == bat_state
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_unregister_reregister_equivalence(backend):
+def test_unregister_reregister_equivalence():
     """Table churn (the trickiest cursor bookkeeping) stays lockstep."""
     script = []
     for burst in ([3, 1, 50], [7, 7], [200], [2, 9, 4]):
         script.append(("scan", burst))
 
-    def run(engine):
+    def run(scanner_class):
         physmem, scanner, tables = build_universe(
-            ScanPolicy.INCREMENTAL, engine, backend
+            ScanPolicy.INCREMENTAL, scanner_class
         )
         outs = []
         for i, (_, burst) in enumerate(script):
@@ -181,71 +162,4 @@ def test_unregister_reregister_equivalence(backend):
         outs.append(scanner.scan_pages(500))
         return outs, observe(physmem, scanner, tables)
 
-    assert run("object") == run("batch")
-
-
-def test_no_numpy_forces_stdlib_backend(monkeypatch):
-    """REPRO_NO_NUMPY=1 must drop the batch engine to the stdlib ops
-    (and keep it equivalent), never error out."""
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    physmem = HostPhysicalMemory(capacity_bytes=1 << 26, page_size=4096)
-    scanner = create_scanner(
-        physmem, SimClock(), KsmConfig(scan_engine="batch")
-    )
-    assert isinstance(scanner, BatchKsmScanner)
-    assert scanner.columnar_backend == "columnar-stdlib"
-    assert not scanner._ops.is_numpy
-
-    table = PageTable("t0")
-    for vpn in range(16):
-        physmem.map_token(table, vpn, vpn % 3)
-    scanner.register(table)
-    scanner.scan_pages(100)
-    scanner.scan_pages(100)
-
-    ref_pm = HostPhysicalMemory(capacity_bytes=1 << 26, page_size=4096)
-    ref = KsmScanner(ref_pm, SimClock(), KsmConfig())
-    ref_table = PageTable("t0")
-    for vpn in range(16):
-        ref_pm.map_token(ref_table, vpn, vpn % 3)
-    ref.register(ref_table)
-    ref.scan_pages(100)
-    ref.scan_pages(100)
-    assert scanner.snapshot_stats() == ref.snapshot_stats()
-    assert table.snapshot() == ref_table.snapshot()
-
-
-@pytest.mark.parametrize("scan_policy", ["full", "incremental", "hybrid"])
-def test_scenario_level_equivalence(scan_policy):
-    """The full testbed produces identical results under either engine."""
-    from repro.core.experiments.scenarios import run_scenario
-
-    kwargs = dict(
-        scale=0.02, measurement_ticks=2, scan_policy=scan_policy
-    )
-    ref = run_scenario("daytrader4", **kwargs)
-    bat = run_scenario("daytrader4", scan_engine="batch", **kwargs)
-    assert ref.ksm_stats == bat.ksm_stats
-    assert ref.vm_breakdown.rows == bat.vm_breakdown.rows
-    assert ref.java_breakdown.rows == bat.java_breakdown.rows
-    assert ref.accounting == bat.accounting
-
-
-def test_scenario_equivalence_under_faults():
-    """Fault-injected collection does not break engine equivalence."""
-    from repro.core.experiments.scenarios import run_scenario
-    from repro.faults import FaultPlan
-
-    kwargs = dict(scale=0.02, measurement_ticks=2)
-    ref = run_scenario(
-        "daytrader4", faults=FaultPlan.from_spec("1337:0.2"), **kwargs
-    )
-    bat = run_scenario(
-        "daytrader4",
-        faults=FaultPlan.from_spec("1337:0.2"),
-        scan_engine="batch",
-        **kwargs,
-    )
-    assert ref.ksm_stats == bat.ksm_stats
-    assert ref.vm_breakdown.rows == bat.vm_breakdown.rows
-    assert ref.collection_report.render() == bat.collection_report.render()
+    assert run(PerPageScanner) == run(KsmScanner)

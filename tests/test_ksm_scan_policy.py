@@ -214,9 +214,10 @@ class TestHybridPolicy:
             pm.map_token(a, 0, 5)
             pm.map_token(b, 0, 6)
             scanner.run_until_converged(max_passes=4)
-            # Mutate b:0's frame directly, bypassing write_token and
-            # therefore the dirty log.
-            pm.get_frame(b.translate(0)).token = 5
+            # Rewrite b:0 and lose the write's dirty-log entry, so no
+            # log ever reports the mutation.
+            pm.write_token(b, 0, 5)
+            b.clear_dirty()
             # Drive passes by dirtying an unrelated page each round so
             # the incremental scanner keeps waking up.
             for spin in range(8):

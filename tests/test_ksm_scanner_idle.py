@@ -6,26 +6,26 @@ return without spinning the empty-round loop again — and must wake up
 registered table, registration, or a cold hint.  The short-circuit must
 also preserve the table-cursor drift of the spin it replaces, which the
 step-by-step policy-equivalence suite pins down; here we pin the O(1)
-behaviour itself.
+behaviour itself, for the production scanner ("batch") and the per-page
+oracle ("object").
 """
 
 import pytest
 
-from repro.ksm import create_scanner
 from repro.ksm.scanner import KsmConfig, KsmScanner, ScanPolicy
 from repro.mem.address_space import PageTable
 from repro.mem.physmem import HostPhysicalMemory
 from repro.sim.clock import SimClock
 
-ENGINES = ["object", "batch"]
+from tests.oracle import PerPageScanner
+
+ENGINES = {"object": PerPageScanner, "batch": KsmScanner}
 
 
 def build(engine, policy=ScanPolicy.INCREMENTAL, tables=2, pages=8):
     physmem = HostPhysicalMemory(capacity_bytes=1 << 28, page_size=4096)
-    scanner = create_scanner(
-        physmem,
-        SimClock(),
-        KsmConfig(scan_policy=policy, scan_engine=engine),
+    scanner = ENGINES[engine](
+        physmem, SimClock(), KsmConfig(scan_policy=policy)
     )
     made = []
     for t in range(tables):

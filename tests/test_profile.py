@@ -50,7 +50,6 @@ def test_scenario_run_fills_standard_phases(tmp_path):
         "daytrader4",
         scale=0.02,
         measurement_ticks=2,
-        scan_engine="batch",
         profiler=profiler,
     )
     for phase in ("build", "warmup", "workload", "scan", "dump",
@@ -71,7 +70,7 @@ def test_cli_profile_subcommand(capsys):
 
     rc = main([
         "profile", "daytrader4", "--scale", "0.02", "--ticks", "2",
-        "--scan-engine", "batch", "--no-cache",
+        "--no-cache",
     ])
     out = capsys.readouterr().out
     assert rc == 0

@@ -13,7 +13,7 @@ class TestExports:
             assert hasattr(repro, name), name
 
     def test_version(self):
-        assert repro.__version__ == "1.1.0"
+        assert repro.__version__ == "1.2.0"
 
     def test_public_callables_documented(self):
         for name in repro.__all__:

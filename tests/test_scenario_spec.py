@@ -22,7 +22,6 @@ from repro.config import (
     ScenarioSpec,
     TieringSettings,
 )
-from repro.core.columnar.backend import ENV_BACKEND, resolve_backend
 from repro.core.experiments.scenarios import (
     ScenarioRequest,
     run,
@@ -47,10 +46,7 @@ class TestFingerprintCompatibility:
             scan_policy="hybrid",
             **KWARGS,
         ),
-        ScenarioRequest(
-            "tuscany3", scan_engine="batch", tiering="combined", **KWARGS
-        ),
-        ScenarioRequest("daytrader4", backend="columnar-stdlib", **KWARGS),
+        ScenarioRequest("tuscany3", tiering="combined", **KWARGS),
     ]
 
     @pytest.mark.parametrize(
@@ -126,9 +122,7 @@ class TestFromCliArgs:
             ticks=2,
             seed=7,
             scan_policy="hybrid",
-            scan_engine="batch",
             tiering="compress",
-            backend=None,
             faults=None,
             jobs=3,
             thp_policy="khugepaged",
@@ -148,28 +142,11 @@ class TestFromCliArgs:
         assert spec.measurement_ticks == 2
         assert spec.seed == 7
         assert spec.ksm.scan_policy == "hybrid"
-        assert spec.ksm.scan_engine == "batch"
         assert spec.tiering.mode == "compress"
         assert spec.hugepages == HugePageSettings(
             policy="khugepaged", block_pages=64
         )
-        assert spec.backend == resolve_backend("columnar")
         assert spec.jobs == 3
-
-    @pytest.mark.parametrize("thp_policy", ["never", "khugepaged"])
-    def test_default_backend_has_one_fingerprint(
-        self, monkeypatch, thp_policy
-    ):
-        """The CLI stores the resolved default backend, a programmatic
-        spec the name "columnar"; both are one cache key."""
-        monkeypatch.delenv(ENV_BACKEND, raising=False)
-        namespace = self._namespace(
-            thp_policy=thp_policy, tiering=None, deployment=None
-        )
-        from_cli = ScenarioSpec.from_cli_args(namespace, scenario="mixed3")
-        written = dataclasses.replace(from_cli, backend="columnar")
-        assert from_cli.backend != written.backend
-        assert from_cli.to_fingerprint() == written.to_fingerprint()
 
     def test_faults_parsed_from_spec_string(self):
         spec = ScenarioSpec.from_cli_args(
