@@ -134,9 +134,6 @@ class NumpyOps:
     def tolist(self, vec) -> List[int]:
         return vec.tolist()
 
-    def arange(self, n: int):
-        return np.arange(n, dtype=np.int64)
-
     def concat(self, vecs):
         vecs = [v for v in vecs if v.shape[0]]
         if not vecs:
@@ -237,22 +234,6 @@ class NumpyOps:
     def compress(self, vec, mask):
         return vec[mask]
 
-    def any_mask(self, mask) -> bool:
-        return bool(mask.any())
-
-    def unique(self, vec):
-        return np.unique(vec)
-
-    def setdiff_sorted(self, universe, drop_sorted):
-        """Elements of sorted ``universe`` not present in sorted
-        ``drop_sorted`` (both unique)."""
-        if drop_sorted.shape[0] == 0:
-            return universe
-        idx = np.searchsorted(drop_sorted, universe, side="left")
-        candidate = np.minimum(idx, drop_sorted.shape[0] - 1)
-        present = drop_sorted[candidate] == universe
-        return universe[~present]
-
     def unclaimed_in_range(self, n: int, claimed_vecs):
         """All values in ``[0, n)`` absent from every claimed vec — one
         O(n) mark pass, no sort (claims outside the range are ignored,
@@ -262,9 +243,6 @@ class NumpyOps:
             if claimed.shape[0]:
                 mask[claimed[(claimed >= 0) & (claimed < n)]] = True
         return np.flatnonzero(~mask).astype(np.int64, copy=False)
-
-    def add_scalar(self, vec, value: int):
-        return vec + value
 
     def add(self, left, right):
         return left + right

@@ -16,6 +16,8 @@ Reproduces the paper's §II.C methodology end to end:
 from __future__ import annotations
 
 import dataclasses
+import functools
+import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -181,8 +183,49 @@ def scale_kernel_profile(factor: float) -> KernelProfile:
     )
 
 
+def _collector_paused(method):
+    """Run a testbed phase with CPython's cyclic garbage collector off.
+
+    A testbed holds 10^5-10^6 long-lived objects (frames, page owners,
+    unstable-tree nodes) that the collector would otherwise re-walk
+    every few hundred allocations.  The premise is that no cyclic
+    garbage is created while a testbed builds, runs and measures: what
+    it allocates is either freed by reference counting or stays
+    reachable until the testbed itself dies.  A dead testbed is cyclic
+    (host and guests, kernels and processes, page-table dirty sinks and
+    the scanner refer to each other), so :meth:`KvmTestbed.build`
+    begins with one collection, which frees the previous testbed before
+    the next image is allocated.
+
+    Phases nest (``measure`` calls ``run``, which calls ``build``);
+    only the outermost call that found the collector enabled enables
+    it again, in a ``finally`` so a phase that raises still does, and a
+    caller that disabled the collector itself finds it disabled
+    afterwards.  Collector state is process-wide: testbeds fan out over
+    processes (:class:`repro.exec.runner.ParallelRunner`), not threads,
+    and two threads sharing a process would lose only speed, never
+    correctness.
+    """
+
+    @functools.wraps(method)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return method(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
+
+
 class KvmTestbed:
-    """Builds and drives one multi-guest KVM measurement."""
+    """Builds and drives one multi-guest KVM measurement.
+
+    ``build``, ``run`` and ``measure`` run with the cyclic garbage
+    collector paused (see :func:`_collector_paused`).
+    """
 
     def __init__(
         self,
@@ -222,10 +265,16 @@ class KvmTestbed:
 
     # ------------------------------------------------------------------
 
+    @_collector_paused
     def build(self) -> None:
-        """Boot every guest and start its server process."""
+        """Boot every guest and start its server process.
+
+        Begins with one full collection, even when nested in ``run``:
+        it frees any earlier testbed that is no longer referenced.
+        """
         if self._built:
             raise RuntimeError("testbed already built")
+        gc.collect()
         cfg = self.config
         for spec in self.specs:
             vm = self.host.create_guest(spec.name, spec.memory_bytes)
@@ -326,6 +375,7 @@ class KvmTestbed:
             return nullcontext()
         return self.profiler.phase(name)
 
+    @_collector_paused
     def run(self) -> None:
         """The measurement window: workload ticks interleaved with KSM."""
         if not self._built:
@@ -356,6 +406,7 @@ class KvmTestbed:
                 self.host.clock.advance(tick_ms)
         self._ran = True
 
+    @_collector_paused
     def measure(
         self, faults: Optional[FaultPlan] = None
     ) -> MeasurementResult:

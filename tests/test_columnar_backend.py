@@ -7,6 +7,7 @@ misses, empty inputs) are exactly the ones damaged dumps produce.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.columnar.backend import (
@@ -31,7 +32,6 @@ class TestColumns:
     def test_empty_and_arange(self, ops):
         assert ops.tolist(ops.empty()) == []
         assert ops.length(ops.empty()) == 0
-        assert ops.tolist(ops.arange(4)) == [0, 1, 2, 3]
 
     def test_concat_take_repeat(self, ops):
         a = ops.column([1, 2])
@@ -48,9 +48,6 @@ class TestColumns:
 
     def test_arithmetic_and_masks(self, ops):
         vec = ops.column([1, MISS, 3])
-        assert ops.tolist(ops.add_scalar(ops.column([1, 2]), 10)) == [
-            11, 12,
-        ]
         assert ops.tolist(
             ops.add(ops.column([1, 2]), ops.column([10, 20]))
         ) == [11, 22]
@@ -58,17 +55,8 @@ class TestColumns:
         mask = ops.mask_ne(vec, MISS)
         assert ops.tolist(ops.compress(vec, mask)) == [1, 3]
         assert ops.tolist(ops.compress(vec, ops.mask_not(mask))) == [MISS]
-        assert ops.any_mask(mask)
-        assert not ops.any_mask(ops.mask_ne(ops.empty(), 0))
 
     def test_unique_setdiff_unclaimed(self, ops):
-        assert ops.tolist(ops.unique(ops.column([3, 1, 3, 2, 1]))) == [
-            1, 2, 3,
-        ]
-        universe = ops.column([0, 1, 2, 3, 4])
-        assert ops.tolist(
-            ops.setdiff_sorted(universe, ops.column([1, 3]))
-        ) == [0, 2, 4]
         unclaimed = ops.unclaimed_in_range(
             6, [ops.column([1, 2]), ops.column([4, 4, 9])]
         )
@@ -127,13 +115,13 @@ class TestMembershipAndExact:
     def test_membership(self, ops):
         merged = ops.membership_build([(0, 5), (10, 15)])
         mask = ops.membership(merged, ops.column([0, 4, 5, 9, 10, 14, 15]))
-        got = ops.tolist(ops.compress(ops.arange(7), mask))
+        got = ops.tolist(ops.compress(np.arange(7), mask))
         assert got == [0, 1, 4, 5]
 
     def test_membership_empty(self, ops):
         merged = ops.membership_build([])
         mask = ops.membership(merged, ops.column([1, 2]))
-        assert not ops.any_mask(mask)
+        assert not mask.any()
 
     def test_exact_lookup(self, ops):
         table = ops.exact_build([5, 1, 9], [50, 10, 90])

@@ -9,6 +9,8 @@ from repro.core.experiments.pressure import (
     run_pressure_family,
 )
 
+from tests.test_golden_figures import golden_report, report_json
+
 FAMILY_KWARGS = dict(
     scenario="daytrader4",
     scale=0.02,
@@ -107,6 +109,9 @@ class TestFamily:
                 + row["balloon_reclaimed_bytes"]
             )
         json.dumps(report)  # must not raise
+
+    def test_matches_golden(self, family):
+        assert report_json(family.to_dict()) == golden_report("pressure")
 
 
 class TestSingleArm:

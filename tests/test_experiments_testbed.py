@@ -1,8 +1,20 @@
 """Tests for the KVM testbed builder and the workload scaler."""
 
+import gc
+import weakref
+from contextlib import contextmanager
+
 import pytest
 
-from repro.config import Benchmark, GcPolicy
+from repro.config import (
+    Benchmark,
+    GcPolicy,
+    HugePageSettings,
+    KsmSettings,
+    ScenarioSpec,
+    TieringSettings,
+)
+from repro.core.experiments import scenarios
 from repro.core.experiments.testbed import (
     GuestSpec,
     KvmTestbed,
@@ -11,6 +23,7 @@ from repro.core.experiments.testbed import (
     scale_workload,
 )
 from repro.core.preload import CacheDeployment
+from repro.faults.plan import FaultPlan
 from repro.units import KiB, MiB
 from repro.workloads.base import build_workload
 
@@ -133,3 +146,92 @@ class TestTestbed:
         testbed.build()
         for jvm in testbed.jvms.values():
             assert jvm.cache_attached
+
+
+@contextmanager
+def collector_disabled():
+    """Run the block with the cyclic collector off, then restore it."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+class TestCollectorPause:
+    """``build``/``run``/``measure`` pause the cyclic collector."""
+
+    def test_disabled_during_phases_and_enabled_after(self, monkeypatch):
+        seen = []
+        original = KvmTestbed.warmup
+
+        def observed(testbed):
+            seen.append(gc.isenabled())
+            original(testbed)
+
+        monkeypatch.setattr(KvmTestbed, "warmup", observed)
+        assert gc.isenabled()
+        KvmTestbed(small_specs(), small_config()).measure()
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_enabled_after_a_phase_raises(self):
+        testbed = KvmTestbed(small_specs(), small_config())
+        testbed.build()
+        with pytest.raises(RuntimeError):
+            testbed.build()
+        assert gc.isenabled()
+
+    def test_caller_disabled_collector_stays_disabled(self):
+        with collector_disabled():
+            KvmTestbed(small_specs(), small_config()).measure()
+            assert not gc.isenabled()
+
+    def test_build_frees_a_dead_testbed(self):
+        # The caller keeps the collector off, so only build()'s own
+        # collection can free the first testbed's reference cycles.
+        with collector_disabled():
+            first = KvmTestbed(small_specs(), small_config())
+            first.build()
+            host = weakref.ref(first.host)
+            del first
+            second = KvmTestbed(small_specs(), small_config())
+            assert host() is not None  # cyclic: refcounting cannot free it
+            second.build()
+            assert host() is None
+
+
+#: Configurations whose runs must leave no cyclic garbage behind.
+NO_CYCLE_SPECS = {
+    "default": {},
+    "faults": {"faults": FaultPlan.from_spec("1337:0.2")},
+    "tiering-combined": {"tiering": TieringSettings(mode="combined")},
+    "thp-always": {
+        "hugepages": HugePageSettings(policy="always", block_pages=16)
+    },
+    "incremental": {"ksm": KsmSettings(scan_policy="incremental")},
+}
+
+
+@pytest.mark.parametrize(
+    "overrides", NO_CYCLE_SPECS.values(), ids=NO_CYCLE_SPECS
+)
+def test_no_cyclic_garbage_while_a_testbed_runs(overrides, monkeypatch):
+    unreachable = []
+    original = KvmTestbed.measure
+
+    def measure_then_collect(testbed, *args, **kwargs):
+        result = original(testbed, *args, **kwargs)
+        unreachable.append(gc.collect())  # the testbed is still referenced
+        return result
+
+    monkeypatch.setattr(KvmTestbed, "measure", measure_then_collect)
+    spec = ScenarioSpec(
+        scenario="daytrader4", scale=0.02, measurement_ticks=2, **overrides
+    )
+    with collector_disabled():
+        scenarios.run(spec)
+    assert len(unreachable) == 1
+    assert unreachable[0] < 1000

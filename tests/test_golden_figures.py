@@ -12,7 +12,10 @@ recorded reference for that seed, so the two checks cannot drift
 apart.  The other files hold the small-scale runs of
 ``tests/test_cli.py`` and ``tests/test_cli_figures.py`` (``--scale 0.02
 --ticks 1``; fig5c at ``--scale 0.1``), which compare against them
-through :func:`golden`.
+through :func:`golden`.  ``pressure.json`` and ``hugepages.json`` hold
+the canonical JSON (:func:`report_json`) of the pressure family and the
+huge-page curve runs in ``tests/test_experiments_pressure.py`` and
+``tests/test_hugepages.py``, read through :func:`golden_report`.
 """
 
 import hashlib
@@ -35,6 +38,16 @@ FIG3C_ARGV = ["fig3c", "--no-cache", "--seed", "20130421"]
 def golden(figure: str) -> str:
     """The recorded standard output of one figure command."""
     return (GOLDEN / f"{figure}.txt").read_text()
+
+
+def golden_report(name: str) -> str:
+    """The recorded canonical JSON of one experiment report."""
+    return (GOLDEN / f"{name}.json").read_text()
+
+
+def report_json(report: dict) -> str:
+    """A ``to_dict()`` report as the ``.json`` golden files hold it."""
+    return json.dumps(report, sort_keys=True, indent=1) + "\n"
 
 
 @pytest.mark.parametrize(

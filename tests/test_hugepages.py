@@ -21,6 +21,7 @@ from repro.mem.physmem import HostPhysicalMemory
 from repro.sim.clock import SimClock
 
 from tests.oracle import PerPageScanner, use_oracle
+from tests.test_golden_figures import golden_report, report_json
 
 BLOCK = 4
 N_RANGES = 8
@@ -258,6 +259,7 @@ class TestTradeoffCurve:
         serial = run_hugepage_tradeoff(**kwargs)
         parallel = run_hugepage_tradeoff(jobs=2, **kwargs)
         assert serial.to_dict() == parallel.to_dict()
+        assert report_json(serial.to_dict()) == golden_report("hugepages")
         saved = {
             point.saved_bytes for point in serial.points.values()
         }
