@@ -27,11 +27,8 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from repro.core.experiments.scenarios import (
-    ScenarioRequest,
-    ScenarioResult,
-    run_scenario_cached,
-)
+from repro.config import KsmSettings, ScenarioSpec
+from repro.core.experiments.scenarios import ScenarioResult, run_cached
 from repro.core.preload import CacheDeployment
 from repro.exec.cache import default_cache
 
@@ -55,31 +52,27 @@ def pytest_configure(config):
         config.option.reportchars = current + "P"
 
 
-def bench_request(
-    scenario: str, deployment: CacheDeployment
-) -> ScenarioRequest:
-    """The full fingerprint of a bench scenario run.
+def bench_spec(scenario: str, deployment: CacheDeployment) -> ScenarioSpec:
+    """The full description of a bench scenario run.
 
-    Scale, ticks, seed and scan policy are all part of the request, so
+    Scale, ticks, seed and scan policy are all part of the spec, so
     changing any ``REPRO_BENCH_*`` knob between runs
     can never serve a stale result.  (The old session dict keyed only
     on ``(scenario, deployment)`` and could.)
     """
-    return ScenarioRequest(
+    return ScenarioSpec(
         scenario=scenario,
         deployment=deployment,
         scale=BENCH_SCALE,
         measurement_ticks=BENCH_TICKS,
         seed=BENCH_SEED,
-        scan_policy=BENCH_SCAN_POLICY,
+        ksm=KsmSettings(scan_policy=BENCH_SCAN_POLICY),
     )
 
 
 def get_scenario(scenario: str, deployment: CacheDeployment) -> ScenarioResult:
     """Cache-shared page-level scenario run at the bench scale."""
-    return run_scenario_cached(
-        bench_request(scenario, deployment), cache=default_cache()
-    )
+    return run_cached(bench_spec(scenario, deployment), cache=default_cache())
 
 
 def scale_mb(num_bytes: float) -> float:

@@ -17,7 +17,8 @@ Writes ``BENCH_scan_policy.json`` (override the path with
 import json
 import os
 
-from repro.core.experiments.scenarios import run_scenario
+from repro.config import KsmSettings, ScenarioSpec
+from repro.core.experiments.scenarios import run
 from repro.core.preload import CacheDeployment
 from repro.core.report import render_series
 from repro.ksm.scanner import KsmConfig, KsmScanner
@@ -100,13 +101,13 @@ def _scenario_level_comparison():
     """Small-scale end-to-end check through the full testbed pipeline."""
     out = {}
     for policy in ("full", "incremental"):
-        result = run_scenario(
+        result = run(ScenarioSpec(
             "daytrader4",
             CacheDeployment.NONE,
             scale=min(BENCH_SCALE, 0.05),
             measurement_ticks=min(BENCH_TICKS, 3),
-            scan_policy=policy,
-        )
+            ksm=KsmSettings(scan_policy=policy),
+        ))
         stats = result.ksm_stats
         out[policy] = {
             "pages_saved": stats.pages_saved,

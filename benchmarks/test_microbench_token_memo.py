@@ -12,7 +12,8 @@ the paper's Fig. 2/3(a) scenario stays high enough to matter.
 
 import time
 
-from repro.core.experiments.scenarios import run_scenario
+from repro.config import ScenarioSpec
+from repro.core.experiments.scenarios import run as run_spec
 from repro.core.preload import CacheDeployment
 from repro.mem.content import (
     token_memo_clear,
@@ -53,12 +54,12 @@ def test_token_memo_hit_rate_on_daytrader4(benchmark):
     token_memo_clear()
 
     def run():
-        return run_scenario(
+        return run_spec(ScenarioSpec(
             "daytrader4",
             CacheDeployment.NONE,
             scale=min(BENCH_SCALE, 0.05),
             measurement_ticks=min(BENCH_TICKS, 2),
-        )
+        ))
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     stats = token_memo_stats()

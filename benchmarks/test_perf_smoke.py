@@ -45,13 +45,13 @@ from pathlib import Path
 import pytest
 
 from repro.core.experiments.consolidation import run_daytrader_consolidation
-from repro.core.experiments.scenarios import run_scenario_cached
+from repro.core.experiments.scenarios import run_cached
 from repro.core.preload import CacheDeployment
 from repro.core.report import render_series, render_vm_breakdown
 from repro.exec.cache import ResultCache
 from repro.exec.runner import resolve_jobs
 
-from conftest import BENCH_SCALE, BENCH_TICKS, bench_request
+from conftest import BENCH_SCALE, BENCH_TICKS, bench_spec
 
 BENCH_CORE_JSON = Path(
     os.environ.get("REPRO_BENCH_CORE_JSON", "BENCH_core.json")
@@ -105,9 +105,7 @@ def _regenerate(cache):
     passes = {}
     for figure, (scenario, deployment) in FIGURES.items():
         started = time.perf_counter()
-        result = run_scenario_cached(
-            bench_request(scenario, deployment), cache=cache
-        )
+        result = run_cached(bench_spec(scenario, deployment), cache=cache)
         wall = time.perf_counter() - started
         passes[figure] = {
             "wall_s": wall,
@@ -215,9 +213,8 @@ def test_fig2_analysis_columnar_speedup(figure_cache):
 
     from tests.oracle import dict_owner_accounting
 
-    result = run_scenario_cached(
-        bench_request("daytrader4", CacheDeployment.NONE),
-        cache=figure_cache,
+    result = run_cached(
+        bench_spec("daytrader4", CacheDeployment.NONE), cache=figure_cache
     )
     dump = result.dump
     assert dump is not None

@@ -21,8 +21,9 @@ import sys
 from repro import (
     CacheDeployment,
     MemoryCategory,
+    ScenarioSpec,
     build_cache_for_image,
-    run_scenario,
+    run,
 )
 from repro.config import Benchmark
 from repro.sim.rng import RngFactory
@@ -56,9 +57,9 @@ def main() -> None:
         (CacheDeployment.SHARED_COPY,
          "paper: one cache file copied into every VM"),
     ):
-        result = run_scenario(
+        result = run(ScenarioSpec(
             "daytrader4", deployment, scale=scale, measurement_ticks=2
-        )
+        ))
         rows = result.java_breakdown.non_primary_rows()
         avg = sum(
             row.shared_fraction(MemoryCategory.CLASS_METADATA)

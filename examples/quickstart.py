@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Quickstart: see the paper's effect in one page of code.
 
-Builds a KVM host with two 1 GB guests running WAS + DayTrader, runs the
+Builds a KVM host with four 1 GB guests running WAS + DayTrader, runs the
 measurement once without class preloading and once with a shared class
 cache copied to both VMs, and prints the per-JVM memory breakdowns —
 the before/after of the paper's Figs. 3(a)/5(a).
@@ -18,8 +18,9 @@ import sys
 from repro import (
     CacheDeployment,
     MemoryCategory,
+    ScenarioSpec,
     render_java_breakdown,
-    run_scenario,
+    run,
 )
 from repro.units import MiB
 
@@ -30,19 +31,19 @@ def main() -> None:
     print(f"Simulating 4 KVM guests running WAS + DayTrader (scale={scale})")
     print()
 
-    baseline = run_scenario(
+    baseline = run(ScenarioSpec(
         "daytrader4", CacheDeployment.NONE, scale=scale, measurement_ticks=3
-    )
+    ))
     print(render_java_breakdown(
         baseline.java_breakdown,
         "Baseline (no preloading) — cf. paper Fig. 3(a)",
     ))
     print()
 
-    preloaded = run_scenario(
+    preloaded = run(ScenarioSpec(
         "daytrader4", CacheDeployment.SHARED_COPY, scale=scale,
         measurement_ticks=3,
-    )
+    ))
     print(render_java_breakdown(
         preloaded.java_breakdown,
         "Shared class cache copied to all VMs — cf. paper Fig. 5(a)",

@@ -17,8 +17,8 @@ Quick start::
                         scale=0.1)
     print(render_java_breakdown(run(spec).java_breakdown, "Fig. 5(a)"))
 
-(The positional ``run_scenario(...)`` entry points still work but are
-deprecated shims over ``run``/``run_cached``.)
+Every experiment family is a grid of ``(measure, spec)`` cells run by
+``run_grid``, the one cache-and-fan-out path.
 
 See ``examples/quickstart.py`` for a guided tour and ``DESIGN.md`` for the
 system inventory.
@@ -64,16 +64,12 @@ from repro.core.experiments import (
     run,
     run_cached,
     run_daytrader_consolidation,
+    run_grid,
     run_hugepage_tradeoff,
     run_powervm_experiment,
     run_pressure_family,
-    run_scenario,
     run_specj_consolidation,
     scale_workload,
-)
-from repro.core.experiments.scenarios import (
-    ScenarioRequest,
-    run_scenario_cached,
 )
 from repro.exec import (
     ParallelRunner,
@@ -109,7 +105,7 @@ from repro.mem.workingset import WorkingSetEstimator
 from repro.tiering import TieringEngine
 from repro.workloads import Workload, build_workload
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # configuration
@@ -159,11 +155,9 @@ __all__ = [
     "KvmTestbed",
     "TestbedConfig",
     "ScenarioResult",
-    "ScenarioRequest",
     "run",
     "run_cached",
-    "run_scenario",
-    "run_scenario_cached",
+    "run_grid",
     "HugePageCurveResult",
     "run_hugepage_tradeoff",
     "PowerVmResult",

@@ -18,10 +18,11 @@ for the paper's actual sizes).
 
 Every scenario-running subcommand shares one option set, declared once
 in :func:`add_scenario_options` and decoded once by
-:func:`spec_from_args` into a :class:`repro.config.ScenarioSpec` — the
-single value object behind the whole experiment API.  ``--thp-policy``
-/ ``--hugepages`` switch the guests to transparent huge pages (KSM then
-splits huge blocks to merge, the trade-off ``repro hugepages`` charts).
+``ScenarioSpec.from_cli_args`` into a :class:`repro.config.ScenarioSpec`
+— the single value object behind the whole experiment API.
+``--thp-policy`` / ``--hugepages`` switch the guests to transparent huge
+pages (KSM then splits huge blocks to merge, the trade-off ``repro
+hugepages`` charts).
 
 ``--faults SEED[:RATE]`` arms the fault-injection plan on any dump-based
 command: collection turns resilient (retry, backoff, quarantine), the
@@ -29,9 +30,10 @@ dump is cross-validated, and breakdowns carry explicit bounds for
 whatever the damage made unattributable.  ``doctor`` runs one scenario
 under that regime and prints the full collection + validation reports.
 
-``--jobs N`` (or ``REPRO_JOBS``) fans independent work units — the two
-footprint measurements behind a consolidation sweep — out over worker
-processes; results are bit-identical to serial runs.  Figure results are
+``--jobs N`` (or ``REPRO_JOBS``) fans the independent cells of an
+experiment grid — the two footprints behind a consolidation sweep, the
+pressure arms, the huge-page curve points — out over worker processes;
+results are bit-identical to serial runs.  Figure results are
 also persisted in a content-addressed cache (``.repro-cache`` or
 ``REPRO_CACHE_DIR``), so re-running a figure, or a figure that shares
 its scenario with one already run (Fig. 2 / Fig. 3(a)), is near
@@ -86,7 +88,8 @@ def add_scenario_options(parser: argparse.ArgumentParser) -> None:
     """Declare every shared scenario knob on ``parser``, exactly once.
 
     Each option maps onto one :class:`repro.config.ScenarioSpec` field;
-    :func:`spec_from_args` turns the parsed namespace back into a spec.
+    ``ScenarioSpec.from_cli_args`` turns the parsed namespace back into a
+    spec.
     Every subcommand that runs a testbed shares this set, so a new knob
     is added here (and read in ``ScenarioSpec.from_cli_args``) and
     nowhere else.
@@ -174,17 +177,6 @@ def add_scenario_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-stats", action="store_true",
         help="print cache and runner statistics after the command",
-    )
-
-
-def spec_from_args(
-    args, scenario: Optional[str] = None, deployment=None
-) -> ScenarioSpec:
-    """The :class:`ScenarioSpec` an ``add_scenario_options`` namespace
-    describes (``scenario``/``deployment`` override the namespace for
-    subcommands that hard-code them)."""
-    return ScenarioSpec.from_cli_args(
-        args, scenario=scenario, deployment=deployment
     )
 
 
@@ -373,9 +365,11 @@ def _print_fault_reports(result) -> None:
         print(result.validation_report.render())
 
 
-def _run_scenario_result(args, scenario: str, deployment):
+def _scenario_result(args, scenario: str, deployment):
     """Run a scenario spec: cached normally, direct when profiled."""
-    spec = spec_from_args(args, scenario=scenario, deployment=deployment)
+    spec = ScenarioSpec.from_cli_args(
+        args, scenario=scenario, deployment=deployment
+    )
     profile_path = getattr(args, "profile", None)
     if profile_path is None and args.command != "profile":
         return run_cached(spec, cache=_cache_from(args))
@@ -396,7 +390,7 @@ def _run_scenario_result(args, scenario: str, deployment):
 
 def _run_breakdown_figure(figure: str, args) -> None:
     scenario, deployment, kind = _BREAKDOWN_FIGURES[figure]
-    result = _run_scenario_result(args, scenario, deployment)
+    result = _scenario_result(args, scenario, deployment)
     title = (
         f"{figure}: {scenario} ({deployment.value}), scale={args.scale}"
     )
@@ -475,7 +469,7 @@ def _run_consolidation(figure: str, args) -> None:
 
 def _run_doctor(args) -> None:
     faults = _fault_plan(args)
-    result = run(spec_from_args(args, scenario=args.name))
+    result = run(ScenarioSpec.from_cli_args(args, scenario=args.name))
     mode = "clean collection" if faults is None else f"faults {args.faults}"
     print(f"doctor: {args.name} ({args.deployment}), {mode}")
     _print_fault_reports(result)
@@ -696,7 +690,10 @@ def _run_pressure(args) -> int:
 def _run_hugepages(args) -> int:
     import json
 
-    from repro.core.experiments.hugepages import run_hugepage_tradeoff
+    from repro.core.experiments.hugepages import (
+        FLEET_HOSTS,
+        run_hugepage_tradeoff,
+    )
 
     scenarios = (args.name,) if args.name else SCENARIOS
     curve = run_hugepage_tradeoff(
@@ -705,7 +702,6 @@ def _run_hugepages(args) -> int:
         seed=args.seed,
         block_pages=args.hugepages,
         scenarios=scenarios,
-        pressure_scenario=scenarios[0],
         jobs=args.jobs,
         cache=_cache_from(args),
     )
@@ -740,7 +736,7 @@ def _run_hugepages(args) -> int:
                 f"tlb x{point.tlb_multiplier:.3f} = "
                 f"x{point.throughput_fraction:.3f}"
             )
-        print(f"  fleet estimate ({curve.fleet_hosts} hosts):")
+        print(f"  fleet estimate ({FLEET_HOSTS} hosts):")
         for policy in sorted(curve.fleet):
             row = curve.fleet[policy]
             print(
@@ -799,7 +795,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         elif command == "cache":
             _run_cache(args)
         elif command in ("scenario", "profile"):
-            result = _run_scenario_result(
+            result = _scenario_result(
                 args, args.name, CacheDeployment(args.deployment)
             )
             print(render_vm_breakdown(

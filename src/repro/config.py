@@ -77,6 +77,9 @@ class KsmSettings:
     #: Scan policy ("full", "incremental" or "hybrid"); "full" is the
     #: paper's configuration, the others use PML-style dirty tracking.
     scan_policy: str = "full"
+    #: False runs the testbed without KSM (no warm-up, no scans), as the
+    #: pressure family's non-TPS arms do.
+    enabled: bool = True
 
 
 #: Tiering modes accepted by :class:`TieringSettings` and the CLI.
@@ -188,29 +191,23 @@ class HugePageSettings:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One fully-specified scenario run (the unified experiment API).
+    """One fully-specified testbed run: the only description of an
+    experiment cell.
 
-    Composes every knob that accumulated across the CLI and the three
-    ``run_scenario*`` entry points — KSM settings, tiering, huge pages,
-    fault plan and parallelism — into a single frozen value that
-    fingerprints itself for the result cache.
+    Every family of the experiment API is a grid of ``(measure, spec)``
+    cells run by ``repro.core.experiments.scenarios.run_grid``: the
+    breakdown figures, the consolidation footprints, the pressure arms
+    and the huge-page curve differ only in the spec and in what the
+    measure function reads off the host afterwards.  The spec composes
+    the scenario's guests, KSM settings, tiering, huge pages, host
+    sizing and fault plan into a single frozen value;
+    :meth:`cache_parts` feeds all of it to the result-cache fingerprint.
 
     Construction paths:
 
     * :meth:`from_cli_args` — from an argparse namespace produced by
       ``repro.cli.add_scenario_options``;
     * direct keyword construction in tests and experiment drivers.
-
-    ``repro.core.experiments.scenarios.run`` is the one entry point
-    consuming a spec; ``run_scenario`` / ``run_scenario_request`` /
-    ``run_scenario_cached`` are deprecation shims over it.
-
-    Cache compatibility: for configurations expressible in the legacy
-    ``ScenarioRequest`` vocabulary (huge pages off, default KSM pacing,
-    default tiering shape), :meth:`cache_parts` reproduces the legacy
-    request's parts exactly, so fingerprints — and therefore every
-    previously cached result — are unchanged.  ``jobs`` never enters
-    the fingerprint (parallel runs are bit-identical to serial).
     """
 
     scenario: str
@@ -226,9 +223,18 @@ class ScenarioSpec:
     hugepages: HugePageSettings = field(default_factory=HugePageSettings)
     #: A ``repro.faults.plan.FaultPlan`` or None (untyped: see above).
     faults: Optional[object] = None
-    #: Worker processes for fan-out inside the run (None = serial);
-    #: excluded from the fingerprint.
-    jobs: Optional[int] = None
+    #: Guest count; None keeps the scenario's own arrangement, N runs
+    #: guest i as the scenario's guest i mod its guest count.
+    guests: Optional[int] = None
+    #: Host RAM as a fraction of the scenario's normal sizing; < 1
+    #: creates memory pressure.
+    host_ram_fraction: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.guests is not None and self.guests < 1:
+            raise ValueError("guests must be at least 1")
+        if not 0.0 < self.host_ram_fraction <= 1.0:
+            raise ValueError("host_ram_fraction must be in (0, 1]")
 
     @property
     def resolved_deployment(self):
@@ -276,48 +282,15 @@ class ScenarioSpec:
                 block_pages=get("hugepages") or 512,
             ),
             faults=faults,
-            jobs=get("jobs"),
-        )
-
-    def _legacy_representable(self) -> bool:
-        """True when the legacy ScenarioRequest vocabulary covers us."""
-        return (
-            not self.hugepages.enabled
-            and self.ksm == KsmSettings(scan_policy=self.ksm.scan_policy)
-            and self.tiering == TieringSettings(mode=self.tiering.mode)
         )
 
     def cache_parts(self) -> tuple:
-        """Parts fed to the result-cache fingerprint.
-
-        Legacy-representable specs emit the exact historical
-        ``("scenario-run", ScenarioRequest(...))`` parts so existing
-        cache entries stay valid; anything new fingerprints the spec
-        itself (minus ``jobs``).
-        """
-        if self._legacy_representable():
-            from repro.core.experiments.scenarios import ScenarioRequest
-
-            return ScenarioRequest(
-                scenario=self.scenario,
-                deployment=self.resolved_deployment,
-                scale=self.scale,
-                measurement_ticks=self.measurement_ticks,
-                seed=self.seed,
-                scan_policy=self.ksm.scan_policy,
-                faults=self.faults,
-                tiering=self.tiering.mode,
-            ).cache_parts()
-        normalized = replace(
-            self, deployment=self.resolved_deployment, jobs=None
+        """Parts fed to the result-cache fingerprint: every field, with
+        the deployment normalized so None and NONE share entries."""
+        return (
+            "scenario-spec",
+            replace(self, deployment=self.resolved_deployment),
         )
-        return ("scenario-spec", normalized)
-
-    def to_fingerprint(self) -> str:
-        """Stable content fingerprint of this spec (cache key body)."""
-        from repro.exec.fingerprint import fingerprint_hex
-
-        return fingerprint_hex(*self.cache_parts())
 
 
 @dataclass(frozen=True)

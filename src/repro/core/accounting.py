@@ -207,12 +207,6 @@ class OwnerAccounting:
             + self.unassigned_unattributable_bytes
         )
 
-    def usage_bounds_of(self, user: UserKey) -> Tuple[int, int]:
-        """[lower, upper] physical bytes of ``user``: the attributed
-        tally, plus whatever damage made unattributable."""
-        usage = self.usage_of(user)
-        return usage, usage + self.unattributable_of(user)
-
     def category_bounds(
         self, user: UserKey, category: Optional[MemoryCategory]
     ) -> Tuple[int, int]:

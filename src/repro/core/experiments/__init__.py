@@ -1,4 +1,8 @@
-"""Experiment drivers, one per figure of the paper."""
+"""Experiment drivers, one per figure of the paper.
+
+Every family is a grid of ``(measure, spec)`` cells over
+:class:`repro.config.ScenarioSpec`, run by :func:`run_grid`.
+"""
 
 from repro.core.experiments.testbed import (
     GuestSpec,
@@ -12,7 +16,8 @@ from repro.core.experiments.scenarios import (
     ScenarioResult,
     run,
     run_cached,
-    run_scenario,
+    run_grid,
+    testbed_for,
 )
 from repro.core.experiments.hugepages import (
     HugePageCurveResult,
@@ -23,15 +28,15 @@ from repro.core.experiments.powervm import PowerVmResult, run_powervm_experiment
 from repro.core.experiments.consolidation import (
     ConsolidationPoint,
     ConsolidationResult,
+    footprint,
     run_daytrader_consolidation,
     run_specj_consolidation,
 )
 from repro.core.experiments.pressure import (
     PRESSURE_ARMS,
-    PressureArmRequest,
     PressureArmResult,
     PressureFamilyResult,
-    run_pressure_arm,
+    pressure_arm,
     run_pressure_family,
 )
 
@@ -45,7 +50,8 @@ __all__ = [
     "ScenarioResult",
     "run",
     "run_cached",
-    "run_scenario",
+    "run_grid",
+    "testbed_for",
     "HugePageCurveResult",
     "HugePagePoint",
     "run_hugepage_tradeoff",
@@ -53,12 +59,12 @@ __all__ = [
     "run_powervm_experiment",
     "ConsolidationPoint",
     "ConsolidationResult",
+    "footprint",
     "run_daytrader_consolidation",
     "run_specj_consolidation",
     "PRESSURE_ARMS",
-    "PressureArmRequest",
     "PressureArmResult",
     "PressureFamilyResult",
-    "run_pressure_arm",
+    "pressure_arm",
     "run_pressure_family",
 ]

@@ -33,38 +33,27 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.config import HugePageSettings, ScenarioSpec, THP_POLICIES
 from repro.core.experiments.scenarios import (
     SCENARIOS,
-    ScenarioResult,
-    _guest_specs,
     run,
-)
-from repro.core.experiments.testbed import (
-    KvmTestbed,
-    TestbedConfig,
-    scale_kernel_profile,
+    run_grid,
+    testbed_for,
 )
 from repro.exec.cache import ResultCache
-from repro.exec.runner import ParallelRunner, WorkUnit
-from repro.exec.stats import GLOBAL_RUNNER_STATS
 from repro.perf.paging import PagingModel
 from repro.perf.tlb import TlbModel
-from repro.units import DEFAULT_PAGE_SIZE, MiB
+from repro.units import DEFAULT_PAGE_SIZE
 
 __all__ = [
+    "FLEET_HOSTS",
     "HugePagePoint",
     "HugePagePressurePoint",
-    "HugePagePressureRequest",
     "HugePageCurveResult",
-    "run_hugepage_pressure",
+    "curve_point",
+    "hugepage_pressure",
     "run_hugepage_tradeoff",
 ]
 
-
-def _settings_for(policy: str, block_pages: int) -> HugePageSettings:
-    if policy == "never":
-        # Keep the all-4KiB baseline legacy-representable so its cache
-        # fingerprint matches pre-hugepage runs.
-        return HugePageSettings()
-    return HugePageSettings(policy=policy, block_pages=block_pages)
+#: Hosts in the analytic fleet estimate.
+FLEET_HOSTS = 24
 
 
 @dataclass
@@ -111,32 +100,6 @@ class HugePagePoint:
         }
 
 
-@dataclass(frozen=True)
-class HugePagePressureRequest:
-    """The undersized-host point: picklable work unit and cache key."""
-
-    policy: str
-    scenario: str = "daytrader4"
-    scale: float = 1.0
-    measurement_ticks: int = 6
-    seed: int = 20130421
-    block_pages: int = 512
-    host_ram_fraction: float = 0.6
-
-    def __post_init__(self) -> None:
-        if self.policy not in THP_POLICIES:
-            raise ValueError(
-                f"unknown THP policy {self.policy!r}; "
-                f"expected one of {THP_POLICIES}"
-            )
-        if not 0.0 < self.host_ram_fraction <= 1.0:
-            raise ValueError("host_ram_fraction must be in (0, 1]")
-
-    def cache_parts(self):
-        """Input parts for :meth:`repro.exec.ResultCache.key`."""
-        return ("hugepage-pressure", self)
-
-
 @dataclass
 class HugePagePressurePoint:
     """Measured outcome of one pressure point (bytes at run scale)."""
@@ -165,41 +128,19 @@ class HugePagePressurePoint:
         }
 
 
-def run_hugepage_pressure(
-    request: HugePagePressureRequest,
-) -> HugePagePressurePoint:
-    """Run one pressure point end to end (module-level, picklable).
+def hugepage_pressure(spec: ScenarioSpec) -> HugePagePressurePoint:
+    """Run one pressure point end to end: the measure of the pressure
+    cells.
 
-    Same undersizing as the pressure family's KSM arm (host RAM cut to
-    ``host_ram_fraction``), with the requested THP policy layered on
-    top; the paging penalty and the TLB multiplier compose into the
-    point's throughput.
+    Same undersizing as the pressure family's KSM arm (the spec's
+    ``host_ram_fraction``), with the spec's THP policy layered on top;
+    the paging penalty and the TLB multiplier compose into the point's
+    throughput.
     """
-    specs = _guest_specs(request.scenario, request.scale)
-    config = TestbedConfig(
-        kernel_profile=scale_kernel_profile(request.scale),
-        measurement_ticks=request.measurement_ticks,
-        seed=request.seed,
-        scale=request.scale,
-    )
-    if request.scale < 1.0:
-        config.host_ram_bytes = max(
-            int(config.host_ram_bytes * request.scale), 64 * MiB
-        )
-        config.host_kernel_bytes = int(
-            config.host_kernel_bytes * request.scale
-        )
-        config.qemu_overhead_bytes = max(
-            1 << 16, int(config.qemu_overhead_bytes * request.scale)
-        )
-    config.host_ram_bytes = max(
-        1 << 20, int(config.host_ram_bytes * request.host_ram_fraction)
-    )
-    settings = _settings_for(request.policy, request.block_pages)
-    config.hugepages = settings if settings.enabled else None
-    testbed = KvmTestbed(specs, config)
+    testbed = testbed_for(spec)
     testbed.build()
     testbed.run()
+    config = testbed.config
     host = testbed.host
     physmem = host.physmem
 
@@ -213,12 +154,13 @@ def run_hugepage_pressure(
         capacity_bytes=config.host_ram_bytes,
         host_kernel_bytes=config.host_kernel_bytes,
     )
+    guests = testbed.specs
     paging_penalty = paging.penalty(
-        float(physmem.bytes_in_use), len(specs), specs[0].memory_bytes
+        float(physmem.bytes_in_use), len(guests), guests[0].memory_bytes
     )
     tlb_multiplier = TlbModel().throughput_multiplier(coverage)
     return HugePagePressurePoint(
-        policy=request.policy,
+        policy=spec.hugepages.policy,
         host_ram_bytes=config.host_ram_bytes,
         bytes_in_use=physmem.bytes_in_use,
         ksm_saved_bytes=host.ksm.saved_bytes,
@@ -245,9 +187,8 @@ class HugePageCurveResult:
     pressure: Dict[str, HugePagePressurePoint] = field(
         default_factory=dict
     )
-    #: Analytic fleet estimate per policy (see ``fleet_hosts``).
+    #: Analytic fleet estimate per policy (see :data:`FLEET_HOSTS`).
     fleet: Dict[str, dict] = field(default_factory=dict)
-    fleet_hosts: int = 24
 
     def point(self, scenario: str, policy: str) -> HugePagePoint:
         return self.points[(scenario, policy)]
@@ -259,7 +200,7 @@ class HugePageCurveResult:
             "seed": self.seed,
             "scale": self.scale,
             "ticks": self.measurement_ticks,
-            "fleet_hosts": self.fleet_hosts,
+            "fleet_hosts": FLEET_HOSTS,
             "points": {
                 f"{scenario}/{policy}": point.to_dict()
                 for (scenario, policy), point in sorted(self.points.items())
@@ -274,10 +215,11 @@ class HugePageCurveResult:
         }
 
 
-def _curve_point(
-    scenario: str, policy: str, block_pages: int, result: ScenarioResult
-) -> HugePagePoint:
-    """Fold one scenario run into a point."""
+def curve_point(spec: ScenarioSpec) -> HugePagePoint:
+    """Run one (scenario, policy) cell and fold it into a point: the
+    measure of the curve cells."""
+    result = run(spec)
+    block_pages = spec.hugepages.block_pages
     stats = result.ksm_stats
     thp = stats.extra.get("thp", {})
     guest_pages = thp.get("guest_pages", 0)
@@ -287,8 +229,8 @@ def _curve_point(
     cpu_fraction = min(1.0, stats.cpu_percent / 100.0)
     validation = result.validation_report
     return HugePagePoint(
-        scenario=scenario,
-        policy=policy,
+        scenario=spec.scenario,
+        policy=spec.hugepages.policy,
         block_pages=block_pages,
         saved_bytes=stats.pages_saved * DEFAULT_PAGE_SIZE,
         merges=stats.merges,
@@ -314,115 +256,71 @@ def run_hugepage_tradeoff(
     measurement_ticks: Optional[int] = None,
     seed: int = 20130421,
     block_pages: int = 512,
-    policies: Sequence[str] = THP_POLICIES,
     scenarios: Sequence[str] = SCENARIOS,
-    pressure_scenario: str = "daytrader4",
-    fleet_hosts: int = 24,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    runner: Optional[ParallelRunner] = None,
 ) -> HugePageCurveResult:
     """Produce the headline trade-off curve.
 
-    Every (scenario, policy) cell is one scenario run; the runs are
-    independent work units, so they fan out (and cache) like the
-    consolidation sweeps and the result is bit-identical with any
-    worker count.  On top of the curve the result carries the pressure
-    points (undersized host, paging penalty composed in) and a purely
-    analytic per-policy fleet estimate.
+    Every (scenario, THP policy) cell is one scenario run, and the
+    first scenario also gets one pressure point per policy (undersized
+    host, paging penalty composed in).  The cells form one grid, so
+    they fan out (and cache) like the consolidation sweeps and the
+    result is bit-identical with any worker count.  On top of the curve
+    the result carries a purely analytic per-policy fleet estimate for
+    the first scenario.
     """
-    for policy in policies:
-        if policy not in THP_POLICIES:
-            raise ValueError(
-                f"unknown THP policy {policy!r}; "
-                f"expected a subset of {THP_POLICIES}"
-            )
-    specs: List[Tuple[str, object]] = []
-    for scenario in scenarios:
-        for policy in policies:
-            spec = ScenarioSpec(
-                scenario=scenario,
-                scale=scale,
-                measurement_ticks=measurement_ticks,
-                seed=seed,
-                hugepages=_settings_for(policy, block_pages),
-            )
-            specs.append((f"{scenario}/{policy}", spec))
-    pressure_requests = [
+    ticks = measurement_ticks if measurement_ticks is not None else 6
+    cells = [
         (
-            f"pressure/{policy}",
-            HugePagePressureRequest(
-                policy=policy,
-                scenario=pressure_scenario,
+            curve_point,
+            ScenarioSpec(
+                scenario,
                 scale=scale,
-                measurement_ticks=(
-                    measurement_ticks if measurement_ticks is not None else 6
-                ),
+                measurement_ticks=ticks,
                 seed=seed,
-                block_pages=block_pages,
+                hugepages=HugePageSettings(policy, block_pages),
             ),
         )
-        for policy in policies
+        for scenario in scenarios
+        for policy in THP_POLICIES
     ]
-
-    results: Dict[str, object] = {}
-    keys: Dict[str, str] = {}
-    missing: List[Tuple[str, WorkUnit]] = []
-    caching = cache is not None and cache.enabled
-    for label, spec in specs:
-        if caching:
-            keys[label] = cache.key(*spec.cache_parts())
-            value, hit = cache.get(keys[label])
-            if hit:
-                results[label] = value
-                continue
-        missing.append((label, WorkUnit(run, (spec,), label=label)))
-    for label, request in pressure_requests:
-        if caching:
-            keys[label] = cache.key(*request.cache_parts())
-            value, hit = cache.get(keys[label])
-            if hit:
-                results[label] = value
-                continue
-        missing.append(
-            (label, WorkUnit(run_hugepage_pressure, (request,), label=label))
+    cells += [
+        (
+            hugepage_pressure,
+            ScenarioSpec(
+                scenarios[0],
+                scale=scale,
+                measurement_ticks=ticks,
+                seed=seed,
+                hugepages=HugePageSettings(policy, block_pages),
+                host_ram_fraction=0.6,
+            ),
         )
-    if missing:
-        if runner is None:
-            runner = ParallelRunner(jobs=jobs, stats=GLOBAL_RUNNER_STATS)
-        units = [unit for _, unit in missing]
-        for (label, _), result in zip(missing, runner.map(units)):
-            if caching:
-                cache.put(keys[label], result)
-            results[label] = result
-
+        for policy in THP_POLICIES
+    ]
     curve = HugePageCurveResult(
         block_pages=block_pages,
         seed=seed,
         scale=scale,
-        measurement_ticks=(
-            measurement_ticks if measurement_ticks is not None else 6
-        ),
-        fleet_hosts=fleet_hosts,
+        measurement_ticks=ticks,
     )
-    for scenario in scenarios:
-        for policy in policies:
-            curve.points[(scenario, policy)] = _curve_point(
-                scenario, policy, block_pages, results[f"{scenario}/{policy}"]
-            )
-    for label, request in pressure_requests:
-        curve.pressure[request.policy] = results[label]
+    for (measure, _), point in zip(cells, run_grid(cells, jobs, cache)):
+        if measure is curve_point:
+            curve.points[(point.scenario, point.policy)] = point
+        else:
+            curve.pressure[point.policy] = point
 
-    # Analytic fleet extrapolation: every host runs the pressure
-    # scenario under the given policy; savings and sacrifices scale
-    # linearly, the TLB multiplier is a per-host intensive quantity.
-    for policy in policies:
-        per_host = curve.points[(pressure_scenario, policy)]
+    # Analytic fleet extrapolation: every host runs the first scenario
+    # under the given policy; savings and sacrifices scale linearly,
+    # the TLB multiplier is a per-host intensive quantity.
+    for policy in THP_POLICIES:
+        per_host = curve.points[(scenarios[0], policy)]
         curve.fleet[policy] = {
-            "hosts": fleet_hosts,
-            "saved_bytes": per_host.saved_bytes * fleet_hosts,
+            "hosts": FLEET_HOSTS,
+            "saved_bytes": per_host.saved_bytes * FLEET_HOSTS,
             "huge_bytes_sacrificed": (
-                per_host.huge_bytes_sacrificed * fleet_hosts
+                per_host.huge_bytes_sacrificed * FLEET_HOSTS
             ),
             "tlb_multiplier": per_host.tlb_multiplier,
             "throughput_fraction": per_host.throughput_fraction,

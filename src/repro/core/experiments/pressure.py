@@ -27,59 +27,47 @@ that invariant on every arm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.config import TieringSettings
-from repro.core.experiments.scenarios import _guest_specs
-from repro.core.experiments.testbed import (
-    KvmTestbed,
-    TestbedConfig,
-    scale_kernel_profile,
-)
+from repro.config import KsmSettings, ScenarioSpec, TieringSettings
+from repro.core.experiments.scenarios import run_grid, testbed_for
 from repro.core.validate import validate_compression
 from repro.exec.cache import ResultCache
-from repro.exec.runner import ParallelRunner, WorkUnit
-from repro.exec.stats import GLOBAL_RUNNER_STATS
 from repro.perf.paging import PagingModel
 from repro.perf.tiercost import TieringCostModel
-from repro.units import MiB
 
 #: The externally meaningful arms (the baseline "none" is internal).
 PRESSURE_ARMS = ("ksm", "compression", "balloon", "combined")
 
-_ALL_ARMS = ("none",) + PRESSURE_ARMS
+#: Arm -> (KSM on, tiering mode) of its testbed.
+_ARMS = {
+    "none": (False, "off"),
+    "ksm": (True, "off"),
+    "compression": (False, "compress"),
+    "balloon": (False, "balloon"),
+    "combined": (True, "combined"),
+}
+
+_ARM_OF = {setup: arm for arm, setup in _ARMS.items()}
 
 
-@dataclass(frozen=True)
-class PressureArmRequest:
-    """One arm of a pressure run: picklable work unit and cache key."""
+def arm_spec(arm: str, **fields) -> ScenarioSpec:
+    """The spec of one arm: KSM and tiering per the arm table, every
+    other :class:`ScenarioSpec` field from ``fields``.
 
-    arm: str
-    scenario: str = "daytrader4"
-    scale: float = 1.0
-    measurement_ticks: int = 6
-    seed: int = 20130421
-    #: Host RAM as a fraction of the scenario's normal sizing — < 1
-    #: creates the pressure the arms must fight.
-    host_ram_fraction: float = 0.6
-    #: Scan policy for the KSM-enabled arms; hybrid lets the combined
-    #: arm's cold hints reach the incremental passes.
-    scan_policy: str = "hybrid"
-    epoch_ticks: int = 2
-    compress_pages_per_epoch: int = 512
-
-    def __post_init__(self) -> None:
-        if self.arm not in _ALL_ARMS:
-            raise ValueError(
-                f"unknown pressure arm {self.arm!r}; "
-                f"expected one of {_ALL_ARMS}"
-            )
-        if not 0.0 < self.host_ram_fraction <= 1.0:
-            raise ValueError("host_ram_fraction must be in (0, 1]")
-
-    def cache_parts(self):
-        """Input parts for :meth:`repro.exec.ResultCache.key`."""
-        return ("pressure-arm", self)
+    The KSM-enabled arms scan with the hybrid policy, so the combined
+    arm's cold hints reach the incremental passes.
+    """
+    if arm not in _ARMS:
+        raise ValueError(
+            f"unknown pressure arm {arm!r}; expected one of {tuple(_ARMS)}"
+        )
+    ksm_on, mode = _ARMS[arm]
+    return ScenarioSpec(
+        ksm=KsmSettings(scan_policy="hybrid", enabled=ksm_on),
+        tiering=TieringSettings(mode=mode),
+        **fields,
+    )
 
 
 @dataclass
@@ -111,58 +99,22 @@ class PressureArmResult:
         )
 
 
-def _arm_config(request: PressureArmRequest) -> TestbedConfig:
-    config = TestbedConfig(
-        kernel_profile=scale_kernel_profile(request.scale),
-        measurement_ticks=request.measurement_ticks,
-        seed=request.seed,
-        scale=request.scale,
-    )
-    if request.scale < 1.0:
-        config.host_ram_bytes = max(
-            int(config.host_ram_bytes * request.scale), 64 * MiB
+def pressure_arm(spec: ScenarioSpec) -> PressureArmResult:
+    """Run one arm end to end: the measure of the pressure cells."""
+    arm = _ARM_OF.get((spec.ksm.enabled, spec.tiering.mode))
+    if arm is None:
+        raise ValueError(
+            f"KSM {'on' if spec.ksm.enabled else 'off'} with tiering "
+            f"{spec.tiering.mode!r} is not a pressure arm"
         )
-        config.host_kernel_bytes = int(
-            config.host_kernel_bytes * request.scale
-        )
-        config.qemu_overhead_bytes = max(
-            1 << 16, int(config.qemu_overhead_bytes * request.scale)
-        )
-    config.host_ram_bytes = max(
-        1 << 20, int(config.host_ram_bytes * request.host_ram_fraction)
-    )
-    import dataclasses as _dc
-
-    config.ksm = _dc.replace(config.ksm, scan_policy=request.scan_policy)
-    arm = request.arm
-    config.ksm_enabled = arm in ("ksm", "combined")
-    mode = {
-        "none": None,
-        "ksm": None,
-        "compression": "compress",
-        "balloon": "balloon",
-        "combined": "combined",
-    }[arm]
-    if mode is not None:
-        config.tiering = TieringSettings(
-            mode=mode,
-            epoch_ticks=request.epoch_ticks,
-            compress_pages_per_epoch=request.compress_pages_per_epoch,
-        )
-    return config
-
-
-def run_pressure_arm(request: PressureArmRequest) -> PressureArmResult:
-    """Run one arm end to end (module-level, picklable)."""
-    specs = _guest_specs(request.scenario, request.scale)
-    config = _arm_config(request)
-    testbed = KvmTestbed(specs, config)
+    testbed = testbed_for(spec)
     testbed.build()
     testbed.run()
+    config = testbed.config
     host = testbed.host
     physmem = host.physmem
 
-    ksm_saved = host.ksm.saved_bytes if config.ksm_enabled else 0
+    ksm_saved = host.ksm.saved_bytes if spec.ksm.enabled else 0
     store = host.compression
     compression_saved = store.stats.bytes_saved if store is not None else 0
     compression_pages = store.pool_pages if store is not None else 0
@@ -181,13 +133,12 @@ def run_pressure_arm(request: PressureArmRequest) -> PressureArmResult:
         capacity_bytes=config.host_ram_bytes,
         host_kernel_bytes=config.host_kernel_bytes,
     )
-    n_vms = len(specs)
-    guest_memory = specs[0].memory_bytes
+    guests = testbed.specs
     paging_penalty = paging.penalty(
-        float(physmem.bytes_in_use), n_vms, guest_memory
+        float(physmem.bytes_in_use), len(guests), guests[0].memory_bytes
     )
     window_ms = max(
-        1.0, request.measurement_ticks * config.tick_minutes * 60_000.0
+        1.0, config.measurement_ticks * config.tick_minutes * 60_000.0
     )
     tiercost = TieringCostModel(window_ms=window_ms)
     tiering_penalty = tiercost.penalty(
@@ -195,7 +146,7 @@ def run_pressure_arm(request: PressureArmRequest) -> PressureArmResult:
         reclaimed_bytes=balloon_reclaimed,
     )
     return PressureArmResult(
-        arm=request.arm,
+        arm=arm,
         host_ram_bytes=config.host_ram_bytes,
         bytes_in_use=physmem.bytes_in_use,
         pool_bytes=physmem.pool_bytes,
@@ -272,13 +223,12 @@ def run_pressure_family(
     arms: Sequence[str] = PRESSURE_ARMS,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    runner: Optional[ParallelRunner] = None,
 ) -> PressureFamilyResult:
     """Run the baseline plus every requested arm under identical seeds.
 
-    The per-arm runs are independent, so they fan out (and cache) as
-    parallel work units exactly like the consolidation sweeps; the
-    result is bit-identical with any worker count.
+    The per-arm runs are independent cells of one grid, so they fan out
+    (and cache) exactly like the consolidation sweeps; the result is
+    bit-identical with any worker count.
     """
     for arm in arms:
         if arm not in PRESSURE_ARMS:
@@ -286,11 +236,12 @@ def run_pressure_family(
                 f"unknown pressure arm {arm!r}; "
                 f"expected a subset of {PRESSURE_ARMS}"
             )
-    requests: List[Tuple[str, PressureArmRequest]] = [
+    names = ("none",) + tuple(arms)
+    cells = [
         (
-            arm,
-            PressureArmRequest(
-                arm=arm,
+            pressure_arm,
+            arm_spec(
+                arm,
                 scenario=scenario,
                 scale=scale,
                 measurement_ticks=measurement_ticks,
@@ -298,31 +249,9 @@ def run_pressure_family(
                 host_ram_fraction=host_ram_fraction,
             ),
         )
-        for arm in ("none",) + tuple(arms)
+        for arm in names
     ]
-    results: Dict[str, PressureArmResult] = {}
-    keys: Dict[str, str] = {}
-    missing: List[Tuple[str, PressureArmRequest]] = []
-    caching = cache is not None and cache.enabled
-    for arm, request in requests:
-        if caching:
-            keys[arm] = cache.key(*request.cache_parts())
-            value, hit = cache.get(keys[arm])
-            if hit:
-                results[arm] = value
-                continue
-        missing.append((arm, request))
-    if missing:
-        if runner is None:
-            runner = ParallelRunner(jobs=jobs, stats=GLOBAL_RUNNER_STATS)
-        units = [
-            WorkUnit(run_pressure_arm, (request,), label=f"pressure:{arm}")
-            for arm, request in missing
-        ]
-        for (arm, _), result in zip(missing, runner.map(units)):
-            if caching:
-                cache.put(keys[arm], result)
-            results[arm] = result
+    results = dict(zip(names, run_grid(cells, jobs=jobs, cache=cache)))
     baseline = results.pop("none")
     family = PressureFamilyResult(
         scenario=scenario, seed=seed, baseline=baseline, arms=results

@@ -1,6 +1,6 @@
-"""The paper's breakdown scenarios (Figs. 2–5).
+"""The paper's scenarios and the one experiment driver.
 
-Three guest-VM arrangements appear in the paper:
+Three guest-VM arrangements appear in the breakdown figures (Figs. 2–5):
 
 * ``daytrader4`` — four 1 GB guests, each running WAS + DayTrader
   (Figs. 2, 3(a), 4, 5(a));
@@ -10,24 +10,22 @@ Three guest-VM arrangements appear in the paper:
 * ``tuscany3`` — three guests each running a standalone Tuscany server
   with the bigbank demo (Figs. 3(c), 5(c)).
 
+A fourth, ``specj3``, is Fig. 8's footprint testbed: three 1.25 GB
+SPECjEnterprise guests with the gencon heap of §V.C.
+
 Each runs either without class sharing (the baseline) or with the paper's
-shared-copy cache deployment; the same driver serves the "before" and
-"after" figures.
+shared-copy cache deployment.  Every experiment family is a grid of
+``(measure, spec)`` cells: :func:`testbed_for` is the only place a
+:class:`ScenarioSpec` becomes a testbed, and :func:`run_grid` the only
+cache-and-fan-out path.  :func:`run` is the breakdown figures' measure.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.config import (
-    Benchmark,
-    HugePageSettings,
-    KsmSettings,
-    ScenarioSpec,
-    TieringSettings,
-)
+from repro.config import SPECJ_JVM_GENCON, Benchmark, ScenarioSpec
 from repro.core.accounting import OwnerAccounting
 from repro.core.breakdown import JavaBreakdown, VmBreakdown
 from repro.core.dump import CollectionReport, SystemDump
@@ -35,19 +33,34 @@ from repro.core.validate import ValidationReport
 from repro.core.experiments.testbed import (
     GuestSpec,
     KvmTestbed,
-    MeasurementResult,
     TestbedConfig,
     scale_kernel_profile,
     scale_workload,
 )
 from repro.core.preload import CacheDeployment
 from repro.exec.cache import ResultCache
-from repro.faults.plan import FaultPlan
+from repro.exec.runner import ParallelRunner, WorkUnit
+from repro.exec.stats import GLOBAL_RUNNER_STATS
 from repro.ksm.stats import KsmStats
-from repro.units import GiB
-from repro.workloads.base import build_workload
+from repro.units import GiB, MiB
+from repro.workloads.base import Workload, build_workload
 
+#: The breakdown scenarios (the CLI's choices).
 SCENARIOS = ("daytrader4", "mixed3", "tuscany3")
+
+#: Scenario -> per guest: (benchmark, JVM settings override, memory).
+_GUEST_TABLE = {
+    "daytrader4": ((Benchmark.DAYTRADER, None, 1 * GiB),) * 4,
+    "mixed3": (
+        (Benchmark.DAYTRADER, None, 1 * GiB),
+        (Benchmark.SPECJENTERPRISE, None, int(1.25 * GiB)),
+        (Benchmark.TPCW, None, 1 * GiB),
+    ),
+    "tuscany3": ((Benchmark.TUSCANY_BIGBANK, None, 1 * GiB),) * 3,
+    "specj3": (
+        (Benchmark.SPECJENTERPRISE, SPECJ_JVM_GENCON, int(1.25 * GiB)),
+    ) * 3,
+}
 
 
 @dataclass
@@ -65,47 +78,45 @@ class ScenarioResult:
     validation_report: Optional[ValidationReport] = None
 
 
-def _guest_specs(scenario: str, scale: float) -> List[GuestSpec]:
-    def guest(name: str, benchmark: Benchmark, memory: int) -> GuestSpec:
-        workload = scale_workload(build_workload(benchmark), scale)
-        return GuestSpec(name, max(1, int(memory * scale)), workload)
+def _guest_specs(spec: ScenarioSpec) -> List[GuestSpec]:
+    """The guests of ``spec``; guests running one workload share it."""
+    table = _GUEST_TABLE.get(spec.scenario)
+    if table is None:
+        raise ValueError(
+            f"unknown scenario {spec.scenario!r}; "
+            f"choose one of {tuple(_GUEST_TABLE)}"
+        )
+    count = len(table) if spec.guests is None else spec.guests
+    workloads = {}
+    guests = []
+    for index in range(count):
+        benchmark, jvm_config, memory = table[index % len(table)]
+        workload = workloads.get((benchmark, jvm_config))
+        if workload is None:
+            workload = build_workload(benchmark)
+            if jvm_config is not None:
+                workload = Workload(
+                    workload.profile, jvm_config, workload.driver_config
+                )
+            workload = scale_workload(workload, spec.scale)
+            workloads[(benchmark, jvm_config)] = workload
+        guests.append(GuestSpec(
+            f"vm{index + 1}", max(1, int(memory * spec.scale)), workload
+        ))
+    return guests
 
-    if scenario == "daytrader4":
-        return [
-            guest(f"vm{i}", Benchmark.DAYTRADER, 1 * GiB) for i in range(1, 5)
-        ]
-    if scenario == "mixed3":
-        return [
-            guest("vm1", Benchmark.DAYTRADER, 1 * GiB),
-            guest("vm2", Benchmark.SPECJENTERPRISE, int(1.25 * GiB)),
-            guest("vm3", Benchmark.TPCW, 1 * GiB),
-        ]
-    if scenario == "tuscany3":
-        return [
-            guest(f"vm{i}", Benchmark.TUSCANY_BIGBANK, 1 * GiB)
-            for i in range(1, 4)
-        ]
-    raise ValueError(
-        f"unknown scenario {scenario!r}; choose one of {SCENARIOS}"
-    )
 
-
-def run(spec: ScenarioSpec, profiler=None) -> ScenarioResult:
-    """Build, run and analyse the scenario a :class:`ScenarioSpec`
-    describes — the single entry point behind every ``run_scenario*``
-    shim and CLI subcommand.
+def testbed_for(spec: ScenarioSpec, profiler=None) -> KvmTestbed:
+    """The (unbuilt) testbed a spec describes.
 
     ``spec.scale`` < 1 shrinks every byte quantity proportionally (for
     tests); the figures run at scale 1.0, the paper's actual sizes.
-    With a fault plan, collection runs in resilient mode and the result
-    carries the collection and validation reports.  ``profiler`` (a
+    ``host_ram_fraction`` then undersizes the host.  ``profiler`` (a
     :class:`repro.perf.PhaseProfiler`) accumulates per-phase wall/CPU
-    cost; profiled runs should bypass the result cache.
+    cost.
     """
-    deployment = spec.resolved_deployment
-    specs = _guest_specs(spec.scenario, spec.scale)
     config = TestbedConfig(
-        deployment=deployment,
+        deployment=spec.resolved_deployment,
         kernel_profile=scale_kernel_profile(spec.scale),
         seed=spec.seed,
         scale=spec.scale,
@@ -115,7 +126,7 @@ def run(spec: ScenarioSpec, profiler=None) -> ScenarioResult:
     )
     if spec.scale < 1.0:
         config.host_ram_bytes = max(
-            int(config.host_ram_bytes * spec.scale), 64 * 1024 * 1024
+            int(config.host_ram_bytes * spec.scale), 64 * MiB
         )
         config.host_kernel_bytes = int(
             config.host_kernel_bytes * spec.scale
@@ -123,13 +134,26 @@ def run(spec: ScenarioSpec, profiler=None) -> ScenarioResult:
         config.qemu_overhead_bytes = max(
             1 << 16, int(config.qemu_overhead_bytes * spec.scale)
         )
+    config.host_ram_bytes = max(
+        1 << 20, int(config.host_ram_bytes * spec.host_ram_fraction)
+    )
     if spec.measurement_ticks is not None:
         config.measurement_ticks = spec.measurement_ticks
-    testbed = KvmTestbed(specs, config, profiler=profiler)
-    result = testbed.measure(faults=spec.faults)
+    return KvmTestbed(_guest_specs(spec), config, profiler=profiler)
+
+
+def run(spec: ScenarioSpec, profiler=None) -> ScenarioResult:
+    """Build, run and analyse the scenario a spec describes: the
+    breakdown figures' measure.
+
+    With a fault plan, collection runs in resilient mode and the result
+    carries the collection and validation reports.  Profiled runs
+    (``profiler`` set, see :func:`testbed_for`) should bypass the cache.
+    """
+    result = testbed_for(spec, profiler=profiler).measure(faults=spec.faults)
     return ScenarioResult(
         scenario=spec.scenario,
-        deployment=deployment,
+        deployment=spec.resolved_deployment,
         vm_breakdown=result.vm_breakdown,
         java_breakdown=result.java_breakdown,
         accounting=result.accounting,
@@ -140,115 +164,58 @@ def run(spec: ScenarioSpec, profiler=None) -> ScenarioResult:
     )
 
 
+#: One experiment cell: a module-level measure function of one spec
+#: (picklable, so pool workers can run it) and the spec it measures.
+Cell = Tuple[Callable[[ScenarioSpec], Any], ScenarioSpec]
+
+
+def run_grid(
+    cells: Sequence[Cell],
+    jobs: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+) -> List[Any]:
+    """Measure every ``(measure, spec)`` cell; results in cell order.
+
+    Each cell is cached under ``cache.key(measure, *spec.cache_parts())``,
+    so two measures over one spec never share an entry.  The parent
+    resolves the hits, fans the misses out over ``jobs`` worker
+    processes and stores their results itself, so the cache statistics
+    live in one process at any worker count.  Measures reduce inside
+    the worker, so only a small result crosses the process boundary.
+    Results are identical with any ``jobs`` and a cold or warm cache.
+    """
+    results: List[Any] = [None] * len(cells)
+    keys = {}
+    missing = []
+    units = []
+    caching = cache is not None and cache.enabled
+    for index, (measure, spec) in enumerate(cells):
+        if caching:
+            keys[index] = cache.key(measure, *spec.cache_parts())
+            value, hit = cache.get(keys[index])
+            if hit:
+                results[index] = value
+                continue
+        missing.append(index)
+        units.append(WorkUnit(
+            measure, (spec,), label=f"{measure.__name__}:{spec.scenario}"
+        ))
+    if units:
+        runner = ParallelRunner(jobs=jobs, stats=GLOBAL_RUNNER_STATS)
+        for index, value in zip(missing, runner.map(units)):
+            if caching:
+                cache.put(keys[index], value)
+            results[index] = value
+    return results
+
+
 def run_cached(
     spec: ScenarioSpec, cache: Optional[ResultCache] = None
 ) -> ScenarioResult:
-    """Run a spec through the content-addressed result cache.
+    """:func:`run` as a one-cell grid, through the result cache.
 
-    With no ``cache`` (or a disabled one) this is plain :func:`run`;
-    with one, repeated invocations — and cross-figure duplicates such
-    as Fig. 2 / Fig. 3(a), the identical ``daytrader4`` run — become
-    near-instant hits.  Legacy-representable specs fingerprint exactly
-    like their historical :class:`ScenarioRequest`, so pre-existing
-    cache entries keep hitting.
+    With a cache, repeated invocations — and cross-figure duplicates
+    such as Fig. 2 / Fig. 3(a), the identical ``daytrader4`` run —
+    become near-instant hits.
     """
-    if cache is None or not cache.enabled:
-        return run(spec)
-    return cache.get_or_compute(spec.cache_parts(), lambda: run(spec))
-
-
-def _warn_deprecated(name: str) -> None:
-    warnings.warn(
-        f"{name} is deprecated; build a repro.config.ScenarioSpec and "
-        "call repro.core.experiments.scenarios.run/run_cached instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_scenario(
-    scenario: str,
-    deployment: CacheDeployment = CacheDeployment.NONE,
-    scale: float = 1.0,
-    measurement_ticks: Optional[int] = None,
-    seed: int = 20130421,
-    faults: Optional[FaultPlan] = None,
-    scan_policy: str = "full",
-    tiering: str = "off",
-    profiler=None,
-) -> ScenarioResult:
-    """Deprecated shim over :func:`run` (the historical signature).
-
-    Builds the equivalent :class:`ScenarioSpec` and runs it; results
-    and cache fingerprints are identical to the pre-spec API.
-    """
-    _warn_deprecated("run_scenario")
-    spec = ScenarioSpec(
-        scenario=scenario,
-        deployment=deployment,
-        scale=scale,
-        measurement_ticks=measurement_ticks,
-        seed=seed,
-        ksm=KsmSettings(scan_policy=scan_policy),
-        tiering=TieringSettings(mode=tiering),
-        hugepages=HugePageSettings(),
-        faults=faults,
-    )
-    return run(spec, profiler=profiler)
-
-
-@dataclass(frozen=True)
-class ScenarioRequest:
-    """Everything that determines one breakdown scenario run.
-
-    This is both the picklable work unit the parallel runner ships to
-    workers and the complete cache fingerprint: two requests that
-    compare equal always produce byte-identical results, and any field
-    change (scale, ticks, seed, scan policy, fault plan) changes the
-    fingerprint, so a stale cached result can never be served.
-    """
-
-    scenario: str
-    deployment: CacheDeployment = CacheDeployment.NONE
-    scale: float = 1.0
-    measurement_ticks: Optional[int] = None
-    seed: int = 20130421
-    scan_policy: str = "full"
-    faults: Optional[FaultPlan] = None
-    tiering: str = "off"
-
-    def cache_parts(self):
-        """Input parts for :meth:`repro.exec.ResultCache.key`."""
-        return ("scenario-run", self)
-
-    def to_spec(self) -> ScenarioSpec:
-        """The equivalent :class:`ScenarioSpec` (same fingerprint)."""
-        return ScenarioSpec(
-            scenario=self.scenario,
-            deployment=self.deployment,
-            scale=self.scale,
-            measurement_ticks=self.measurement_ticks,
-            seed=self.seed,
-            ksm=KsmSettings(scan_policy=self.scan_policy),
-            tiering=TieringSettings(mode=self.tiering),
-            hugepages=HugePageSettings(),
-            faults=self.faults,
-        )
-
-
-def run_scenario_request(request: ScenarioRequest) -> ScenarioResult:
-    """Deprecated shim: run the scenario a legacy request describes."""
-    _warn_deprecated("run_scenario_request")
-    return run(request.to_spec())
-
-
-def run_scenario_cached(
-    request: ScenarioRequest, cache: Optional[ResultCache] = None
-) -> ScenarioResult:
-    """Deprecated shim over :func:`run_cached` for legacy requests.
-
-    The converted spec fingerprints exactly like the request did, so
-    cached results from the pre-spec API keep hitting.
-    """
-    _warn_deprecated("run_scenario_cached")
-    return run_cached(request.to_spec(), cache)
+    return run_grid([(run, spec)], cache=cache)[0]

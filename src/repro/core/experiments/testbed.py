@@ -88,9 +88,6 @@ class TestbedConfig:
     scale: float = 1.0
     #: Working-set tiering; None leaves the engine out entirely.
     tiering: Optional[TieringSettings] = None
-    #: The pressure-scenario family disables KSM on its non-TPS arms so
-    #: compression and ballooning compete without sharing in the mix.
-    ksm_enabled: bool = True
     #: Transparent-huge-page policy; None (or policy "never") keeps
     #: every mapping at 4 KiB, the paper's configuration.
     hugepages: Optional[HugePageSettings] = None
@@ -383,7 +380,7 @@ class KvmTestbed:
                 self.build()
         if self._ran:
             raise RuntimeError("testbed already ran")
-        if self.config.ksm_enabled:
+        if self.config.ksm.enabled:
             with self._phase("warmup"):
                 self.warmup()
         tick_ms = int(self.config.tick_minutes * 60_000)
@@ -398,7 +395,7 @@ class KvmTestbed:
                 with self._phase("thp"):
                     for kernel in self.kernels.values():
                         kernel.thp_tick()
-            if self.config.ksm_enabled:
+            if self.config.ksm.enabled:
                 with self._phase("scan"):
                     self.host.ksm.run_for_ms(tick_ms)
             else:

@@ -97,34 +97,3 @@ def iter_vm_process_pages(
     process, guest memory and overhead alike."""
     table = dump.host.page_tables.get(qemu_table_name(guest.vm_name), {})
     return iter(table.items())
-
-
-def resolve_process_pages_columnar(
-    dump: SystemDump,
-    guest: GuestDump,
-    process: GuestProcessDump,
-):
-    """Vectorized :func:`iter_process_frames`: whole-table columns.
-
-    Walks every page of ``process`` through all three layers at once —
-    one interval ``searchsorted`` over the memslots, an affine add, one
-    exact join against the QEMU host page table — and returns the
-    backed rows as four parallel int64 columns ``(vpns, gfns,
-    host_vpns, frame_ids)``.  Same rows :func:`iter_process_frames`
-    yields, minus the per-page Python overhead.
-    """
-    from repro.core.columnar.backend import NumpyOps
-    from repro.core.columnar.lower import (
-        build_registry,
-        lower_guest,
-        lower_process,
-    )
-    from repro.core.columnar.pipeline import resolve_process_columns
-
-    ops = NumpyOps()
-    registry = build_registry(dump)
-    return resolve_process_columns(
-        ops,
-        lower_guest(ops, dump, guest, registry),
-        lower_process(ops, guest, process, registry),
-    )

@@ -148,9 +148,6 @@ class ValidationReport:
     def codes(self) -> List[str]:
         return sorted({finding.code for finding in self.findings})
 
-    def by_code(self, code: str) -> List[Finding]:
-        return [f for f in self.findings if f.code == code]
-
     def render(self) -> str:
         lines = ["Validation report", "================="]
         if not self.findings:

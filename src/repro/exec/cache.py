@@ -28,7 +28,7 @@ import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.exec.fingerprint import fingerprint_hex
 
@@ -186,20 +186,6 @@ class ResultCache:
         self._memoize(key, value)
         self.stats.stores += 1
         self._evict()
-
-    def get_or_compute(
-        self, parts: Tuple, compute: Callable[[], Any]
-    ) -> Any:
-        """The one-call workflow: fingerprint, look up, compute on miss."""
-        if not self.enabled:
-            return compute()
-        key = self.key(*parts)
-        value, hit = self.get(key)
-        if hit:
-            return value
-        value = compute()
-        self.put(key, value)
-        return value
 
     def _memoize(self, key: str, value: Any) -> None:
         self._memo[key] = value

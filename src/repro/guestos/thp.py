@@ -127,12 +127,6 @@ class ThpManager:
     def huge_backed_pages(self) -> int:
         return self.intact_blocks * self.settings.block_pages
 
-    def huge_coverage(self) -> float:
-        """Fraction of the guest's pages backed by intact huge blocks."""
-        if not self.vm.guest_npages:
-            return 0.0
-        return self.huge_backed_pages / self.vm.guest_npages
-
     def __repr__(self) -> str:
         return (
             f"ThpManager(vm={self.vm.name!r}, "

@@ -75,7 +75,6 @@ class ClassMetadata:
         self._faulted_cache_pages: Set[int] = set()
         self._header_faulted = False
         self._header_pages = 0
-        self._unloaded_count = 0
 
     # ------------------------------------------------------------------
 
@@ -131,31 +130,6 @@ class ClassMetadata:
                 continue
             self.process.fault_file_pages(self.cache_vma, page, 1)
             self._faulted_cache_pages.add(page)
-
-    # ------------------------------------------------------------------
-    # Unloading
-    # ------------------------------------------------------------------
-
-    def unload_class(self, cls: JavaClassDef) -> None:
-        """Unload a class.
-
-        Per §IV.B, unloading does not disturb the technique: the preloaded
-        read-only part stays in the shared class cache mapping (so the
-        pages stay TPS-shared), and only the per-process RAM structures
-        become garbage.  We model the RAM part being freed in place — its
-        page content stays dirty until the segment space is reused, which
-        is exactly what happens in a real class segment.
-        """
-        if cls.name not in self._loaded:
-            raise ValueError(f"{cls.name} is not loaded")
-        self._loaded.discard(cls.name)
-        self._unloaded_count += 1
-        # No page writes: the cache mapping (if any) is untouched, so
-        # merged frames stay merged; private segment bytes remain as-is.
-
-    @property
-    def unloaded_count(self) -> int:
-        return self._unloaded_count
 
     # ------------------------------------------------------------------
     # Segment packing

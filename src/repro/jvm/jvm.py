@@ -218,10 +218,6 @@ class JavaVM:
         self.work.tick()
         self.stacks.tick()
 
-    def finish_startup_flush(self) -> None:
-        """Flush pending lazily-written component pages (JIT code cache)."""
-        self.jit.flush()
-
     # ------------------------------------------------------------------
 
     def resident_bytes(self) -> int:

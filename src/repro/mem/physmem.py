@@ -340,11 +340,6 @@ class HostPhysicalMemory:
         """True while block ``bid`` has not been split."""
         return bid in self._blocks
 
-    def block_of_frame(self, fid: int) -> int:
-        """Id of the intact block containing ``fid`` (0 = none)."""
-        frame = self._frames.get(fid)
-        return frame.block if frame is not None else 0
-
     def iter_blocks(self):
         """All intact blocks, in formation order (ids are monotonic)."""
         for bid in sorted(self._blocks):

@@ -63,7 +63,3 @@ class TlbModel:
         f = self.walk_overhead_fraction
         r = self.huge_miss_ratio
         return (1.0 + f) / (1.0 + f * ((1.0 - c) + c * r))
-
-    def max_multiplier(self) -> float:
-        """The full-coverage bound ``(1 + f) / (1 + f * r)``."""
-        return self.throughput_multiplier(1.0)

@@ -9,7 +9,8 @@ without changing the qualitative results.
 import pytest
 
 from repro.core.categories import MemoryCategory
-from repro.core.experiments.scenarios import run_scenario
+from repro.config import ScenarioSpec
+from repro.core.experiments.scenarios import run
 from repro.core.preload import CacheDeployment
 
 SCALE = 0.03
@@ -42,27 +43,27 @@ def summarise(result):
 
 class TestDeterminism:
     def test_same_seed_same_result(self):
-        a = run_scenario(
+        a = run(ScenarioSpec(
             "daytrader4", CacheDeployment.SHARED_COPY, scale=SCALE,
             measurement_ticks=2, seed=42,
-        )
-        b = run_scenario(
+        ))
+        b = run(ScenarioSpec(
             "daytrader4", CacheDeployment.SHARED_COPY, scale=SCALE,
             measurement_ticks=2, seed=42,
-        )
+        ))
         assert summarise(a) == summarise(b)
         assert a.ksm_stats.pages_scanned == b.ksm_stats.pages_scanned
         assert a.ksm_stats.merges == b.ksm_stats.merges
 
     def test_different_seed_different_details_same_shape(self):
-        a = run_scenario(
+        a = run(ScenarioSpec(
             "daytrader4", CacheDeployment.SHARED_COPY, scale=SCALE,
             measurement_ticks=2, seed=42,
-        )
-        b = run_scenario(
+        ))
+        b = run(ScenarioSpec(
             "daytrader4", CacheDeployment.SHARED_COPY, scale=SCALE,
             measurement_ticks=2, seed=43,
-        )
+        ))
         assert summarise(a) != summarise(b)
         # The qualitative claim survives the seed change.
         for result in (a, b):

@@ -1,9 +1,11 @@
-"""The content-addressed result cache (repro.exec.cache)."""
+"""The content-addressed result cache (repro.exec.cache) and the grid
+runner that is its one caller (``run_grid``)."""
 
-from repro.core.experiments.scenarios import (
-    ScenarioRequest,
-    run_scenario_cached,
-)
+import pytest
+
+from repro.config import ScenarioSpec
+from repro.core.experiments.consolidation import footprint
+from repro.core.experiments.scenarios import run, run_cached, run_grid
 from repro.core.preload import CacheDeployment
 from repro.core.report import render_vm_breakdown
 from repro.exec.cache import (
@@ -14,26 +16,42 @@ from repro.exec.cache import (
     default_cache,
     reset_default_cache,
 )
+from repro.exec.stats import GLOBAL_RUNNER_STATS
 
-TINY = ScenarioRequest(
+TINY = ScenarioSpec(
     "daytrader4", CacheDeployment.SHARED_COPY, scale=0.02,
     measurement_ticks=1, seed=99,
 )
 
+#: Measure calls made in this process (``jobs=1`` runs in-process).
+CALLS = []
+
+
+def describe(spec):
+    """A cheap module-level measure: no testbed, just the spec's seed."""
+    CALLS.append(spec.seed)
+    return {"scenario": spec.scenario, "seed": spec.seed}
+
+
+GRID = [
+    (describe, ScenarioSpec("daytrader4", seed=seed)) for seed in (1, 2, 3)
+]
+
+
+def _runner_units():
+    stats = GLOBAL_RUNNER_STATS
+    return stats.parallel_units + stats.serial_units
+
 
 class TestResultCache:
     def test_get_or_compute_computes_once(self, tmp_path):
+        """A cell measured once is served from the cache afterwards."""
         cache = ResultCache(root=tmp_path)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return {"answer": 42}
-
-        first = cache.get_or_compute(("k", 1), compute)
-        second = cache.get_or_compute(("k", 1), compute)
-        assert first == second == {"answer": 42}
-        assert calls == [1]
+        CALLS.clear()
+        first = run_grid(GRID[:1], cache=cache)
+        second = run_grid(GRID[:1], cache=cache)
+        assert first == second == [{"scenario": "daytrader4", "seed": 1}]
+        assert CALLS == [1]
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.stores == 1
@@ -68,10 +86,12 @@ class TestResultCache:
 
     def test_disabled_cache_touches_nothing(self, tmp_path):
         cache = ResultCache(root=tmp_path, enabled=False)
-        value = cache.get_or_compute(("k",), lambda: "computed")
-        assert value == "computed"
+        measure, spec = GRID[0]
+        value = run_grid([(measure, spec)], cache=cache)
+        assert value == [{"scenario": "daytrader4", "seed": 1}]
         assert not cache.entries()
-        assert cache.get(cache.key("k"))[1] is False
+        assert cache.stats.lookups == 0 and cache.stats.stores == 0
+        assert cache.get(cache.key(measure, *spec.cache_parts()))[1] is False
 
     def test_env_kill_switch(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_CACHE_ENABLED, "0")
@@ -114,14 +134,53 @@ class TestResultCache:
         assert leftovers == []
 
 
+class TestRunGrid:
+    def test_run_and_footprint_cells_get_different_keys(self, tmp_path):
+        """Two measures over one spec never share a cache entry."""
+        cache = ResultCache(root=tmp_path)
+        run_key = cache.key(run, *TINY.cache_parts())
+        footprint_key = cache.key(footprint, *TINY.cache_parts())
+        assert run_key != footprint_key
+        cache.put(run_key, "a run result")
+        cache.put(footprint_key, "a footprint")
+        cells = [(run, TINY), (footprint, TINY)]
+        assert run_grid(cells, cache=cache) == ["a run result", "a footprint"]
+        assert cache.stats.hits == 2 and cache.stats.misses == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_parent_resolves_hits_and_stores_misses(self, tmp_path, jobs):
+        cache = ResultCache(root=tmp_path)
+        run_grid(GRID[1:2], cache=cache)  # one cell already cached
+        warm = ResultCache(root=tmp_path)
+        units = _runner_units()
+        results = run_grid(GRID, jobs=jobs, cache=warm)
+        assert results == [
+            {"scenario": "daytrader4", "seed": seed} for seed in (1, 2, 3)
+        ]
+        assert warm.stats.hits == 1
+        assert warm.stats.misses == 2
+        assert warm.stats.stores == 2
+        assert _runner_units() - units == 2
+
+    def test_worker_count_changes_nothing(self, tmp_path):
+        serial = ResultCache(root=tmp_path / "serial")
+        parallel = ResultCache(root=tmp_path / "parallel")
+        assert run_grid(GRID, jobs=1, cache=serial) == run_grid(
+            GRID, jobs=2, cache=parallel
+        )
+        names = lambda cache: [path.name for path in cache.entries()]
+        assert names(serial) == names(parallel)
+        assert len(names(serial)) == len(GRID)
+
+
 class TestScenarioRoundTrip:
     def test_store_load_equal(self, tmp_path):
         writer = ResultCache(root=tmp_path)
-        fresh = run_scenario_cached(TINY, writer)
+        fresh = run_cached(TINY, writer)
         assert writer.stats.misses == 1 and writer.stats.stores == 1
 
         reader = ResultCache(root=tmp_path)
-        loaded = run_scenario_cached(TINY, reader)
+        loaded = run_cached(TINY, reader)
         assert reader.stats.hits == 1 and reader.stats.misses == 0
         assert render_vm_breakdown(
             loaded.vm_breakdown, "t"
@@ -129,7 +188,7 @@ class TestScenarioRoundTrip:
         assert loaded.ksm_stats.pages_scanned == fresh.ksm_stats.pages_scanned
 
     def test_no_cache_falls_through(self):
-        result = run_scenario_cached(TINY, cache=None)
+        result = run_cached(TINY, cache=None)
         assert result.scenario == "daytrader4"
 
 

@@ -6,14 +6,11 @@ Equality is asserted on the *serialized reports* (the byte-for-byte
 text the figures print), the strongest observable the pipeline has.
 """
 
+from repro.config import ScenarioSpec
 from repro.core.experiments.consolidation import run_daytrader_consolidation
-from repro.core.experiments.scenarios import (
-    ScenarioRequest,
-    run_scenario_request,
-)
+from repro.core.experiments.scenarios import run, run_grid
 from repro.core.preload import CacheDeployment
 from repro.core.report import render_series, render_vm_breakdown
-from repro.exec.runner import ParallelRunner, WorkUnit
 
 SCALE = 0.02
 SWEEP_KWARGS = dict(
@@ -57,21 +54,20 @@ class TestParallelSerialEquality:
                 assert a == b
 
     def test_breakdown_scenarios_jobs4_equal_serial(self):
-        requests = [
-            ScenarioRequest(
-                "daytrader4", deployment, scale=SCALE,
-                measurement_ticks=1, seed=7,
+        cells = [
+            (
+                run,
+                ScenarioSpec(
+                    "daytrader4", deployment, scale=SCALE,
+                    measurement_ticks=1, seed=7,
+                ),
             )
             for deployment in (
                 CacheDeployment.NONE, CacheDeployment.SHARED_COPY
             )
         ]
-        units = [
-            WorkUnit(run_scenario_request, (request,), label=str(index))
-            for index, request in enumerate(requests)
-        ]
-        serial = ParallelRunner(jobs=1).map(units)
-        parallel = ParallelRunner(jobs=4).map(units)
+        serial = run_grid(cells, jobs=1)
+        parallel = run_grid(cells, jobs=4)
         for fast, slow in zip(parallel, serial):
             assert render_vm_breakdown(
                 fast.vm_breakdown, "cmp"

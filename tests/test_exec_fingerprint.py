@@ -5,13 +5,18 @@ import enum
 
 import pytest
 
-from repro.core.experiments.scenarios import ScenarioRequest
 from repro.core.preload import CacheDeployment
 from repro.exec.fingerprint import canonical, fingerprint64, fingerprint_hex
 from repro.faults import FaultPlan
 from repro.faults.plan import FaultRates
 from repro.workloads.base import build_workload
-from repro.config import Benchmark
+from repro.config import (
+    Benchmark,
+    HugePageSettings,
+    KsmSettings,
+    ScenarioSpec,
+    TieringSettings,
+)
 
 
 class Color(enum.Enum):
@@ -77,14 +82,15 @@ class TestFingerprint:
 
 
 class TestScenarioRequestFingerprint:
-    """Regression for the old benchmark-session cache bug: the key must
-    change whenever *any* input that affects the result changes —
-    the old dict keyed only on (scenario, deployment) and could serve a
-    stale result after REPRO_BENCH_SCALE/TICKS changed mid-session."""
+    """Regression for the old benchmark-session cache bug: a
+    :class:`ScenarioSpec`'s key must change whenever *any* input that
+    affects the result changes — the old dict keyed only on (scenario,
+    deployment) and could serve a stale result after
+    REPRO_BENCH_SCALE/TICKS changed mid-session."""
 
-    BASE = ScenarioRequest(
+    BASE = ScenarioSpec(
         "daytrader4", CacheDeployment.NONE, scale=0.1,
-        measurement_ticks=4, seed=1, scan_policy="full",
+        measurement_ticks=4, seed=1,
     )
 
     @pytest.mark.parametrize(
@@ -95,8 +101,13 @@ class TestScenarioRequestFingerprint:
             {"scale": 0.2},
             {"measurement_ticks": 6},
             {"seed": 2},
-            {"scan_policy": "incremental"},
+            {"ksm": KsmSettings(scan_policy="incremental")},
             {"faults": FaultPlan(1337)},
+            {"guests": 3},
+            {"host_ram_fraction": 0.6},
+            {"ksm": KsmSettings(enabled=False)},
+            {"tiering": TieringSettings(mode="compress")},
+            {"hugepages": HugePageSettings(policy="always")},
         ],
     )
     def test_any_field_change_changes_fingerprint(self, change):
@@ -109,6 +120,10 @@ class TestScenarioRequestFingerprint:
         clone = dataclasses.replace(self.BASE)
         assert fingerprint64(self.BASE.cache_parts()) == fingerprint64(
             clone.cache_parts()
+        )
+        unset = dataclasses.replace(self.BASE, deployment=None)
+        assert fingerprint64(unset.cache_parts()) == fingerprint64(
+            self.BASE.cache_parts()
         )
 
 

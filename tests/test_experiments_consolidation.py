@@ -2,17 +2,23 @@
 
 import pytest
 
+from repro.config import ScenarioSpec
 from repro.core.experiments.consolidation import (
-    measure_footprint,
+    footprint,
     run_daytrader_consolidation,
     run_specj_consolidation,
 )
 from repro.core.preload import CacheDeployment
-from repro.units import GiB, MiB
-from repro.workloads.base import build_workload
-from repro.config import Benchmark
+from repro.units import MiB
 
 SCALE = 0.03
+
+
+def _daytrader_footprint(deployment):
+    return footprint(ScenarioSpec(
+        "daytrader4", deployment, scale=SCALE, measurement_ticks=2,
+        guests=3,
+    ))
 
 
 @pytest.fixture(scope="module")
@@ -27,27 +33,16 @@ def specj():
 
 class TestFootprintMeasurement:
     def test_footprint_scales_back_to_full_size(self):
-        workload = build_workload(Benchmark.DAYTRADER)
-        footprint = measure_footprint(
-            workload, CacheDeployment.NONE, 1 * GiB, scale=SCALE,
-            measurement_ticks=2,
-        )
+        measured = _daytrader_footprint(CacheDeployment.NONE)
         # A 1 GB DayTrader guest maps roughly 1 GB (±20 %).
-        assert 800 * MiB < footprint.per_vm_resident_bytes < 1200 * MiB
-        assert 0 < footprint.per_nonprimary_saving_bytes < (
-            footprint.per_vm_resident_bytes
+        assert 800 * MiB < measured.per_vm_resident_bytes < 1200 * MiB
+        assert 0 < measured.per_nonprimary_saving_bytes < (
+            measured.per_vm_resident_bytes
         )
 
     def test_preload_increases_saving(self):
-        workload = build_workload(Benchmark.DAYTRADER)
-        base = measure_footprint(
-            workload, CacheDeployment.NONE, 1 * GiB, scale=SCALE,
-            measurement_ticks=2,
-        )
-        preloaded = measure_footprint(
-            workload, CacheDeployment.SHARED_COPY, 1 * GiB, scale=SCALE,
-            measurement_ticks=2,
-        )
+        base = _daytrader_footprint(CacheDeployment.NONE)
+        preloaded = _daytrader_footprint(CacheDeployment.SHARED_COPY)
         gain = (
             preloaded.per_nonprimary_saving_bytes
             - base.per_nonprimary_saving_bytes
@@ -56,14 +51,10 @@ class TestFootprintMeasurement:
         assert 60 * MiB < gain < 160 * MiB
 
     def test_marginal_vm_cost(self):
-        workload = build_workload(Benchmark.DAYTRADER)
-        footprint = measure_footprint(
-            workload, CacheDeployment.NONE, 1 * GiB, scale=SCALE,
-            measurement_ticks=2,
-        )
-        assert footprint.marginal_vm_bytes == (
-            footprint.per_vm_resident_bytes
-            - footprint.per_nonprimary_saving_bytes
+        measured = _daytrader_footprint(CacheDeployment.NONE)
+        assert measured.marginal_vm_bytes == (
+            measured.per_vm_resident_bytes
+            - measured.per_nonprimary_saving_bytes
         )
 
 

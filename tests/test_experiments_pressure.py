@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.config import KsmSettings, ScenarioSpec, TieringSettings
 from repro.core.experiments.pressure import (
     PRESSURE_ARMS,
-    PressureArmRequest,
-    run_pressure_arm,
+    arm_spec,
+    pressure_arm,
     run_pressure_family,
 )
 
@@ -29,13 +30,39 @@ def family():
 class TestRequest:
     def test_unknown_arm_rejected(self):
         with pytest.raises(ValueError):
-            PressureArmRequest(arm="swap")
+            arm_spec("swap", scenario="daytrader4")
+        # A spec whose KSM/tiering pair is in no row of the arm table is
+        # rejected before any testbed is built.
+        with pytest.raises(ValueError):
+            pressure_arm(ScenarioSpec(
+                "daytrader4",
+                ksm=KsmSettings(enabled=False),
+                tiering=TieringSettings(mode="hints"),
+            ))
+
+    def test_arm_table(self):
+        for arm, ksm_on, mode in [
+            ("none", False, "off"),
+            ("ksm", True, "off"),
+            ("compression", False, "compress"),
+            ("balloon", False, "balloon"),
+            ("combined", True, "combined"),
+        ]:
+            spec = arm_spec(arm, scenario="daytrader4", seed=11)
+            assert spec.ksm == KsmSettings(
+                scan_policy="hybrid", enabled=ksm_on
+            ), arm
+            assert spec.tiering == TieringSettings(mode=mode), arm
+            assert spec.seed == 11
 
     def test_bad_ram_fraction_rejected(self):
         with pytest.raises(ValueError):
-            PressureArmRequest(arm="ksm", host_ram_fraction=0.0)
+            arm_spec("ksm", scenario="daytrader4", host_ram_fraction=0.0)
         with pytest.raises(ValueError):
-            PressureArmRequest(arm="ksm", host_ram_fraction=1.5)
+            ScenarioSpec("daytrader4", host_ram_fraction=1.5)
+        assert ScenarioSpec(
+            "daytrader4", host_ram_fraction=1.0
+        ).host_ram_fraction == 1.0
 
     def test_unknown_family_arm_rejected(self):
         with pytest.raises(ValueError):
@@ -116,11 +143,13 @@ class TestFamily:
 
 class TestSingleArm:
     def test_single_arm_reproducible(self):
-        request = PressureArmRequest(
-            arm="compression", scale=0.02, measurement_ticks=2, seed=11
+        spec = arm_spec(
+            "compression", scenario="daytrader4", scale=0.02,
+            measurement_ticks=2, seed=11, host_ram_fraction=0.6,
         )
-        first = run_pressure_arm(request)
-        second = run_pressure_arm(request)
+        first = pressure_arm(spec)
+        second = pressure_arm(spec)
+        assert first.arm == "compression"
         assert first == second
 
     def test_caching_round_trip(self, tmp_path):

@@ -7,7 +7,8 @@ at 3 % scale and assert the paper's qualitative claims hold.
 import pytest
 
 from repro.core.categories import MemoryCategory
-from repro.core.experiments.scenarios import SCENARIOS, run_scenario
+from repro.config import ScenarioSpec
+from repro.core.experiments.scenarios import SCENARIOS, run
 from repro.core.preload import CacheDeployment
 
 SCALE = 0.03
@@ -16,18 +17,18 @@ TICKS = 2
 
 @pytest.fixture(scope="module")
 def daytrader_baseline():
-    return run_scenario(
+    return run(ScenarioSpec(
         "daytrader4", CacheDeployment.NONE, scale=SCALE,
         measurement_ticks=TICKS,
-    )
+    ))
 
 
 @pytest.fixture(scope="module")
 def daytrader_preloaded():
-    return run_scenario(
+    return run(ScenarioSpec(
         "daytrader4", CacheDeployment.SHARED_COPY, scale=SCALE,
         measurement_ticks=TICKS,
-    )
+    ))
 
 
 class TestBaseline:
@@ -128,26 +129,26 @@ class TestOtherScenarios:
     def test_mixed_apps_preload_shares_middleware(self):
         """Fig. 5(b): different apps in the same WAS still share the
         middleware class pages (the cache serves all of them)."""
-        result = run_scenario(
+        result = run(ScenarioSpec(
             "mixed3", CacheDeployment.SHARED_COPY, scale=SCALE,
             measurement_ticks=TICKS,
-        )
+        ))
         assert len(result.java_breakdown.rows) == 3
         for row in result.java_breakdown.non_primary_rows():
             assert row.shared_fraction(MemoryCategory.CLASS_METADATA) > 0.6
 
     def test_tuscany_preload_works_without_was(self):
         """Fig. 5(c): the technique is not WAS-specific."""
-        result = run_scenario(
+        result = run(ScenarioSpec(
             "tuscany3", CacheDeployment.SHARED_COPY, scale=0.2,
             measurement_ticks=TICKS,
-        )
+        ))
         for row in result.java_breakdown.non_primary_rows():
             assert row.shared_fraction(MemoryCategory.CLASS_METADATA) > 0.6
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
-            run_scenario("nope")
+            run(ScenarioSpec("nope"))
 
     def test_scenario_names_stable(self):
         assert SCENARIOS == ("daytrader4", "mixed3", "tuscany3")
@@ -157,10 +158,10 @@ class TestPerVmCacheAblation:
     def test_per_vm_caches_do_not_share(self):
         """The ablation behind §IV: class sharing alone is not enough —
         the cache file must be *copied*, not regenerated per VM."""
-        result = run_scenario(
+        result = run(ScenarioSpec(
             "daytrader4", CacheDeployment.PER_VM, scale=SCALE,
             measurement_ticks=TICKS,
-        )
+        ))
         for row in result.java_breakdown.non_primary_rows():
             # A few percent of incidental sharing remains (multi-page ROM
             # classes that happen to land at the same intra-page offset in

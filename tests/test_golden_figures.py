@@ -16,10 +16,18 @@ through :func:`golden`.  ``pressure.json`` and ``hugepages.json`` hold
 the canonical JSON (:func:`report_json`) of the pressure family and the
 huge-page curve runs in ``tests/test_experiments_pressure.py`` and
 ``tests/test_hugepages.py``, read through :func:`golden_report`.
+
+``benchmarks/golden/<fig>.txt`` holds the paper-scale outputs
+(``python -m repro <fig> --scale 1.0 --ticks 6``, default seed) of the
+eleven figure commands.  They take minutes, so CI's
+``paper-scale-golden`` job regenerates and diffs them; here one fast
+test reads their headline values and checks that EXPERIMENTS.md states
+the same numbers.
 """
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -29,9 +37,9 @@ from repro.cli import main
 from tests.oracle import use_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
-BENCH_REFERENCES = (
-    Path(__file__).parent.parent / "perfbench" / "references.json"
-)
+ROOT = Path(__file__).parent.parent
+BENCH_REFERENCES = ROOT / "perfbench" / "references.json"
+PAPER_SCALE = ROOT / "benchmarks" / "golden"
 FIG3C_ARGV = ["fig3c", "--no-cache", "--seed", "20130421"]
 
 
@@ -65,3 +73,62 @@ def test_fig3c_golden_is_the_benchmark_reference():
     digest = hashlib.sha256((GOLDEN / "fig3c.txt").read_bytes()).hexdigest()
     references = json.loads(BENCH_REFERENCES.read_text())
     assert digest == references["fig3c_steady"]["20130421"]
+
+
+def _paper_scale(figure: str) -> str:
+    return (PAPER_SCALE / f"{figure}.txt").read_text()
+
+
+def _total_mb(figure: str) -> float:
+    """The TOTAL usage row of a VM-breakdown figure."""
+    match = re.search(r"^TOTAL\s+([\d.]+)", _paper_scale(figure), re.M)
+    return float(match.group(1))
+
+
+def _max_vms(figure: str) -> str:
+    """``"<default> → <preloaded>"`` max acceptable VMs of a sweep."""
+    found = dict(re.findall(
+        r"^\s+(default|preloaded): .*max acceptable VMs=(\d+)$",
+        _paper_scale(figure),
+        re.M,
+    ))
+    return f"{found['default']} → {found['preloaded']}"
+
+
+def _class_metadata(figure: str):
+    """(shared, total) MB of class metadata on each non-primary JVM."""
+    lines = _paper_scale(figure).splitlines()
+    header = re.split(r"\s{2,}", lines[2].strip())
+    column = header.index("Class metadata") - 1
+    cells = set()
+    for line in lines[4:]:
+        if not line.startswith("vm"):
+            break
+        usage, shared = re.findall(r"([\d.]+) \(\s*([\d.]+)\)", line)[
+            column
+        ]
+        if float(shared) > 0:  # the owner JVM shares nothing
+            cells.add((shared, usage))
+    assert len(cells) == 1, cells
+    return cells.pop()
+
+
+def test_paper_scale_headlines_match_experiments_md():
+    experiments = (ROOT / "EXPERIMENTS.md").read_text()
+    before, after = _total_mb("fig2"), _total_mb("fig4")
+    shared, total = _class_metadata("fig5a")
+    percent = f"{100 * float(shared) / float(total):.1f} %"
+    rows = [
+        f"| Figs. 2 → 4, TOTAL of the four guests | "
+        f"{before:.1f} → {after:.1f} MB |",
+        f"| Fig. 5(a), each non-primary JVM | {shared} of {total} MB "
+        f"class metadata shared ({percent}) |",
+        f"| Fig. 7, max acceptable VMs | {_max_vms('fig7')} VMs |",
+        f"| Fig. 8, max VMs meeting the SLA | {_max_vms('fig8')} VMs |",
+    ]
+    for row in rows:
+        assert row in experiments, row
+    # The per-figure tables quote the same runs, rounded.
+    rounded = lambda mb: f"{mb:,.0f}".replace(",", " ")
+    assert f"{rounded(before)} → {rounded(after)} MB" in experiments
+    assert f"**{percent}**" in experiments

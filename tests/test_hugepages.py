@@ -274,3 +274,24 @@ class TestTradeoffCurve:
         )
         for point in serial.points.values():
             assert point.validation_codes == []
+
+    def test_single_scenario_curve_prices_its_own_pressure(self):
+        """A curve restricted to one scenario takes its pressure points
+        and fleet estimate from that scenario."""
+        from repro.config import THP_POLICIES
+        from repro.core.experiments.hugepages import run_hugepage_tradeoff
+
+        curve = run_hugepage_tradeoff(
+            scale=0.02, measurement_ticks=1, scenarios=("tuscany3",)
+        )
+        assert set(curve.points) == {
+            ("tuscany3", policy) for policy in THP_POLICIES
+        }
+        assert set(curve.pressure) == set(THP_POLICIES)
+        assert set(curve.fleet) == set(THP_POLICIES)
+        for policy in THP_POLICIES:
+            point = curve.point("tuscany3", policy)
+            row = curve.fleet[policy]
+            assert row["hosts"] == curve.to_dict()["fleet_hosts"] == 24
+            assert row["saved_bytes"] == point.saved_bytes * 24
+            assert row["throughput_fraction"] == point.throughput_fraction

@@ -43,13 +43,12 @@ def test_render_orders_standard_phases_first():
 
 
 def test_scenario_run_fills_standard_phases(tmp_path):
-    from repro.core.experiments.scenarios import run_scenario
+    from repro.config import ScenarioSpec
+    from repro.core.experiments.scenarios import run
 
     profiler = PhaseProfiler()
-    run_scenario(
-        "daytrader4",
-        scale=0.02,
-        measurement_ticks=2,
+    run(
+        ScenarioSpec("daytrader4", scale=0.02, measurement_ticks=2),
         profiler=profiler,
     )
     for phase in ("build", "warmup", "workload", "scan", "dump",

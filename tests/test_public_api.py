@@ -2,8 +2,6 @@
 
 import inspect
 
-import pytest
-
 import repro
 
 
@@ -13,7 +11,7 @@ class TestExports:
             assert hasattr(repro, name), name
 
     def test_version(self):
-        assert repro.__version__ == "1.2.0"
+        assert repro.__version__ == "2.0.0"
 
     def test_public_callables_documented(self):
         for name in repro.__all__:
@@ -22,7 +20,8 @@ class TestExports:
                 assert obj.__doc__, f"{name} lacks a docstring"
 
     def test_key_entry_points_present(self):
-        assert callable(repro.run_scenario)
+        assert callable(repro.run)
+        assert callable(repro.run_grid)
         assert callable(repro.run_powervm_experiment)
         assert callable(repro.run_daytrader_consolidation)
         assert callable(repro.run_specj_consolidation)
@@ -65,14 +64,3 @@ class TestMinimalFlow:
         )
         row = result.java_breakdown.non_primary_rows()[0]
         assert row.shared_fraction(MemoryCategory.CLASS_METADATA) > 0.5
-
-    def test_deprecated_shim_still_runs(self):
-        """The pre-1.1 entry point keeps working, with a warning."""
-        from repro import CacheDeployment, run_scenario
-
-        with pytest.warns(DeprecationWarning):
-            result = run_scenario(
-                "daytrader4", CacheDeployment.NONE, scale=0.02,
-                measurement_ticks=1,
-            )
-        assert result.ksm_stats.pages_scanned > 0

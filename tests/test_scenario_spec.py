@@ -1,118 +1,27 @@
-"""The unified ScenarioSpec API and its deprecation shims.
+"""The ScenarioSpec API: the one description of a testbed run.
 
-One frozen value object — :class:`repro.config.ScenarioSpec` — now
-describes every scenario run; ``run_scenario`` / ``run_scenario_request``
-/ ``run_scenario_cached`` are deprecation shims over ``run`` /
-``run_cached``.  The contract tested here: shims warn but produce
-*identical* results, legacy-representable specs fingerprint exactly like
-the historical :class:`ScenarioRequest` (so pre-existing cache entries
-keep hitting), and only genuinely new configurations (huge pages on)
-fingerprint under the new tag.
+One frozen value object — :class:`repro.config.ScenarioSpec` — describes
+every experiment cell; :func:`testbed_for` is the only place it becomes
+a testbed.  The contract tested here: the CLI namespace round-trips into
+a spec, settings validate themselves, and ``guests`` /
+``host_ram_fraction`` shape the testbed as documented.
 """
 
 import argparse
-import dataclasses
-import warnings
 
 import pytest
 
 from repro.config import (
+    Benchmark,
     HugePageSettings,
     KsmSettings,
     ScenarioSpec,
     TieringSettings,
 )
-from repro.core.experiments.scenarios import (
-    ScenarioRequest,
-    run,
-    run_cached,
-    run_scenario,
-    run_scenario_cached,
-    run_scenario_request,
-)
+from repro.core.experiments import scenarios
 from repro.core.preload import CacheDeployment
-from repro.exec.cache import ResultCache
-from repro.exec.fingerprint import fingerprint_hex
 
 KWARGS = dict(scale=0.02, measurement_ticks=2, seed=20130421)
-
-
-class TestFingerprintCompatibility:
-    REQUESTS = [
-        ScenarioRequest("daytrader4", **KWARGS),
-        ScenarioRequest(
-            "mixed3",
-            deployment=CacheDeployment.SHARED_COPY,
-            scan_policy="hybrid",
-            **KWARGS,
-        ),
-        ScenarioRequest("tuscany3", tiering="combined", **KWARGS),
-    ]
-
-    @pytest.mark.parametrize(
-        "request_", REQUESTS, ids=[r.scenario for r in REQUESTS]
-    )
-    def test_legacy_requests_fingerprint_unchanged(self, request_):
-        """to_spec() emits the exact historical cache parts."""
-        legacy = fingerprint_hex(*request_.cache_parts())
-        assert request_.to_spec().to_fingerprint() == legacy
-
-    def test_hugepage_specs_fingerprint_under_new_tag(self):
-        spec = ScenarioSpec(
-            "daytrader4",
-            hugepages=HugePageSettings(policy="always", block_pages=16),
-            **KWARGS,
-        )
-        assert spec.cache_parts()[0] == "scenario-spec"
-        baseline = ScenarioSpec("daytrader4", **KWARGS)
-        assert baseline.cache_parts()[0] == "scenario-run"
-        assert spec.to_fingerprint() != baseline.to_fingerprint()
-
-    def test_jobs_never_reaches_the_fingerprint(self):
-        spec = ScenarioSpec(
-            "daytrader4",
-            hugepages=HugePageSettings(policy="always"),
-            **KWARGS,
-        )
-        assert spec.to_fingerprint() == dataclasses.replace(
-            spec, jobs=7
-        ).to_fingerprint()
-        legacy = ScenarioSpec("daytrader4", **KWARGS)
-        assert legacy.to_fingerprint() == dataclasses.replace(
-            legacy, jobs=7
-        ).to_fingerprint()
-
-
-class TestShims:
-    def test_run_scenario_warns_and_matches_run(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_scenario("daytrader4", **KWARGS)
-        modern = run(ScenarioSpec("daytrader4", **KWARGS))
-        assert legacy.ksm_stats == modern.ksm_stats
-        assert legacy.vm_breakdown.rows == modern.vm_breakdown.rows
-        assert legacy.java_breakdown.rows == modern.java_breakdown.rows
-        assert legacy.accounting == modern.accounting
-
-    def test_run_scenario_request_warns_and_matches_run(self):
-        request = ScenarioRequest("daytrader4", scan_policy="hybrid", **KWARGS)
-        with pytest.warns(DeprecationWarning):
-            legacy = run_scenario_request(request)
-        modern = run(request.to_spec())
-        assert legacy.ksm_stats == modern.ksm_stats
-        assert legacy.accounting == modern.accounting
-
-    def test_cached_shim_and_run_cached_share_entries(self, tmp_path):
-        """A result cached through the legacy shim hits for the spec."""
-        cache = ResultCache(root=tmp_path)
-        request = ScenarioRequest("daytrader4", **KWARGS)
-        with pytest.warns(DeprecationWarning):
-            first = run_scenario_cached(request, cache=cache)
-        key = cache.key(*request.to_spec().cache_parts())
-        cached, hit = cache.get(key)
-        assert hit
-        assert cached.ksm_stats == first.ksm_stats
-        second = run_cached(request.to_spec(), cache=cache)
-        assert second.ksm_stats == first.ksm_stats
 
 
 class TestFromCliArgs:
@@ -146,7 +55,9 @@ class TestFromCliArgs:
         assert spec.hugepages == HugePageSettings(
             policy="khugepaged", block_pages=64
         )
-        assert spec.jobs == 3
+        # --jobs is the grid's fan-out width, not part of the spec.
+        assert spec.guests is None
+        assert spec.host_ram_fraction == 1.0
 
     def test_faults_parsed_from_spec_string(self):
         spec = ScenarioSpec.from_cli_args(
@@ -181,3 +92,76 @@ class TestSettingsValidation:
             HugePageSettings(policy="khugepaged", collapse_hot_fraction=0.0)
         with pytest.raises(ValueError):
             HugePageSettings(policy="khugepaged", collapse_hot_fraction=1.5)
+
+    def test_guests_must_be_positive(self):
+        with pytest.raises(ValueError):
+            ScenarioSpec("daytrader4", guests=0)
+        assert ScenarioSpec("daytrader4", guests=1).guests == 1
+
+
+class TestTestbedFor:
+    def test_scenario_arrangement_by_default(self):
+        testbed = scenarios.testbed_for(ScenarioSpec("mixed3", **KWARGS))
+        assert [guest.name for guest in testbed.specs] == [
+            "vm1", "vm2", "vm3"
+        ]
+        assert [guest.workload.benchmark for guest in testbed.specs] == [
+            Benchmark.DAYTRADER, Benchmark.SPECJENTERPRISE, Benchmark.TPCW
+        ]
+
+    def test_guests_cycle_the_arrangement_and_share_workloads(self):
+        testbed = scenarios.testbed_for(
+            ScenarioSpec("mixed3", guests=5, **KWARGS)
+        )
+        guests = testbed.specs
+        assert [guest.name for guest in guests] == [
+            "vm1", "vm2", "vm3", "vm4", "vm5"
+        ]
+        assert [guest.workload.benchmark for guest in guests] == [
+            Benchmark.DAYTRADER, Benchmark.SPECJENTERPRISE, Benchmark.TPCW,
+            Benchmark.DAYTRADER, Benchmark.SPECJENTERPRISE,
+        ]
+        assert guests[0].workload is guests[3].workload
+        assert guests[1].workload is guests[4].workload
+        assert guests[1].memory_bytes > guests[0].memory_bytes
+
+    def test_specj3_runs_gencon(self):
+        from repro.config import GcPolicy
+
+        testbed = scenarios.testbed_for(ScenarioSpec("specj3", **KWARGS))
+        assert len(testbed.specs) == 3
+        for guest in testbed.specs:
+            assert guest.workload.jvm_config.gc_policy is GcPolicy.GENCON
+
+    def test_host_ram_fraction_undersizes_the_host(self):
+        full = scenarios.testbed_for(ScenarioSpec("daytrader4", **KWARGS))
+        small = scenarios.testbed_for(
+            ScenarioSpec("daytrader4", host_ram_fraction=0.5, **KWARGS)
+        )
+        assert small.config.host_ram_bytes == (
+            full.config.host_ram_bytes // 2
+        )
+
+    def test_spec_settings_reach_the_config(self):
+        spec = ScenarioSpec(
+            "daytrader4",
+            deployment=CacheDeployment.SHARED_COPY,
+            ksm=KsmSettings(enabled=False),
+            tiering=TieringSettings(mode="compress"),
+            hugepages=HugePageSettings(policy="always", block_pages=16),
+            **KWARGS,
+        )
+        config = scenarios.testbed_for(spec).config
+        assert config.deployment is CacheDeployment.SHARED_COPY
+        assert config.ksm.enabled is False
+        assert config.tiering.mode == "compress"
+        assert config.hugepages.policy == "always"
+        assert config.measurement_ticks == 2
+        default = scenarios.testbed_for(
+            ScenarioSpec("daytrader4", **KWARGS)
+        ).config
+        assert default.tiering is None and default.hugepages is None
+
+    def test_unknown_scenario_rejected(self):
+        with pytest.raises(ValueError):
+            scenarios.testbed_for(ScenarioSpec("nope"))
