@@ -271,62 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_report_arguments(pressure)
-    fleet = sub.add_parser(
-        "fleet",
-        help=(
-            "run a fleet-scale chaos scenario: seeded faults, live "
-            "migration, self-healing placement"
-        ),
-    )
-    fleet.add_argument(
-        "--hosts", type=int, default=50, help="host count (default 50)"
-    )
-    fleet.add_argument(
-        "--vms", type=int, default=200, help="VM arrivals (default 200)"
-    )
-    fleet.add_argument(
-        "--host-ram-gib", type=int, default=16,
-        help="RAM per host in GiB (default 16)",
-    )
-    fleet.add_argument("--seed", type=int, default=20130421)
-    fleet.add_argument(
-        "--chaos-plan", metavar="SEED[:RATE]", default=None,
-        help=(
-            "arm the fleet chaos engine from this seed (optional RATE "
-            "in [0,1] applies to every fleet fault class; without it "
-            "the default per-class rates apply).  Omit for a fault-free "
-            "run."
-        ),
-    )
-    fleet.add_argument(
-        "--horizon-minutes", type=int, default=30,
-        help="length of the simulated timeline (default 30)",
-    )
-    fleet.add_argument(
-        "--policy", choices=["sharing-aware", "first-fit"],
-        default="sharing-aware",
-    )
-    fleet.add_argument(
-        "--jobs", type=int, default=None,
-        help=(
-            "worker processes for the per-host sharing convergence "
-            "(default: $REPRO_JOBS, else 1); results are bit-identical "
-            "at any value"
-        ),
-    )
-    _add_report_arguments(fleet)
-    fleet.add_argument(
-        "--events", type=int, default=0, metavar="N",
-        help="print the first N timeline events (0 = none)",
-    )
-    fleet.add_argument(
-        "--calibrate", type=int, default=0, metavar="N",
-        help=(
-            "after the run, re-simulate N sampled occupied hosts as "
-            "real guest memory scanned by the KSM scanner and "
-            "report the analytic-vs-simulated savings error (0 = off)"
-        ),
-    )
     cache_cmd = sub.add_parser(
         "cache", help="inspect or wipe the result cache"
     )
@@ -365,14 +309,16 @@ def _print_fault_reports(result) -> None:
         print(result.validation_report.render())
 
 
-def _scenario_result(args, scenario: str, deployment):
+def _scenario_result(
+    args, scenario: str, deployment, cache: Optional[ResultCache]
+):
     """Run a scenario spec: cached normally, direct when profiled."""
     spec = ScenarioSpec.from_cli_args(
         args, scenario=scenario, deployment=deployment
     )
     profile_path = getattr(args, "profile", None)
     if profile_path is None and args.command != "profile":
-        return run_cached(spec, cache=_cache_from(args))
+        return run_cached(spec, cache=cache)
     from repro.perf import PhaseProfiler
 
     profiler = PhaseProfiler()
@@ -388,9 +334,11 @@ def _scenario_result(args, scenario: str, deployment):
     return result
 
 
-def _run_breakdown_figure(figure: str, args) -> None:
+def _run_breakdown_figure(
+    figure: str, args, cache: Optional[ResultCache]
+) -> None:
     scenario, deployment, kind = _BREAKDOWN_FIGURES[figure]
-    result = _scenario_result(args, scenario, deployment)
+    result = _scenario_result(args, scenario, deployment, cache)
     title = (
         f"{figure}: {scenario} ({deployment.value}), scale={args.scale}"
     )
@@ -429,9 +377,10 @@ def _run_fig6(args) -> None:
     ))
 
 
-def _run_consolidation(figure: str, args) -> None:
+def _run_consolidation(
+    figure: str, args, cache: Optional[ResultCache]
+) -> None:
     faults = _fault_plan(args)
-    cache = _cache_from(args)
     if figure == "fig7":
         result = run_daytrader_consolidation(
             footprint_scale=args.scale, seed=args.seed, faults=faults,
@@ -523,102 +472,7 @@ def _run_tables() -> None:
     ))
 
 
-def _run_fleet(args) -> int:
-    import json
-
-    from repro.datacenter.controller import (
-        FleetScenario,
-        run_fleet_scenario,
-    )
-    from repro.units import GiB
-
-    scenario = FleetScenario(
-        host_count=args.hosts,
-        vm_count=args.vms,
-        host_ram_bytes=args.host_ram_gib * GiB,
-        seed=args.seed,
-        policy=args.policy,
-        chaos_spec=args.chaos_plan,
-        horizon_ms=args.horizon_minutes * 60_000,
-    )
-    result = run_fleet_scenario(scenario, jobs=args.jobs)
-    report = result.as_dict()
-    calibration = None
-    if args.calibrate > 0:
-        from repro.datacenter.calibrate import calibrate_fleet
-
-        calibration = calibrate_fleet(
-            result.fleet,
-            sample=args.calibrate,
-            seed=args.seed,
-            jobs=args.jobs,
-        )
-        report["calibration"] = calibration.as_dict()
-    rendered = json.dumps(report, indent=2, sort_keys=True)
-    if args.bench_out:
-        with open(args.bench_out, "w") as handle:
-            handle.write(rendered + "\n")
-    if args.json:
-        print(rendered)
-    else:
-        savings = result.savings
-        print(
-            f"fleet: {args.hosts} hosts x {args.host_ram_gib} GiB, "
-            f"{args.vms} VM arrivals, policy={args.policy}"
-        )
-        chaos = args.chaos_plan if args.chaos_plan else "off"
-        print(
-            f"  chaos plan {chaos}: {result.faults_injected} fault(s) "
-            f"injected over {args.horizon_minutes} simulated minute(s)"
-        )
-        print(
-            f"  admission: {result.admitted} admitted, "
-            f"{result.queued_final} still queued, "
-            f"{result.rejected} rejected"
-        )
-        print(
-            f"  healing: {len(result.evacuation_latencies_ms)} "
-            f"evacuation(s) "
-            f"(max latency {report['evacuations']['max_latency_ms']} ms), "
-            f"{result.placements_retried} placement(s) retried"
-        )
-        migrations = result.migrations
-        print(
-            f"  migrations: {migrations.committed} committed, "
-            f"{migrations.failed} failed, "
-            f"{migrations.aborted_attempts} attempt(s) aborted by chaos"
-        )
-        if savings is not None:
-            print(
-                f"  sharing savings: "
-                f"[{savings.lower_bytes / MiB:.0f}, "
-                f"{savings.upper_bytes / MiB:.0f}] MB "
-                f"({savings.unreachable_hosts} host(s) unreachable) "
-                f"= {result.extra_vm_capacity()} extra VM(s) of capacity"
-            )
-        if result.baseline_saved_bytes is not None:
-            delta = report.get("saved_vs_first_fit_bytes", 0)
-            print(
-                f"  vs first-fit under the same chaos: "
-                f"{delta / MiB:+.0f} MB saved"
-            )
-        print(f"  placement fingerprint: {report['placement_fingerprint']}")
-        if calibration is not None:
-            print(calibration.render())
-        if args.events > 0:
-            print()
-            print(result.fleet.log.render(limit=args.events))
-    if result.violations:
-        print(
-            f"error: {len(result.violations)} fleet invariant "
-            "violation(s) detected",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _run_pressure(args) -> int:
+def _run_pressure(args, cache: Optional[ResultCache]) -> int:
     import json
 
     from repro.core.experiments.pressure import run_pressure_family
@@ -630,7 +484,7 @@ def _run_pressure(args) -> int:
         seed=args.seed,
         host_ram_fraction=args.ram_fraction,
         jobs=args.jobs,
-        cache=_cache_from(args),
+        cache=cache,
     )
     report = family.to_dict()
     rendered = json.dumps(report, indent=2, sort_keys=True)
@@ -687,7 +541,7 @@ def _run_pressure(args) -> int:
     return 0
 
 
-def _run_hugepages(args) -> int:
+def _run_hugepages(args, cache: Optional[ResultCache]) -> int:
     import json
 
     from repro.core.experiments.hugepages import (
@@ -703,7 +557,7 @@ def _run_hugepages(args) -> int:
         block_pages=args.hugepages,
         scenarios=scenarios,
         jobs=args.jobs,
-        cache=_cache_from(args),
+        cache=cache,
     )
     report = curve.to_dict()
     rendered = json.dumps(report, indent=2, sort_keys=True)
@@ -759,12 +613,7 @@ def _run_hugepages(args) -> int:
     return 0
 
 
-def _run_cache(args) -> None:
-    cache = (
-        ResultCache(root=args.cache_dir)
-        if args.cache_dir
-        else default_cache()
-    )
+def _run_cache(args, cache: ResultCache) -> None:
     if args.wipe:
         removed = cache.wipe()
         print(f"wiped {removed} cached result(s) from {cache.root}")
@@ -776,27 +625,28 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     command = args.command
     try:
+        # One instance per command, so --cache-stats reports the
+        # lookups the command itself made.
+        cache = _cache_from(args)
         if command in _BREAKDOWN_FIGURES:
-            _run_breakdown_figure(command, args)
+            _run_breakdown_figure(command, args, cache)
         elif command == "fig6":
             _run_fig6(args)
         elif command in ("fig7", "fig8"):
-            _run_consolidation(command, args)
+            _run_consolidation(command, args, cache)
         elif command == "tables":
             _run_tables()
         elif command == "doctor":
             _run_doctor(args)
-        elif command == "fleet":
-            return _run_fleet(args)
         elif command == "pressure":
-            return _run_pressure(args)
+            return _run_pressure(args, cache)
         elif command == "hugepages":
-            return _run_hugepages(args)
+            return _run_hugepages(args, cache)
         elif command == "cache":
-            _run_cache(args)
+            _run_cache(args, cache)
         elif command in ("scenario", "profile"):
             result = _scenario_result(
-                args, args.name, CacheDeployment(args.deployment)
+                args, args.name, CacheDeployment(args.deployment), cache
             )
             print(render_vm_breakdown(
                 result.vm_breakdown,
@@ -808,7 +658,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 _print_fault_reports(result)
         if getattr(args, "cache_stats", False):
             print()
-            print(render_exec_stats(cache=_cache_from(args)))
+            print(render_exec_stats(cache=cache))
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -58,16 +58,6 @@ SEVERITY_BY_CODE: Dict[str, Severity] = {
     # Compressed-pool / host-memory consistency.
     "compression-pool-mismatch": Severity.ERROR,
     "compression-stats-drift": Severity.ERROR,
-    # Fleet invariants (checked after every chaos event).
-    "fleet-vm-lost": Severity.FATAL,
-    "fleet-vm-double-placed": Severity.FATAL,
-    "fleet-placement-stale": Severity.ERROR,
-    "fleet-commit-mismatch": Severity.ERROR,
-    "fleet-reservation-leak": Severity.ERROR,
-    "fleet-overcommit": Severity.ERROR,
-    "fleet-down-host-occupied": Severity.ERROR,
-    "fleet-bytes-not-conserved": Severity.ERROR,
-    "fleet-negative-savings": Severity.ERROR,
     # Transparent-huge-page block invariants (split-on-KSM-merge).
     "thp-shared-in-block": Severity.ERROR,
     "thp-block-accounting": Severity.ERROR,
@@ -333,139 +323,6 @@ def validate_dump(dump: SystemDump) -> ValidationReport:
     for guest in dump.guests:
         _validate_guest(report, guest)
     _validate_host(report, dump)
-    report.sort()
-    return report
-
-
-def validate_fleet(fleet, savings=None) -> ValidationReport:
-    """Check a fleet's placement bookkeeping invariants.
-
-    Called after every injected chaos event, so it is duck-typed against
-    the :class:`repro.datacenter.fleet.Fleet` surface (hosts, vms,
-    placements, per-host byte counters) rather than importing the
-    datacenter layer into core.  The invariants:
-
-    * every admitted VM is either placed on exactly one live host or
-      pending — never lost (``fleet-vm-lost``), never on two hosts at
-      once (``fleet-vm-double-placed``);
-    * the ``placements`` map, the per-host VM tables and each VM's own
-      ``host`` field agree (``fleet-placement-stale``);
-    * per-host committed/reserved byte counters equal the sum over the
-      VMs that back them (``fleet-commit-mismatch`` /
-      ``fleet-reservation-leak``), and never exceed *physical* capacity
-      (``fleet-overcommit`` — pressure shrinks admission capacity, not
-      physics);
-    * a crashed host holds no VMs (``fleet-down-host-occupied``);
-    * total committed bytes across hosts equal the memory of the VMs
-      that are actually running or migrating
-      (``fleet-bytes-not-conserved``);
-    * when a savings figure is passed, its bounds are sane — never
-      negative, lower ≤ upper (``fleet-negative-savings``).
-    """
-    report = ValidationReport()
-    owners: Dict[str, List[str]] = {}
-    for host in fleet.hosts:
-        for vm_name in host.vms:
-            owners.setdefault(vm_name, []).append(host.name)
-        vm_bytes = sum(vm.memory_bytes for vm in host.vms.values())
-        if host.committed_bytes != vm_bytes:
-            report.add(
-                "fleet-commit-mismatch", host.name,
-                f"committed counter says {host.committed_bytes} B but "
-                f"resident VMs sum to {vm_bytes} B",
-            )
-        if host.committed_bytes + host.reserved_bytes > host.capacity_bytes:
-            report.add(
-                "fleet-overcommit", host.name,
-                f"committed+reserved "
-                f"{host.committed_bytes + host.reserved_bytes} B exceed "
-                f"physical capacity {host.capacity_bytes} B",
-            )
-        if host.state.value == "down" and host.vms:
-            report.add(
-                "fleet-down-host-occupied", host.name,
-                f"crashed host still holds {len(host.vms)} VM(s): "
-                f"{sorted(host.vms)[:3]}",
-                count=len(host.vms),
-            )
-    reserved: Counter = Counter()
-    for vm in fleet.vms.values():
-        if vm.reserved_on is not None:
-            reserved[vm.reserved_on] += vm.memory_bytes
-    for host in fleet.hosts:
-        if host.reserved_bytes != reserved.get(host.name, 0):
-            report.add(
-                "fleet-reservation-leak", host.name,
-                f"reserved counter says {host.reserved_bytes} B but "
-                f"in-flight migrations account for "
-                f"{reserved.get(host.name, 0)} B",
-            )
-    for vm_name, host_names in sorted(owners.items()):
-        if len(host_names) > 1:
-            report.add(
-                "fleet-vm-double-placed", vm_name,
-                f"VM resident on {len(host_names)} hosts at once: "
-                f"{sorted(host_names)}",
-                count=len(host_names),
-            )
-        if vm_name not in fleet.vms:
-            report.add(
-                "fleet-placement-stale", vm_name,
-                f"host {host_names[0]} holds a VM the fleet no longer "
-                "tracks",
-            )
-    host_names = {host.name for host in fleet.hosts}
-    for vm in fleet.vms.values():
-        placed_on = owners.get(vm.name, [])
-        if vm.host is None:
-            if placed_on:
-                report.add(
-                    "fleet-placement-stale", vm.name,
-                    f"VM believes it is unplaced but "
-                    f"{placed_on[0]} still holds it",
-                )
-            if vm.name in fleet.placements:
-                report.add(
-                    "fleet-placement-stale", vm.name,
-                    "unplaced VM still appears in the placements map",
-                )
-            continue
-        if vm.host not in host_names:
-            report.add(
-                "fleet-vm-lost", vm.name,
-                f"VM claims host {vm.host!r}, which does not exist",
-            )
-            continue
-        if vm.host not in placed_on:
-            report.add(
-                "fleet-vm-lost", vm.name,
-                f"VM claims host {vm.host} but that host does not hold "
-                "it — the VM is running nowhere",
-            )
-        if fleet.placements.get(vm.name) != vm.host:
-            report.add(
-                "fleet-placement-stale", vm.name,
-                f"placements map says "
-                f"{fleet.placements.get(vm.name)!r}, VM says "
-                f"{vm.host!r}",
-            )
-    committed_total = sum(host.committed_bytes for host in fleet.hosts)
-    backed_total = sum(
-        vm.memory_bytes for vm in fleet.vms.values() if vm.host is not None
-    )
-    if committed_total != backed_total:
-        report.add(
-            "fleet-bytes-not-conserved", "",
-            f"hosts commit {committed_total} B but placed VMs sum to "
-            f"{backed_total} B",
-        )
-    if savings is not None:
-        if savings.lower_bytes < 0 or savings.upper_bytes < savings.lower_bytes:
-            report.add(
-                "fleet-negative-savings", "",
-                f"savings bounds insane: lower={savings.lower_bytes}, "
-                f"upper={savings.upper_bytes}",
-            )
     report.sort()
     return report
 

@@ -3,55 +3,11 @@
 Implements the Memory Buddies idea the paper discusses as related work:
 estimate how much memory two VMs would share if collocated (from compact
 fingerprints of their page contents) and place new VMs on the host where
-they will share the most.
-
-Two scales coexist:
-
-* the *simulated* scale (:mod:`repro.datacenter.placement`): a handful
-  of hosts booting real guest kernels and JVMs — what the paper-scale
-  experiments use;
-* the *fleet* scale (:mod:`repro.datacenter.fleet` and friends):
-  thousands of hosts with summarized images, a chaos engine
-  (:mod:`repro.datacenter.chaos`), resilient live migration
-  (:mod:`repro.datacenter.migration`) and a self-healing control loop
-  (:mod:`repro.datacenter.controller`).
+they will share the most.  The hosts (:mod:`repro.datacenter.placement`)
+are a handful of simulated hosts booting real guest kernels and JVMs.
 """
 
-from repro.datacenter.chaos import ChaosEngine, DEFAULT_FLEET_RATES
-from repro.datacenter.controller import (
-    ControllerConfig,
-    FleetController,
-    FleetRunResult,
-    FleetScenario,
-    run_fleet_scenario,
-)
-from repro.datacenter.events import (
-    EventLog,
-    EventQueue,
-    FleetEvent,
-    FleetEventKind,
-)
 from repro.datacenter.fingerprint import MemoryFingerprint, fingerprint_vm
-from repro.datacenter.fleet import (
-    Fleet,
-    FleetFirstFit,
-    FleetHost,
-    FleetSavings,
-    FleetSharingAware,
-    FleetVm,
-    HostState,
-    ImageCatalog,
-    VmImage,
-    VmState,
-    generate_arrivals,
-)
-from repro.datacenter.migration import (
-    LiveMigrator,
-    MigrationConfig,
-    MigrationOutcome,
-    MigrationResult,
-    plan_precopy,
-)
 from repro.datacenter.placement import (
     Datacenter,
     FirstFitPolicy,
@@ -66,31 +22,4 @@ __all__ = [
     "FirstFitPolicy",
     "SharingAwarePolicy",
     "PlacementError",
-    "ChaosEngine",
-    "DEFAULT_FLEET_RATES",
-    "ControllerConfig",
-    "FleetController",
-    "FleetRunResult",
-    "FleetScenario",
-    "run_fleet_scenario",
-    "EventLog",
-    "EventQueue",
-    "FleetEvent",
-    "FleetEventKind",
-    "Fleet",
-    "FleetFirstFit",
-    "FleetHost",
-    "FleetSavings",
-    "FleetSharingAware",
-    "FleetVm",
-    "HostState",
-    "ImageCatalog",
-    "VmImage",
-    "VmState",
-    "generate_arrivals",
-    "LiveMigrator",
-    "MigrationConfig",
-    "MigrationOutcome",
-    "MigrationResult",
-    "plan_precopy",
 ]

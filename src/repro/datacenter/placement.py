@@ -328,9 +328,6 @@ class Datacenter:
     def total_saved_bytes(self) -> int:
         return sum(host.saved_bytes() for host in self.hosts)
 
-    def total_usage_bytes(self) -> int:
-        return sum(host.kvm.physmem.bytes_in_use for host in self.hosts)
-
     def __repr__(self) -> str:
         return (
             f"Datacenter(hosts={len(self.hosts)}, "

@@ -74,17 +74,6 @@ class WorkUnit:
         )
 
 
-def _run_chunk(units: Tuple[WorkUnit, ...]) -> List[Any]:
-    """Run a batch of units in one worker round-trip, in order.
-
-    Fleet-scale fan-outs (one tiny convergence computation per host)
-    would otherwise pay one pickle/dispatch round-trip per unit; a chunk
-    amortizes that to one round-trip per ~``len(units)/jobs`` units
-    while staying a pure function of the units themselves.
-    """
-    return [_execute(unit) for unit in units]
-
-
 def _execute(unit: WorkUnit) -> Any:
     """Run one unit (in a worker or in-process).
 
@@ -162,40 +151,6 @@ class ParallelRunner:
             return self._run_parallel(units)
         finally:
             self.stats.wall_seconds += time.perf_counter() - started
-
-    def map_chunked(
-        self,
-        units: Sequence[WorkUnit],
-        chunk_size: Optional[int] = None,
-    ) -> List[Any]:
-        """Run every unit, batched into chunks; results in input order.
-
-        Semantically identical to :meth:`map` — bit-identical results at
-        any ``jobs`` or ``chunk_size`` — but cheap units are shipped to
-        workers in batches instead of one at a time.  The default chunk
-        size spreads the input over ``4 × jobs`` chunks so a slow chunk
-        cannot serialize the whole tail.
-        """
-        units = list(units)
-        if not units:
-            return []
-        if self.jobs == 1:
-            return self.map(units)
-        if chunk_size is None:
-            chunk_size = max(1, -(-len(units) // (self.jobs * 4)))
-        chunk_size = max(1, int(chunk_size))
-        chunks = [
-            WorkUnit(
-                fn=_run_chunk,
-                args=(tuple(units[start:start + chunk_size]),),
-                label=f"chunk:{start}",
-            )
-            for start in range(0, len(units), chunk_size)
-        ]
-        results: List[Any] = []
-        for batch in self.map(chunks):
-            results.extend(batch)
-        return results
 
     # ------------------------------------------------------------------
 

@@ -15,10 +15,7 @@ accounting can be exercised against known damage.
 """
 
 from repro.faults.plan import (
-    COLLECTION_FAULT_KINDS,
     DEFAULT_FAULT_RATES,
-    DUMP_FAULT_KINDS,
-    FLEET_FAULT_KINDS,
     FaultKind,
     FaultPlan,
     FaultRates,
@@ -26,10 +23,7 @@ from repro.faults.plan import (
 )
 
 __all__ = [
-    "COLLECTION_FAULT_KINDS",
     "DEFAULT_FAULT_RATES",
-    "DUMP_FAULT_KINDS",
-    "FLEET_FAULT_KINDS",
     "FaultKind",
     "FaultPlan",
     "FaultRates",

@@ -27,13 +27,8 @@ class FaultKind(enum.Enum):
     """The injectable fault classes.
 
     The first six corrupt the *collected dump* (and must be caught by
-    :mod:`repro.core.validate`); the next two break the *collection
-    process* itself (and surface in the ``CollectionReport``).  The
-    last five are *fleet-level* faults: they never touch a dump but hit
-    the simulated datacenter — hosts crash or degrade, live migrations
-    abort mid-copy, memory pressure spikes, the network partitions —
-    and are scheduled on the sim clock by
-    :mod:`repro.datacenter.chaos`.
+    :mod:`repro.core.validate`); the last two break the *collection
+    process* itself (and surface in the ``CollectionReport``).
     """
 
     TRUNCATED_GUEST_DUMP = "truncated-guest-dump"
@@ -44,49 +39,11 @@ class FaultKind(enum.Enum):
     MISSING_FRAME_TOKEN = "missing-frame-token"
     NON_DEBUG_KERNEL = "non-debug-kernel"
     TRANSIENT_DUMP_FAILURE = "transient-dump-failure"
-    HOST_CRASH = "host-crash"
-    HOST_DEGRADED = "host-degraded"
-    MIGRATION_ABORT = "migration-abort"
-    MEMORY_PRESSURE_SPIKE = "memory-pressure-spike"
-    NETWORK_PARTITION = "network-partition"
-
-
-#: Fault kinds that damage dump contents (versus the collection process).
-DUMP_FAULT_KINDS = (
-    FaultKind.TRUNCATED_GUEST_DUMP,
-    FaultKind.DROPPED_MEMSLOT,
-    FaultKind.OVERLAPPING_MEMSLOT,
-    FaultKind.CORRUPT_GUEST_PTE,
-    FaultKind.TORN_HOST_PTE,
-    FaultKind.MISSING_FRAME_TOKEN,
-)
-
-#: Fault kinds that break the collection process itself.
-COLLECTION_FAULT_KINDS = DUMP_FAULT_KINDS + (
-    FaultKind.NON_DEBUG_KERNEL,
-    FaultKind.TRANSIENT_DUMP_FAILURE,
-)
-
-#: Fleet-level fault kinds (scheduled by the datacenter chaos engine).
-FLEET_FAULT_KINDS = (
-    FaultKind.HOST_CRASH,
-    FaultKind.HOST_DEGRADED,
-    FaultKind.MIGRATION_ABORT,
-    FaultKind.MEMORY_PRESSURE_SPIKE,
-    FaultKind.NETWORK_PARTITION,
-)
 
 
 @dataclass(frozen=True)
 class FaultRates:
-    """Per-entity probability of each fault class.
-
-    The collection rates are per-guest-per-collection; the fleet rates
-    are per-host (crash/degraded/pressure), per-migration-attempt
-    (abort) or per-partition-group (network partition) over one chaos
-    horizon.  Fleet rates default to zero so that plans built for dump
-    collection keep injecting exactly what they always did.
-    """
+    """Per-guest-per-collection probability of each fault class."""
 
     truncated_guest_dump: float = 0.25
     dropped_memslot: float = 0.15
@@ -96,42 +53,16 @@ class FaultRates:
     missing_frame_token: float = 0.25
     non_debug_kernel: float = 0.15
     transient_dump_failure: float = 0.30
-    host_crash: float = 0.0
-    host_degraded: float = 0.0
-    migration_abort: float = 0.0
-    memory_pressure_spike: float = 0.0
-    network_partition: float = 0.0
 
     def rate_of(self, kind: FaultKind) -> float:
         return getattr(self, kind.value.replace("-", "_"))
 
     @classmethod
     def uniform(cls, rate: float) -> "FaultRates":
-        """Uniform rates over the *collection* fault classes.
-
-        Fleet classes stay at zero: ``--faults SEED:RATE`` arms dump
-        collection, not datacenter chaos (that is ``--chaos-plan``).
-        """
+        """The same rate for every fault class."""
         if not 0.0 <= rate <= 1.0:
             raise FaultSpecError(f"fault rate must be in [0, 1], got {rate}")
-        collection = {
-            kind.value.replace("-", "_") for kind in COLLECTION_FAULT_KINDS
-        }
-        return cls(**{name: rate for name in collection})
-
-    @classmethod
-    def fleet_uniform(cls, rate: float) -> "FaultRates":
-        """Uniform rates over the *fleet* fault classes only."""
-        if not 0.0 <= rate <= 1.0:
-            raise FaultSpecError(f"fault rate must be in [0, 1], got {rate}")
-        collection = {
-            kind.value.replace("-", "_"): 0.0
-            for kind in COLLECTION_FAULT_KINDS
-        }
-        fleet = {
-            kind.value.replace("-", "_"): rate for kind in FLEET_FAULT_KINDS
-        }
-        return cls(**collection, **fleet)
+        return cls(**{f.name: rate for f in fields(cls)})
 
     @classmethod
     def only(cls, kind: FaultKind, rate: float = 1.0) -> "FaultRates":

@@ -101,6 +101,3 @@ class MallocModel:
     @property
     def arena_count(self) -> int:
         return len(self._arenas)
-
-    def arena_vmas(self) -> List[Vma]:
-        return list(self._arenas)

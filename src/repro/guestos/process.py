@@ -200,9 +200,6 @@ class GuestProcess:
     # Introspection
     # ------------------------------------------------------------------
 
-    def resident_pages(self) -> int:
-        return len(self.page_table)
-
     def resident_bytes(self) -> int:
         return len(self.page_table) * self.page_size
 

@@ -103,7 +103,6 @@ class PowerVmHost(HypervisorHost):
         self.rng = RngFactory(seed)
         self.physmem = HostPhysicalMemory(ram_bytes, page_size)
         self._guests: List[PowerVmGuest] = []
-        self._pages_merged = 0
 
     def create_guest(
         self,
@@ -169,12 +168,7 @@ class PowerVmHost(HypervisorHost):
                     continue
                 self.physmem.merge_into(table, vpn, target_fid)
                 merged += 1
-        self._pages_merged += merged
         return merged
-
-    @property
-    def pages_merged_total(self) -> int:
-        return self._pages_merged
 
     # ------------------------------------------------------------------
     # Monitoring (the only measurement interface on this platform)

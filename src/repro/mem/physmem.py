@@ -163,7 +163,6 @@ class HostPhysicalMemory:
         self._frames: Dict[int, Frame] = {}
         self._next_fid = 1
         self._cow_breaks = 0
-        self._frames_ever_allocated = 0
         self._pool_bytes = 0
         self._mirror: Optional[FrameMirror] = None
         self._blocks: Dict[int, HugeBlock] = {}
@@ -181,7 +180,6 @@ class HostPhysicalMemory:
         fid = self._next_fid
         self._next_fid += 1
         self._frames[fid] = Frame(token)
-        self._frames_ever_allocated += 1
         if self._mirror is not None:
             self._mirror.note_alloc(fid, token)
         return fid
@@ -368,10 +366,6 @@ class HostPhysicalMemory:
         """4 KiB pages currently backed by intact huge blocks."""
         return sum(block.npages for block in self._blocks.values())
 
-    @property
-    def huge_backed_bytes(self) -> int:
-        return self.huge_backed_pages * self.page_size
-
     # ------------------------------------------------------------------
     # Page-table-level operations (the only way mappings change)
     # ------------------------------------------------------------------
@@ -544,10 +538,6 @@ class HostPhysicalMemory:
     def cow_breaks(self) -> int:
         """Number of copy-on-write breaks since boot."""
         return self._cow_breaks
-
-    @property
-    def frames_ever_allocated(self) -> int:
-        return self._frames_ever_allocated
 
     def count_zero_frames(self) -> int:
         """Frames currently holding all-zero content (diagnostic)."""

@@ -37,20 +37,6 @@ class SimClock:
         self._now_ms += delta_ms
         return self._now_ms
 
-    def advance_to(self, at_ms: int) -> int:
-        """Jump forward to an absolute time (event-driven simulation).
-
-        Like :meth:`advance`, time can only move forward; jumping to the
-        past is a programming error in the event queue's ordering.
-        """
-        if at_ms < self._now_ms:
-            raise ValueError(
-                f"cannot move time backwards (now={self._now_ms}, "
-                f"target={at_ms})"
-            )
-        self._now_ms = at_ms
-        return self._now_ms
-
     def advance_minutes(self, minutes: float) -> int:
         """Convenience wrapper: advance by a number of simulated minutes."""
         return self.advance(int(minutes * 60_000))

@@ -39,6 +39,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "tuscany3" in out
 
+    def test_cache_stats_with_cache_dir(self, tmp_path, capsys):
+        argv = [
+            "fig3c", "--scale", "0.02", "--ticks", "1",
+            "--cache-dir", str(tmp_path), "--cache-stats",
+        ]
+        assert main(argv) == 0
+        assert "0 hits, 1 misses, 1 stores" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "1 hits, 0 misses, 0 stores" in capsys.readouterr().out
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig99"])
@@ -61,9 +71,7 @@ class TestFaultsCli:
             "--scale", "0.02", "--ticks", "1",
         ])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "Collection report" in out
-        assert "Validation report" in out
+        assert capsys.readouterr().out == golden("fig2_faults")
 
     def test_doctor_clean(self, capsys):
         code = main([
@@ -80,10 +88,7 @@ class TestFaultsCli:
             "--scale", "0.02", "--ticks", "1",
         ])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "Collection report" in out
-        assert "Validation report" in out
-        assert "breakdown under this dump" in out
+        assert capsys.readouterr().out == golden("doctor_faults")
 
     def test_fig6_ignores_faults_with_a_note(self, capsys):
         code = main(["fig6", "--faults", "1", "--scale", "0.02"])
@@ -92,42 +97,3 @@ class TestFaultsCli:
         assert "ignored" in captured.err
         assert "before sharing" in captured.out
 
-
-class TestFleetCli:
-    ARGS = [
-        "fleet", "--hosts", "12", "--vms", "40",
-        "--chaos-plan", "77:0.3", "--horizon-minutes", "5",
-    ]
-
-    def test_fleet_text_report(self, capsys):
-        assert main(self.ARGS) == 0
-        out = capsys.readouterr().out
-        assert "fault(s) injected" in out
-        assert "sharing savings" in out
-        assert "placement fingerprint" in out
-
-    def test_fleet_json_report(self, capsys):
-        import json
-
-        assert main(self.ARGS + ["--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["hosts"] == 12
-        assert report["violations"] == 0
-        assert report["faults_injected"] > 0
-
-    def test_fleet_bench_out_writes_file(self, tmp_path, capsys):
-        out_file = tmp_path / "BENCH_fleet.json"
-        assert main(self.ARGS + ["--bench-out", str(out_file)]) == 0
-        import json
-
-        report = json.loads(out_file.read_text())
-        assert report["placement_fingerprint"]
-
-    def test_fleet_without_chaos(self, capsys):
-        assert main(["fleet", "--hosts", "5", "--vms", "10"]) == 0
-        out = capsys.readouterr().out
-        assert "chaos plan off: 0 fault(s)" in out
-
-    def test_fleet_bad_chaos_plan_is_clean_error(self, capsys):
-        assert main(["fleet", "--chaos-plan", "bogus"]) == 1
-        assert "error:" in capsys.readouterr().err

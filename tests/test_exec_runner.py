@@ -131,22 +131,3 @@ class TestRetry:
             runner.map([WorkUnit(flaky, (1,))])
         assert flaky.calls == MAX_DUMP_ATTEMPTS
 
-
-class TestMapChunked:
-    UNITS = [WorkUnit(square_hash, (value,)) for value in range(23)]
-    EXPECTED = [square_hash(value) for value in range(23)]
-
-    def test_serial_matches_map(self):
-        runner = ParallelRunner(jobs=1)
-        assert runner.map_chunked(self.UNITS) == self.EXPECTED
-
-    def test_parallel_matches_serial_at_any_chunk_size(self):
-        for chunk_size in (None, 1, 4, 100):
-            runner = ParallelRunner(jobs=3)
-            assert (
-                runner.map_chunked(self.UNITS, chunk_size=chunk_size)
-                == self.EXPECTED
-            ), chunk_size
-
-    def test_empty_input(self):
-        assert ParallelRunner(jobs=2).map_chunked([]) == []

@@ -14,9 +14,7 @@ from repro.core.dump import (
 from repro.core.validate import EXPECTED_CODES_BY_FAULT, validate_dump
 from repro.errors import FaultSpecError
 from repro.faults import (
-    COLLECTION_FAULT_KINDS,
     DEFAULT_FAULT_RATES,
-    FLEET_FAULT_KINDS,
     FaultKind,
     FaultPlan,
     FaultRates,
@@ -82,12 +80,8 @@ class TestFaultPlanSpec:
     def test_seed_and_rate(self):
         plan = FaultPlan.from_spec("7:0.5")
         assert plan.seed == 7
-        for kind in COLLECTION_FAULT_KINDS:
+        for kind in FaultKind:
             assert plan.rates.rate_of(kind) == 0.5
-        # --faults arms collection faults only; fleet chaos has its own
-        # plan (see ChaosEngine.from_spec).
-        for kind in FLEET_FAULT_KINDS:
-            assert plan.rates.rate_of(kind) == 0.0
 
     @pytest.mark.parametrize(
         "spec", ["bogus", "", "7:", "7:x", "7:1.5", "7:-1", "1:2:3"]
@@ -251,13 +245,6 @@ class TestFaultPlanSerialization:
         rebuilt = FaultRates.from_dict(rates.as_dict())
         assert rebuilt == rates
 
-    def test_fleet_rates_round_trip(self):
-        rates = FaultRates.fleet_uniform(0.25)
-        rebuilt = FaultRates.from_dict(rates.as_dict())
-        assert rebuilt == rates
-        for kind in FLEET_FAULT_KINDS:
-            assert rebuilt.rate_of(kind) == 0.25
-
     def test_plan_round_trip_decides_identically(self):
         plan = FaultPlan(77, FaultRates.uniform(0.4))
         rebuilt = FaultPlan.from_dict(plan.as_dict())
@@ -269,9 +256,9 @@ class TestFaultPlanSerialization:
     def test_plan_dict_is_json_safe(self):
         import json
 
-        data = FaultPlan(7, FaultRates.fleet_uniform(0.2)).as_dict()
+        data = FaultPlan(7, FaultRates.uniform(0.2)).as_dict()
         rebuilt = FaultPlan.from_dict(json.loads(json.dumps(data)))
-        assert rebuilt.rates == FaultRates.fleet_uniform(0.2)
+        assert rebuilt.rates == FaultRates.uniform(0.2)
 
     def test_unknown_rate_key_rejected(self):
         with pytest.raises(FaultSpecError):
@@ -279,7 +266,7 @@ class TestFaultPlanSerialization:
 
     def test_out_of_range_rate_rejected(self):
         with pytest.raises(FaultSpecError):
-            FaultRates.from_dict({"host_crash": 1.5})
+            FaultRates.from_dict({"torn_host_pte": 1.5})
 
     def test_missing_seed_rejected(self):
         with pytest.raises(FaultSpecError):

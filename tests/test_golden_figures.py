@@ -12,7 +12,10 @@ recorded reference for that seed, so the two checks cannot drift
 apart.  The other files hold the small-scale runs of
 ``tests/test_cli.py`` and ``tests/test_cli_figures.py`` (``--scale 0.02
 --ticks 1``; fig5c at ``--scale 0.1``), which compare against them
-through :func:`golden`.  ``pressure.json`` and ``hugepages.json`` hold
+through :func:`golden`; ``fig2_faults.txt`` and ``doctor_faults.txt``
+pin the degraded-mode output of the two faulted runs there (``fig2
+--faults 1337`` and ``doctor daytrader4 --faults 1337:0.5``, same
+scale).  ``pressure.json`` and ``hugepages.json`` hold
 the canonical JSON (:func:`report_json`) of the pressure family and the
 huge-page curve runs in ``tests/test_experiments_pressure.py`` and
 ``tests/test_hugepages.py``, read through :func:`golden_report`.
