@@ -120,10 +120,11 @@ def build_registry(dump: SystemDump) -> Registry:
         for process in guest.processes:
             for vma in process.vmas:
                 tags.add(vma.tag)
-        # Classify gfns by owner-record identity (records are interned
-        # by ``owners_snapshot``, so the memo hits on all but the first
-        # page of each ownership class; unshared records degrade to one
-        # memo entry per page, never to wrong answers).
+        # Classify gfns by owner-record identity.  The guest kernel
+        # interns records at allocation (``GuestKernel.owner_record``),
+        # not at snapshot, so the memo hits on all but the first page of
+        # each ownership class; records built elsewhere degrade to one
+        # memo entry per page, never to wrong answers.
         memo: Dict[int, int] = {}
         unique: list = []
         indexes: List[int] = []

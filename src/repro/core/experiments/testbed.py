@@ -52,7 +52,7 @@ from repro.hypervisor.kvm import KvmHost
 from repro.jvm.jvm import JavaVM
 from repro.ksm.scanner import KsmConfig
 from repro.ksm.stats import KsmStats
-from repro.sim.rng import stable_hash64
+from repro.sim.rng import mix64, stable_hash64
 from repro.units import DEFAULT_PAGE_SIZE, GiB, MiB
 from repro.workloads.base import Workload
 
@@ -339,14 +339,10 @@ class KvmTestbed:
             process.fault_file_pages(vma)
             anon = process.mmap_anon(anon_bytes, f"{name}:heap")
             stream = kernel.rng.stream("daemon", kernel.vm.name, name)
+            key = stable_hash64("daemon", kernel.vm.name, name)
             for page in range(anon.npages):
                 process.write_token(
-                    anon,
-                    page,
-                    stable_hash64(
-                        "daemon", kernel.vm.name, name, page,
-                        stream.getrandbits(32),
-                    ),
+                    anon, page, mix64(key, page, stream.getrandbits(32))
                 )
 
     # ------------------------------------------------------------------

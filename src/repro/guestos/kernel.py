@@ -37,9 +37,13 @@ class OwnerKind(enum.Enum):
     FREE = "free"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PageOwner:
-    """Ownership record for one gfn."""
+    """Ownership record for one gfn.
+
+    Immutable, so one record can label every gfn of an ownership class
+    (see :meth:`GuestKernel.owner_record`).
+    """
 
     kind: OwnerKind
     pid: Optional[int] = None  # for PROCESS_ANON
@@ -98,6 +102,7 @@ class GuestKernel:
         self._next_gfn = 0
         self._free_gfns: List[int] = []
         self._owners: Dict[int, PageOwner] = {}
+        self._owner_records: Dict[tuple, PageOwner] = {}
         self.page_cache = PageCache(self)
         self._processes: Dict[int, "GuestProcess"] = {}
         if pid_base is None:
@@ -133,6 +138,21 @@ class GuestKernel:
         """
         self._oom_handler = handler
 
+    def owner_record(
+        self, kind: OwnerKind, pid: Optional[int] = None, tag: str = ""
+    ) -> PageOwner:
+        """The one :class:`PageOwner` this kernel uses for (kind, pid, tag).
+
+        A guest's pages fall into a handful of ownership classes, so
+        interning at allocation keeps one record per class instead of
+        one per page fault.
+        """
+        key = (kind, pid, tag)
+        record = self._owner_records.get(key)
+        if record is None:
+            record = self._owner_records[key] = PageOwner(kind, pid, tag)
+        return record
+
     def alloc_gfn(self, owner: PageOwner) -> int:
         """Allocate one guest-physical page and record its owner."""
         if not self._free_gfns and self._next_gfn >= self._npages:
@@ -155,7 +175,9 @@ class GuestKernel:
         return gfn
 
     def alloc_gfn_for_pagecache(self, file_id: str) -> int:
-        return self.alloc_gfn(PageOwner(OwnerKind.PAGE_CACHE, tag=file_id))
+        return self.alloc_gfn(
+            self.owner_record(OwnerKind.PAGE_CACHE, tag=file_id)
+        )
 
     def free_gfn(self, gfn: int) -> None:
         """Return a gfn to the free list.
@@ -166,7 +188,7 @@ class GuestKernel:
         owner = self._owners.get(gfn)
         if owner is None or owner.kind is OwnerKind.FREE:
             raise ValueError(f"gfn {gfn:#x} is not allocated")
-        self._owners[gfn] = PageOwner(OwnerKind.FREE)
+        self._owners[gfn] = self.owner_record(OwnerKind.FREE)
         self._free_gfns.append(gfn)
 
     def owner_of(self, gfn: int) -> Optional[PageOwner]:
@@ -182,28 +204,13 @@ class GuestKernel:
     def owners_snapshot(self) -> Dict[int, PageOwner]:
         """Copy of the gfn-ownership map (collected into guest dumps).
 
-        Identical ownership records are interned: every gfn with the
-        same (kind, pid, tag) shares one :class:`PageOwner` instance.
-        A guest's pages cluster into a handful of ownership classes, so
-        the snapshot holds dozens of records instead of one per page —
-        and the columnar dump lowering can classify pages by record
-        identity instead of re-reading fields per gfn.  Snapshot
-        records are never mutated in place, so sharing is safe.
+        Records are interned at allocation (:meth:`owner_record`), not
+        here: every gfn the kernel allocated with the same (kind, pid,
+        tag) already shares one :class:`PageOwner`, so the columnar dump
+        lowering can classify pages by record identity.  Records are
+        frozen, so the copy cannot alias mutable state.
         """
-        by_source: Dict[int, PageOwner] = {}
-        by_value: Dict[tuple, PageOwner] = {}
-        snapshot: Dict[int, PageOwner] = {}
-        for gfn, owner in self._owners.items():
-            record = by_source.get(id(owner))
-            if record is None:
-                key = (owner.kind, owner.pid, owner.tag)
-                record = by_value.get(key)
-                if record is None:
-                    record = PageOwner(owner.kind, owner.pid, owner.tag)
-                    by_value[key] = record
-                by_source[id(owner)] = record
-            snapshot[gfn] = record
-        return snapshot
+        return dict(self._owners)
 
     # ------------------------------------------------------------------
     # Kernel memory
@@ -257,9 +264,10 @@ class GuestKernel:
     def _touch_kernel_area(
         self, tag: str, num_bytes: int, token_fn, kind: OwnerKind = OwnerKind.KERNEL
     ) -> None:
+        owner = self.owner_record(kind, tag=f"kernel:{tag}")
         gfns: List[int] = []
         for index in range(pages_for(num_bytes, self.page_size)):
-            gfn = self.alloc_gfn(PageOwner(kind, tag=f"kernel:{tag}"))
+            gfn = self.alloc_gfn(owner)
             self.vm.write_gfn(gfn, token_fn(index))
             gfns.append(gfn)
         self._kernel_pages[tag] = gfns

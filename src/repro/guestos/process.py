@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from repro.guestos.kernel import GuestKernel, OwnerKind, PageOwner
+from repro.guestos.kernel import GuestKernel, OwnerKind
 from repro.guestos.pagecache import BackingFile
 from repro.mem.address_space import PageTable
 from repro.units import pages_for
@@ -154,7 +154,9 @@ class GuestProcess:
         gfn = self.page_table.translate(vpn)
         if gfn is None:
             gfn = self.kernel.alloc_gfn(
-                PageOwner(OwnerKind.PROCESS_ANON, pid=self.pid, tag=vma.tag)
+                self.kernel.owner_record(
+                    OwnerKind.PROCESS_ANON, self.pid, vma.tag
+                )
             )
             self.page_table.map(vpn, gfn)
         self.kernel.vm.write_gfn(gfn, token)

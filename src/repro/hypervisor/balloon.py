@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.guestos.kernel import GuestKernel, OwnerKind, PageOwner
+from repro.guestos.kernel import GuestKernel, OwnerKind
 from repro.hypervisor.kvm import KvmGuestVm, KvmHost
 
 
@@ -99,7 +99,7 @@ class BalloonDriver:
             return None
         try:
             return self.kernel.alloc_gfn(
-                PageOwner(OwnerKind.KERNEL, tag="balloon")
+                self.kernel.owner_record(OwnerKind.KERNEL, tag="balloon")
             )
         except OutOfGuestMemoryError:
             return None

@@ -31,7 +31,7 @@ from repro.ksm.scanner import KsmConfig, KsmScanner
 from repro.mem.address_space import PageTable
 from repro.mem.physmem import HostPhysicalMemory
 from repro.sim.clock import SimClock
-from repro.sim.rng import RngFactory, stable_hash64
+from repro.sim.rng import RngFactory, mix64, stable_hash64
 from repro.units import DEFAULT_PAGE_SIZE, pages_for
 
 #: Host-virtual stride between the guest-memory regions of successive VM
@@ -211,13 +211,11 @@ class KvmGuestVm(GuestVmBase):
         the paper's small "guest VM" bars in Fig. 2.
         """
         stream = self.rng.stream("qemu-overhead", self.name, tag)
+        key = stable_hash64("qemu", self.name, tag)
         npages = pages_for(num_bytes, self.host.page_size)
         for _ in range(npages):
             vpn = self._overhead_base_vpn + self._overhead_pages
-            token = stable_hash64(
-                "qemu", self.name, tag, self._overhead_pages,
-                stream.getrandbits(32),
-            )
+            token = mix64(key, self._overhead_pages, stream.getrandbits(32))
             self.host.physmem.write_token(self.page_table, vpn, token)
             self._overhead_pages += 1
 
@@ -291,12 +289,11 @@ class KvmHost(HypervisorHost):
     def allocate_host_kernel(self, num_bytes: int) -> None:
         """Touch host-kernel memory (never a KSM candidate)."""
         stream = self.rng.stream("host-kernel")
+        key = stable_hash64("host-kernel")
         start = pages_for(self._host_kernel_bytes, self.page_size)
         npages = pages_for(num_bytes, self.page_size)
         for offset in range(npages):
-            token = stable_hash64(
-                "host-kernel", start + offset, stream.getrandbits(32)
-            )
+            token = mix64(key, start + offset, stream.getrandbits(32))
             self.physmem.write_token(
                 self._host_kernel_table, start + offset, token
             )

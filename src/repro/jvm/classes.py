@@ -23,7 +23,7 @@ from repro.guestos.malloc import MallocModel
 from repro.guestos.process import GuestProcess, Vma
 from repro.jvm.sharedcache import SharedClassCache
 from repro.mem.region import Region
-from repro.sim.rng import RngFactory, stable_hash64
+from repro.sim.rng import RngFactory, mix64, stable_hash64
 from repro.units import KiB
 from repro.workloads.classsets import JavaClassDef
 
@@ -75,6 +75,9 @@ class ClassMetadata:
         self._faulted_cache_pages: Set[int] = set()
         self._header_faulted = False
         self._header_pages = 0
+        self._ram_key = stable_hash64(
+            "ramclass", process.kernel.vm.name, process.pid
+        )
 
     # ------------------------------------------------------------------
 
@@ -106,13 +109,12 @@ class ClassMetadata:
             self._append_to_segment(self._ram_content_id(cls), cls.ram_bytes)
 
     def _ram_content_id(self, cls: JavaClassDef) -> int:
-        """RAM-class content: pointer-rich, unique to this process."""
-        return stable_hash64(
-            "ramclass",
-            self.process.kernel.vm.name,
-            self.process.pid,
-            cls.name,
-        )
+        """RAM-class content: pointer-rich, unique to this process.
+
+        ``rom_content_id`` is already unique per class name and
+        middleware, so it stands in for the class.
+        """
+        return mix64(self._ram_key, cls.rom_content_id)
 
     def _fault_cache_class(self, cls: JavaClassDef) -> None:
         """Touch the cache-file pages holding this class's ROM data."""

@@ -12,7 +12,7 @@ from typing import List
 
 from repro.guestos.pagecache import BackingFile
 from repro.guestos.process import GuestProcess, Vma
-from repro.sim.rng import RngFactory, stable_hash64
+from repro.sim.rng import RngFactory, mix64, stable_hash64
 from repro.units import pages_for
 
 #: How the file-backed code bytes are split into libraries (fractions of
@@ -82,15 +82,12 @@ class CodeArea:
             self.file_vmas.append(vma)
         # Writable data segments: relocated pointers, library globals —
         # private content per process.
-        stream = self._rng.stream(
-            "code-data", self.process.kernel.vm.name, self.process.pid
-        )
+        vm_name = self.process.kernel.vm.name
+        stream = self._rng.stream("code-data", vm_name, self.process.pid)
+        key = stable_hash64("code-data", vm_name, self.process.pid)
         self.data_vma = self.process.mmap_anon(self.data_bytes, self.TAG_DATA)
         tokens = [
-            stable_hash64(
-                "code-data", self.process.kernel.vm.name, self.process.pid,
-                index, stream.getrandbits(32),
-            )
+            mix64(key, index, stream.getrandbits(32))
             for index in range(pages_for(self.data_bytes, page_size))
         ]
         self.process.write_tokens(self.data_vma, tokens)

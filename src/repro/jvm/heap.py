@@ -24,7 +24,7 @@ from typing import List
 
 from repro.guestos.process import GuestProcess, Vma
 from repro.mem.content import ZERO_TOKEN
-from repro.sim.rng import stable_hash64
+from repro.sim.rng import mix64, stable_hash64
 
 TAG_HEAP = "java:heap"
 
@@ -51,8 +51,11 @@ class HeapArea:
         self.vma: Vma = process.mmap_anon(size_bytes, tag)
         self.npages = self.vma.npages
         self._state: List[int] = [UNTOUCHED] * self.npages
-        self._vm_name = process.kernel.vm.name
-        self._pid = process.pid
+        # Heap content is process-unique: object graphs, addresses and
+        # headers never coincide between two JVM processes.
+        self._key = stable_hash64(
+            "heap", process.kernel.vm.name, process.pid, area_name
+        )
         self._live_count = 0
         self._zero_count = 0
 
@@ -61,11 +64,7 @@ class HeapArea:
     # ------------------------------------------------------------------
 
     def _live_token(self, page: int, epoch: int) -> int:
-        # Heap content is process-unique: object graphs, addresses and
-        # headers never coincide between two JVM processes.
-        return stable_hash64(
-            "heap", self._vm_name, self._pid, self.area_name, page, epoch
-        )
+        return mix64(self._key, page, epoch)
 
     def write_live(self, page: int, epoch: int) -> None:
         previous = self._state[page]

@@ -17,7 +17,7 @@ from typing import List
 
 from repro.guestos.process import GuestProcess, Vma
 from repro.mem.region import Region
-from repro.sim.rng import RngFactory, stable_hash64
+from repro.sim.rng import RngFactory, mix64, stable_hash64
 from repro.units import KiB, MiB, align_up, pages_for
 
 TAG_CODE = "java:jit-code"
@@ -50,8 +50,10 @@ class JitCompiler:
         #: every process, which is why two VMs never produce identical
         #: method bodies.
         self.profile_salt = self._stream.getrandbits(64)
-        self._vm_name = vm_name
-        self._pid = process.pid
+        self._code_key = stable_hash64(
+            "jitcode", vm_name, process.pid, self.profile_salt
+        )
+        self._work_key = stable_hash64("jitwork", vm_name, process.pid)
         self._segments: List[Vma] = []
         self._segment_regions: List[Region] = []
         self._methods_compiled = 0
@@ -92,10 +94,7 @@ class JitCompiler:
             > CODE_SEGMENT_BYTES
         ):
             self._open_segment()
-        content = stable_hash64(
-            "jitcode", self._vm_name, self._pid,
-            self.profile_salt, self._methods_compiled,
-        )
+        content = mix64(self._code_key, self._methods_compiled)
         self._segment_regions[-1].append(content, method_bytes)
         self._methods_compiled += 1
 
@@ -126,9 +125,7 @@ class JitCompiler:
         rewritten, so the area never stabilises while the JIT is active."""
         self._work_epoch += 1
         for page in range(self._work_pages):
-            token = stable_hash64(
-                "jitwork", self._vm_name, self._pid, page, self._work_epoch
-            )
+            token = mix64(self._work_key, page, self._work_epoch)
             self.process.write_token(self.work_vma, page, token)
 
     # ------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.guestos.process import GuestProcess, Vma
-from repro.sim.rng import RngFactory, stable_hash64
+from repro.sim.rng import RngFactory, mix64, stable_hash64
 
 
 TAG_STACK = "java:stack"
@@ -31,8 +31,7 @@ class ThreadStacks:
         if thread_count <= 0:
             raise ValueError("a JVM has at least one thread")
         self.process = process
-        self._vm_name = process.kernel.vm.name
-        self._pid = process.pid
+        self._key = stable_hash64("stack", process.kernel.vm.name, process.pid)
         self.active_fraction = active_fraction
         self.stacks: List[Vma] = [
             process.mmap_anon(stack_bytes, TAG_STACK)
@@ -53,10 +52,7 @@ class ThreadStacks:
         for thread_index, vma in enumerate(self.stacks):
             depth = max(1, int(vma.npages * fraction))
             for page in range(depth):
-                token = stable_hash64(
-                    "stack", self._vm_name, self._pid,
-                    thread_index, page, epoch,
-                )
+                token = mix64(self._key, thread_index, page, epoch)
                 self.process.write_token(vma, page, token)
 
     def resident_bytes(self) -> int:

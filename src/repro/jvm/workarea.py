@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.guestos.process import GuestProcess
 from repro.mem.content import ZERO_TOKEN
-from repro.sim.rng import RngFactory, stable_hash64
+from repro.sim.rng import RngFactory, mix64, stable_hash64
 
 TAG_NIO = "java:jvm-work:nio"
 TAG_SLACK = "java:jvm-work:slack"
@@ -41,9 +41,12 @@ class JvmWorkArea:
     ) -> None:
         self.process = process
         self.benchmark_id = benchmark_id
-        self._vm_name = process.kernel.vm.name
-        self._pid = process.pid
-        self._stream = rng.stream("jvmwork", self._vm_name, process.pid)
+        vm_name = process.kernel.vm.name
+        self._stream = rng.stream("jvmwork", vm_name, process.pid)
+        # NIO content derives only from the benchmark's request stream,
+        # so its key leaves out the VM and the process.
+        self._nio_key = stable_hash64("nio", benchmark_id)
+        self._private_key = stable_hash64("jvmwork", vm_name, process.pid)
         self.churn_fraction = churn_fraction
         self.nio_vma = process.mmap_anon(nio_bytes, TAG_NIO)
         self.slack_vma = process.mmap_anon(zero_slack_bytes, TAG_SLACK)
@@ -56,11 +59,11 @@ class JvmWorkArea:
         if self._initialized:
             raise RuntimeError("work area already initialised")
         page_size = self.process.page_size
-        # NIO buffers: content derives only from the benchmark's request
-        # stream, so it is identical in every VM driving the same scenario.
+        # NIO buffers: identical in every VM driving the same scenario.
         for page in range(self.nio_vma.npages):
-            token = stable_hash64("nio", self.benchmark_id, page)
-            self.process.write_token(self.nio_vma, page, token)
+            self.process.write_token(
+                self.nio_vma, page, mix64(self._nio_key, page)
+            )
         # Arena slack and bulk-allocated-but-unused structures: zeros.
         for page in range(self.slack_vma.npages):
             self.process.write_token(self.slack_vma, page, ZERO_TOKEN)
@@ -72,9 +75,7 @@ class JvmWorkArea:
         self._initialized = True
 
     def _private_token(self, page: int, epoch: int) -> int:
-        return stable_hash64(
-            "jvmwork", self._vm_name, self._pid, page, epoch
-        )
+        return mix64(self._private_key, page, epoch)
 
     def tick(self) -> None:
         """Per-interval churn of the private read-write portion."""

@@ -31,8 +31,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.sim.rng import stable_hash64
 
-#: Token of the all-zero page.  Guaranteed never returned by
-#: :func:`repro.sim.rng.stable_hash64`.
+#: Token of the all-zero page.  Guaranteed never returned by either
+#: :func:`repro.sim.rng.stable_hash64` or :func:`repro.sim.rng.mix64`.
 ZERO_TOKEN = 0
 
 #: Bound on the page-token memo.  Identical page layouts recur heavily —

@@ -8,9 +8,17 @@ Two rules keep the simulation deterministic:
   The same factory seed and the same name always yield the same stream,
   regardless of creation order.
 
-* Content identity uses :func:`stable_hash64`, a BLAKE2b-based hash that is
-  stable across processes and Python versions (unlike built-in ``hash``,
-  which is salted per process).
+* Identity is process-stable (unlike built-in ``hash``, which is salted
+  per process), and comes from one of two functions:
+
+  - :func:`stable_hash64`, a BLAKE2b digest of type-tagged parts, for
+    names, RNG seeds, cache fingerprints and every hash whose *value* is
+    consumed (compressibility, Bloom bits, class sizes);
+  - :func:`mix64`, a splitmix64 finalizer chain over integers, for
+    per-page identity that is only ever compared for equality.  A
+    producer derives its stream key once with :func:`stable_hash64`
+    (say ``("heap", vm, pid, area)``) and mixes the page, epoch and
+    stream draws into it as integers.
 """
 
 from __future__ import annotations
@@ -50,6 +58,28 @@ def stable_hash64(*parts: _HashablePart) -> int:
         hasher.update(encoded)
     value = int.from_bytes(hasher.digest(), "little")
     return value or 1
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def mix64(key: int, *values: int) -> int:
+    """Fold non-negative integers below 2**64 into a 64-bit ``key``.
+
+    Each value is multiplied by the golden-ratio constant, xored into the
+    running state and passed through the splitmix64 finalizer.  Both
+    steps are bijections on 64 bits, so for a fixed prefix the result is
+    injective in the last value, except that the one value that would
+    give 0 gives 1: like :func:`stable_hash64`, the result is never 0,
+    the reserved all-zero page token.
+    """
+    h = key
+    for value in values:
+        z = (h ^ (value * 0x9E3779B97F4A7C15)) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        h = z ^ (z >> 31)
+    return h or 1
 
 
 class RngFactory:

@@ -1,5 +1,7 @@
 """Unit tests for the guest kernel: gfn allocation, ownership, boot."""
 
+import dataclasses
+
 import pytest
 
 from repro.guestos.kernel import (
@@ -64,6 +66,41 @@ class TestGfnAllocation:
         kernel.alloc_gfn(PageOwner(OwnerKind.KERNEL))
         kernel.free_gfn(gfn)
         assert kernel.allocated_pages() == 1
+
+
+class TestOwnerInterning:
+    def test_faults_share_one_record_per_class(self, env):
+        _host, _vm, kernel = env
+        first, second = kernel.spawn("p1"), kernel.spawn("p2")
+        heap = first.mmap_anon(2 * 4096, "heap")
+        stack = first.mmap_anon(4096, "stack")
+        other_heap = second.mmap_anon(4096, "heap")
+        first.write_token(heap, 0, 1)
+        first.write_token(heap, 1, 2)
+        first.write_token(stack, 0, 3)
+        second.write_token(other_heap, 0, 4)
+
+        def owner(process, vma, page):
+            gfn = process.page_table.translate(vma.vpn_of(page))
+            return kernel.owner_of(gfn)
+
+        assert owner(first, heap, 0) is owner(first, heap, 1)
+        assert owner(first, heap, 0) is kernel.owner_record(
+            OwnerKind.PROCESS_ANON, first.pid, "heap"
+        )
+        assert owner(first, stack, 0) is not owner(first, heap, 0)
+        assert owner(second, other_heap, 0) is not owner(first, heap, 0)
+        assert owner(second, other_heap, 0).tag == "heap"
+
+    def test_freed_gfns_share_the_free_record(self, env):
+        _host, _vm, kernel = env
+        gfns = [
+            kernel.alloc_gfn(PageOwner(OwnerKind.KERNEL)) for _ in range(2)
+        ]
+        for gfn in gfns:
+            kernel.free_gfn(gfn)
+        assert kernel.owner_of(gfns[0]) is kernel.owner_of(gfns[1])
+        assert kernel.owner_of(gfns[0]).kind is OwnerKind.FREE
 
 
 class TestBoot:
@@ -160,5 +197,10 @@ class TestSnapshots:
         _host, _vm, kernel = env
         gfn = kernel.alloc_gfn(PageOwner(OwnerKind.KERNEL, tag="x"))
         snap = kernel.owners_snapshot()
-        snap[gfn].tag = "mutated"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            snap[gfn].tag = "mutated"
         assert kernel.owner_of(gfn).tag == "x"
+        snap[gfn + 1] = PageOwner(OwnerKind.KERNEL, tag="y")
+        del snap[gfn]
+        assert kernel.owner_of(gfn).tag == "x"
+        assert kernel.owner_of(gfn + 1) is None

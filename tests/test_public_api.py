@@ -11,7 +11,7 @@ class TestExports:
             assert hasattr(repro, name), name
 
     def test_version(self):
-        assert repro.__version__ == "3.0.0"
+        assert repro.__version__ == "3.1.0"
 
     def test_public_callables_documented(self):
         for name in repro.__all__:

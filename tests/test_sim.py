@@ -1,10 +1,15 @@
 """Unit tests for the simulation kernel (clock + rng)."""
 
+from array import array
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.clock import SimClock
-from repro.sim.rng import RngFactory, stable_hash64
+from repro.sim.rng import RngFactory, mix64, stable_hash64
+
+GOLDEN = 0x9E3779B97F4A7C15
 
 
 class TestSimClock:
@@ -69,6 +74,48 @@ class TestStableHash64:
     def test_fits_in_64_bits(self, parts):
         value = stable_hash64(*parts)
         assert 0 < value < 2**64
+
+
+class TestMix64:
+    def test_known_answers(self):
+        # Token values reach the compressed pool and the Bloom bits, so
+        # they are pinned.  mix64(0, 1) is splitmix64's first output
+        # from state 0.
+        assert mix64(0, 1) == 0xE220A8397B1DCDAF
+        assert mix64(0x0123456789ABCDEF, 7, 3) == 2566387275669340528
+        assert mix64(12345, 1, 2, 3) == 8718053993774871552
+
+    def test_never_zero(self):
+        # The last value that would finalize to 0 yields 1 instead.
+        inverse = pow(GOLDEN, -1, 1 << 64)
+        for key in (0, 1, 12345, stable_hash64("heap", "vm1", 301)):
+            zeroing = key * inverse % (1 << 64)
+            assert mix64(key, zeroing) == 1
+            assert all(mix64(key, value) != 0 for value in range(200))
+
+    def test_injective_in_last_value(self):
+        key = stable_hash64("stack", "vm1", 301)
+        tokens = {mix64(key, 3, value) for value in range(1 << 16)}
+        assert len(tokens) == 1 << 16
+
+    def test_no_collision_across_streams(self):
+        keys = [stable_hash64("heap", f"vm{i}", 300 + i) for i in range(4)]
+        tokens = array("Q", (
+            mix64(key, page, epoch)
+            for key in keys
+            for page in range(1 << 12)
+            for epoch in range(1 << 6)
+        ))
+        assert len(tokens) == 1 << 20
+        unique = np.unique(np.frombuffer(tokens, dtype=np.uint64))
+        assert unique.size == 1 << 20
+
+    @given(
+        st.integers(min_value=1, max_value=2**64 - 1),
+        st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=4),
+    )
+    def test_fits_in_64_bits(self, key, values):
+        assert 0 < mix64(key, *values) < 2**64
 
 
 class TestRngFactory:
