@@ -31,6 +31,7 @@ from typing import Dict, List, Optional
 from repro.core.dump import GuestDump, SystemDump
 from repro.faults.plan import FaultKind
 from repro.guestos.kernel import OwnerKind
+from repro.mem.physmem import STABLE
 
 
 class Severity(enum.IntEnum):
@@ -385,13 +386,12 @@ def validate_thp(physmem) -> ValidationReport:
         shared = 0
         broken = 0
         for offset, fid in enumerate(block.fids):
-            frame = physmem.frame(fid)
-            if frame is None:
+            if not physmem.is_live(fid):
                 shared += 1
                 continue
-            if frame.ksm_stable or frame.refcount != 1:
+            if physmem.states[fid] == STABLE or physmem.refs[fid] != 1:
                 shared += 1
-            if frame.block != block.bid:
+            if physmem.block_of(fid) != block.bid:
                 broken += 1
             if block.table.translate(block.base_vpn + offset) != fid:
                 broken += 1

@@ -155,16 +155,14 @@ class PowerVmHost(HypervisorHost):
             target_fid = target_table.translate(target_vpn)
             if target_fid is None:
                 continue
-            target = self.physmem.get_frame(target_fid)
-            if target.token != token:
+            if self.physmem.token_of(target_fid) != token:
                 continue  # rewritten since grouping
             self.physmem.mark_ksm_stable(target_fid)
             for table, vpn in mappings[1:]:
                 fid = table.translate(vpn)
                 if fid is None or fid == target_fid:
                     continue
-                frame = self.physmem.get_frame(fid)
-                if frame.token != token:
+                if self.physmem.token_of(fid) != token:
                     continue
                 self.physmem.merge_into(table, vpn, target_fid)
                 merged += 1

@@ -41,22 +41,22 @@ class SatoriRegistry:
         scanner-merged page.
         """
         self.fills += 1
+        physmem = self.physmem
         existing = self._by_token.get(token)
         if existing is not None:
-            frame = self.physmem.frame(existing)
-            if frame is not None and frame.token == token:
-                self.physmem.mark_ksm_stable(existing)
+            if physmem.is_live(existing) and physmem.tokens[existing] == token:
+                physmem.mark_ksm_stable(existing)
                 if table.is_mapped(vpn):
-                    self.physmem.merge_into(table, vpn, existing)
+                    physmem.merge_into(table, vpn, existing)
                 else:
-                    self.physmem.share_mapping(table, vpn, existing)
+                    physmem.share_mapping(table, vpn, existing)
                 self.immediate_shares += 1
                 return existing
             del self._by_token[token]
         fid = (
-            self.physmem.write_token(table, vpn, token)
+            physmem.write_token(table, vpn, token)
             if table.is_mapped(vpn)
-            else self.physmem.map_token(table, vpn, token)
+            else physmem.map_token(table, vpn, token)
         )
         self._by_token[token] = fid
         return fid
@@ -71,11 +71,11 @@ class SatoriRegistry:
 
     def prune(self) -> int:
         """Drop registry entries whose frame has been freed or rewritten."""
+        physmem = self.physmem
         dead = [
             token
             for token, fid in self._by_token.items()
-            if (frame := self.physmem.frame(fid)) is None
-            or frame.token != token
+            if not physmem.is_live(fid) or physmem.tokens[fid] != token
         ]
         for token in dead:
             del self._by_token[token]

@@ -77,7 +77,7 @@ it performs is *token-local*:
 * a merge re-points one vpn at a frame holding the **same** token (the
   frame backing any not-yet-examined page stays alive — its own mapping
   holds a reference — and frame tokens never change mid-burst);
-* ``ksm_stable`` is only ever set on frames whose token equals the
+* the STABLE state is only ever set on frames whose token equals the
   group's token;
 * the token index and volatility map are keyed by token and vpn, and a
   worklist never repeats a vpn.
@@ -90,9 +90,10 @@ examination, and the examined-at-segment-start snapshot of
    plus its bulk translation (:meth:`PageTable.translate_many`), cached
    and keyed by ``(version, remap_epoch)`` so the steady state — where
    no mapping moves between passes — re-translates nothing; frame
-   state and token columns come from the
-   :class:`repro.mem.physmem.FrameMirror` (zero-copy numpy views over
-   its ``array('Q')``/``bytearray`` storage).  Unmapped and
+   state and token columns are the host frame table itself
+   (:class:`repro.mem.physmem.HostPhysicalMemory` stores each frame
+   only as columns, viewed zero-copy as numpy arrays over their
+   ``array('Q')``/``bytearray`` storage).  Unmapped and
    already-stable pages drop out in one vectorized mask — the
    steady-state hot path, where almost every page is merged;
 2. **groups** the survivors by content token with the
@@ -113,15 +114,14 @@ examination, and the examined-at-segment-start snapshot of
    memory;
 4. otherwise dispatches **singleton groups** through one fused kernel:
    a bulk index probe (:meth:`TokenIndex.lookup` per token), step 3
-   for the rows without a node, and one
-   :meth:`HostPhysicalMemory.merge_many` call for the elected
-   stable-tree merges;
+   for the rows without a node, and the elected stable-tree merges
+   applied together after the walk;
 5. runs **multi-page groups** (and the rare stale/unstable tails)
    through :meth:`KsmScanner._examine_row`, the per-page state
    machine, in segment order.
 
 Tokens are full unsigned 64-bit hashes (and tests may feed arbitrary
-ints), so the grouping keys on the mirror's *masked* uint64 column
+ints), so the grouping keys on the frame table's *masked* uint64 column
 while all semantic operations use the exact Python tokens; a masked
 collision can only route a group to the per-row path, never change a
 result.
@@ -141,7 +141,11 @@ from repro.core.columnar.backend import NumpyOps
 from repro.ksm.index import STABLE, TokenIndex
 from repro.ksm.stats import KsmStats
 from repro.mem.address_space import PageTable
-from repro.mem.physmem import FrameMirror, HostPhysicalMemory
+from repro.mem.physmem import (
+    ACTIVE as FRAME_ACTIVE,
+    STABLE as FRAME_STABLE,
+    HostPhysicalMemory,
+)
 from repro.perf.scancost import (
     DEFAULT_COST_US_PER_PAGE,
     DEFAULT_DIRTY_LOG_COST_US,
@@ -244,7 +248,6 @@ class KsmScanner:
         # the len(tables)+1 empty-round spin on every idle call.
         self._work_hint = True
         self._ops = NumpyOps()
-        self._mirror = physmem.attach_frame_mirror()
         # Columnar worklist state: per-table persistent caches for the
         # (version-cached) full worklists, and the columns of whatever
         # worklist is currently installed.  ``fids`` lazily mirrors the
@@ -560,18 +563,17 @@ class KsmScanner:
             self._process_groups(table, *gathered)
 
     def _gather(self, cur: dict, start: int, stop: int):
-        mirror = self._mirror
+        physmem = self.physmem
         fid_view = cur["fid_arr"][start:stop]
-        # Zero-copy views over the mirror columns.  Slot 0 is a
+        # Zero-copy views over the frame table's columns.  Slot 0 is a
         # permanent FREE pad, so unmapped translations (-1) clamp to it
         # and fall out of the active mask with no extra branch.  The
         # views never outlive this call, and in-burst mutations only
         # store into existing slots (no resize), so exporting the
         # buffers is safe.
-        states = np.frombuffer(mirror.states, dtype=np.uint8)
+        states = np.frombuffer(physmem.states, dtype=np.uint8)
         active = (
-            states[np.where(fid_view >= 0, fid_view, 0)]
-            == FrameMirror.ACTIVE
+            states[np.where(fid_view >= 0, fid_view, 0)] == FRAME_ACTIVE
         )
         if not active.any():
             return None
@@ -582,7 +584,7 @@ class KsmScanner:
         # table's own objects, not fresh per-pass copies.
         vpns = cur["vpns"].__getitem__
         fids = cur["fids"].__getitem__
-        tokens = mirror.tokens
+        tokens = physmem.tokens
         picks = (positions + start).tolist()
         of = list(map(fids, picks))
         ot = list(map(tokens.__getitem__, of))
@@ -592,7 +594,7 @@ class KsmScanner:
             return list(map(vpns, picks)), of, ot, ()
         # Some token repeats: reorder the gathered rows by token (stable,
         # so segment order within a group) and split off the groups.
-        masked = np.frombuffer(mirror.masked, dtype=np.uint64)
+        masked = np.frombuffer(physmem.masked, dtype=np.uint64)
         order, sizes = self._ops.group_sizes(masked[fid_view[positions]])
         order = order.tolist()
         ov = list(map(vpns, map(picks.__getitem__, order)))
@@ -678,7 +680,8 @@ class KsmScanner:
         no node take :meth:`_insert_unseen` together."""
         index = self._index
         physmem = self.physmem
-        frame_of = physmem.frame
+        states = physmem.states
+        tokens = physmem.tokens
         row = self._examine_row
         unseen_v: List[int] = []
         unseen_t: List[int] = []
@@ -690,11 +693,9 @@ class KsmScanner:
                 unseen_t.append(token)
             elif node[0] == STABLE:
                 stable_fid = node[1]
-                stable_frame = frame_of(stable_fid)
                 if (
-                    stable_frame is None
-                    or stable_frame.token != token
-                    or not stable_frame.ksm_stable
+                    states[stable_fid] != FRAME_STABLE
+                    or tokens[stable_fid] != token
                 ):
                     # Dead stable node: prune, then rerun the row — the
                     # re-probe misses, exactly the per-row fall-through.
@@ -712,8 +713,10 @@ class KsmScanner:
                 row(table, vpn, fid, token)
         if unseen_v:
             self._insert_unseen(table, unseen_v, unseen_t)
-        if merges:
-            self.stats.merges += physmem.merge_many(table, merges)
+        merge = physmem.merge_into
+        for vpn, stable_fid in merges:
+            merge(table, vpn, stable_fid)
+        self.stats.merges += len(merges)
 
     def _examine_row(
         self, table: PageTable, vpn: int, fid: int, token: int
@@ -721,12 +724,13 @@ class KsmScanner:
         """Run the KSM state machine on one pre-gathered candidate page.
 
         The gather already dropped unmapped and merged pages; the live
-        ``ksm_stable`` re-check matters because an earlier row of the
-        same group may have just promoted this frame.
+        STABLE re-check matters because an earlier row of the same group
+        may have just promoted this frame.
         """
         physmem = self.physmem
-        frame = physmem.get_frame(fid)
-        if frame.ksm_stable:
+        states = physmem.states
+        tokens = physmem.tokens
+        if states[fid] == FRAME_STABLE:
             return
         # One probe of the shared token index serves both trees.
         node = self._index.lookup(token)
@@ -735,11 +739,9 @@ class KsmScanner:
         # not require the volatility check (matches kernel behaviour).
         if node is not None and node[0] == STABLE:
             stable_fid = node[1]
-            stable_frame = physmem.frame(stable_fid)
             if (
-                stable_frame is None
-                or stable_frame.token != token
-                or not stable_frame.ksm_stable
+                states[stable_fid] != FRAME_STABLE
+                or tokens[stable_fid] != token
             ):
                 # Dead stable node: prune and fall through as a miss.
                 self._index.drop(token)
@@ -778,8 +780,7 @@ class KsmScanner:
             self.stats.stale_drops += 1
             self._index.set_unstable(token, table, vpn)
             return
-        partner_frame = physmem.get_frame(partner_fid)
-        if partner_frame.token != token:
+        if tokens[partner_fid] != token:
             # Partner was rewritten since insertion; replace it.
             self.stats.stale_drops += 1
             self._index.set_unstable(token, table, vpn)
@@ -810,13 +811,12 @@ class KsmScanner:
             self.stats.thp_splits += 1
 
     def _record_history(self) -> None:
-        """Sample the sharing gauges at a pass end, over mirror columns.
+        """Sample the sharing gauges at a pass end, over frame columns.
 
-        A stable node's frame is alive *and* ``ksm_stable`` exactly when
-        its mirror state is STABLE (``mark_ksm_stable`` is the only
-        setter, frees reset the state, and fids are never reused), and
-        the mirror's ``refs`` column tracks ``Frame.refcount`` exactly,
-        so no ``Frame`` is touched.
+        A stable node's frame is alive and merged exactly when its state
+        is STABLE (``mark_ksm_stable`` is the only setter, frees reset
+        the state, and fids are never reused), so the gauges are two
+        vectorized reads of the ``states`` and ``refs`` columns.
         """
         index = self._index
         rev = index.stable_rev
@@ -826,11 +826,11 @@ class KsmScanner:
             cache = (rev, np.fromiter(fids, np.int64, len(fids)))
             self._stable_cache = cache
         fid_arr = cache[1]
-        mirror = self._mirror
-        states = np.frombuffer(mirror.states, dtype=np.uint8)[fid_arr]
-        alive = states == FrameMirror.STABLE
+        physmem = self.physmem
+        states = np.frombuffer(physmem.states, dtype=np.uint8)[fid_arr]
+        alive = states == FRAME_STABLE
         shared = int(alive.sum())
-        refs = np.frombuffer(mirror.refs, dtype=np.int64)[fid_arr]
+        refs = np.frombuffer(physmem.refs, dtype=np.int64)[fid_arr]
         sharing = int(refs[alive].sum())
         self.history.append((self.clock.now_ms, shared, sharing))
 
@@ -949,16 +949,17 @@ class KsmScanner:
 
     def snapshot_stats(self) -> KsmStats:
         """Recompute the sharing gauges and return a copy of the stats."""
+        states = self.physmem.states
+        refs = self.physmem.refs
         shared = 0
         sharing = 0
         dead_tokens = []
         for token, fid in self._index.stable_items():
-            frame = self.physmem.frame(fid)
-            if frame is None or not frame.ksm_stable:
+            if states[fid] != FRAME_STABLE:
                 dead_tokens.append(token)
                 continue
             shared += 1
-            sharing += frame.refcount
+            sharing += refs[fid]
         for token in dead_tokens:
             self._index.drop(token)
         self.stats.pages_shared = shared

@@ -9,7 +9,7 @@ pages are byte-identical exactly when their tokens are equal.
 
 from repro.mem.content import Chunk, page_tokens_for_chunks, ZERO_TOKEN
 from repro.mem.region import Region
-from repro.mem.physmem import Frame, HostPhysicalMemory
+from repro.mem.physmem import HostPhysicalMemory
 from repro.mem.address_space import PageTable
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "page_tokens_for_chunks",
     "ZERO_TOKEN",
     "Region",
-    "Frame",
     "HostPhysicalMemory",
     "PageTable",
 ]

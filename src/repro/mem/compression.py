@@ -22,7 +22,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.mem.address_space import PageTable
 from repro.mem.content import ZERO_TOKEN
-from repro.mem.physmem import HostPhysicalMemory
+from repro.mem.physmem import STABLE, HostPhysicalMemory
 from repro.sim.rng import stable_hash64
 
 #: Decompression cost per access (µs); dwarfs a RAM read but beats disk.
@@ -86,10 +86,9 @@ class CompressedRamStore:
         fid = table.translate(vpn)
         if fid is None:
             raise KeyError(f"{table.name}: vpn {vpn:#x} is not mapped")
-        frame = self.physmem.get_frame(fid)
-        if frame.ksm_stable:
+        token = self.physmem.token_of(fid)
+        if self.physmem.states[fid] == STABLE:
             return 0
-        token = frame.token
         page_size = self.physmem.page_size
         compressed = int(page_size * compressed_fraction(token))
         self.physmem.unmap(table, vpn)

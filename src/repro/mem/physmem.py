@@ -1,10 +1,34 @@
-"""Host physical memory: a frame table with copy-on-write semantics.
+"""Host physical memory: a columnar frame table with copy-on-write semantics.
 
 Frames are identified by monotonically increasing ids (never reused, so a
-stale frame id held by the KSM stable tree can always be detected).  A frame
-records its content token, its mapping refcount, and whether it is a merged
-KSM-stable frame — stable frames are write-protected, so any write to one
-triggers a copy-on-write break, even when only a single mapper remains.
+stale frame id held by the KSM stable tree can always be detected).  The
+frame table is four fid-indexed columns, and they are the only record of
+a frame:
+
+* ``tokens`` — the exact Python content token per fid (tokens are full
+  unsigned 64-bit hashes, and tests may use arbitrary ints, so exactness
+  lives in a list);
+* ``masked`` — ``token & 2**64-1`` in an ``array('Q')``, giving the KSM
+  scanner a zero-copy ``np.frombuffer`` view for vectorized group-by
+  keys;
+* ``states`` — a ``bytearray`` of :data:`FREE`, :data:`ACTIVE` or
+  :data:`STABLE`.  A STABLE frame is a merged, write-protected KSM
+  frame: any write to one triggers a copy-on-write break, even when only
+  a single mapper remains;
+* ``refs`` — the mapping refcount per fid in an ``array('q')``.
+
+Slot 0 is a permanent FREE pad, so fids start at 1 and the scanner can
+clamp a missing translation to index 0 instead of branch-filtering it.
+``alloc`` appends one slot to each column; freeing a frame only sets its
+state to FREE and its refcount to 0.  Readers index the columns or use
+:meth:`HostPhysicalMemory.token_of`, :meth:`~HostPhysicalMemory.is_live`
+and :meth:`~HostPhysicalMemory.block_of`; only the methods of
+:class:`HostPhysicalMemory` write them, and each refuses a fid that is
+not a live frame with ``KeyError``.
+
+Huge-block membership is a sparse ``fid -> block id`` dict, not a fifth
+column: only the THP policies form blocks, and a column would cost 8 B
+for every frame ever allocated on the default path too.
 
 The frame table also tracks *capacity*: the hypervisor host in the paper has
 6 GB of RAM and the consolidation experiments (Figs. 7–8) depend on what
@@ -16,98 +40,16 @@ in :mod:`repro.perf` can compute the penalty.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.mem.address_space import PageTable
-from repro.mem.content import ZERO_TOKEN
 
 _MASK64 = (1 << 64) - 1
 
-
-class FrameMirror:
-    """Dense, fid-indexed shadow of the frame table.
-
-    The KSM scanner needs columnar access to per-frame state
-    (content token, alive/stable) without probing the ``fid -> Frame``
-    dict one page at a time.  Because fids are monotonic and never
-    reused, the mirror can be three flat arrays indexed by fid:
-
-    * ``tokens`` — the exact Python content token per fid (tokens are
-      full unsigned 64-bit hashes, and tests may use arbitrary ints, so
-      exactness lives in a list);
-    * ``masked`` — ``token & 2**64-1`` in an ``array('Q')``, giving a
-      zero-copy ``np.frombuffer`` view for vectorized group-by keys (a
-      masked collision merely routes a group to the slow path — it can
-      never change results);
-    * ``states`` — a ``bytearray`` of {FREE, ACTIVE, STABLE}, likewise
-      viewable zero-copy as uint8;
-    * ``refs`` — the mapping refcount per fid in an ``array('q')``
-      (zero-copy int64 view), which lets the scanner compute the
-      per-pass sharing gauges without touching a single ``Frame``.
-
-    Slot 0 is a permanent FREE pad (fids start at 1), which lets the
-    scanner clamp missing translations to index 0 instead of
-    branch-filtering them.  The mirror is maintained by
-    :class:`HostPhysicalMemory` on every frame mutation once attached;
-    attachment is idempotent and backfills from the live frame table.
-    """
-
-    FREE = 0
-    ACTIVE = 1
-    STABLE = 2
-
-    __slots__ = ("tokens", "masked", "states", "refs")
-
-    def __init__(self, next_fid: int, frames: Dict[int, "Frame"]) -> None:
-        self.tokens: List[int] = [0] * next_fid
-        self.masked = array("Q", bytes(8 * next_fid))
-        self.states = bytearray(next_fid)
-        self.refs = array("q", bytes(8 * next_fid))
-        for fid, frame in frames.items():
-            self.tokens[fid] = frame.token
-            self.masked[fid] = frame.token & _MASK64
-            self.states[fid] = (
-                FrameMirror.STABLE if frame.ksm_stable else FrameMirror.ACTIVE
-            )
-            self.refs[fid] = frame.refcount
-
-    def note_alloc(self, fid: int, token: int) -> None:
-        # fids are handed out sequentially, so the new slot is always
-        # exactly one past the end.
-        self.tokens.append(token)
-        self.masked.append(token & _MASK64)
-        self.states.append(FrameMirror.ACTIVE)
-        self.refs.append(1)
-
-    def note_free(self, fid: int) -> None:
-        self.states[fid] = FrameMirror.FREE
-        self.refs[fid] = 0
-
-    def note_token(self, fid: int, token: int) -> None:
-        self.tokens[fid] = token
-        self.masked[fid] = token & _MASK64
-
-    def note_stable(self, fid: int) -> None:
-        self.states[fid] = FrameMirror.STABLE
-
-
-class Frame:
-    """One physical page frame."""
-
-    __slots__ = ("token", "refcount", "ksm_stable", "block")
-
-    def __init__(self, token: int) -> None:
-        self.token = token
-        self.refcount = 1
-        self.ksm_stable = False
-        #: Id of the huge block this frame belongs to (0 = none).
-        self.block = 0
-
-    def __repr__(self) -> str:
-        flag = " stable" if self.ksm_stable else ""
-        if self.block:
-            flag += f" block={self.block}"
-        return f"Frame(token={self.token:#x}, refs={self.refcount}{flag})"
+#: Frame states held in :attr:`HostPhysicalMemory.states`.
+FREE = 0
+ACTIVE = 1
+STABLE = 2
 
 
 class HugeBlock:
@@ -160,11 +102,15 @@ class HostPhysicalMemory:
             raise ValueError("page size must be positive")
         self.capacity_bytes = capacity_bytes
         self.page_size = page_size
-        self._frames: Dict[int, Frame] = {}
-        self._next_fid = 1
+        # The frame table; slot 0 is the permanent FREE pad.
+        self.tokens: List[int] = [0]
+        self.masked = array("Q", [0])
+        self.states = bytearray(1)
+        self.refs = array("q", [0])
+        self._in_use = 0
         self._cow_breaks = 0
         self._pool_bytes = 0
-        self._mirror: Optional[FrameMirror] = None
+        self._block_of: Dict[int, int] = {}
         self._blocks: Dict[int, HugeBlock] = {}
         self._next_block_id = 1
         self._blocks_formed = 0
@@ -177,92 +123,91 @@ class HostPhysicalMemory:
 
     def alloc(self, token: int) -> int:
         """Allocate a fresh frame holding ``token``; refcount starts at 1."""
-        fid = self._next_fid
-        self._next_fid += 1
-        self._frames[fid] = Frame(token)
-        if self._mirror is not None:
-            self._mirror.note_alloc(fid, token)
+        fid = len(self.states)
+        self.tokens.append(token)
+        self.masked.append(token & _MASK64)
+        self.states.append(ACTIVE)
+        self.refs.append(1)
+        self._in_use += 1
         return fid
 
-    def attach_frame_mirror(self) -> FrameMirror:
-        """Attach (or return) the columnar :class:`FrameMirror`.
+    def _live_state(self, fid: int) -> int:
+        """The state of frame ``fid``; raises KeyError unless it is live."""
+        states = self.states
+        if 0 < fid < len(states):
+            state = states[fid]
+            if state:
+                return state
+            raise KeyError(f"frame {fid} has been freed")
+        raise KeyError(f"frame {fid} was never allocated")
 
-        Idempotent: the first call backfills from the live frame table,
-        later calls return the same mirror.  Once attached, every frame
-        mutation keeps it coherent.
-        """
-        if self._mirror is None:
-            self._mirror = FrameMirror(self._next_fid, self._frames)
-        return self._mirror
+    def is_live(self, fid: int) -> bool:
+        """True when ``fid`` names an allocated, not yet freed frame."""
+        return 0 < fid < len(self.states) and self.states[fid] != FREE
 
-    def frame(self, fid: int) -> Optional[Frame]:
-        """The frame for ``fid``, or None if it has been freed."""
-        return self._frames.get(fid)
+    def token_of(self, fid: int) -> int:
+        """The content token of live frame ``fid``."""
+        self._live_state(fid)
+        return self.tokens[fid]
 
-    def get_frame(self, fid: int) -> Frame:
-        """The frame for ``fid``; raises if it has been freed."""
-        try:
-            return self._frames[fid]
-        except KeyError:
-            raise KeyError(f"frame {fid} has been freed") from None
+    def block_of(self, fid: int) -> int:
+        """Id of the intact huge block holding ``fid`` (0 = none)."""
+        return self._block_of.get(fid, 0)
 
     def frames_snapshot(self, fids) -> Dict[int, Tuple[int, int]]:
         """Bulk metadata read: ``fid -> (token, refcount)``.
 
-        Freed fids are skipped, duplicates collapse; one call replaces a
-        per-entry :meth:`frame` probe loop when dump collection snapshots
-        a whole page table's frames (the struct-page array read of the
-        paper's crash dump, taken in one pass).
+        Freed fids are skipped, duplicates collapse; dump collection
+        snapshots a whole page table's frames in one call (the
+        struct-page array read of the paper's crash dump, taken in one
+        pass).
         """
-        frames = self._frames
+        tokens = self.tokens
+        states = self.states
+        refs = self.refs
+        end = len(states)
         snapshot: Dict[int, Tuple[int, int]] = {}
         for fid in fids:
-            if fid not in snapshot:
-                frame = frames.get(fid)
-                if frame is not None:
-                    snapshot[fid] = (frame.token, frame.refcount)
+            if fid not in snapshot and 0 < fid < end and states[fid]:
+                snapshot[fid] = (tokens[fid], refs[fid])
         return snapshot
 
     def inc_ref(self, fid: int) -> None:
-        self.get_frame(fid).refcount += 1
-        if self._mirror is not None:
-            self._mirror.refs[fid] += 1
+        self._live_state(fid)
+        self.refs[fid] += 1
 
     def dec_ref(self, fid: int) -> None:
         """Drop one reference; the frame is freed when none remain."""
-        frame = self.get_frame(fid)
-        frame.refcount -= 1
-        if frame.refcount < 0:
+        self._live_state(fid)
+        left = self.refs[fid] - 1
+        if left < 0:
             raise AssertionError(f"negative refcount on frame {fid}")
-        if frame.refcount == 0:
-            if frame.block:
+        if left == 0:
+            bid = self._block_of.get(fid)
+            if bid:
                 # Freeing a subpage tears the huge mapping apart first
                 # (split_huge_pmd semantics) so no block ever holds a
                 # dead frame.
-                self.split_block(frame.block, "free")
-            del self._frames[fid]
-            if self._mirror is not None:
-                self._mirror.note_free(fid)
-        elif self._mirror is not None:
-            self._mirror.refs[fid] -= 1
+                self.split_block(bid, "free")
+            self.states[fid] = FREE
+            self._in_use -= 1
+        self.refs[fid] = left
 
     def mark_ksm_stable(self, fid: int) -> None:
         """Flag ``fid`` as a write-protected KSM-stable frame.
 
-        All stable-bit promotion goes through here (never through direct
-        ``frame.ksm_stable`` stores) so the frame mirror cannot drift.
-        Raises while the frame sits inside an intact huge block — the
-        scanner must request a split first (split-on-KSM-merge).
+        All stable-bit promotion goes through here.  Raises while the
+        frame sits inside an intact huge block — the scanner must
+        request a split first (split-on-KSM-merge).
         """
-        frame = self.get_frame(fid)
-        if frame.block:
+        self._live_state(fid)
+        bid = self._block_of.get(fid)
+        if bid:
             raise ValueError(
-                f"frame {fid} is inside intact huge block {frame.block}; "
+                f"frame {fid} is inside intact huge block {bid}; "
                 "split it before KSM promotion"
             )
-        frame.ksm_stable = True
-        if self._mirror is not None:
-            self._mirror.note_stable(fid)
+        self.states[fid] = STABLE
 
     # ------------------------------------------------------------------
     # Huge (THP-style) frame blocks
@@ -283,17 +228,16 @@ class HostPhysicalMemory:
         """
         if npages <= 0:
             raise ValueError("block must span at least one page")
+        block_of = self._block_of
         fids = []
         for vpn in range(base_vpn, base_vpn + npages):
             fid = table.translate(vpn)
-            if fid is None:
-                return None
-            frame = self._frames.get(fid)
             if (
-                frame is None
-                or frame.refcount != 1
-                or frame.ksm_stable
-                or frame.block
+                fid is None
+                or not self.is_live(fid)
+                or self.states[fid] == STABLE
+                or self.refs[fid] != 1
+                or fid in block_of
             ):
                 return None
             fids.append(fid)
@@ -302,7 +246,7 @@ class HostPhysicalMemory:
         block = HugeBlock(bid, table, base_vpn, npages, tuple(fids))
         self._blocks[bid] = block
         for fid in fids:
-            self._frames[fid].block = bid
+            block_of[fid] = bid
         self._blocks_formed += 1
         return bid
 
@@ -317,10 +261,10 @@ class HostPhysicalMemory:
         block = self._blocks.pop(bid, None)
         if block is None:
             return False
+        block_of = self._block_of
         for fid in block.fids:
-            frame = self._frames.get(fid)
-            if frame is not None and frame.block == bid:
-                frame.block = 0
+            if block_of.get(fid) == bid:
+                del block_of[fid]
         self._blocks_split += 1
         self._block_splits_by_reason[reason] = (
             self._block_splits_by_reason.get(reason, 0) + 1
@@ -329,10 +273,10 @@ class HostPhysicalMemory:
 
     def split_block_of(self, fid: int, reason: str = "explicit") -> bool:
         """Split whatever intact block contains ``fid`` (if any)."""
-        frame = self._frames.get(fid)
-        if frame is None or not frame.block:
+        bid = self._block_of.get(fid)
+        if not bid:
             return False
-        return self.split_block(frame.block, reason)
+        return self.split_block(bid, reason)
 
     def block_intact(self, bid: int) -> bool:
         """True while block ``bid`` has not been split."""
@@ -381,7 +325,7 @@ class HostPhysicalMemory:
         fid = table.translate(vpn)
         if fid is None:
             return None
-        return self.get_frame(fid).token
+        return self.token_of(fid)
 
     def write_token(self, table: PageTable, vpn: int, token: int) -> int:
         """Write ``token`` at ``vpn``, breaking copy-on-write as needed.
@@ -398,11 +342,9 @@ class HostPhysicalMemory:
         fid = table.translate(vpn)
         if fid is None:
             return self.map_token(table, vpn, token)
-        frame = self.get_frame(fid)
-        if frame.refcount == 1 and not frame.ksm_stable:
-            frame.token = token
-            if self._mirror is not None:
-                self._mirror.note_token(fid, token)
+        if self._live_state(fid) == ACTIVE and self.refs[fid] == 1:
+            self.tokens[fid] = token
+            self.masked[fid] = token & _MASK64
             table.log_dirty(vpn)
             return fid
         self._cow_breaks += 1
@@ -419,10 +361,10 @@ class HostPhysicalMemory:
 
     def share_mapping(self, table: PageTable, vpn: int, fid: int) -> None:
         """Map ``vpn`` to an existing frame (e.g. a fork or a KSM merge)."""
-        frame = self.get_frame(fid)
-        if frame.block:
+        bid = self._block_of.get(fid)
+        if bid:
             raise ValueError(
-                f"frame {fid} is inside intact huge block {frame.block}; "
+                f"frame {fid} is inside intact huge block {bid}; "
                 "split it before sharing"
             )
         self.inc_ref(fid)
@@ -444,42 +386,25 @@ class HostPhysicalMemory:
             raise KeyError(f"{table.name}: vpn {vpn:#x} is not mapped")
         if old_fid == target_fid:
             return old_fid
-        old = self.get_frame(old_fid)
-        target = self.get_frame(target_fid)
-        if old.token != target.token:
+        old_token = self.token_of(old_fid)
+        target_token = self.token_of(target_fid)
+        if old_token != target_token:
             raise ValueError(
                 "refusing to merge pages with different contents "
-                f"({old.token:#x} != {target.token:#x})"
+                f"({old_token:#x} != {target_token:#x})"
             )
-        if old.block or target.block:
+        block_of = self._block_of
+        if old_fid in block_of or target_fid in block_of:
             raise ValueError(
                 f"refusing to merge through an intact huge block "
-                f"(frame {old_fid} block={old.block}, "
-                f"frame {target_fid} block={target.block}); split first"
+                f"(frame {old_fid} block={self.block_of(old_fid)}, "
+                f"frame {target_fid} block={self.block_of(target_fid)}); "
+                "split first"
             )
-        target.refcount += 1
-        if self._mirror is not None:
-            self._mirror.refs[target_fid] += 1
+        self.refs[target_fid] += 1
         table.remap(vpn, target_fid)
         self.dec_ref(old_fid)
         return old_fid
-
-    def merge_many(
-        self, table: PageTable, pairs: Iterable[Tuple[int, int]]
-    ) -> int:
-        """Apply ``(vpn, target_fid)`` merges in order; returns the count.
-
-        The KSM scanner's bulk mutation API: one call per elected
-        token group instead of one :meth:`merge_into` round-trip per
-        page.  Semantics are identical to applying :meth:`merge_into`
-        sequentially (including the no-dirty-log rule).
-        """
-        merge = self.merge_into
-        applied = 0
-        for vpn, target_fid in pairs:
-            merge(table, vpn, target_fid)
-            applied += 1
-        return applied
 
     # ------------------------------------------------------------------
     # Side pools (compressed RAM stores)
@@ -518,11 +443,11 @@ class HostPhysicalMemory:
 
     @property
     def frames_in_use(self) -> int:
-        return len(self._frames)
+        return self._in_use
 
     @property
     def bytes_in_use(self) -> int:
-        return len(self._frames) * self.page_size + self._pool_bytes
+        return self._in_use * self.page_size + self._pool_bytes
 
     @property
     def bytes_free(self) -> int:
@@ -538,12 +463,6 @@ class HostPhysicalMemory:
     def cow_breaks(self) -> int:
         """Number of copy-on-write breaks since boot."""
         return self._cow_breaks
-
-    def count_zero_frames(self) -> int:
-        """Frames currently holding all-zero content (diagnostic)."""
-        return sum(
-            1 for frame in self._frames.values() if frame.token == ZERO_TOKEN
-        )
 
     def __repr__(self) -> str:
         return (

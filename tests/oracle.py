@@ -31,6 +31,7 @@ from repro.core.dump import SystemDump
 from repro.ksm.index import STABLE
 from repro.ksm.scanner import KsmScanner, ScanPolicy
 from repro.mem.address_space import PageTable
+from repro.mem.physmem import STABLE as FRAME_STABLE
 
 
 class PerPageScanner(KsmScanner):
@@ -100,24 +101,22 @@ class PerPageScanner(KsmScanner):
         fid = table.translate(vpn)
         if fid is None:
             return
-        frame = self.physmem.get_frame(fid)
-        if frame.ksm_stable:
+        physmem = self.physmem
+        token = physmem.token_of(fid)
+        if physmem.states[fid] == FRAME_STABLE:
             return
-        token = frame.token
         node = self._index.lookup(token)
         if node is not None and node[0] == STABLE:
             stable_fid = node[1]
-            stable_frame = self.physmem.frame(stable_fid)
             if (
-                stable_frame is None
-                or stable_frame.token != token
-                or not stable_frame.ksm_stable
+                physmem.states[stable_fid] != FRAME_STABLE
+                or physmem.token_of(stable_fid) != token
             ):
                 self._index.drop(token)
                 node = None
             elif stable_fid != fid:
                 self._split_for_merge(fid)
-                self.physmem.merge_into(table, vpn, stable_fid)
+                physmem.merge_into(table, vpn, stable_fid)
                 self.stats.merges += 1
                 return
             else:
@@ -141,31 +140,30 @@ class PerPageScanner(KsmScanner):
             self.stats.stale_drops += 1
             self._index.set_unstable(token, table, vpn)
             return
-        partner_frame = self.physmem.get_frame(partner_fid)
-        if partner_frame.token != token:
+        if physmem.token_of(partner_fid) != token:
             self.stats.stale_drops += 1
             self._index.set_unstable(token, table, vpn)
             return
         if partner_fid == fid:
             self._split_for_merge(fid)
-            self.physmem.mark_ksm_stable(fid)
+            physmem.mark_ksm_stable(fid)
             self._index.set_stable(token, fid)
             return
         self._split_for_merge(partner_fid)
         self._split_for_merge(fid)
-        self.physmem.mark_ksm_stable(partner_fid)
+        physmem.mark_ksm_stable(partner_fid)
         self._index.set_stable(token, partner_fid)
-        self.physmem.merge_into(table, vpn, partner_fid)
+        physmem.merge_into(table, vpn, partner_fid)
         self.stats.merges += 1
 
     def _record_history(self) -> None:
         shared = 0
         sharing = 0
+        physmem = self.physmem
         for _token, fid in self._index.stable_items():
-            frame = self.physmem.frame(fid)
-            if frame is not None and frame.ksm_stable:
+            if physmem.states[fid] == FRAME_STABLE:
                 shared += 1
-                sharing += frame.refcount
+                sharing += physmem.refs[fid]
         self.history.append((self.clock.now_ms, shared, sharing))
 
 

@@ -40,8 +40,7 @@ class TestResolve:
         assert resolution.backed
         assert resolution.gfn is not None
         assert resolution.host_vpn == guest.translate_gfn(resolution.gfn)
-        frame = host.physmem.get_frame(resolution.frame_id)
-        assert frame.token == 10
+        assert host.physmem.token_of(resolution.frame_id) == 10
 
     def test_unbacked_page_stops_at_first_layer(self, env):
         _host, dump, guest, process, heap = env

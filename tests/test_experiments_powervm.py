@@ -1,7 +1,11 @@
 """Integration tests for the PowerVM experiment (scaled Fig. 6)."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.core.experiments import powervm
 from repro.core.experiments.powervm import run_powervm_experiment
 
 
@@ -38,3 +42,29 @@ class TestPowerVm:
 
     def test_case_accessors(self, result):
         assert set(result.cases) == {"preloaded", "not-preloaded"}
+
+
+def test_each_case_frees_the_previous_host(monkeypatch):
+    """The two Fig. 6 cases run one after the other.  A finished case's
+    host is cyclic garbage (each LPAR refers to its host), so it must be
+    freed before the next host is built, or the peak holds both."""
+    built = []
+    real_host = powervm.PowerVmHost
+
+    def tracked_host(*args, **kwargs):
+        assert all(ref() is None for ref in built)
+        host = real_host(*args, **kwargs)
+        built.append(weakref.ref(host))
+        return host
+
+    monkeypatch.setattr(powervm, "PowerVmHost", tracked_host)
+    # With the collector off, only the experiment's own collection can
+    # free the first host.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run_powervm_experiment(scale=0.03)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(built) == 2

@@ -16,6 +16,7 @@ from repro.guestos.kernel import GuestKernel
 from repro.hypervisor.kvm import KvmHost
 from repro.jvm.jvm import JavaVM
 from repro.mem.content import ZERO_TOKEN
+from repro.mem.physmem import STABLE
 from repro.units import MiB
 
 from tests.conftest import tiny_kernel_profile, tiny_workload
@@ -52,6 +53,12 @@ def pair():
     return host, jvms
 
 
+def is_merged(physmem, fid):
+    """Whether live frame ``fid`` is KSM-stable with several mappers."""
+    assert physmem.is_live(fid), f"frame {fid} has been freed"
+    return physmem.states[fid] == STABLE and physmem.refs[fid] > 1
+
+
 def heap_shared_mappings(host, jvm):
     """Mappings of the JVM's heap pages that point at stable frames."""
     shared = 0
@@ -64,8 +71,7 @@ def heap_shared_mappings(host, jvm):
         fid = process.kernel.vm.host_frame_of_gfn(gfn)
         if fid is None:
             continue
-        frame = host.physmem.get_frame(fid)
-        if frame.ksm_stable and frame.refcount > 1:
+        if is_merged(host.physmem, fid):
             shared += 1
     return shared
 
@@ -104,8 +110,7 @@ class TestHeapDynamics:
             for index in range(nio.npages):
                 gfn = process.page_table.translate(nio.vpn_of(index))
                 fid = process.kernel.vm.host_frame_of_gfn(gfn)
-                frame = host.physmem.get_frame(fid)
-                if frame.ksm_stable and frame.refcount > 1:
+                if is_merged(host.physmem, fid):
                     count += 1
             return count
 
@@ -129,5 +134,4 @@ class TestHeapDynamics:
                 if gfn is None:
                     continue
                 fid = process.kernel.vm.host_frame_of_gfn(gfn)
-                frame = host.physmem.get_frame(fid)
-                assert not (frame.ksm_stable and frame.refcount > 1)
+                assert not is_merged(host.physmem, fid)

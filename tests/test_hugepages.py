@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.validate import validate_thp
 from repro.ksm.scanner import KsmConfig, KsmScanner
 from repro.mem.address_space import PageTable
-from repro.mem.physmem import HostPhysicalMemory
+from repro.mem.physmem import STABLE, HostPhysicalMemory
 from repro.sim.clock import SimClock
 
 from tests.oracle import PerPageScanner, use_oracle
@@ -80,11 +80,10 @@ class TestSplitRemergeRoundTrip:
         scanner.run_until_converged(max_passes=8)
         for block in physmem.iter_blocks():
             for fid in block.fids:
-                frame = physmem.frame(fid)
-                assert frame is not None
-                assert not frame.ksm_stable
-                assert frame.refcount == 1
-                assert frame.block == block.bid
+                assert physmem.is_live(fid)
+                assert physmem.states[fid] != STABLE
+                assert physmem.refs[fid] == 1
+                assert physmem.block_of(fid) == block.bid
         assert (
             physmem.blocks_formed - physmem.blocks_split
             == physmem.blocks_intact
@@ -103,8 +102,8 @@ class TestCollapseEligibility:
             base = index * BLOCK
             vpns = range(base, base + BLOCK)
             shareable = any(
-                (frame := physmem.frame(table.translate(vpn))) is not None
-                and (frame.ksm_stable or frame.refcount != 1)
+                physmem.is_live(fid := table.translate(vpn))
+                and (physmem.states[fid] == STABLE or physmem.refs[fid] != 1)
                 for vpn in vpns
                 if table.is_mapped(vpn)
             )
@@ -113,8 +112,10 @@ class TestCollapseEligibility:
                 assert bid is None
             if bid is not None:
                 for vpn in vpns:
-                    frame = physmem.frame(table.translate(vpn))
-                    assert not frame.ksm_stable and frame.refcount == 1
+                    fid = table.translate(vpn)
+                    assert physmem.is_live(fid)
+                    assert physmem.states[fid] != STABLE
+                    assert physmem.refs[fid] == 1
         assert physmem.blocks_formed >= formed_before
         report = validate_thp(physmem)
         assert report.ok, report.render()
@@ -169,7 +170,7 @@ class TestBlockMechanics:
         """A corrupted overlay is caught by the ERROR-level checks."""
         physmem, _, table = build_universe([1, 2, 3, 4] * N_RANGES, {0})
         fid = table.translate(0)
-        physmem.frame(fid).ksm_stable = True  # bypass the guard
+        physmem.states[fid] = STABLE  # bypass the guard
         report = validate_thp(physmem)
         assert not report.ok
         assert "thp-shared-in-block" in report.codes()

@@ -124,11 +124,11 @@ class TestOverhead:
         a.allocate_overhead(PAGE)
         b.allocate_overhead(PAGE)
         tokens_a = {
-            host.physmem.get_frame(fid).token
+            host.physmem.token_of(fid)
             for _vpn, fid in a.page_table.entries()
         }
         tokens_b = {
-            host.physmem.get_frame(fid).token
+            host.physmem.token_of(fid)
             for _vpn, fid in b.page_table.entries()
         }
         assert tokens_a.isdisjoint(tokens_b)

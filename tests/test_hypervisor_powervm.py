@@ -40,7 +40,7 @@ class TestGuests:
         lpar = host.create_guest("lpar1", MiB)
         lpar.write_gfn(0, 9)
         fid = lpar.host_frame_of_gfn(0)
-        assert host.physmem.get_frame(fid).token == 9
+        assert host.physmem.token_of(fid) == 9
 
 
 class TestPageSharing:

@@ -71,8 +71,7 @@ class TestKsmSafety:
                 assert pm.read_token(tables[ti], vpn) == token
             # Invariant 2: refcounts match mappings.
             mappings = sum(len(t) for t in tables)
-            refs = sum(f.refcount for f in pm._frames.values())
-            assert refs == mappings
+            assert sum(pm.refs) == mappings
             # Invariant 3: merging only ever reduces frames.
             assert pm.frames_in_use <= mappings
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ksm.scanner import KsmConfig, KsmScanner
 from repro.mem.address_space import PageTable
-from repro.mem.physmem import HostPhysicalMemory
+from repro.mem.physmem import STABLE, HostPhysicalMemory
 from repro.sim.clock import SimClock
 from repro.units import MiB
 
@@ -134,21 +134,19 @@ class ReferenceScanner:
         fid = table.translate(vpn)
         if fid is None:
             return
-        frame = self.physmem.get_frame(fid)
-        if frame.ksm_stable:
+        physmem = self.physmem
+        token = physmem.token_of(fid)
+        if physmem.states[fid] == STABLE:
             return
-        token = frame.token
         stable_fid = self._stable.get(token)
         if stable_fid is not None:
-            stable_frame = self.physmem.frame(stable_fid)
             if (
-                stable_frame is None
-                or stable_frame.token != token
-                or not stable_frame.ksm_stable
+                physmem.states[stable_fid] != STABLE
+                or physmem.token_of(stable_fid) != token
             ):
                 del self._stable[token]
             elif stable_fid != fid:
-                self.physmem.merge_into(table, vpn, stable_fid)
+                physmem.merge_into(table, vpn, stable_fid)
                 self.merges += 1
                 return
         last = self._last_tokens[table]
@@ -169,30 +167,29 @@ class ReferenceScanner:
             self.stale_drops += 1
             self._unstable[token] = (table, vpn)
             return
-        partner_frame = self.physmem.get_frame(partner_fid)
-        if partner_frame.token != token:
+        if physmem.token_of(partner_fid) != token:
             self.stale_drops += 1
             self._unstable[token] = (table, vpn)
             return
         if partner_fid == fid:
-            frame.ksm_stable = True
+            physmem.mark_ksm_stable(fid)
             self._stable[token] = fid
             del self._unstable[token]
             return
-        partner_frame.ksm_stable = True
+        physmem.mark_ksm_stable(partner_fid)
         self._stable[token] = partner_fid
         del self._unstable[token]
-        self.physmem.merge_into(table, vpn, partner_fid)
+        physmem.merge_into(table, vpn, partner_fid)
         self.merges += 1
 
     def _record_history(self):
         shared = 0
         sharing = 0
+        physmem = self.physmem
         for fid in self._stable.values():
-            frame = self.physmem.frame(fid)
-            if frame is not None and frame.ksm_stable:
+            if physmem.states[fid] == STABLE:
                 shared += 1
-                sharing += frame.refcount
+                sharing += physmem.refs[fid]
         self.history.append((self.clock.now_ms, shared, sharing))
 
 

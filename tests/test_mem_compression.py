@@ -84,7 +84,7 @@ class TestCompressRestore:
         refuses — the §VI trade-off between the techniques."""
         pm, table, store = env
         fid = pm.map_token(table, 0, 7)
-        pm.get_frame(fid).ksm_stable = True
+        pm.mark_ksm_stable(fid)
         assert store.compress_page(table, 0) == 0
         assert not store.is_compressed(table, 0)
         assert table.is_mapped(0)
@@ -167,7 +167,7 @@ class TestSweep:
         pm, table, store = env
         for vpn in range(4):  # the stable prefix the old code choked on
             fid = pm.map_token(table, vpn, 7)
-            pm.get_frame(fid).ksm_stable = True
+            pm.mark_ksm_stable(fid)
         for vpn in range(4, 10):
             pm.map_token(table, vpn, vpn + 1)
         store.sweep(table, limit=3)
@@ -179,6 +179,6 @@ class TestSweep:
         pm, table, store = env
         for vpn in range(5):
             fid = pm.map_token(table, vpn, 7)
-            pm.get_frame(fid).ksm_stable = True
+            pm.mark_ksm_stable(fid)
         assert store.sweep(table, limit=2) == 0
         assert store.pool_pages == 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mem.address_space import PageTable
-from repro.mem.physmem import HostPhysicalMemory
+from repro.mem.physmem import FREE, STABLE, HostPhysicalMemory
 from repro.units import MiB
 
 PAGE = 4096
@@ -23,9 +23,8 @@ def table():
 class TestAlloc:
     def test_alloc_starts_with_one_ref(self, pm):
         fid = pm.alloc(5)
-        frame = pm.get_frame(fid)
-        assert frame.refcount == 1
-        assert frame.token == 5
+        assert pm.refs[fid] == 1
+        assert pm.token_of(fid) == 5
 
     def test_fids_never_reused(self, pm):
         fid = pm.alloc(5)
@@ -35,9 +34,9 @@ class TestAlloc:
     def test_free_removes_frame(self, pm):
         fid = pm.alloc(5)
         pm.dec_ref(fid)
-        assert pm.frame(fid) is None
-        with pytest.raises(KeyError):
-            pm.get_frame(fid)
+        assert not pm.is_live(fid)
+        with pytest.raises(KeyError, match="has been freed"):
+            pm.token_of(fid)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -70,26 +69,27 @@ class TestMapWrite:
         a, b = PageTable("a"), PageTable("b")
         fid = pm.map_token(a, 1, 5)
         pm.share_mapping(b, 7, fid)
-        assert pm.get_frame(fid).refcount == 2
+        assert pm.refs[fid] == 2
         new_fid = pm.write_token(b, 7, 9)
         assert new_fid != fid
         assert pm.read_token(a, 1) == 5  # untouched
         assert pm.read_token(b, 7) == 9
-        assert pm.get_frame(fid).refcount == 1
+        assert pm.refs[fid] == 1
         assert pm.cow_breaks == 1
 
     def test_write_to_stable_frame_always_cows(self, pm, table):
         fid = pm.map_token(table, 1, 5)
-        pm.get_frame(fid).ksm_stable = True
+        pm.mark_ksm_stable(fid)
+        assert pm.states[fid] == STABLE
         new_fid = pm.write_token(table, 1, 6)
         assert new_fid != fid
         # The stable frame lost its only mapper and was freed.
-        assert pm.frame(fid) is None
+        assert not pm.is_live(fid)
 
     def test_unmap_drops_reference(self, pm, table):
         fid = pm.map_token(table, 1, 5)
         pm.unmap(table, 1)
-        assert pm.frame(fid) is None
+        assert not pm.is_live(fid)
         assert not table.is_mapped(1)
 
 
@@ -100,9 +100,9 @@ class TestMerge:
         fid_b = pm.map_token(b, 2, 5)
         old = pm.merge_into(a, 1, fid_b)
         assert old == fid_a
-        assert pm.frame(fid_a) is None
+        assert not pm.is_live(fid_a)
         assert a.translate(1) == fid_b
-        assert pm.get_frame(fid_b).refcount == 2
+        assert pm.refs[fid_b] == 2
 
     def test_merge_refuses_different_content(self, pm):
         a, b = PageTable("a"), PageTable("b")
@@ -114,7 +114,7 @@ class TestMerge:
     def test_merge_self_is_noop(self, pm, table):
         fid = pm.map_token(table, 1, 5)
         assert pm.merge_into(table, 1, fid) == fid
-        assert pm.get_frame(fid).refcount == 1
+        assert pm.refs[fid] == 1
 
     def test_merge_unmapped_raises(self, pm, table):
         fid = pm.map_token(table, 1, 5)
@@ -137,19 +137,73 @@ class TestStatistics:
         assert pm.overcommitted_bytes == PAGE
         assert pm.bytes_free == -PAGE
 
-    def test_count_zero_frames(self, pm, table):
-        pm.map_token(table, 1, 0)
-        pm.map_token(table, 2, 7)
-        assert pm.count_zero_frames() == 1
+
+class TestGuards:
+    """No operation touches a fid that is not a live frame."""
+
+    def test_token_of_rejects_fids_outside_the_table(self, pm):
+        fid = pm.alloc(5)
+        for bad in (0, -1, fid + 1):
+            with pytest.raises(KeyError, match="never allocated"):
+                pm.token_of(bad)
+        assert pm.token_of(fid) == 5
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            "inc_ref",
+            "dec_ref",
+            "mark_ksm_stable",
+            "share_mapping",
+            "merge_into",
+            "read_token",
+        ],
+    )
+    def test_freed_fid_is_refused(self, pm, table, operation):
+        live = pm.map_token(table, 1, 5)
+        freed = pm.alloc(5)
+        pm.dec_ref(freed)
+        table.map(2, freed)  # a stale entry left behind by a bad caller
+        calls = {
+            "inc_ref": lambda: pm.inc_ref(freed),
+            "dec_ref": lambda: pm.dec_ref(freed),
+            "mark_ksm_stable": lambda: pm.mark_ksm_stable(freed),
+            "share_mapping": lambda: pm.share_mapping(table, 3, freed),
+            "merge_into": lambda: pm.merge_into(table, 1, freed),
+            "read_token": lambda: pm.read_token(table, 2),
+        }
+        refs = list(pm.refs)
+        states = bytes(pm.states)
+        in_use, cow_breaks = pm.frames_in_use, pm.cow_breaks
+        with pytest.raises(KeyError, match=f"frame {freed} has been freed"):
+            calls[operation]()
+        assert list(pm.refs) == refs
+        assert bytes(pm.states) == states
+        assert pm.frames_in_use == in_use
+        assert pm.cow_breaks == cow_breaks
+        assert table.translate(1) == live
+        assert not table.is_mapped(3)
+
+    def test_write_through_freed_entry_counts_no_cow_break(
+        self, pm, table
+    ):
+        fid = pm.map_token(table, 1, 5)
+        pm.dec_ref(fid)  # freed behind the table's back
+        refs = list(pm.refs)
+        with pytest.raises(KeyError, match=f"frame {fid} has been freed"):
+            pm.write_token(table, 1, 6)
+        assert pm.cow_breaks == 0
+        assert list(pm.refs) == refs
+        assert pm.frames_in_use == 0
 
 
 @st.composite
 def operations(draw):
-    """A random sequence of map/write/unmap/share operations."""
+    """A random sequence of map/write/unmap/share/stable operations."""
     ops = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["write", "unmap", "share"]),
+                st.sampled_from(["write", "unmap", "share", "stable"]),
                 st.integers(0, 9),  # vpn
                 st.integers(0, 5),  # token
                 st.integers(0, 9),  # second vpn (for share)
@@ -164,7 +218,8 @@ class TestInvariants:
     @given(ops=operations())
     @settings(max_examples=80)
     def test_refcounts_equal_mappings(self, ops):
-        """Sum of frame refcounts always equals live page-table entries."""
+        """Sum of frame refcounts always equals live page-table entries,
+        and the in-use counter always agrees with the state column."""
         pm = HostPhysicalMemory(64 * MiB, PAGE)
         tables = [PageTable("a"), PageTable("b")]
         for op, vpn, token, vpn2 in ops:
@@ -179,9 +234,19 @@ class TestInvariants:
                 fid = table.translate(vpn)
                 if fid is not None and not other.is_mapped(vpn2):
                     pm.share_mapping(other, vpn2, fid)
+            elif op == "stable":
+                fid = table.translate(vpn)
+                if fid is not None:
+                    pm.mark_ksm_stable(fid)
             mappings = sum(len(t) for t in tables)
-            refs = sum(f.refcount for f in pm._frames.values())
-            assert refs == mappings
+            assert sum(pm.refs) == mappings
+            live = sum(1 for state in pm.states if state != FREE)
+            assert pm.frames_in_use == live
+            for fid, state in enumerate(pm.states):
+                assert (pm.refs[fid] == 0) == (state == FREE)
+            assert (
+                pm.bytes_in_use == pm.frames_in_use * PAGE + pm.pool_bytes
+            )
 
 
 class TestFramesSnapshot:
@@ -190,8 +255,7 @@ class TestFramesSnapshot:
         pm.inc_ref(fids[1])
         snapshot = pm.frames_snapshot(fids)
         assert snapshot == {
-            fid: (pm.get_frame(fid).token, pm.get_frame(fid).refcount)
-            for fid in fids
+            fid: (pm.token_of(fid), pm.refs[fid]) for fid in fids
         }
         assert snapshot[fids[1]][1] == 2
 

@@ -11,7 +11,21 @@ class TestExports:
             assert hasattr(repro, name), name
 
     def test_version(self):
-        assert repro.__version__ == "3.1.0"
+        assert repro.__version__ == "4.0.0"
+
+    def test_mem_exports_no_frame_object(self):
+        """Since 4.0.0 a host frame is a row of HostPhysicalMemory's
+        columns, so repro.mem exports no per-frame class."""
+        import repro.mem
+
+        exported = {
+            name
+            for name in repro.mem.__all__
+            if inspect.isclass(getattr(repro.mem, name))
+        }
+        assert exported == {
+            "Chunk", "HostPhysicalMemory", "PageTable", "Region",
+        }
 
     def test_public_callables_documented(self):
         for name in repro.__all__:
