@@ -219,26 +219,30 @@ def test_fig2_analysis_columnar_speedup(figure_cache):
     dump = result.dump
     assert dump is not None
 
-    def best_of(fn, repeats):
-        best, fingerprint = float("inf"), None
-        for _ in range(repeats):
+    runs = {
+        "dict": lambda: dict_owner_accounting(dump),
+        "numpy": lambda: owner_oriented_accounting(dump),
+        "streaming": lambda: stream_owner_accounting(dump),
+    }
+    walls = dict.fromkeys(runs, float("inf"))
+    fingerprints = {}
+    # Best-of-3 on every side, interleaved round by round: the gate
+    # compares the columnar/dict fraction, so both sides must shed
+    # warm-up and host noise the same way.
+    for _ in range(3):
+        for name, fn in runs.items():
             started = time.perf_counter()
             accounting = fn()
-            best = min(best, time.perf_counter() - started)
-            fingerprint = _analysis_fingerprint(accounting)
-        return best, fingerprint
-
-    # The dict oracle is the slow one — a single timed run; the
-    # columnar paths take best-of-3 to shed warmup noise.
-    dict_wall, reference = best_of(lambda: dict_owner_accounting(dump), 1)
-    numpy_wall, fingerprint = best_of(
-        lambda: owner_oriented_accounting(dump), 3
+            walls[name] = min(walls[name], time.perf_counter() - started)
+            fingerprints[name] = _analysis_fingerprint(accounting)
+    reference = fingerprints["dict"]
+    assert fingerprints["numpy"] == reference, (
+        "columnar breakdown diverges from dict"
     )
-    assert fingerprint == reference, "columnar breakdown diverges from dict"
-    stream_wall, stream_fingerprint = best_of(
-        lambda: stream_owner_accounting(dump), 3
-    )
-    assert stream_fingerprint == reference
+    assert fingerprints["streaming"] == reference
+    dict_wall = walls["dict"]
+    numpy_wall = walls["numpy"]
+    stream_wall = walls["streaming"]
 
     analysis = {
         "dict_wall_s": round(dict_wall, 4),

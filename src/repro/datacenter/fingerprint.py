@@ -18,7 +18,7 @@ which is fine for ranking candidate hosts.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List
+from typing import List
 
 from repro.hypervisor.kvm import KvmGuestVm
 from repro.sim.rng import stable_hash64
@@ -50,10 +50,6 @@ class MemoryFingerprint:
         for position in self._positions(token):
             self._words[position >> 3] |= 1 << (position & 7)
         self._inserted += 1
-
-    def add_all(self, tokens: Iterable[int]) -> None:
-        for token in tokens:
-            self.add(token)
 
     def might_contain(self, token: int) -> bool:
         return all(

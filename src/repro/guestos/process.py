@@ -14,7 +14,7 @@ gfn and no host frame — the paper's methodology explicitly copes with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.guestos.kernel import GuestKernel, OwnerKind
 from repro.guestos.pagecache import BackingFile
@@ -210,15 +210,6 @@ class GuestProcess:
             if vma.start_vpn <= vpn < vma.end_vpn:
                 return vma
         return None
-
-    def iter_mapped(self) -> Iterator[Tuple[int, int, Vma]]:
-        """Iterate (vpn, gfn, vma) for every mapped page."""
-        for vma in self.vmas:
-            for index in range(vma.npages):
-                vpn = vma.start_vpn + index
-                gfn = self.page_table.translate(vpn)
-                if gfn is not None:
-                    yield vpn, gfn, vma
 
     def vma_by_tag(self, tag: str) -> List[Vma]:
         return [vma for vma in self.vmas if vma.tag == tag]

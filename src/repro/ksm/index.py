@@ -24,6 +24,12 @@ the scanner's fresh-candidate insert
 stable-node iteration (the statistics gauges, recorded once per pass)
 stays O(stable) however many candidates the ``INCREMENTAL`` policy keeps
 alive across passes.
+
+While the scanner replays a quiescent ``FULL`` pass (see
+:mod:`repro.ksm.scanner`), the candidates it would insert stay in its
+replay record and are only counted here (:meth:`add_replayed`), so
+:attr:`unstable_count` is exact at every point; the scanner inserts
+them for real before anything else reads the unstable tree.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ UnstableNode = Tuple[str, "PageTable", int]
 class TokenIndex:
     """O(1) token → (stable | unstable) node index."""
 
-    __slots__ = ("_stable", "_unstable", "_stable_rev")
+    __slots__ = ("_stable", "_unstable", "_stable_rev", "_replayed")
 
     def __init__(self) -> None:
         #: The stable tree: token -> fid of the merged frame.
@@ -57,6 +63,8 @@ class TokenIndex:
         # Bumped whenever the stable node set (or any stable fid) can
         # have changed; lets callers cache stable-tree projections.
         self._stable_rev = 0
+        # Unstable candidates of a replayed pass, counted but not stored.
+        self._replayed = 0
 
     # ------------------------------------------------------------------
     # Probes
@@ -117,9 +125,20 @@ class TokenIndex:
         else:
             self._unstable.pop(token, None)
 
+    def add_replayed(self, count: int) -> None:
+        """Count ``count`` unstable candidates a replayed pass holds in
+        its record instead of in the tree."""
+        self._replayed += count
+
+    def drop_replayed(self) -> None:
+        """Stop counting replayed candidates (the scanner has inserted
+        them for real)."""
+        self._replayed = 0
+
     def clear_unstable(self) -> None:
         """Discard every unstable node (the end-of-full-pass reset)."""
         self._unstable.clear()
+        self._replayed = 0
 
     def drop_unstable_for(self, table: "PageTable") -> None:
         """Retire every unstable candidate belonging to ``table``.
@@ -156,14 +175,14 @@ class TokenIndex:
 
     @property
     def unstable_count(self) -> int:
-        return len(self._unstable)
+        return len(self._unstable) + self._replayed
 
     def stable_items(self) -> List[Tuple[int, int]]:
         """All (token, fid) stable nodes, as a list safe to mutate over."""
         return list(self._stable.items())
 
     def __len__(self) -> int:
-        return len(self._stable) + len(self._unstable)
+        return len(self._stable) + self.unstable_count
 
     def __repr__(self) -> str:
         return (

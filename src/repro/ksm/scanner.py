@@ -110,8 +110,9 @@ examination, and the examined-at-segment-start snapshot of
    into the unstable tree in one bulk insert
    (:meth:`TokenIndex.bulk_set_unstable_fresh`).  A *settled* segment,
    where no content changed since the last pass, is just the compare
-   and the insert.  This is the steady-state FULL pass over converged
-   memory;
+   and the insert.  Most segments of a FULL pass over converged memory
+   are settled; a pass that is settled throughout is replayed on the
+   passes after it instead (below);
 4. otherwise dispatches **singleton groups** through one fused kernel:
    a bulk index probe (:meth:`TokenIndex.lookup` per token), step 3
    for the rows without a node, and the elected stable-tree merges
@@ -125,6 +126,48 @@ ints), so the grouping keys on the frame table's *masked* uint64 column
 while all semantic operations use the exact Python tokens; a masked
 collision can only route a group to the per-row path, never change a
 result.
+
+Pass replay
+-----------
+
+Over converged, quiescent memory a FULL pass repeats the one before
+it.  The modelled KSM still examines every page — ``pages_scanned``,
+``cpu_ms``, the pass boundaries, ``full_scans`` and the history sample
+are charged as before — but the scanner stops recomputing a pass whose
+outcome it already knows:
+
+* A pass is **clean** when the policy is FULL, it started with an empty
+  unstable tree, every segment it examined took the settled path (no
+  multi-page group, no token with a node in either tree, every row's
+  token equal to its volatility-map entry), and the world stamp is the
+  same at its end as at its start.  A clean pass changes no frame,
+  mapping, stable node or volatility entry — only the unstable tree,
+  which the pass end discards — so every following pass over the same
+  world repeats it exactly.
+* The **world stamp** is the frame table's write counter
+  (:attr:`HostPhysicalMemory.frame_writes`: in-place stores, KSM
+  promotions, frees), the token index's ``stable_rev`` and each
+  registered table's ``(version, remap_epoch)``; ``register`` and
+  ``unregister`` drop the record.  It is not derived from the dirty
+  logs: a full pass clears them at every worklist install,
+  ``clear_dirty()`` drops entries, and FULL must still catch a write
+  whose log entry was lost.
+* The **record** of a clean pass is, per table, the worklist it walked
+  and a boolean mask of the rows it inserted into the unstable tree
+  (1 B per row, the gather's active mask).  An inserted row's token is
+  its volatility-map entry, which a settled row leaves unchanged, so no
+  tokens or nodes are stored.
+* While the stamp matches the record's, each segment of a later pass
+  returns from :meth:`KsmScanner._examine_segment` after counting its
+  masked rows into :attr:`TokenIndex.unstable_count`
+  (:meth:`TokenIndex.add_replayed`).  At a **break** — the first
+  segment that sees a changed stamp — the replayed prefix (the masked
+  rows of the tables already walked, plus the current table's rows
+  before the segment) goes into the unstable tree for real, one bulk
+  insert per table, and the segment is examined as usual; that pass
+  is not clean.  ``register`` and ``unregister`` insert the prefix
+  the same way before they change the table list, so
+  :meth:`TokenIndex.drop_unstable_for` sees the nodes.
 """
 
 from __future__ import annotations
@@ -258,6 +301,14 @@ class KsmScanner:
         # Stable-tree fid column for the per-pass history gauges,
         # cached against the index's stable revision.
         self._stable_cache: Optional[tuple] = None
+        # Pass replay (module docstring).  A record is (world stamp,
+        # {table position: (worklist, inserted-row mask)}): ``_replay``
+        # holds the last clean pass's, ``_recording`` the pass in
+        # progress's while it may still be clean, and ``_replaying``
+        # says the pass in progress repeats ``_replay``.
+        self._replay: Optional[tuple] = None
+        self._recording: Optional[tuple] = None
+        self._replaying = False
 
     # ------------------------------------------------------------------
     # Registration
@@ -272,6 +323,7 @@ class KsmScanner:
                 f"a different table named {table.name!r} is already "
                 "registered; KSM bookkeeping requires unique table names"
             )
+        self._forget_replay()
         self._tables.append(table)
         self._last_tokens[table] = {}
         # madvise(MERGEABLE) semantics: every page the table *already*
@@ -289,6 +341,7 @@ class KsmScanner:
         """Stop scanning ``table`` (existing merges stay in place)."""
         for index, existing in enumerate(self._tables):
             if existing is table:
+                self._forget_replay()
                 del self._tables[index]
                 table.detach_dirty_sink(self._note_table_event)
                 self._last_tokens.pop(table, None)
@@ -402,7 +455,8 @@ class KsmScanner:
         return self._scan_pos < len(self._scan_list)
 
     def _begin_pass(self) -> None:
-        """Decide whether the pass now starting walks everything."""
+        """Decide whether the pass now starting walks everything, and
+        whether it replays the last clean pass or records itself."""
         policy = self.config.scan_policy
         if policy is ScanPolicy.FULL:
             self._current_pass_full = True
@@ -411,6 +465,17 @@ class KsmScanner:
         else:  # HYBRID
             interval = self.config.hybrid_full_interval
             self._current_pass_full = self._passes_done % interval == 0
+        self._replaying = False
+        self._recording = None
+        if policy is not ScanPolicy.FULL or self._index.unstable_count:
+            self._replay = None
+            return
+        stamp = self._world_stamp()
+        if self._replay is not None and self._replay[0] == stamp:
+            self._replaying = True
+        else:
+            self._replay = None
+            self._recording = (stamp, {})
 
     def _complete_pass(self) -> None:
         """End-of-pass bookkeeping (only for passes that examined pages).
@@ -431,6 +496,18 @@ class KsmScanner:
             # passes — keep candidates alive so quiescent pages dirtied
             # in different passes can still meet.
             self._index.clear_unstable()
+        elif self._replaying:
+            # The policy changed mid-replay: the candidates survive.
+            self._end_replay(len(self._tables), 0)
+        recording = self._recording
+        if (
+            recording is not None
+            and recording[1]
+            and recording[0] == self._world_stamp()
+        ):
+            # A clean pass: the passes after it replay its record.
+            self._replay = recording
+        self._recording = None
         if self._current_pass_full:
             self._prune_last_tokens()
         self._record_history()
@@ -557,10 +634,77 @@ class KsmScanner:
     def _examine_segment(
         self, table: PageTable, start: int, stop: int
     ) -> None:
+        position = self._table_cursor
+        if self._replaying:
+            stamp, record = self._replay
+            if self._world_stamp() == stamp:
+                mask = record[position][1]
+                self._index.add_replayed(
+                    int(np.count_nonzero(mask[start:stop]))
+                )
+                return
+            self._end_replay(position, start)
         cur = self._segment_fids(table, self._cur)
         gathered = self._gather(cur, start, stop)
+        settled = gathered is None or self._process_groups(
+            table, *gathered[1:]
+        )
+        recording = self._recording
+        if recording is None:
+            return
+        if not settled:
+            self._recording = None
+            return
+        entry = recording[1].get(position)
+        if entry is None:
+            vpns = self._scan_list
+            entry = (vpns, np.zeros(len(vpns), np.bool_))
+            recording[1][position] = entry
         if gathered is not None:
-            self._process_groups(table, *gathered)
+            entry[1][start:stop] = gathered[0]
+
+    # ------------------------------------------------------------------
+    # Pass replay (module docstring)
+    # ------------------------------------------------------------------
+
+    def _world_stamp(self) -> List[int]:
+        """Everything a FULL pass reads that something other than the
+        pass itself can change."""
+        stamp = [self.physmem.frame_writes, self._index.stable_rev]
+        for table in self._tables:
+            stamp.append(table.version)
+            stamp.append(table.remap_epoch)
+        return stamp
+
+    def _end_replay(self, position: int, upto: int) -> None:
+        """Insert the replayed prefix into the unstable tree for real —
+        the record's rows of the tables before ``position`` and of table
+        ``position`` before worklist row ``upto`` — and drop the record."""
+        record = self._replay[1]
+        index = self._index
+        for at, table in enumerate(self._tables[: position + 1]):
+            entry = record.get(at)
+            if entry is None:
+                continue
+            vpns, mask = entry
+            if at == position:
+                mask = mask[:upto]
+            picked = list(compress(vpns, mask.tolist()))
+            if picked:
+                last = self._last_tokens[table]
+                tokens = list(map(last.__getitem__, picked))
+                index.bulk_set_unstable_fresh(tokens, table, picked)
+        index.drop_replayed()
+        self._replay = None
+        self._replaying = False
+
+    def _forget_replay(self) -> None:
+        """A registration change ends the pass's replay (inserting its
+        prefix) or recording, and drops the record."""
+        if self._replaying:
+            self._end_replay(self._table_cursor, self._scan_pos)
+        self._replay = None
+        self._recording = None
 
     def _gather(self, cur: dict, start: int, stop: int):
         physmem = self.physmem
@@ -591,7 +735,7 @@ class KsmScanner:
         if len(set(ot)) == len(ot):
             # Every token occurs once: all rows are singletons, left in
             # segment order (groups are independent, so any order is).
-            return list(map(vpns, picks)), of, ot, ()
+            return active, list(map(vpns, picks)), of, ot, ()
         # Some token repeats: reorder the gathered rows by token (stable,
         # so segment order within a group) and split off the groups.
         masked = np.frombuffer(physmem.masked, dtype=np.uint64)
@@ -617,7 +761,7 @@ class KsmScanner:
                 end = i + size
                 multis.append(list(zip(ov[i:end], of[i:end], ot[i:end])))
             i += size
-        return sv, sf, st, multis
+        return active, sv, sf, st, multis
 
     # ------------------------------------------------------------------
     # Stage C/D: the fused singleton kernel + per-row group tails
@@ -630,21 +774,25 @@ class KsmScanner:
         sf: List[int],
         st: List[int],
         multis,
-    ) -> None:
+    ) -> bool:
+        """Examine the gathered rows; True when the segment was settled."""
         # Token groups are independent (module docstring), so group
         # processing order is free; in-group order is segment order.
+        settled = not multis
         if sv:
             if self._index.any_node(st):
                 self._examine_singletons(table, sv, sf, st)
-            else:
-                self._insert_unseen(table, sv, st)
+                settled = False
+            elif not self._insert_unseen(table, sv, st):
+                settled = False
         for rows in multis:
             for vpn, fid, token in rows:
                 self._examine_row(table, vpn, fid, token)
+        return settled
 
     def _insert_unseen(
         self, table: PageTable, sv: List[int], st: List[int]
-    ) -> None:
+    ) -> bool:
         """Singletons none of whose tokens has a node in either tree.
 
         Each row then only runs the volatility filter and, when its
@@ -652,13 +800,13 @@ class KsmScanner:
         fresh unstable candidate — so the rows are applied with C-level
         list and dict operations instead of a per-row loop.  A settled
         segment, where no row's content changed, is one list compare
-        and one bulk insert.
+        and one bulk insert; returns True when the rows were settled.
         """
         last = self._last_tokens[table]
         previous = list(map(last.get, sv))
         if previous == st:
             self._index.bulk_set_unstable_fresh(st, table, sv)
-            return
+            return True
         # A worklist never repeats a vpn, so reading every previous
         # token before storing the new ones matches the per-row order.
         last.update(zip(sv, st))
@@ -671,6 +819,7 @@ class KsmScanner:
             self._index.bulk_set_unstable_fresh(
                 list(compress(st, same)), table, fresh_v
             )
+        return False
 
     def _examine_singletons(
         self, table: PageTable, sv: List[int], sf: List[int], st: List[int]

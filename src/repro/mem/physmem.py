@@ -26,6 +26,12 @@ and :meth:`~HostPhysicalMemory.block_of`; only the methods of
 :class:`HostPhysicalMemory` write them, and each refuses a fid that is
 not a live frame with ``KeyError``.
 
+Every change to a live frame's token or state bumps one counter,
+:attr:`HostPhysicalMemory.frame_writes` (an in-place store, a KSM
+promotion, a free); with the page tables' ``version`` and
+``remap_epoch`` it tells the KSM scanner that nothing it reads has
+changed since an earlier pass.
+
 Huge-block membership is a sparse ``fid -> block id`` dict, not a fifth
 column: only the THP policies form blocks, and a column would cost 8 B
 for every frame ever allocated on the default path too.
@@ -109,6 +115,7 @@ class HostPhysicalMemory:
         self.refs = array("q", [0])
         self._in_use = 0
         self._cow_breaks = 0
+        self._frame_writes = 0
         self._pool_bytes = 0
         self._block_of: Dict[int, int] = {}
         self._blocks: Dict[int, HugeBlock] = {}
@@ -191,6 +198,7 @@ class HostPhysicalMemory:
                 self.split_block(bid, "free")
             self.states[fid] = FREE
             self._in_use -= 1
+            self._frame_writes += 1
         self.refs[fid] = left
 
     def mark_ksm_stable(self, fid: int) -> None:
@@ -208,6 +216,7 @@ class HostPhysicalMemory:
                 "split it before KSM promotion"
             )
         self.states[fid] = STABLE
+        self._frame_writes += 1
 
     # ------------------------------------------------------------------
     # Huge (THP-style) frame blocks
@@ -345,6 +354,7 @@ class HostPhysicalMemory:
         if self._live_state(fid) == ACTIVE and self.refs[fid] == 1:
             self.tokens[fid] = token
             self.masked[fid] = token & _MASK64
+            self._frame_writes += 1
             table.log_dirty(vpn)
             return fid
         self._cow_breaks += 1
@@ -463,6 +473,12 @@ class HostPhysicalMemory:
     def cow_breaks(self) -> int:
         """Number of copy-on-write breaks since boot."""
         return self._cow_breaks
+
+    @property
+    def frame_writes(self) -> int:
+        """Changes to a live frame's token or state since boot (in-place
+        stores, KSM promotions, frees); never decreases."""
+        return self._frame_writes
 
     def __repr__(self) -> str:
         return (

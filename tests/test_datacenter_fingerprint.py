@@ -18,7 +18,8 @@ class TestBloomBasics:
 
     def test_probably_absent(self):
         fingerprint = MemoryFingerprint(bits=1 << 12)
-        fingerprint.add_all(range(1, 20))
+        for token in range(1, 20):
+            fingerprint.add(token)
         misses = sum(
             1 for token in range(10_000, 10_100)
             if not fingerprint.might_contain(token)
@@ -41,30 +42,37 @@ class TestBloomBasics:
 class TestCardinality:
     def test_estimate_tracks_insertions(self):
         fingerprint = MemoryFingerprint(bits=1 << 14)
-        fingerprint.add_all(range(1, 501))
+        for token in range(1, 501):
+            fingerprint.add(token)
         estimate = fingerprint.estimated_cardinality()
         assert 400 < estimate < 600
 
     def test_intersection_estimate(self):
         a = MemoryFingerprint(bits=1 << 14)
         b = MemoryFingerprint(bits=1 << 14)
-        a.add_all(range(1, 401))  # 1..400
-        b.add_all(range(201, 601))  # 201..600; overlap = 200
+        for token in range(1, 401):  # 1..400
+            a.add(token)
+        for token in range(201, 601):  # 201..600; overlap = 200
+            b.add(token)
         shared = a.estimate_shared_tokens(b)
         assert 120 < shared < 280
 
     def test_disjoint_sets_estimate_near_zero(self):
         a = MemoryFingerprint(bits=1 << 14)
         b = MemoryFingerprint(bits=1 << 14)
-        a.add_all(range(1, 201))
-        b.add_all(range(10_001, 10_201))
+        for token in range(1, 201):
+            a.add(token)
+        for token in range(10_001, 10_201):
+            b.add(token)
         assert a.estimate_shared_tokens(b) < 60
 
     def test_union_cardinality(self):
         a = MemoryFingerprint(bits=1 << 14)
         b = MemoryFingerprint(bits=1 << 14)
-        a.add_all(range(1, 201))
-        b.add_all(range(201, 401))
+        for token in range(1, 201):
+            a.add(token)
+        for token in range(201, 401):
+            b.add(token)
         union = a.union(b)
         assert 300 < union.estimated_cardinality() < 500
 

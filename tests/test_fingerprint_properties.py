@@ -15,14 +15,16 @@ class TestBloomProperties:
     def test_no_false_negatives(self, tokens):
         """A Bloom filter may lie about presence, never about absence."""
         fingerprint = MemoryFingerprint(bits=1 << 14)
-        fingerprint.add_all(tokens)
+        for token in tokens:
+            fingerprint.add(token)
         assert all(fingerprint.might_contain(token) for token in tokens)
 
     @given(tokens=token_sets)
     @settings(max_examples=50, deadline=None)
     def test_cardinality_estimate_reasonable(self, tokens):
         fingerprint = MemoryFingerprint(bits=1 << 16)
-        fingerprint.add_all(tokens)
+        for token in tokens:
+            fingerprint.add(token)
         estimate = fingerprint.estimated_cardinality()
         if not tokens:
             assert estimate == 0.0
@@ -34,8 +36,10 @@ class TestBloomProperties:
     def test_union_is_commutative(self, a, b):
         fa = MemoryFingerprint(bits=1 << 14)
         fb = MemoryFingerprint(bits=1 << 14)
-        fa.add_all(a)
-        fb.add_all(b)
+        for token in a:
+            fa.add(token)
+        for token in b:
+            fb.add(token)
         ab = fa.union(fb)
         ba = fb.union(fa)
         assert ab._words == ba._words
@@ -47,8 +51,10 @@ class TestBloomProperties:
         estimator is symmetric."""
         fa = MemoryFingerprint(bits=1 << 16)
         fb = MemoryFingerprint(bits=1 << 16)
-        fa.add_all(a)
-        fb.add_all(b)
+        for token in a:
+            fa.add(token)
+        for token in b:
+            fb.add(token)
         estimate = fa.estimate_shared_tokens(fb)
         assert estimate >= 0.0
         assert estimate <= min(len(a), len(b)) * 1.5 + 10
@@ -58,7 +64,8 @@ class TestBloomProperties:
     @settings(max_examples=30, deadline=None)
     def test_self_intersection_is_cardinality(self, tokens):
         fingerprint = MemoryFingerprint(bits=1 << 16)
-        fingerprint.add_all(tokens)
+        for token in tokens:
+            fingerprint.add(token)
         shared = fingerprint.estimate_shared_tokens(fingerprint)
         estimate = fingerprint.estimated_cardinality()
         assert abs(shared - estimate) < 1e-6
@@ -73,8 +80,10 @@ class TestEstimatorProperties:
         """|A ∪ B| estimate is at least max(|A|, |B|) estimates."""
         fa = MemoryFingerprint(bits=1 << 14)
         fb = MemoryFingerprint(bits=1 << 14)
-        fa.add_all(a)
-        fb.add_all(b)
+        for token in a:
+            fa.add(token)
+        for token in b:
+            fb.add(token)
         union = fa.union(fb).estimated_cardinality()
         assert union >= fa.estimated_cardinality()
         assert union >= fb.estimated_cardinality()
@@ -83,7 +92,8 @@ class TestEstimatorProperties:
     @settings(max_examples=50, deadline=None)
     def test_cardinality_never_negative(self, tokens):
         fingerprint = MemoryFingerprint(bits=1 << 10)
-        fingerprint.add_all(tokens)
+        for token in tokens:
+            fingerprint.add(token)
         assert fingerprint.estimated_cardinality() >= 0.0
 
     @given(a=token_sets, b=token_sets)
@@ -91,8 +101,10 @@ class TestEstimatorProperties:
     def test_shared_estimate_symmetric(self, a, b):
         fa = MemoryFingerprint(bits=1 << 14)
         fb = MemoryFingerprint(bits=1 << 14)
-        fa.add_all(a)
-        fb.add_all(b)
+        for token in a:
+            fa.add(token)
+        for token in b:
+            fb.add(token)
         assert fa.estimate_shared_tokens(fb) == fb.estimate_shared_tokens(fa)
 
     @given(a=token_sets, b=token_sets)
@@ -101,8 +113,10 @@ class TestEstimatorProperties:
         """0 ≤ |A ∩ B| estimate ≤ min(|A|, |B|) estimates, never NaN."""
         fa = MemoryFingerprint(bits=1 << 12)
         fb = MemoryFingerprint(bits=1 << 12)
-        fa.add_all(a)
-        fb.add_all(b)
+        for token in a:
+            fa.add(token)
+        for token in b:
+            fb.add(token)
         shared = fa.estimate_shared_tokens(fb)
         assert shared == shared  # not NaN
         assert 0.0 <= shared

@@ -159,15 +159,6 @@ class TestTeardown:
 
 
 class TestIntrospection:
-    def test_iter_mapped(self, env):
-        _h, _vm, _k, process = env
-        vma = process.mmap_anon(3 * PAGE, "heap")
-        process.write_token(vma, 0, 1)
-        process.write_token(vma, 2, 2)
-        entries = list(process.iter_mapped())
-        assert len(entries) == 2
-        assert all(entry[2] is vma for entry in entries)
-
     def test_vma_of_vpn(self, env):
         _h, _vm, _k, process = env
         vma = process.mmap_anon(2 * PAGE, "heap")

@@ -73,9 +73,10 @@ class TestPrivateLoading:
                 universe.all_classes, rng, who=vm_name
             )
             metadata.load_classes(order)
-            tokens = set()
-            for _vpn, gfn, _vma in process.iter_mapped():
-                tokens.add(process.kernel.vm.read_gfn(gfn))
+            tokens = {
+                process.kernel.vm.read_gfn(gfn)
+                for _vpn, gfn in process.page_table.entries()
+            }
             page_token_sets.append(tokens)
         overlap = page_token_sets[0] & page_token_sets[1]
         union = page_token_sets[0] | page_token_sets[1]

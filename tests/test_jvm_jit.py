@@ -48,10 +48,11 @@ class TestCompilation:
             _h, process, jit = make_jit(vm_name, host=host)
             jit.compile_bytes(64 * KiB)
             jit.flush()
-            tokens = set()
-            for _vpn, gfn, vma in process.iter_mapped():
-                if vma.tag == TAG_CODE:
-                    tokens.add(process.kernel.vm.read_gfn(gfn))
+            tokens = {
+                process.kernel.vm.read_gfn(gfn)
+                for vpn, gfn in process.page_table.entries()
+                if process.vma_of_vpn(vpn).tag == TAG_CODE
+            }
             token_sets.append(tokens)
         assert token_sets[0].isdisjoint(token_sets[1])
 

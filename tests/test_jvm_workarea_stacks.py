@@ -175,9 +175,10 @@ class TestStacks:
                 process, host.rng.derive("jvm", vm_name), 2, 2 * PAGE
             )
             stacks.initialize()
-            tokens = set()
-            for _vpn, gfn, _vma in process.iter_mapped():
-                tokens.add(process.kernel.vm.read_gfn(gfn))
+            tokens = {
+                process.kernel.vm.read_gfn(gfn)
+                for _vpn, gfn in process.page_table.entries()
+            }
             sets.append(tokens)
         assert sets[0].isdisjoint(sets[1])
 

@@ -185,3 +185,22 @@ class TestAnyNode:
         index = build(ops)
         expected = any(index.lookup(token) is not None for token in probe)
         assert index.any_node(probe) is expected
+
+
+class TestReplayedCount:
+    def test_counts_until_dropped_or_cleared(self):
+        """Replayed candidates count in ``unstable_count`` (and the
+        index length) but have no node; ``drop_replayed`` and
+        ``clear_unstable`` both stop counting them."""
+        index = TokenIndex()
+        index.set_stable(1, 10)
+        index.set_unstable(2, TABLES[0], 0)
+        index.add_replayed(3)
+        index.add_replayed(2)
+        assert (index.unstable_count, len(index)) == (6, 7)
+        assert not index.any_node([3, 4, 5])
+        index.drop_replayed()
+        assert (index.unstable_count, len(index)) == (1, 2)
+        index.add_replayed(4)
+        index.clear_unstable()
+        assert (index.unstable_count, len(index)) == (0, 1)
