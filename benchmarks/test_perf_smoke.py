@@ -20,19 +20,20 @@ with ``REPRO_BENCH_CORE_JSON``) so CI can archive and compare them:
   guest memory image (four identical JVM tables, ~90% shared
   class-cache pages, a unique heap remainder and a volatile tail
   rewritten every pass) is scanned by the per-page oracle scanner of
-  ``tests/oracle.py`` and by the columnar production scanner.  Merges,
+  ``tests/oracle.py`` and by the columnar production scanner, their
+  passes alternating (best of five each).  Merges,
   volatile skips and scanned counts must match exactly; walls and
   speedups land in the report and production must beat the oracle by
   >= 5x at ``REPRO_BENCH_SCALE >= 0.1``.
 
 * **Fig. 2 dump analysis, dict oracle vs. columnar.**  The full
-  daytrader4 system dump is analysed by the per-frame dict oracle of
-  ``tests/oracle.py``, by the production columnar pipeline and by its
-  streaming fold; the Fig. 2/Fig. 3 breakdowns must be byte-identical
-  across all of them, and the columnar path must beat the dict oracle
-  by >= 10x (asserted at ``REPRO_BENCH_SCALE >= 0.1``).  Walls and
-  speedups land in the report for the CI regression gate
-  (``benchmarks/check_perf_regression.py``).
+  daytrader4 system dump (measured from a fresh testbed: cached results
+  carry no dump) is analysed by the per-frame dict oracle of
+  ``tests/oracle.py`` and by the production columnar pipeline; the
+  Fig. 2/Fig. 3 breakdowns must be byte-identical, and the columnar
+  path must beat the dict oracle by >= 10x (asserted at
+  ``REPRO_BENCH_SCALE >= 0.1``).  Walls and speedups land in the report
+  for the CI regression gate (``benchmarks/check_perf_regression.py``).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.experiments.consolidation import run_daytrader_consolidation
-from repro.core.experiments.scenarios import run_cached
+from repro.core.experiments import scenarios
 from repro.core.preload import CacheDeployment
 from repro.core.report import render_series, render_vm_breakdown
 from repro.exec.cache import ResultCache
@@ -105,7 +106,9 @@ def _regenerate(cache):
     passes = {}
     for figure, (scenario, deployment) in FIGURES.items():
         started = time.perf_counter()
-        result = run_cached(bench_spec(scenario, deployment), cache=cache)
+        result = scenarios.run_cached(
+            bench_spec(scenario, deployment), cache=cache
+        )
         wall = time.perf_counter() - started
         passes[figure] = {
             "wall_s": wall,
@@ -206,23 +209,18 @@ def _analysis_fingerprint(accounting):
     )
 
 
-def test_fig2_analysis_columnar_speedup(figure_cache):
+def test_fig2_analysis_columnar_speedup():
     """Time the Fig. 2 dump analysis, dict oracle vs columnar."""
     from repro.core.accounting import owner_oriented_accounting
-    from repro.core.columnar.pipeline import stream_owner_accounting
 
     from tests.oracle import dict_owner_accounting
 
-    result = run_cached(
-        bench_spec("daytrader4", CacheDeployment.NONE), cache=figure_cache
-    )
-    dump = result.dump
-    assert dump is not None
+    spec = bench_spec("daytrader4", CacheDeployment.NONE)
+    dump = scenarios.testbed_for(spec).measure().dump
 
     runs = {
         "dict": lambda: dict_owner_accounting(dump),
         "numpy": lambda: owner_oriented_accounting(dump),
-        "streaming": lambda: stream_owner_accounting(dump),
     }
     walls = dict.fromkeys(runs, float("inf"))
     fingerprints = {}
@@ -239,23 +237,19 @@ def test_fig2_analysis_columnar_speedup(figure_cache):
     assert fingerprints["numpy"] == reference, (
         "columnar breakdown diverges from dict"
     )
-    assert fingerprints["streaming"] == reference
     dict_wall = walls["dict"]
     numpy_wall = walls["numpy"]
-    stream_wall = walls["streaming"]
 
     analysis = {
         "dict_wall_s": round(dict_wall, 4),
         "numpy_wall_s": round(numpy_wall, 4),
         "speedup_numpy": round(dict_wall / numpy_wall, 3),
-        "streaming_wall_s": round(stream_wall, 4),
         "identical": True,
     }
     REPORT["analysis"] = analysis
     print(
-        "\nfig2 analysis: dict {:.3f}s, columnar {:.3f}s ({:.1f}x), "
-        "streaming {:.3f}s".format(
-            dict_wall, numpy_wall, analysis["speedup_numpy"], stream_wall
+        "\nfig2 analysis: dict {:.3f}s, columnar {:.3f}s ({:.1f}x)".format(
+            dict_wall, numpy_wall, analysis["speedup_numpy"]
         )
     )
 
@@ -272,7 +266,10 @@ def test_fig2_analysis_columnar_speedup(figure_cache):
 # ----------------------------------------------------------------------
 
 SCAN_TABLES = 4
-SCAN_PAGES = max(3000, int(24000 * BENCH_SCALE))
+# The floor keeps a production pass near 10 ms even at small bench
+# scales, so the gated batch/oracle fraction times real work rather
+# than timer noise and fixed per-pass costs.
+SCAN_PAGES = max(30000, int(24000 * BENCH_SCALE))
 _SCAN_DUP = int(SCAN_PAGES * 0.90)   # shared class-cache image
 _SCAN_UNIQ = int(SCAN_PAGES * 0.07)  # unique heap remainder
 
@@ -307,26 +304,34 @@ def _build_scan_workload(scanner_class):
     return physmem, scanner, tables
 
 
-def _measure_scan(scanner_class, passes=5):
-    """Best steady-state wall of one full scan pass (plus final stats)."""
+def _measure_scans(scanner_classes, passes=5):
+    """Best steady-state wall of one full scan pass per scanner class
+    (plus final stats).  The classes' passes alternate, so a phase of
+    host contention slows every side alike and the gated fraction
+    stays steady."""
     from repro.sim.rng import stable_hash64
 
-    physmem, scanner, tables = _build_scan_workload(scanner_class)
+    worlds = [_build_scan_workload(cls) for cls in scanner_classes]
     budget = SCAN_TABLES * SCAN_PAGES
-    for _ in range(3):  # settle: merge the duplicates, warm volatility
-        scanner.scan_pages(budget)
-    best = float("inf")
+    for _physmem, scanner, _tables in worlds:
+        for _ in range(3):  # settle: merge the duplicates, warm volatility
+            scanner.scan_pages(budget)
+    best = [float("inf")] * len(worlds)
     for epoch in range(1, passes + 1):
-        for t, table in enumerate(tables):
-            for vpn in range(_SCAN_DUP + _SCAN_UNIQ, SCAN_PAGES):
-                physmem.write_token(
-                    table, vpn, stable_hash64("volatile", t, vpn, epoch)
-                )
-        started = time.perf_counter()
-        scanned = scanner.scan_pages(budget)
-        best = min(best, time.perf_counter() - started)
-        assert scanned == budget
-    return best, scanner.snapshot_stats()
+        for side, (physmem, scanner, tables) in enumerate(worlds):
+            for t, table in enumerate(tables):
+                for vpn in range(_SCAN_DUP + _SCAN_UNIQ, SCAN_PAGES):
+                    physmem.write_token(
+                        table, vpn, stable_hash64("volatile", t, vpn, epoch)
+                    )
+            started = time.perf_counter()
+            scanned = scanner.scan_pages(budget)
+            best[side] = min(best[side], time.perf_counter() - started)
+            assert scanned == budget
+    return [
+        (wall, scanner.snapshot_stats())
+        for wall, (_physmem, scanner, _tables) in zip(best, worlds)
+    ]
 
 
 def test_scan_engine_speedup():
@@ -335,8 +340,9 @@ def test_scan_engine_speedup():
 
     from tests.oracle import PerPageScanner
 
-    object_wall, object_stats = _measure_scan(PerPageScanner)
-    batch_wall, batch_stats = _measure_scan(KsmScanner)
+    (object_wall, object_stats), (batch_wall, batch_stats) = (
+        _measure_scans((PerPageScanner, KsmScanner))
+    )
 
     def fingerprint(stats):
         return (

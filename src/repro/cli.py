@@ -57,6 +57,7 @@ from repro.core.experiments.scenarios import (
     SCENARIOS,
     run,
     run_cached,
+    testbed_for,
 )
 from repro.core.preload import CacheDeployment
 from repro.exec.cache import ResultCache, default_cache
@@ -299,14 +300,14 @@ def _fault_plan(args) -> Optional[FaultPlan]:
     return FaultPlan.from_spec(args.faults)
 
 
-def _print_fault_reports(result) -> None:
+def _print_fault_reports(collection_report, validation_report) -> None:
     """The collection + validation tail shared by figures and doctor."""
-    if result.collection_report is not None:
+    if collection_report is not None:
         print()
-        print(result.collection_report.render())
-    if result.validation_report is not None:
+        print(collection_report.render())
+    if validation_report is not None:
         print()
-        print(result.validation_report.render())
+        print(validation_report.render())
 
 
 def _scenario_result(
@@ -349,7 +350,9 @@ def _run_breakdown_figure(
     print()
     print(result.ksm_stats)
     if args.faults is not None:
-        _print_fault_reports(result)
+        _print_fault_reports(
+            result.collection_report, result.validation_report
+        )
 
 
 def _run_fig6(args) -> None:
@@ -418,11 +421,14 @@ def _run_consolidation(
 
 def _run_doctor(args) -> None:
     faults = _fault_plan(args)
-    result = run(ScenarioSpec.from_cli_args(args, scenario=args.name))
+    spec = ScenarioSpec.from_cli_args(args, scenario=args.name)
+    # Measured directly: doctor inspects the dump, which no (cached)
+    # ScenarioResult carries.
+    result = testbed_for(spec).measure(faults=spec.faults)
     mode = "clean collection" if faults is None else f"faults {args.faults}"
     print(f"doctor: {args.name} ({args.deployment}), {mode}")
-    _print_fault_reports(result)
-    if result.validation_report is None:
+    _print_fault_reports(result.dump.collection, result.validation)
+    if result.validation is None:
         # No fault plan: still run the cross-layer checks on the dump.
         from repro.core.validate import validate_dump
 

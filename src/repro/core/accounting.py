@@ -236,7 +236,7 @@ def owner_oriented_accounting(dump: SystemDump) -> OwnerAccounting:
     that user's *shared* tally.  Summed over all users, ``usage`` equals
     backed physical memory and ``usage + shared`` equals mapped guest
     memory.  Computed by
-    :func:`repro.core.columnar.owner_accounting_columnar`.
+    :func:`repro.core.columnar.pipeline.owner_accounting_columnar`.
     """
     from repro.core.columnar.pipeline import owner_accounting_columnar
 
@@ -261,7 +261,8 @@ class PssAccounting:
 def distribution_oriented_accounting(dump: SystemDump) -> PssAccounting:
     """Linux-PSS-style accounting: each sharer pays 1/n of the frame.
 
-    Computed by :func:`repro.core.columnar.distribution_accounting_columnar`.
+    Computed by
+    :func:`repro.core.columnar.pipeline.distribution_accounting_columnar`.
     """
     from repro.core.columnar.pipeline import distribution_accounting_columnar
 

@@ -1,20 +1,23 @@
 """int64 column kernels for the columnar dump pipeline.
 
-:class:`NumpyOps` holds exactly the operations the three-layer
-translation walk and the group-by accounting need, as vectorized
+The module holds the operations of the three-layer translation walk and
+the group-by accounting that hide an algorithm, as vectorized
 ``searchsorted``/``lexsort``/``bincount`` kernels over int64 ``numpy``
-arrays:
+arrays (everything else the pipeline does is a plain numpy
+expression):
 
-* ``column``/``take``/``concat`` — flat int64 columns;
-* :class:`IntervalTable` + ``interval_lookup`` — "latest-start
+* :func:`column` — a flat int64 column from any int iterable;
+* :func:`interval_build` + :func:`interval_lookup` — "latest-start
   containing interval wins" resolution (the deterministic overlap rule
   :meth:`repro.core.dump.GuestDump.translate_gfn` defines);
-* :class:`MergedIntervals` + ``membership`` — point-in-any-interval
+* :func:`membership_build` + :func:`membership` — point-in-any-interval
   tests (the memslot-coverage check of the QEMU-overhead pass);
-* :class:`ExactTable` + ``exact_lookup`` — sorted-merge equi-joins
+* :func:`exact_build` + :func:`exact_lookup` — sorted-merge equi-joins
   (page-table lookups);
-* ``owner_reduce`` / ``group_sizes`` — the group-by-fid kernels behind
-  owner-oriented and PSS accounting (and the KSM scanner's token
+* :func:`unclaimed_in_range` and :func:`select` — the guest-kernel
+  pass's complement and the ``MISS``-aware gather;
+* :func:`owner_reduce` / :func:`group_sizes` — the group-by-fid kernels
+  behind owner-oriented and PSS accounting (and the KSM scanner's token
   grouping).
 """
 
@@ -31,9 +34,19 @@ __all__ = [
     "IntervalTable",
     "MISS",
     "MergedIntervals",
-    "NumpyOps",
+    "column",
+    "exact_build",
+    "exact_lookup",
+    "group_sizes",
+    "interval_build",
+    "interval_lookup",
+    "membership",
+    "membership_build",
     "merge_intervals",
+    "owner_reduce",
     "point_in_intervals",
+    "select",
+    "unclaimed_in_range",
 ]
 
 #: Sentinel for "no result" in lookup columns.  All real payloads in the
@@ -72,7 +85,7 @@ def point_in_intervals(
 
 
 # ----------------------------------------------------------------------
-# Lookup-table containers (built and queried by NumpyOps)
+# Lookup-table containers
 # ----------------------------------------------------------------------
 
 
@@ -112,202 +125,159 @@ class ExactTable:
 # ----------------------------------------------------------------------
 
 
-class NumpyOps:
-    """Vectorized int64 kernels."""
+def column(values, count: Optional[int] = None):
+    """``values`` as an int64 column (``count`` sizes a generator)."""
+    if isinstance(values, np.ndarray):
+        return values.astype(np.int64, copy=False)
+    if count is None:
+        values = list(values)
+        count = len(values)
+    return np.fromiter(values, dtype=np.int64, count=count)
 
-    # -- columns --------------------------------------------------------
 
-    def column(self, values, count: Optional[int] = None):
-        if isinstance(values, np.ndarray):
-            return values.astype(np.int64, copy=False)
-        if count is None:
-            values = list(values)
-            count = len(values)
-        return np.fromiter(values, dtype=np.int64, count=count)
+def interval_build(starts, ends, payloads) -> IntervalTable:
+    starts = column(starts)
+    ends = column(ends)
+    payloads = column(payloads)
+    order = np.argsort(starts, kind="stable")
+    starts, ends, payloads = starts[order], ends[order], payloads[order]
+    overlapping = bool(
+        starts.shape[0] > 1 and np.any(ends[:-1] > starts[1:])
+    )
+    return IntervalTable(starts, ends, payloads, overlapping)
 
-    def empty(self):
+
+def interval_lookup(table: IntervalTable, queries):
+    """Payload of the latest-start interval containing each query
+    (``MISS`` when none does)."""
+    n = table.starts.shape[0]
+    if n == 0 or queries.shape[0] == 0:
+        return np.full(queries.shape[0], MISS, dtype=np.int64)
+    idx = np.searchsorted(table.starts, queries, side="right") - 1
+    candidate = np.maximum(idx, 0)
+    contained = (
+        (idx >= 0)
+        & (queries >= table.starts[candidate])
+        & (queries < table.ends[candidate])
+    )
+    out = np.where(contained, table.payloads[candidate], MISS)
+    if table.overlapping:
+        # Only overlapping tables (damaged dumps) can hide a hit behind
+        # a non-containing later-start interval; resolve the few misses
+        # with the same backward walk the scalar lookups use.
+        misses = np.flatnonzero(~contained & (idx >= 0))
+        starts = table.starts
+        ends = table.ends
+        payloads = table.payloads
+        for flat in misses.tolist():
+            value = int(queries[flat])
+            walk = int(idx[flat])
+            while walk >= 0:
+                if starts[walk] <= value < ends[walk]:
+                    out[flat] = payloads[walk]
+                    break
+                walk -= 1
+    return out
+
+
+def membership_build(intervals) -> MergedIntervals:
+    merged = merge_intervals(intervals)
+    flat: List[int] = []
+    for start, end in merged:
+        flat.append(start)
+        flat.append(end)
+    return MergedIntervals(column(flat, count=len(flat)))
+
+
+def membership(merged: MergedIntervals, queries):
+    """Boolean mask: query inside any merged interval."""
+    if merged.bounds.shape[0] == 0:
+        return np.zeros(queries.shape[0], dtype=bool)
+    idx = np.searchsorted(merged.bounds, queries, side="right")
+    return (idx % 2) == 1
+
+
+def exact_build(keys, values) -> ExactTable:
+    keys = column(keys)
+    values = column(values)
+    order = np.argsort(keys, kind="stable")
+    return ExactTable(keys[order], values[order])
+
+
+def exact_lookup(table: ExactTable, queries):
+    """Value for each exactly-matching key, ``MISS`` otherwise."""
+    n = table.keys.shape[0]
+    if n == 0 or queries.shape[0] == 0:
+        return np.full(queries.shape[0], MISS, dtype=np.int64)
+    idx = np.searchsorted(table.keys, queries, side="left")
+    candidate = np.minimum(idx, n - 1)
+    hit = table.keys[candidate] == queries
+    return np.where(hit, table.values[candidate], MISS)
+
+
+def unclaimed_in_range(n: int, claimed_vecs):
+    """All values in ``[0, n)`` absent from every claimed vec — one O(n)
+    mark pass, no sort (claims outside the range are ignored, duplicates
+    are free)."""
+    mask = np.zeros(n, dtype=bool)
+    for claimed in claimed_vecs:
+        if claimed.shape[0]:
+            mask[claimed[(claimed >= 0) & (claimed < n)]] = True
+    return np.flatnonzero(~mask).astype(np.int64, copy=False)
+
+
+def select(lookup, ids, default: int):
+    """``lookup[id]`` per id, ``default`` where id is ``MISS``."""
+    if ids.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
+    hit = ids != MISS
+    candidate = np.where(hit, ids, 0)
+    return np.where(hit, lookup[candidate], default)
 
-    def length(self, vec) -> int:
-        return int(vec.shape[0])
 
-    def tolist(self, vec) -> List[int]:
-        return vec.tolist()
+# ----------------------------------------------------------------------
+# Group-by kernels
+# ----------------------------------------------------------------------
 
-    def concat(self, vecs):
-        vecs = [v for v in vecs if v.shape[0]]
-        if not vecs:
-            return self.empty()
-        return np.concatenate(vecs)
 
-    def take(self, vec, order):
-        return vec[order]
+def owner_reduce(columns):
+    """One owner-election round over mapping rows.
 
-    def repeat_value(self, value: int, count: int):
-        return np.full(count, value, dtype=np.int64)
+    ``columns`` is ``(fid, kind, pid, vmidx, rank, cell)``.  Rows are
+    ordered by the paper's ownership priority inside each fid group; the
+    winner (one row per distinct fid) survives, every loser contributes
+    one page to its cell's *shared* tally.  Returns
+    ``(survivor_columns, shared_count_increments)`` where the second item
+    maps cell id -> lost-row count.
+    """
+    fid, kind, pid, vmidx, rank, cell = columns
+    if fid.shape[0] == 0:
+        return columns, {}
+    order = np.lexsort((cell, rank, vmidx, pid, kind, fid))
+    fid = fid[order]
+    first = np.empty(fid.shape[0], dtype=bool)
+    first[0] = True
+    np.not_equal(fid[1:], fid[:-1], out=first[1:])
+    survivors = tuple(col[order][first] for col in columns)
+    lost_cells = cell[order][~first]
+    shared: dict = {}
+    if lost_cells.shape[0]:
+        counts = np.bincount(lost_cells)
+        for cell_id in np.flatnonzero(counts).tolist():
+            shared[cell_id] = int(counts[cell_id])
+    return survivors, shared
 
-    # -- joins ----------------------------------------------------------
 
-    def interval_build(self, starts, ends, payloads) -> IntervalTable:
-        starts = self.column(starts)
-        ends = self.column(ends)
-        payloads = self.column(payloads)
-        order = np.argsort(starts, kind="stable")
-        starts, ends, payloads = starts[order], ends[order], payloads[order]
-        overlapping = bool(
-            starts.shape[0] > 1 and np.any(ends[:-1] > starts[1:])
-        )
-        return IntervalTable(starts, ends, payloads, overlapping)
-
-    def interval_lookup(self, table: IntervalTable, queries):
-        """Payload of the latest-start interval containing each query
-        (``MISS`` when none does)."""
-        n = table.starts.shape[0]
-        if n == 0 or queries.shape[0] == 0:
-            return self.repeat_value(MISS, queries.shape[0])
-        idx = np.searchsorted(table.starts, queries, side="right") - 1
-        candidate = np.maximum(idx, 0)
-        contained = (
-            (idx >= 0)
-            & (queries >= table.starts[candidate])
-            & (queries < table.ends[candidate])
-        )
-        out = np.where(contained, table.payloads[candidate], MISS)
-        if table.overlapping:
-            # Only overlapping tables (damaged dumps) can hide a hit
-            # behind a non-containing later-start interval; resolve the
-            # few misses with the same backward walk the scalar lookups
-            # use.
-            misses = np.flatnonzero(~contained & (idx >= 0))
-            starts = table.starts
-            ends = table.ends
-            payloads = table.payloads
-            for flat in misses.tolist():
-                value = int(queries[flat])
-                walk = int(idx[flat])
-                while walk >= 0:
-                    if starts[walk] <= value < ends[walk]:
-                        out[flat] = payloads[walk]
-                        break
-                    walk -= 1
-        return out
-
-    def membership_build(self, intervals) -> MergedIntervals:
-        merged = merge_intervals(intervals)
-        flat: List[int] = []
-        for start, end in merged:
-            flat.append(start)
-            flat.append(end)
-        return MergedIntervals(self.column(flat, count=len(flat)))
-
-    def membership(self, merged: MergedIntervals, queries):
-        """Boolean mask: query inside any merged interval."""
-        if merged.bounds.shape[0] == 0:
-            return np.zeros(queries.shape[0], dtype=bool)
-        idx = np.searchsorted(merged.bounds, queries, side="right")
-        return (idx % 2) == 1
-
-    def exact_build(self, keys, values) -> ExactTable:
-        keys = self.column(keys)
-        values = self.column(values)
-        order = np.argsort(keys, kind="stable")
-        return ExactTable(keys[order], values[order])
-
-    def exact_lookup(self, table: ExactTable, queries):
-        """Value for each exactly-matching key, ``MISS`` otherwise."""
-        n = table.keys.shape[0]
-        if n == 0 or queries.shape[0] == 0:
-            return self.repeat_value(MISS, queries.shape[0])
-        idx = np.searchsorted(table.keys, queries, side="left")
-        candidate = np.minimum(idx, n - 1)
-        hit = table.keys[candidate] == queries
-        return np.where(hit, table.values[candidate], MISS)
-
-    # -- masks ----------------------------------------------------------
-
-    def mask_ne(self, vec, value: int):
-        return vec != value
-
-    def mask_not(self, mask):
-        return ~mask
-
-    def compress(self, vec, mask):
-        return vec[mask]
-
-    def unclaimed_in_range(self, n: int, claimed_vecs):
-        """All values in ``[0, n)`` absent from every claimed vec — one
-        O(n) mark pass, no sort (claims outside the range are ignored,
-        duplicates are free)."""
-        mask = np.zeros(n, dtype=bool)
-        for claimed in claimed_vecs:
-            if claimed.shape[0]:
-                mask[claimed[(claimed >= 0) & (claimed < n)]] = True
-        return np.flatnonzero(~mask).astype(np.int64, copy=False)
-
-    def add(self, left, right):
-        return left + right
-
-    def select(self, lookup, ids, default: int):
-        """``lookup[id]`` per id, ``default`` where id is ``MISS``."""
-        if ids.shape[0] == 0:
-            return self.empty()
-        hit = ids != MISS
-        candidate = np.where(hit, ids, 0)
-        return np.where(hit, lookup[candidate], default)
-
-    def replace_miss(self, vec, default: int):
-        return np.where(vec == MISS, default, vec)
-
-    # -- group-by kernels ----------------------------------------------
-
-    def owner_reduce(self, columns):
-        """One owner-election round over mapping rows.
-
-        ``columns`` is ``(fid, kind, pid, vmidx, rank, cell)``.  Rows are
-        ordered by the paper's ownership priority inside each fid group;
-        the winner (one row per distinct fid) survives, every loser
-        contributes one page to its cell's *shared* tally.  Returns
-        ``(survivor_columns, shared_count_increments)`` where the second
-        item maps cell id -> lost-row count.
-        """
-        fid, kind, pid, vmidx, rank, cell = columns
-        if fid.shape[0] == 0:
-            return columns, {}
-        order = np.lexsort((cell, rank, vmidx, pid, kind, fid))
-        fid = fid[order]
-        first = np.empty(fid.shape[0], dtype=bool)
-        first[0] = True
-        np.not_equal(fid[1:], fid[:-1], out=first[1:])
-        survivors = tuple(col[order][first] for col in columns)
-        lost_cells = cell[order][~first]
-        shared: dict = {}
-        if lost_cells.shape[0]:
-            counts = np.bincount(lost_cells)
-            for cell_id in np.flatnonzero(counts).tolist():
-                shared[cell_id] = int(counts[cell_id])
-        return survivors, shared
-
-    def group_sizes(self, fid):
-        """Per-row group size of each row's fid (input in any order);
-        returns ``(row_order, sizes_per_ordered_row)``."""
-        order = np.argsort(fid, kind="stable")
-        ordered = fid[order]
-        if ordered.shape[0] == 0:
-            return order, self.empty()
-        boundary = np.empty(ordered.shape[0], dtype=bool)
-        boundary[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        sizes = np.diff(np.append(starts, ordered.shape[0]))
-        return order, np.repeat(sizes, sizes)
-
-    def count_by(self, ids, n: int) -> List[int]:
-        return np.bincount(ids, minlength=n).tolist()
-
-    def weighted_sum_by(self, ids, weights, n: int) -> List[float]:
-        return np.bincount(
-            ids, weights=weights, minlength=n
-        ).tolist()
-
-    def reciprocal(self, vec):
-        return 1.0 / vec.astype(np.float64)
+def group_sizes(fid):
+    """Per-row group size of each row's fid (input in any order);
+    returns ``(row_order, sizes_per_ordered_row)``."""
+    order = np.argsort(fid, kind="stable")
+    ordered = fid[order]
+    if ordered.shape[0] == 0:
+        return order, np.empty(0, dtype=np.int64)
+    boundary = np.empty(ordered.shape[0], dtype=bool)
+    boundary[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
+    starts = np.flatnonzero(boundary)
+    sizes = np.diff(np.append(starts, ordered.shape[0]))
+    return order, np.repeat(sizes, sizes)

@@ -36,7 +36,15 @@ from repro.core.translate import qemu_table_name
 from repro.guestos.kernel import OwnerKind
 from repro.hypervisor.kvm import memslot_columns
 
-from .backend import ExactTable, IntervalTable, MergedIntervals
+from .backend import (
+    ExactTable,
+    IntervalTable,
+    MergedIntervals,
+    column,
+    exact_build,
+    interval_build,
+    membership_build,
+)
 
 __all__ = [
     "GuestTables",
@@ -166,17 +174,14 @@ class ProcessTables:
 
 
 def lower_process(
-    ops,
-    guest: GuestDump,
-    process: GuestProcessDump,
-    registry: Registry,
+    guest: GuestDump, process: GuestProcessDump, registry: Registry
 ) -> ProcessTables:
     kind = UserKind.JAVA if process.is_java else UserKind.PROCESS
     user = UserKey(kind, process.pid, guest.vm_index, guest.vm_name)
     user_id = registry.user_id(user)
     table = process.page_table
-    vpns = ops.column(table.keys(), count=len(table))
-    gfns = ops.column(table.values(), count=len(table))
+    vpns = column(table.keys(), count=len(table))
+    gfns = column(table.values(), count=len(table))
     starts = []
     ends = []
     payloads = []
@@ -196,9 +201,9 @@ def lower_process(
         user_id=user_id,
         vpns=vpns,
         gfns=gfns,
-        vma_table=ops.interval_build(starts, ends, payloads),
-        vma_ranks=ops.column(vma_ranks, count=len(vma_ranks)),
-        vma_cells=ops.column(vma_cells, count=len(vma_cells)),
+        vma_table=interval_build(starts, ends, payloads),
+        vma_ranks=column(vma_ranks, count=len(vma_ranks)),
+        vma_cells=column(vma_cells, count=len(vma_cells)),
         anon_rank=registry.tag_rank[TAG_ANON],
         anon_cell=registry.cell_id(user, categorize_tag(TAG_ANON)),
     )
@@ -227,51 +232,38 @@ class GuestTables:
 
 
 def lower_guest(
-    ops, dump: SystemDump, guest: GuestDump, registry: Registry
+    dump: SystemDump, guest: GuestDump, registry: Registry
 ) -> GuestTables:
+    """Lower one guest of the dump ``registry`` was built from."""
     bases, npages, host_bases = memslot_columns(guest.memslots)
-    slot_table = ops.interval_build(
+    slot_table = interval_build(
         bases,
         [base + count for base, count in zip(bases, npages)],
         [host - base for base, host in zip(bases, host_bases)],
     )
-    slot_host_cover = ops.membership_build(
+    slot_host_cover = membership_build(
         (host, host + count)
         for host, count in zip(host_bases, npages)
     )
     host_dict = dump.host.page_tables.get(
         qemu_table_name(guest.vm_name), {}
     )
-    host_table = ops.exact_build(
-        ops.column(host_dict.keys(), count=len(host_dict)),
-        ops.column(host_dict.values(), count=len(host_dict)),
+    host_table = exact_build(
+        column(host_dict.keys(), count=len(host_dict)),
+        column(host_dict.values(), count=len(host_dict)),
     )
     tag_rank = registry.tag_rank
     free_rank = tag_rank[TAG_KERNEL_FREE]
     owners = guest.gfn_owners
-    prelowered = registry.owner_columns.get(guest.vm_name)
-    if prelowered is not None and len(prelowered[1]) == len(owners):
-        unique, indexes = prelowered
-        unique_ranks = [
-            free_rank if owner.kind is OwnerKind.FREE
-            else tag_rank[owner.tag]
-            for owner in unique
-        ]
-        owner_gfns = ops.column(owners.keys(), count=len(owners))
-        owner_ranks = ops.take(
-            ops.column(unique_ranks, count=len(unique_ranks)),
-            ops.column(indexes, count=len(indexes)),
-        )
-    else:  # registry built from another dump snapshot; walk directly
-        owner_gfns = ops.column(owners.keys(), count=len(owners))
-        owner_ranks = ops.column(
-            (
-                free_rank if owner.kind is OwnerKind.FREE
-                else tag_rank[owner.tag]
-                for owner in owners.values()
-            ),
-            count=len(owners),
-        )
+    unique, indexes = registry.owner_columns[guest.vm_name]
+    unique_ranks = [
+        free_rank if owner.kind is OwnerKind.FREE else tag_rank[owner.tag]
+        for owner in unique
+    ]
+    owner_gfns = column(owners.keys(), count=len(owners))
+    owner_ranks = column(unique_ranks, count=len(unique_ranks))[
+        column(indexes, count=len(indexes))
+    ]
     kernel_user = UserKey(
         UserKind.KERNEL, -1, guest.vm_index, guest.vm_name
     )
@@ -283,7 +275,7 @@ def lower_guest(
         slot_table=slot_table,
         slot_host_cover=slot_host_cover,
         host_table=host_table,
-        owner_table=ops.exact_build(owner_gfns, owner_ranks),
+        owner_table=exact_build(owner_gfns, owner_ranks),
         kernel_user=kernel_user,
         kernel_cell=registry.cell_id(kernel_user, None),
         unknown_rank=tag_rank[TAG_KERNEL_UNKNOWN],

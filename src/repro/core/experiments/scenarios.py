@@ -28,7 +28,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from repro.config import SPECJ_JVM_GENCON, Benchmark, ScenarioSpec
 from repro.core.accounting import OwnerAccounting
 from repro.core.breakdown import JavaBreakdown, VmBreakdown
-from repro.core.dump import CollectionReport, SystemDump
+from repro.core.dump import CollectionReport
 from repro.core.validate import ValidationReport
 from repro.core.experiments.testbed import (
     GuestSpec,
@@ -65,7 +65,9 @@ _GUEST_TABLE = {
 
 @dataclass
 class ScenarioResult:
-    """Output of one breakdown scenario run."""
+    """Output of one breakdown scenario run: the reduced breakdowns and
+    reports, never the dump (it is cached and crosses process
+    boundaries; :meth:`KvmTestbed.measure` hands out the dump)."""
 
     scenario: str
     deployment: CacheDeployment
@@ -73,7 +75,6 @@ class ScenarioResult:
     java_breakdown: JavaBreakdown
     accounting: OwnerAccounting
     ksm_stats: KsmStats
-    dump: Optional[SystemDump] = None
     collection_report: Optional[CollectionReport] = None
     validation_report: Optional[ValidationReport] = None
 
@@ -158,7 +159,6 @@ def run(spec: ScenarioSpec, profiler=None) -> ScenarioResult:
         java_breakdown=result.java_breakdown,
         accounting=result.accounting,
         ksm_stats=result.ksm_stats,
-        dump=result.dump,
         collection_report=result.dump.collection,
         validation_report=result.validation,
     )

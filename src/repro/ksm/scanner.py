@@ -96,13 +96,13 @@ examination, and the examined-at-segment-start snapshot of
    ``array('Q')``/``bytearray`` storage).  Unmapped and
    already-stable pages drop out in one vectorized mask — the
    steady-state hot path, where almost every page is merged;
-2. **groups** the survivors by content token with the
-   :meth:`NumpyOps.group_sizes` kernel (a stable argsort, so in-group
-   order is segment order — the only order that matters), picking the
-   rows out of the cached vpn/fid lists by position so the ints the
-   scanner keeps are the page table's own.  When a set of the segment's
-   tokens shows them all distinct, every row is a singleton and the
-   sort is skipped;
+2. **groups** the survivors by content token with the columnar
+   :func:`~repro.core.columnar.backend.group_sizes` kernel (a stable
+   argsort, so in-group order is segment order — the only order that
+   matters), picking the rows out of the cached vpn/fid lists by
+   position so the ints the scanner keeps are the page table's own.
+   When a set of the segment's tokens shows them all distinct, every
+   row is a singleton and the sort is skipped;
 3. applies **unseen singletons** — when no singleton token has a node
    in either tree (one C-level :meth:`TokenIndex.any_node` check) —
    with list and dict operations only: the volatility filter is a
@@ -180,7 +180,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.columnar.backend import NumpyOps
+from repro.core.columnar.backend import group_sizes
 from repro.ksm.index import STABLE, TokenIndex
 from repro.ksm.stats import KsmStats
 from repro.mem.address_space import PageTable
@@ -290,7 +290,6 @@ class KsmScanner:
         # logging (map/unmap/store/COW) on a registered table.  Spares
         # the len(tables)+1 empty-round spin on every idle call.
         self._work_hint = True
-        self._ops = NumpyOps()
         # Columnar worklist state: per-table persistent caches for the
         # (version-cached) full worklists, and the columns of whatever
         # worklist is currently installed.  ``fids`` lazily mirrors the
@@ -739,7 +738,7 @@ class KsmScanner:
         # Some token repeats: reorder the gathered rows by token (stable,
         # so segment order within a group) and split off the groups.
         masked = np.frombuffer(physmem.masked, dtype=np.uint64)
-        order, sizes = self._ops.group_sizes(masked[fid_view[positions]])
+        order, sizes = group_sizes(masked[fid_view[positions]])
         order = order.tolist()
         ov = list(map(vpns, map(picks.__getitem__, order)))
         of = list(map(of.__getitem__, order))

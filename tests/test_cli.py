@@ -78,9 +78,7 @@ class TestFaultsCli:
             "doctor", "daytrader4", "--scale", "0.02", "--ticks", "1",
         ])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "doctor: daytrader4" in out
-        assert "clean: all cross-layer invariants hold" in out
+        assert capsys.readouterr().out == golden("doctor_clean")
 
     def test_doctor_with_faults(self, capsys):
         code = main([

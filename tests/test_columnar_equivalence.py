@@ -5,8 +5,7 @@ Hypothesis generates random multi-guest worlds — including damaged
 dumps with overlapping VMAs, overlapping memslots and quarantined
 guests — and asserts that the production accounting and the per-frame
 dict aggregation of :mod:`tests.oracle` produce byte-identical figure
-renderings and canonical JSON, and that streaming mode equals batch
-mode.
+renderings and canonical JSON.
 """
 
 from __future__ import annotations
@@ -120,20 +119,6 @@ class TestRandomWorlds:
             assert got.pss_bytes[user] == pytest.approx(
                 expected, rel=1e-9, abs=1e-6
             ), user
-
-    @given(spec=worlds(), compact_rows=st.sampled_from([1, 7, 64]))
-    @settings(max_examples=15, deadline=None)
-    def test_streaming_equals_batch(self, spec, compact_rows):
-        from repro.core.columnar.pipeline import (
-            owner_accounting_columnar,
-            stream_owner_accounting,
-        )
-
-        dump = build_world(spec)
-        batch = owner_accounting_columnar(dump)
-        streamed = stream_owner_accounting(dump, compact_rows=compact_rows)
-        assert streamed.cells == batch.cells
-        assert streamed.unattributable_bytes == batch.unattributable_bytes
 
 
 class TestDamagedDumps:

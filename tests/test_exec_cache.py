@@ -1,6 +1,8 @@
 """The content-addressed result cache (repro.exec.cache) and the grid
 runner that is its one caller (``run_grid``)."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import ScenarioSpec
@@ -190,6 +192,17 @@ class TestScenarioRoundTrip:
     def test_no_cache_falls_through(self):
         result = run_cached(TINY, cache=None)
         assert result.scenario == "daytrader4"
+
+    def test_result_carries_no_dump(self, tmp_path):
+        """A cached result holds the reduced breakdowns and reports, not
+        the system dump they were computed from (megabytes that no
+        cache reader needs)."""
+        cache = ResultCache(root=tmp_path)
+        result = run_cached(TINY, cache)
+        fields = {field.name for field in dataclasses.fields(result)}
+        assert "dump" not in fields
+        (entry,) = cache.entries()
+        assert entry.stat().st_size < 64 * 1024
 
 
 class TestWarmFigureRegeneration:
