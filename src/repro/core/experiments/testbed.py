@@ -21,6 +21,8 @@ import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.config import (
     HugePageSettings,
     JvmConfig,
@@ -52,7 +54,7 @@ from repro.hypervisor.kvm import KvmHost
 from repro.jvm.jvm import JavaVM
 from repro.ksm.scanner import KsmConfig
 from repro.ksm.stats import KsmStats
-from repro.sim.rng import mix64, stable_hash64
+from repro.sim.rng import mix64_many, stable_hash64
 from repro.units import DEFAULT_PAGE_SIZE, GiB, MiB
 from repro.workloads.base import Workload
 
@@ -340,10 +342,10 @@ class KvmTestbed:
             anon = process.mmap_anon(anon_bytes, f"{name}:heap")
             stream = kernel.rng.stream("daemon", kernel.vm.name, name)
             key = stable_hash64("daemon", kernel.vm.name, name)
-            for page in range(anon.npages):
-                process.write_token(
-                    anon, page, mix64(key, page, stream.getrandbits(32))
-                )
+            draws = [stream.getrandbits(32) for _ in range(anon.npages)]
+            process.write_tokens(
+                anon, mix64_many(key, np.arange(anon.npages), draws)
+            )
 
     # ------------------------------------------------------------------
 

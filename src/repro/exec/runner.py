@@ -50,6 +50,18 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return max(1, int(jobs))
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask), at least 1.
+
+    A pool wider than this only adds workers that wait for a CPU and
+    hold a testbed's memory meanwhile.
+    """
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except (AttributeError, OSError):  # no affinity API on this platform
+        return max(1, os.cpu_count() or 1)
+
+
 @dataclass(frozen=True)
 class WorkUnit:
     """One independent computation: a picklable function + arguments.
@@ -160,7 +172,7 @@ class ParallelRunner:
         pool_broke = False
         try:
             with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(units))
+                max_workers=min(self.jobs, len(units), usable_cpus())
             ) as pool:
                 futures = {
                     index: pool.submit(_execute, unit)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.guestos.pagecache import BackingFile, PageCache
 from repro.hypervisor.base import GuestVmBase
@@ -77,7 +77,16 @@ class KernelProfile:
 
 
 class OutOfGuestMemoryError(Exception):
-    """The guest has no free guest-physical pages left."""
+    """The guest has no free guest-physical pages left.
+
+    ``gfns`` lists what a bulk allocation got before memory ran out
+    (:meth:`GuestKernel.alloc_gfns`): those pages are allocated and
+    owned, so the caller can write them as one-page calls would have.
+    """
+
+    def __init__(self, message: str, gfns: Sequence[int] = ()) -> None:
+        super().__init__(message)
+        self.gfns = list(gfns)
 
 
 class GuestKernel:
@@ -155,29 +164,43 @@ class GuestKernel:
 
     def alloc_gfn(self, owner: PageOwner) -> int:
         """Allocate one guest-physical page and record its owner."""
-        if not self._free_gfns and self._next_gfn >= self._npages:
-            if self._oom_handler is None or not self._oom_handler():
-                raise OutOfGuestMemoryError(
-                    f"{self.vm.name}: guest memory exhausted "
-                    f"({self._npages} pages)"
-                )
-        if self._free_gfns:
-            gfn = self._free_gfns.pop()
-        else:
-            if self._next_gfn >= self._npages:
-                raise OutOfGuestMemoryError(
-                    f"{self.vm.name}: guest memory exhausted "
-                    f"({self._npages} pages)"
-                )
-            gfn = self._next_gfn
-            self._next_gfn += 1
-        self._owners[gfn] = owner
-        return gfn
+        return self.alloc_gfns(owner, 1)[0]
 
-    def alloc_gfn_for_pagecache(self, file_id: str) -> int:
-        return self.alloc_gfn(
-            self.owner_record(OwnerKind.PAGE_CACHE, tag=file_id)
-        )
+    def alloc_gfns(self, owner: PageOwner, count: int) -> List[int]:
+        """Allocate ``count`` guest-physical pages for ``owner``, in order.
+
+        Pages come from the free list first, most recently freed first,
+        then from the never-used top; the OOM handler runs whenever both
+        are empty.  The gfns and their order are those of ``count``
+        one-page allocations.  When memory runs out,
+        :class:`OutOfGuestMemoryError` carries the gfns allocated so far.
+        """
+        gfns: List[int] = []
+        free = self._free_gfns
+        while len(gfns) < count:
+            if not free and self._next_gfn >= self._npages:
+                if self._oom_handler is None or not self._oom_handler() or (
+                    not free and self._next_gfn >= self._npages
+                ):
+                    raise OutOfGuestMemoryError(
+                        f"{self.vm.name}: guest memory exhausted "
+                        f"({self._npages} pages)",
+                        gfns,
+                    )
+            want = count - len(gfns)
+            if free:
+                take = min(want, len(free))
+                chunk = free[: -take - 1 : -1]
+                del free[-take:]
+            else:
+                top = min(self._next_gfn + want, self._npages)
+                # One int object per gfn, shared by the owner map and
+                # whatever maps the gfn (a range would make two).
+                chunk = list(range(self._next_gfn, top))
+                self._next_gfn = top
+            self._owners.update(dict.fromkeys(chunk, owner))
+            gfns.extend(chunk)
+        return gfns
 
     def free_gfn(self, gfn: int) -> None:
         """Return a gfn to the free list.
@@ -237,11 +260,9 @@ class GuestKernel:
             profile.shared_pagecache_bytes,
             self.page_size,
         )
-        cache_gfns = [
-            self.page_cache.page_gfn(boot_files, index)
-            for index in range(boot_files.npages)
-        ]
-        self._kernel_pages["pagecache"] = cache_gfns
+        self._kernel_pages["pagecache"] = self.page_cache.page_gfns(
+            boot_files, range(boot_files.npages)
+        )
         # Private, per-guest kernel data (slabs, task structs, dirty pages).
         private_stream = self.rng.stream("kernel-private", self.vm.name)
         self._touch_kernel_area(
@@ -265,11 +286,11 @@ class GuestKernel:
         self, tag: str, num_bytes: int, token_fn, kind: OwnerKind = OwnerKind.KERNEL
     ) -> None:
         owner = self.owner_record(kind, tag=f"kernel:{tag}")
-        gfns: List[int] = []
-        for index in range(pages_for(num_bytes, self.page_size)):
-            gfn = self.alloc_gfn(owner)
-            self.vm.write_gfn(gfn, token_fn(index))
-            gfns.append(gfn)
+        # A guest too small for its kernel fails to boot here.
+        gfns = self.alloc_gfns(owner, pages_for(num_bytes, self.page_size))
+        self.vm.write_gfns(
+            gfns, [token_fn(index) for index in range(len(gfns))]
+        )
         self._kernel_pages[tag] = gfns
 
     def kernel_area_pages(self, tag: str) -> List[int]:

@@ -91,21 +91,54 @@ class PageCache:
 
     def page_gfn(self, backing: BackingFile, index: int) -> int:
         """gfn of the cached page, filling the cache on a miss."""
-        key = (backing.file_id, index)
-        gfn = self._pages.get(key)
-        if gfn is None:
-            gfn = self._kernel.alloc_gfn_for_pagecache(backing.file_id)
-            # A disk read: hypervisors with a sharing-aware block device
-            # (Satori) can share the destination page at fill time.
-            self._kernel.vm.write_gfn_filebacked(
-                gfn, backing.page_token(index)
-            )
-            self._pages[key] = gfn
-        return gfn
+        return self.page_gfns(backing, [index])[0]
+
+    def page_gfns(self, backing: BackingFile, indices) -> List[int]:
+        """Bulk :meth:`page_gfn`: one gfn per file page index.
+
+        The misses are allocated and filled in one call per layer, in
+        the order one :meth:`page_gfn` per index would fill them.
+        """
+        from repro.guestos.kernel import OutOfGuestMemoryError, OwnerKind
+
+        file_id = backing.file_id
+        pages = self._pages
+        keys = [(file_id, index) for index in indices]
+        missing = [key for key in dict.fromkeys(keys) if key not in pages]
+        if missing:
+            kernel = self._kernel
+            owner = kernel.owner_record(OwnerKind.PAGE_CACHE, tag=file_id)
+            try:
+                gfns = kernel.alloc_gfns(owner, len(missing))
+            except OutOfGuestMemoryError as exhausted:
+                self._fill(backing, missing, exhausted.gfns)
+                # What the leading indices got before memory ran out.
+                cut = keys.index(missing[len(exhausted.gfns)])
+                exhausted.gfns = [pages[key] for key in keys[:cut]]
+                raise
+            self._fill(backing, missing, gfns)
+        return [pages[key] for key in keys]
+
+    def _fill(self, backing: BackingFile, keys: List[tuple], gfns) -> None:
+        """Read ``keys[i]`` from disk into ``gfns[i]`` and cache it."""
+        keys = keys[: len(gfns)]
+        # A disk read: hypervisors with a sharing-aware block device
+        # (Satori) can share the destination page at fill time.
+        self._kernel.vm.write_gfns_filebacked(
+            gfns, [backing.page_token(index) for _, index in keys]
+        )
+        self._pages.update(zip(keys, gfns))
 
     def note_mapped(self, backing: BackingFile, index: int) -> None:
-        key = (backing.file_id, index)
-        self._mapcount[key] = self._mapcount.get(key, 0) + 1
+        self.note_mapped_many(backing, [index])
+
+    def note_mapped_many(self, backing: BackingFile, indices) -> None:
+        """Count one more process mapping of each file page index."""
+        counts = self._mapcount
+        file_id = backing.file_id
+        for index in indices:
+            key = (file_id, index)
+            counts[key] = counts.get(key, 0) + 1
 
     def note_unmapped(self, backing: BackingFile, index: int) -> None:
         key = (backing.file_id, index)

@@ -14,11 +14,11 @@ gfn and no host frame — the paper's methodology explicitly copes with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
-from repro.guestos.kernel import GuestKernel, OwnerKind
+from repro.guestos.kernel import GuestKernel, OutOfGuestMemoryError, OwnerKind
 from repro.guestos.pagecache import BackingFile
-from repro.mem.address_space import PageTable
+from repro.mem.address_space import PageTable, first_outside, int_list
 from repro.units import pages_for
 
 #: Guard gap (in pages) left between successive VMAs.
@@ -144,25 +144,10 @@ class GuestProcess:
 
     def write_token(self, vma: Vma, page_index: int, token: int) -> None:
         """Write one page of an anonymous VMA (faults it in if needed)."""
-        self._check_alive()
-        if vma.is_file_backed:
-            raise ValueError(
-                f"VMA {vma.tag!r} is a read-only file mapping; "
-                "writes are not modelled for file pages"
-            )
-        vpn = vma.vpn_of(page_index)
-        gfn = self.page_table.translate(vpn)
-        if gfn is None:
-            gfn = self.kernel.alloc_gfn(
-                self.kernel.owner_record(
-                    OwnerKind.PROCESS_ANON, self.pid, vma.tag
-                )
-            )
-            self.page_table.map(vpn, gfn)
-        self.kernel.vm.write_gfn(gfn, token)
+        self.write_pages(vma, [page_index], [token])
 
     def write_tokens(
-        self, vma: Vma, tokens: List[int], start_page: int = 0
+        self, vma: Vma, tokens: Sequence[int], start_page: int = 0
     ) -> None:
         """Write a run of page tokens starting at ``start_page``."""
         if start_page + len(tokens) > vma.npages:
@@ -170,26 +155,103 @@ class GuestProcess:
                 f"write of {len(tokens)} pages at {start_page} overflows "
                 f"VMA of {vma.npages} pages"
             )
-        for offset, token in enumerate(tokens):
-            self.write_token(vma, start_page + offset, token)
+        self.write_pages(
+            vma, range(start_page, start_page + len(tokens)), tokens
+        )
+
+    def write_pages(
+        self, vma: Vma, pages: Sequence[int], tokens: Sequence[int]
+    ) -> None:
+        """Write ``tokens[i]`` at page ``pages[i]`` of an anonymous VMA.
+
+        The bulk write path: the pages not yet faulted in get their gfns
+        from one :meth:`GuestKernel.alloc_gfns` call and their mappings
+        from one :meth:`PageTable.map_many`, and the writes go down in
+        one :meth:`GuestVmBase.write_gfns`.  The result is that of one
+        :meth:`write_token` per row, in row order, down to the gfns
+        taken from the free list; a page outside the VMA or an
+        exhausted guest fails after the rows before it have landed.
+        ``pages`` and ``tokens`` may be numpy arrays.
+        """
+        pages = int_list(pages)
+        if not pages:
+            return
+        self._check_alive()
+        if vma.is_file_backed:
+            raise ValueError(
+                f"VMA {vma.tag!r} is a read-only file mapping; "
+                "writes are not modelled for file pages"
+            )
+        bad = first_outside(pages, vma.npages)
+        if bad is not None:
+            self.write_pages(vma, pages[:bad], tokens[:bad])
+            vma.vpn_of(pages[bad])  # raises
+        start = vma.start_vpn
+        vpns = [start + page for page in pages]
+        table = self.page_table
+        gfns = table.translate_many(vpns)
+        if -1 in gfns:
+            missing = list(
+                dict.fromkeys(
+                    [vpn for vpn, gfn in zip(vpns, gfns) if gfn < 0]
+                )
+            )
+            owner = self.kernel.owner_record(
+                OwnerKind.PROCESS_ANON, self.pid, vma.tag
+            )
+            try:
+                table.map_many(
+                    missing, self.kernel.alloc_gfns(owner, len(missing))
+                )
+            except OutOfGuestMemoryError as exhausted:
+                got = exhausted.gfns
+                table.map_many(missing[: len(got)], got)
+                cut = vpns.index(missing[len(got)])
+                self.kernel.vm.write_gfns(
+                    table.translate_many(vpns[:cut]), tokens[:cut]
+                )
+                raise
+            gfns = table.translate_many(vpns)  # the rows just faulted in
+        self.kernel.vm.write_gfns(gfns, tokens)
 
     def fault_file_pages(
         self, vma: Vma, start_page: int = 0, count: Optional[int] = None
     ) -> None:
-        """Fault file pages in: map the page-cache gfns into the process."""
+        """Fault file pages in: map the page-cache gfns into the process.
+
+        The unmapped pages of the range are filled through one
+        :meth:`PageCache.page_gfns` call and mapped with one
+        :meth:`PageTable.map_many`.
+        """
         self._check_alive()
         if not vma.is_file_backed:
             raise ValueError(f"VMA {vma.tag!r} is not file-backed")
         if count is None:
             count = vma.npages - start_page
-        for index in range(start_page, start_page + count):
-            vpn = vma.vpn_of(index)
-            if self.page_table.is_mapped(vpn):
-                continue
-            file_index = vma.file_offset_pages + index
-            gfn = self.kernel.page_cache.page_gfn(vma.backing, file_index)
-            self.page_table.map(vpn, gfn)
-            self.kernel.page_cache.note_mapped(vma.backing, file_index)
+        pages = list(range(start_page, start_page + count))
+        bad = first_outside(pages, vma.npages)
+        if bad is not None:
+            self.fault_file_pages(vma, start_page, bad)
+            vma.vpn_of(pages[bad])  # raises
+        mapped = self.page_table.is_mapped
+        pages = [page for page in pages if not mapped(vma.start_vpn + page)]
+        indices = [vma.file_offset_pages + page for page in pages]
+        try:
+            gfns = self.kernel.page_cache.page_gfns(vma.backing, indices)
+        except OutOfGuestMemoryError as exhausted:
+            self._map_file_pages(vma, pages, indices, exhausted.gfns)
+            raise
+        self._map_file_pages(vma, pages, indices, gfns)
+
+    def _map_file_pages(
+        self, vma: Vma, pages: List[int], indices: List[int], gfns: List[int]
+    ) -> None:
+        """Map the leading ``len(gfns)`` pages to their cached gfns."""
+        count = len(gfns)
+        self.page_table.map_many(
+            [vma.start_vpn + page for page in pages[:count]], gfns
+        )
+        self.kernel.page_cache.note_mapped_many(vma.backing, indices[:count])
 
     def read_token(self, vma: Vma, page_index: int) -> Optional[int]:
         """Content token visible at a VMA page (None when untouched)."""

@@ -14,7 +14,7 @@ handles either, exactly as the paper claims its methodology does.
 from __future__ import annotations
 
 import abc
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 
 class GuestVmBase(abc.ABC):
@@ -24,17 +24,24 @@ class GuestVmBase(abc.ABC):
     guest_memory_bytes: int
 
     @abc.abstractmethod
+    def write_gfns(self, gfns: Sequence[int], tokens: Sequence[int]) -> None:
+        """Write ``tokens[i]`` into guest physical page ``gfns[i]``, in
+        order, with the effect of one :meth:`write_gfn` per page."""
+
     def write_gfn(self, gfn: int, token: int) -> None:
         """Write content ``token`` into guest physical page ``gfn``."""
+        self.write_gfns([gfn], [token])
 
-    def write_gfn_filebacked(self, gfn: int, token: int) -> None:
-        """A page-cache fill from disk.
+    def write_gfns_filebacked(
+        self, gfns: Sequence[int], tokens: Sequence[int]
+    ) -> None:
+        """Page-cache fills from disk.
 
-        Same effect as :meth:`write_gfn` by default; hypervisors with a
-        sharing-aware block device (Satori) override this to share the
+        Same effect as :meth:`write_gfns` by default; hypervisors with a
+        sharing-aware block device (Satori) override this to share each
         destination page with an existing copy immediately.
         """
-        self.write_gfn(gfn, token)
+        self.write_gfns(gfns, tokens)
 
     @abc.abstractmethod
     def read_gfn(self, gfn: int) -> Optional[int]:

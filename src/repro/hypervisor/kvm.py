@@ -24,14 +24,16 @@ by the guest VM itself" and so do we (``vm_overhead_bytes``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.hypervisor.base import GuestVmBase, HypervisorHost
 from repro.ksm.scanner import KsmConfig, KsmScanner
-from repro.mem.address_space import PageTable
+from repro.mem.address_space import PageTable, first_outside
 from repro.mem.physmem import HostPhysicalMemory
 from repro.sim.clock import SimClock
-from repro.sim.rng import RngFactory, mix64, stable_hash64
+from repro.sim.rng import RngFactory, mix64_many, stable_hash64
 from repro.units import DEFAULT_PAGE_SIZE, pages_for
 
 #: Host-virtual stride between the guest-memory regions of successive VM
@@ -168,19 +170,48 @@ class KvmGuestVm(GuestVmBase):
         if store is not None and store.is_compressed(self.page_table, vpn):
             store.access_page(self.page_table, vpn)
 
-    def write_gfn(self, gfn: int, token: int) -> None:
-        vpn = self._host_vpn(gfn)
-        self._fault_in_compressed(vpn)
-        self.host.physmem.write_token(self.page_table, vpn, token)
+    def write_gfns(self, gfns: Sequence[int], tokens: Sequence[int]) -> None:
+        self._write_gfns(gfns, tokens, self.host.physmem.write_tokens)
 
-    def write_gfn_filebacked(self, gfn: int, token: int) -> None:
-        """Page-cache fill: goes through Satori when the host enables it."""
-        vpn = self._host_vpn(gfn)
-        self._fault_in_compressed(vpn)
-        if self.host.satori is not None:
-            self.host.satori.fill_page(self.page_table, vpn, token)
-        else:
-            self.host.physmem.write_token(self.page_table, vpn, token)
+    def write_gfns_filebacked(
+        self, gfns: Sequence[int], tokens: Sequence[int]
+    ) -> None:
+        """Page-cache fills: go through Satori when the host enables it."""
+        satori = self.host.satori
+        self._write_gfns(
+            gfns,
+            tokens,
+            self.host.physmem.write_tokens
+            if satori is None
+            else satori.fill_pages,
+        )
+
+    def _write_gfns(self, gfns, tokens, write) -> None:
+        """Shift ``gfns`` onto the slot's host vpns and ``write`` them.
+
+        The memslot is affine, so the whole range is one shift.  A page
+        in the compressed pool is restored just before its own row, so
+        the range is written in segments between restores; a gfn outside
+        guest memory fails after the rows before it, as page by page.
+        """
+        gfns = list(gfns)
+        bad = first_outside(gfns, self._guest_npages)
+        if bad is not None:
+            self._write_gfns(gfns[:bad], tokens[:bad], write)
+            self._host_vpn(gfns[bad])  # raises
+        shift = self._slot.host_base_vpn - self._slot.base_gfn
+        vpns = [gfn + shift for gfn in gfns]
+        table = self.page_table
+        start = 0
+        store = self.host.compression
+        if store is not None:
+            for row in store.pooled_rows(table, vpns):
+                if row > start:
+                    write(table, vpns[start:row], tokens[start:row])
+                store.access_page(table, vpns[row])
+                start = row
+        if start < len(vpns):
+            write(table, vpns[start:], tokens[start:])
 
     def read_gfn(self, gfn: int) -> Optional[int]:
         vpn = self._host_vpn(gfn)
@@ -213,11 +244,14 @@ class KvmGuestVm(GuestVmBase):
         stream = self.rng.stream("qemu-overhead", self.name, tag)
         key = stable_hash64("qemu", self.name, tag)
         npages = pages_for(num_bytes, self.host.page_size)
-        for _ in range(npages):
-            vpn = self._overhead_base_vpn + self._overhead_pages
-            token = mix64(key, self._overhead_pages, stream.getrandbits(32))
-            self.host.physmem.write_token(self.page_table, vpn, token)
-            self._overhead_pages += 1
+        pages = np.arange(self._overhead_pages, self._overhead_pages + npages)
+        draws = [stream.getrandbits(32) for _ in range(npages)]
+        self.host.physmem.write_tokens(
+            self.page_table,
+            pages + self._overhead_base_vpn,
+            mix64_many(key, pages, draws),
+        )
+        self._overhead_pages += npages
 
     @property
     def vm_overhead_bytes(self) -> int:
@@ -292,11 +326,11 @@ class KvmHost(HypervisorHost):
         key = stable_hash64("host-kernel")
         start = pages_for(self._host_kernel_bytes, self.page_size)
         npages = pages_for(num_bytes, self.page_size)
-        for offset in range(npages):
-            token = mix64(key, start + offset, stream.getrandbits(32))
-            self.physmem.write_token(
-                self._host_kernel_table, start + offset, token
-            )
+        vpns = np.arange(start, start + npages)
+        draws = [stream.getrandbits(32) for _ in range(npages)]
+        self.physmem.write_tokens(
+            self._host_kernel_table, vpns, mix64_many(key, vpns, draws)
+        )
         self._host_kernel_bytes += num_bytes
 
     @property

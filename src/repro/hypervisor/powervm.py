@@ -23,10 +23,10 @@ finishing page sharing", not the time axis).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hypervisor.base import GuestVmBase, HypervisorHost
-from repro.mem.address_space import PageTable
+from repro.mem.address_space import PageTable, first_outside
 from repro.mem.physmem import HostPhysicalMemory
 from repro.sim.clock import SimClock
 from repro.sim.rng import RngFactory
@@ -62,9 +62,13 @@ class PowerVmGuest(GuestVmBase):
                 f"{self.name}: gfn {gfn:#x} outside guest memory"
             )
 
-    def write_gfn(self, gfn: int, token: int) -> None:
-        self._check_gfn(gfn)
-        self.host.physmem.write_token(self.page_table, gfn, token)
+    def write_gfns(self, gfns: Sequence[int], tokens: Sequence[int]) -> None:
+        gfns = list(gfns)
+        bad = first_outside(gfns, self._guest_npages)
+        if bad is not None:
+            self.write_gfns(gfns[:bad], tokens[:bad])
+            self._check_gfn(gfns[bad])  # raises
+        self.host.physmem.write_tokens(self.page_table, gfns, tokens)
 
     def read_gfn(self, gfn: int) -> Optional[int]:
         self._check_gfn(gfn)

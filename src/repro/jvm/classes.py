@@ -127,11 +127,14 @@ class ClassMetadata:
             self.process.fault_file_pages(self.cache_vma, 0, header_pages)
             self._header_faulted = True
             self._header_pages = header_pages
-        for page in self.cache.page_span_of(cls.name):
-            if page in self._faulted_cache_pages:
-                continue
-            self.process.fault_file_pages(self.cache_vma, page, 1)
-            self._faulted_cache_pages.add(page)
+        span = self.cache.page_span_of(cls.name)
+        if not self._faulted_cache_pages.issuperset(span):
+            # Pages a neighbouring class already faulted in are mapped,
+            # and the range fault skips them.
+            self.process.fault_file_pages(
+                self.cache_vma, span.start, len(span)
+            )
+            self._faulted_cache_pages.update(span)
 
     # ------------------------------------------------------------------
     # Segment packing

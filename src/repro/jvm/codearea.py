@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from repro.guestos.pagecache import BackingFile
 from repro.guestos.process import GuestProcess, Vma
-from repro.sim.rng import RngFactory, mix64, stable_hash64
+from repro.sim.rng import RngFactory, mix64_many, stable_hash64
 from repro.units import pages_for
 
 #: How the file-backed code bytes are split into libraries (fractions of
@@ -86,11 +88,11 @@ class CodeArea:
         stream = self._rng.stream("code-data", vm_name, self.process.pid)
         key = stable_hash64("code-data", vm_name, self.process.pid)
         self.data_vma = self.process.mmap_anon(self.data_bytes, self.TAG_DATA)
-        tokens = [
-            mix64(key, index, stream.getrandbits(32))
-            for index in range(pages_for(self.data_bytes, page_size))
-        ]
-        self.process.write_tokens(self.data_vma, tokens)
+        npages = pages_for(self.data_bytes, page_size)
+        draws = [stream.getrandbits(32) for _ in range(npages)]
+        self.process.write_tokens(
+            self.data_vma, mix64_many(key, np.arange(npages), draws)
+        )
         self._mapped = True
 
     @property

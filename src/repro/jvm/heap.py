@@ -20,11 +20,11 @@ each page is untouched, zero, or live at some epoch.  Policies in
 
 from __future__ import annotations
 
-from typing import List
+import numpy as np
 
 from repro.guestos.process import GuestProcess, Vma
 from repro.mem.content import ZERO_TOKEN
-from repro.sim.rng import mix64, stable_hash64
+from repro.sim.rng import mix64_many, stable_hash64
 
 TAG_HEAP = "java:heap"
 
@@ -37,7 +37,12 @@ _MIX = 2654435761
 
 
 class HeapArea:
-    """One contiguous heap range (whole flat heap, nursery, or tenured)."""
+    """One contiguous heap range (whole flat heap, nursery, or tenured).
+
+    Page states live in one int64 array, so every bulk operation picks
+    its pages with one numpy mask and hands them, with their tokens, to
+    :meth:`GuestProcess.write_pages` in a single call.
+    """
 
     def __init__(
         self,
@@ -50,7 +55,7 @@ class HeapArea:
         self.area_name = area_name
         self.vma: Vma = process.mmap_anon(size_bytes, tag)
         self.npages = self.vma.npages
-        self._state: List[int] = [UNTOUCHED] * self.npages
+        self._state = np.full(self.npages, UNTOUCHED, dtype=np.int64)
         # Heap content is process-unique: object graphs, addresses and
         # headers never coincide between two JVM processes.
         self._key = stable_hash64(
@@ -63,31 +68,36 @@ class HeapArea:
     # Page writes
     # ------------------------------------------------------------------
 
-    def _live_token(self, page: int, epoch: int) -> int:
-        return mix64(self._key, page, epoch)
+    def _write_live_pages(self, pages: np.ndarray, epoch: int) -> int:
+        """Make ``pages`` (distinct, in write order) live at ``epoch``."""
+        previous = self._state[pages]
+        self._zero_count -= int(np.count_nonzero(previous == ZEROED))
+        self._live_count += int(np.count_nonzero(previous < 0))
+        self._state[pages] = epoch
+        self.process.write_pages(
+            self.vma, pages, mix64_many(self._key, pages, epoch)
+        )
+        return len(pages)
+
+    def _write_zero_pages(self, pages: np.ndarray) -> int:
+        """Zero-fill the live pages among ``pages`` (in write order)."""
+        pages = pages[self._state[pages] != ZEROED]
+        self._live_count -= int(np.count_nonzero(self._state[pages] >= 0))
+        self._state[pages] = ZEROED
+        self._zero_count += len(pages)
+        self.process.write_pages(self.vma, pages, [ZERO_TOKEN] * len(pages))
+        return len(pages)
 
     def write_live(self, page: int, epoch: int) -> None:
-        previous = self._state[page]
-        if previous == ZEROED:
-            self._zero_count -= 1
-        if previous < 0:
-            self._live_count += 1
-        self._state[page] = epoch
-        self.process.write_token(self.vma, page, self._live_token(page, epoch))
+        self._write_live_pages(np.array([page]), epoch)
 
     def write_zero(self, page: int) -> None:
-        previous = self._state[page]
-        if previous == ZEROED:
-            return
-        if previous >= 0:
-            self._live_count -= 1
-        self._state[page] = ZEROED
-        self._zero_count += 1
-        self.process.write_token(self.vma, page, ZERO_TOKEN)
+        self._write_zero_pages(np.array([page]))
 
     def fill_live(self, first_page: int, count: int, epoch: int) -> None:
-        for page in range(first_page, first_page + count):
-            self.write_live(page, epoch)
+        self._write_live_pages(
+            np.arange(first_page, first_page + max(0, count)), epoch
+        )
 
     # ------------------------------------------------------------------
     # Bulk operations used by the GC policies
@@ -95,49 +105,29 @@ class HeapArea:
 
     def rewrite_live(self, epoch: int) -> int:
         """Re-tokenise every live page (object movement under compaction)."""
-        moved = 0
-        for page, state in enumerate(self._state):
-            if state >= 0:
-                self.write_live(page, epoch)
-                moved += 1
-        return moved
+        return self._write_live_pages(np.flatnonzero(self._state >= 0), epoch)
 
     def dirty_fraction(self, fraction: float, epoch: int) -> int:
         """Dirty a deterministic sample of live pages (headers, stores)."""
         if fraction <= 0:
             return 0
         threshold = int(fraction * (1 << 32))
-        dirtied = 0
-        for page, state in enumerate(self._state):
-            if state < 0:
-                continue
-            sample = ((page * _MIX) ^ (epoch * 0x9E3779B9)) & 0xFFFFFFFF
-            if sample < threshold:
-                self.write_live(page, epoch)
-                dirtied += 1
-        return dirtied
+        live = np.flatnonzero(self._state >= 0)
+        sample = (
+            (live.astype(np.uint64) * np.uint64(_MIX))
+            ^ np.uint64(epoch * 0x9E3779B9)
+        ) & np.uint64(0xFFFFFFFF)
+        return self._write_live_pages(live[sample < threshold], epoch)
 
     def zero_tail(self, num_pages: int) -> int:
         """Zero-fill the top ``num_pages`` of the touched range (post-GC)."""
-        zeroed = 0
-        for page in range(self.npages - 1, -1, -1):
-            if zeroed >= num_pages:
-                break
-            if self._state[page] >= 0:
-                self.write_zero(page)
-                zeroed += 1
-        return zeroed
+        live = np.flatnonzero(self._state >= 0)
+        return self._write_zero_pages(live[::-1][: max(0, num_pages)])
 
     def allocate_from_zeros(self, num_pages: int, epoch: int) -> int:
         """Reuse zeroed pages for fresh allocation (TLAB refills)."""
-        allocated = 0
-        for page, state in enumerate(self._state):
-            if allocated >= num_pages:
-                break
-            if state == ZEROED:
-                self.write_live(page, epoch)
-                allocated += 1
-        return allocated
+        zeroed = np.flatnonzero(self._state == ZEROED)
+        return self._write_live_pages(zeroed[: max(0, num_pages)], epoch)
 
     # ------------------------------------------------------------------
     # Introspection

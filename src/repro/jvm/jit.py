@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from repro.guestos.process import GuestProcess, Vma
 from repro.mem.region import Region
-from repro.sim.rng import RngFactory, mix64, stable_hash64
+from repro.sim.rng import RngFactory, mix64, mix64_many, stable_hash64
 from repro.units import KiB, MiB, align_up, pages_for
 
 TAG_CODE = "java:jit-code"
@@ -124,9 +126,12 @@ class JitCompiler:
         """Scratch allocations for in-flight compilations: every page is
         rewritten, so the area never stabilises while the JIT is active."""
         self._work_epoch += 1
-        for page in range(self._work_pages):
-            token = mix64(self._work_key, page, self._work_epoch)
-            self.process.write_token(self.work_vma, page, token)
+        self.process.write_tokens(
+            self.work_vma,
+            mix64_many(
+                self._work_key, np.arange(self._work_pages), self._work_epoch
+            ),
+        )
 
     # ------------------------------------------------------------------
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from repro.guestos.process import GuestProcess, Vma
-from repro.sim.rng import RngFactory, mix64, stable_hash64
+from repro.sim.rng import RngFactory, mix64_many, stable_hash64
 
 
 TAG_STACK = "java:stack"
@@ -51,9 +53,10 @@ class ThreadStacks:
     def _write(self, epoch: int, fraction: float) -> None:
         for thread_index, vma in enumerate(self.stacks):
             depth = max(1, int(vma.npages * fraction))
-            for page in range(depth):
-                token = mix64(self._key, thread_index, page, epoch)
-                self.process.write_token(vma, page, token)
+            self.process.write_tokens(
+                vma,
+                mix64_many(self._key, thread_index, np.arange(depth), epoch),
+            )
 
     def resident_bytes(self) -> int:
         return sum(

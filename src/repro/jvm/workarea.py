@@ -17,9 +17,11 @@ Everything else is process-private read-write data.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.guestos.process import GuestProcess
 from repro.mem.content import ZERO_TOKEN
-from repro.sim.rng import RngFactory, mix64, stable_hash64
+from repro.sim.rng import RngFactory, mix64_many, stable_hash64
 
 TAG_NIO = "java:jvm-work:nio"
 TAG_SLACK = "java:jvm-work:slack"
@@ -58,24 +60,23 @@ class JvmWorkArea:
         """Touch the work area once the server is warm."""
         if self._initialized:
             raise RuntimeError("work area already initialised")
-        page_size = self.process.page_size
+        write = self.process.write_tokens
         # NIO buffers: identical in every VM driving the same scenario.
-        for page in range(self.nio_vma.npages):
-            self.process.write_token(
-                self.nio_vma, page, mix64(self._nio_key, page)
-            )
+        write(
+            self.nio_vma,
+            mix64_many(self._nio_key, np.arange(self.nio_vma.npages)),
+        )
         # Arena slack and bulk-allocated-but-unused structures: zeros.
-        for page in range(self.slack_vma.npages):
-            self.process.write_token(self.slack_vma, page, ZERO_TOKEN)
+        write(self.slack_vma, [ZERO_TOKEN] * self.slack_vma.npages)
         # Private read-write structures.
-        for page in range(self.private_vma.npages):
-            self.process.write_token(
-                self.private_vma, page, self._private_token(page, 0)
-            )
+        self._write_private(np.arange(self.private_vma.npages), 0)
         self._initialized = True
 
-    def _private_token(self, page: int, epoch: int) -> int:
-        return mix64(self._private_key, page, epoch)
+    def _write_private(self, pages: np.ndarray, epoch: int) -> None:
+        self.process.write_pages(
+            self.private_vma, pages,
+            mix64_many(self._private_key, pages, epoch),
+        )
 
     def tick(self) -> None:
         """Per-interval churn of the private read-write portion."""
@@ -84,12 +85,12 @@ class JvmWorkArea:
         self._epoch += 1
         step = max(1, int(1 / self.churn_fraction)) if self.churn_fraction else 0
         if step:
-            offset = self._epoch % step
-            for page in range(offset, self.private_vma.npages, step):
-                self.process.write_token(
-                    self.private_vma, page,
-                    self._private_token(page, self._epoch),
-                )
+            self._write_private(
+                np.arange(
+                    self._epoch % step, self.private_vma.npages, step
+                ),
+                self._epoch,
+            )
 
     def resident_bytes(self) -> int:
         pages = (

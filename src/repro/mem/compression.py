@@ -18,7 +18,7 @@ token, centred on the ~2× the AME literature reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.mem.address_space import PageTable
 from repro.mem.content import ZERO_TOKEN
@@ -102,6 +102,21 @@ class CompressedRamStore:
 
     def is_compressed(self, table: PageTable, vpn: int) -> bool:
         return (table.name, vpn) in self._pool
+
+    def pooled_rows(self, table: PageTable, vpns: List[int]) -> List[int]:
+        """Ascending rows of ``vpns`` whose page is in the pool (the
+        first row of each such vpn): the rows a range access faults on."""
+        pool = self._pool
+        if not pool:
+            return []
+        name = table.name
+        rows: List[int] = []
+        seen: set = set()
+        for row, vpn in enumerate(vpns):
+            if (name, vpn) in pool and vpn not in seen:
+                seen.add(vpn)
+                rows.append(row)
+        return rows
 
     def access_page(self, table: PageTable, vpn: int) -> int:
         """Fault on a compressed page: restore it and pay the CPU cost.

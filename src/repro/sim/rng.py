@@ -27,6 +27,8 @@ import hashlib
 import random
 from typing import Tuple, Union
 
+import numpy as np
+
 _HashablePart = Union[str, int, bytes, float]
 
 
@@ -80,6 +82,30 @@ def mix64(key: int, *values: int) -> int:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         h = z ^ (z >> 31)
     return h or 1
+
+
+def mix64_many(key: int, *values) -> np.ndarray:
+    """:func:`mix64` over numpy ``uint64`` arrays, element by element.
+
+    ``values`` broadcast against each other (ints, sequences or arrays
+    of non-negative integers below 2**64), and element ``i`` of the
+    result equals ``mix64(key, v1[i], v2[i], ...)``: numpy's ``uint64``
+    arithmetic wraps modulo 2**64, which is the masking :func:`mix64`
+    does by hand.  A range producer computes all of its page tokens in
+    one call instead of one :func:`mix64` per page.
+    """
+    columns = [np.asarray(value, dtype=np.uint64) for value in values]
+    shape = np.broadcast_shapes(*(column.shape for column in columns))
+    # Flat 1-d arrays throughout: numpy scalars would warn on the wrap.
+    h = np.full(shape, key, dtype=np.uint64).reshape(-1)
+    for column in columns:
+        z = h ^ (np.broadcast_to(column, shape).reshape(-1)
+                 * np.uint64(0x9E3779B97F4A7C15))
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        h = z ^ (z >> np.uint64(31))
+    h[h == 0] = 1
+    return h.reshape(shape)
 
 
 class RngFactory:

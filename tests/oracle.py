@@ -12,6 +12,12 @@ Each one is the paper's method written a page or a frame at a time:
   :func:`repro.core.accounting.build_frame_usage`.
 * :func:`use_oracle` — swaps both into every testbed built afterwards,
   for scenario-level comparisons.
+* :func:`write_pages_per_page`, :func:`fault_file_pages_per_page` and
+  :func:`page_gfn_per_page` — the guest write path one page at a time
+  through every layer (process page table, guest allocator, KVM memslot,
+  compressed-pool fault, Satori fill, :meth:`HostPhysicalMemory.write_token`),
+  the reference for the bulk ``write_pages`` / ``alloc_gfns`` /
+  ``write_gfns`` / ``write_tokens`` chain.
 
 Importable from ``tests/`` and ``benchmarks/`` as ``tests.oracle``.
 """
@@ -28,6 +34,7 @@ from repro.core.accounting import (
     build_frame_usage,
 )
 from repro.core.dump import SystemDump
+from repro.guestos.kernel import OutOfGuestMemoryError, OwnerKind
 from repro.ksm.index import STABLE
 from repro.ksm.scanner import KsmScanner, ScanPolicy
 from repro.mem.address_space import PageTable
@@ -218,3 +225,119 @@ def use_oracle(monkeypatch) -> None:
     monkeypatch.setattr(
         testbed, "owner_oriented_accounting", dict_owner_accounting
     )
+
+
+# ----------------------------------------------------------------------
+# The guest write path, one page at a time
+# ----------------------------------------------------------------------
+
+
+def alloc_gfn_per_page(kernel, owner) -> int:
+    """One guest-physical page: the free list's last entry, else the
+    never-used top, else the OOM handler's reclaim."""
+    if not kernel._free_gfns and kernel._next_gfn >= kernel._npages:
+        if kernel._oom_handler is None or not kernel._oom_handler():
+            raise OutOfGuestMemoryError(
+                f"{kernel.vm.name}: guest memory exhausted "
+                f"({kernel._npages} pages)"
+            )
+    if kernel._free_gfns:
+        gfn = kernel._free_gfns.pop()
+    else:
+        if kernel._next_gfn >= kernel._npages:
+            raise OutOfGuestMemoryError(
+                f"{kernel.vm.name}: guest memory exhausted "
+                f"({kernel._npages} pages)"
+            )
+        gfn = kernel._next_gfn
+        kernel._next_gfn += 1
+    kernel._owners[gfn] = owner
+    return gfn
+
+
+def satori_fill_page_per_page(registry, table: PageTable, vpn, token):
+    """One Satori page-cache fill: share a resident copy, else write
+    the page and register its frame."""
+    registry.fills += 1
+    physmem = registry.physmem
+    existing = registry._by_token.get(token)
+    if existing is not None:
+        if physmem.is_live(existing) and physmem.tokens[existing] == token:
+            physmem.mark_ksm_stable(existing)
+            if table.is_mapped(vpn):
+                physmem.merge_into(table, vpn, existing)
+            else:
+                physmem.share_mapping(table, vpn, existing)
+            registry.immediate_shares += 1
+            return existing
+        del registry._by_token[token]
+    fid = physmem.write_token(table, vpn, token)
+    registry._by_token[token] = fid
+    return fid
+
+
+def write_gfn_per_page(vm, gfn: int, token: int, filebacked: bool = False):
+    """One KVM guest-page write: memslot shift, compressed-pool fault,
+    then a Satori fill (file-backed, Satori on) or a host store."""
+    vpn = vm._host_vpn(gfn)
+    store = vm.host.compression
+    if store is not None and store.is_compressed(vm.page_table, vpn):
+        store.access_page(vm.page_table, vpn)
+    if filebacked and vm.host.satori is not None:
+        satori_fill_page_per_page(vm.host.satori, vm.page_table, vpn, token)
+    else:
+        vm.host.physmem.write_token(vm.page_table, vpn, token)
+
+
+def write_pages_per_page(process, vma, pages, tokens) -> None:
+    """``process.write_pages``, one page at a time."""
+    kernel = process.kernel
+    for page, token in zip(list(pages), list(tokens)):
+        process._check_alive()
+        if vma.is_file_backed:
+            raise ValueError(f"VMA {vma.tag!r} is a read-only file mapping")
+        vpn = vma.vpn_of(page)
+        gfn = process.page_table.translate(vpn)
+        if gfn is None:
+            gfn = alloc_gfn_per_page(
+                kernel,
+                kernel.owner_record(
+                    OwnerKind.PROCESS_ANON, process.pid, vma.tag
+                ),
+            )
+            process.page_table.map(vpn, gfn)
+        write_gfn_per_page(kernel.vm, gfn, token)
+
+
+def page_gfn_per_page(cache, backing, index: int) -> int:
+    """``PageCache.page_gfn``, filling a miss with one page fault."""
+    key = (backing.file_id, index)
+    gfn = cache._pages.get(key)
+    if gfn is None:
+        kernel = cache._kernel
+        gfn = alloc_gfn_per_page(
+            kernel,
+            kernel.owner_record(OwnerKind.PAGE_CACHE, tag=backing.file_id),
+        )
+        write_gfn_per_page(
+            kernel.vm, gfn, backing.page_token(index), filebacked=True
+        )
+        cache._pages[key] = gfn
+    return gfn
+
+
+def fault_file_pages_per_page(process, vma, start_page=0, count=None) -> None:
+    """``process.fault_file_pages``, one page at a time."""
+    process._check_alive()
+    if count is None:
+        count = vma.npages - start_page
+    cache = process.kernel.page_cache
+    for index in range(start_page, start_page + count):
+        vpn = vma.vpn_of(index)
+        if process.page_table.is_mapped(vpn):
+            continue
+        file_index = vma.file_offset_pages + index
+        gfn = page_gfn_per_page(cache, vma.backing, file_index)
+        process.page_table.map(vpn, gfn)
+        key = (vma.backing.file_id, file_index)
+        cache._mapcount[key] = cache._mapcount.get(key, 0) + 1

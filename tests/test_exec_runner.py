@@ -94,6 +94,39 @@ class TestMap:
         ParallelRunner(jobs=4, stats=stats).map(self.UNITS)
         assert stats.parallel_units + stats.serial_units == 8
 
+    def test_pool_clamped_to_usable_cpus(self, monkeypatch):
+        """jobs=4 on a 1-CPU affinity mask: still the pool path, with
+        one worker."""
+        from repro.exec import runner as runner_module
+
+        widths = []
+        pool = runner_module.ProcessPoolExecutor
+
+        def recording_pool(max_workers):
+            widths.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        monkeypatch.setattr(
+            runner_module, "ProcessPoolExecutor", recording_pool
+        )
+        stats = RunnerStats()
+        parallel = ParallelRunner(jobs=4, stats=stats).map(self.UNITS)
+        assert parallel == ParallelRunner(jobs=1).map(self.UNITS)
+        assert widths == [1]
+        assert stats.parallel_units == 8
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        from repro.exec.runner import usable_cpus
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert usable_cpus() == 3
+
     def test_worker_crash_falls_back_in_process(self):
         stats = RunnerStats()
         runner = ParallelRunner(jobs=2, stats=stats)

@@ -11,6 +11,12 @@ from repro.units import MiB
 PAGE = 4096
 
 
+def consumed(table):
+    """Attach a no-op dirty sink: a table logs only while consumed."""
+    table.attach_dirty_sink(lambda vpn: None)
+    return table
+
+
 def make_scanner(**kwargs):
     pm = HostPhysicalMemory(64 * MiB, PAGE)
     scanner = KsmScanner(pm, SimClock(), KsmConfig(**kwargs))
@@ -20,13 +26,13 @@ def make_scanner(**kwargs):
 class TestDirtyLog:
     def test_map_logs_dirty(self):
         pm = HostPhysicalMemory(64 * MiB, PAGE)
-        table = PageTable("a")
+        table = consumed(PageTable("a"))
         pm.map_token(table, 3, 5)
         assert table.pending_dirty_vpns() == (3,)
 
     def test_in_place_store_logs_dirty(self):
         pm = HostPhysicalMemory(64 * MiB, PAGE)
-        table = PageTable("a")
+        table = consumed(PageTable("a"))
         pm.map_token(table, 0, 5)
         table.clear_dirty()
         pm.write_token(table, 0, 6)
@@ -34,7 +40,7 @@ class TestDirtyLog:
 
     def test_cow_break_logs_dirty(self):
         pm = HostPhysicalMemory(64 * MiB, PAGE)
-        a, b = PageTable("a"), PageTable("b")
+        a, b = consumed(PageTable("a")), consumed(PageTable("b"))
         fid = pm.map_token(a, 0, 5)
         pm.share_mapping(b, 0, fid)
         a.clear_dirty()
@@ -44,7 +50,7 @@ class TestDirtyLog:
 
     def test_unmap_logs_dirty(self):
         pm = HostPhysicalMemory(64 * MiB, PAGE)
-        table = PageTable("a")
+        table = consumed(PageTable("a"))
         pm.map_token(table, 0, 5)
         table.clear_dirty()
         pm.unmap(table, 0)
@@ -52,7 +58,7 @@ class TestDirtyLog:
 
     def test_ksm_merge_does_not_log_dirty(self):
         pm = HostPhysicalMemory(64 * MiB, PAGE)
-        a, b = PageTable("a"), PageTable("b")
+        a, b = consumed(PageTable("a")), consumed(PageTable("b"))
         pm.map_token(a, 0, 5)
         target = pm.map_token(b, 0, 5)
         a.clear_dirty()
@@ -61,7 +67,7 @@ class TestDirtyLog:
 
     def test_log_deduplicates(self):
         pm = HostPhysicalMemory(64 * MiB, PAGE)
-        table = PageTable("a")
+        table = consumed(PageTable("a"))
         pm.map_token(table, 0, 5)
         for token in (6, 7, 8):
             pm.write_token(table, 0, token)
@@ -80,6 +86,32 @@ class TestDirtyLog:
         assert table.version == v1
         pm.unmap(table, 0)
         assert table.version > v1
+
+    def test_unconsumed_table_keeps_no_log(self):
+        pm = HostPhysicalMemory(64 * MiB, PAGE)
+        a, b = PageTable("a"), PageTable("b")
+        fid = pm.map_token(a, 0, 5)  # map
+        pm.write_token(a, 0, 6)  # in-place store
+        pm.share_mapping(b, 0, fid)
+        pm.write_token(a, 0, 7)  # COW break
+        pm.write_tokens(a, [1, 2, 0], [8, 9, 9])
+        pm.unmap(a, 1)
+        assert a.dirty_count == 0 and b.dirty_count == 0
+        seen = []
+
+        def ignore(vpn):
+            return None
+
+        a.attach_dirty_sink(seen.append)
+        a.attach_dirty_sink(ignore)
+        pm.write_tokens(a, [2, 3], [1, 1])
+        assert a.pending_dirty_vpns() == (2, 3) and seen == [2, 3]
+        a.detach_dirty_sink(seen.append)
+        assert a.dirty_count == 2  # one consumer left
+        a.detach_dirty_sink(ignore)
+        assert a.dirty_count == 0
+        pm.write_token(a, 2, 4)
+        assert a.dirty_count == 0
 
 
 class TestConfig:

@@ -203,7 +203,9 @@ def operations(draw):
     ops = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["write", "unmap", "share", "stable"]),
+                st.sampled_from(
+                    ["write", "write_tokens", "unmap", "share", "stable"]
+                ),
                 st.integers(0, 9),  # vpn
                 st.integers(0, 5),  # token
                 st.integers(0, 9),  # second vpn (for share)
@@ -226,6 +228,12 @@ class TestInvariants:
             table = tables[vpn % 2]
             if op == "write":
                 pm.write_token(table, vpn, token)
+            elif op == "write_tokens":
+                # A range with a repeated vpn: rows apply in order.
+                rows = [vpn, vpn2, (vpn * 3 + vpn2) % 10, vpn]
+                pm.write_tokens(
+                    table, rows, [token, token + 1, token, token + 2]
+                )
             elif op == "unmap":
                 if table.is_mapped(vpn):
                     pm.unmap(table, vpn)
