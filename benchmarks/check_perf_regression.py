@@ -36,6 +36,12 @@ and seed) the split counts must match exactly: the simulation is
 deterministic, so any drift is a semantic change that needs a baseline
 regeneration, not noise.
 
+With a core report, the gate also prints the per-layer trend of the
+committed end-to-end record, ``benchmarks/BENCH_e2e.json``: per
+workload, the newest entry's ``--trace 1`` values next to those of the
+previous entry that has them, with their ratio.  The trend is a report
+only and never changes the exit code.
+
 Usage::
 
     python benchmarks/check_perf_regression.py BENCH_core.json \
@@ -55,6 +61,7 @@ DEFAULT_BASELINE = Path(__file__).parent / "BENCH_core.baseline.json"
 DEFAULT_HUGEPAGES_BASELINE = (
     Path(__file__).parent / "BENCH_hugepages.baseline.json"
 )
+E2E_RECORD = Path(__file__).parent / "BENCH_e2e.json"
 
 
 def fraction(analysis: dict, wall_key: str) -> float:
@@ -98,6 +105,7 @@ def main(argv=None) -> int:
         report = json.loads(args.report.read_text())
         baseline = json.loads(args.baseline.read_text())
         failed = gate_core(report, baseline, args.tolerance) or failed
+        print_layer_trend(E2E_RECORD)
     if args.hugepages_report is not None:
         hp_report = json.loads(args.hugepages_report.read_text())
         hp_baseline = (
@@ -113,6 +121,67 @@ def main(argv=None) -> int:
         )
         return 1
     return 0
+
+
+def print_layer_trend(path: Path) -> None:
+    """Print the per-layer trend of the end-to-end record (a report
+    only: whatever the record holds, the exit code does not change)."""
+    try:
+        lines = layer_trend(json.loads(path.read_text()))
+    except (OSError, ValueError, KeyError, TypeError) as error:
+        lines = [f"per-layer trend: {path.name} unreadable ({error})"]
+    print("\n".join(lines))
+
+
+def layer_trend(record: dict) -> list:
+    """Per workload, the newest entry's trace values against those of
+    the previous entry that has them, with the ratio newest/previous."""
+    entries = record["entries"]
+    if not entries:
+        return ["per-layer trend: no entries"]
+    newest = entries[-1]
+    lines = [f"per-layer trend of {newest['label']} (report only):"]
+    for workload, trace in sorted((newest.get("trace") or {}).items()):
+        if not trace:
+            lines.append(f"  {workload}: not traced")
+            continue
+        previous = next(
+            (
+                entry for entry in reversed(entries[:-1])
+                if (entry.get("trace") or {}).get(workload)
+            ),
+            None,
+        )
+        if previous is None:
+            lines.append(f"  {workload}: no earlier traced entry")
+            continue
+        before = previous["trace"][workload]
+        lines.append(f"  {workload}:")
+        lines.append(
+            f"    {'metric':<24} {previous['label']:>12}"
+            f" {newest['label']:>12}   ratio"
+        )
+        for name, value in trace.items():
+            old = before.get(name)
+            ratio = (
+                f"{value / old:7.3f}"
+                if isinstance(value, (int, float))
+                and isinstance(old, (int, float)) and old
+                else "      -"
+            )
+            lines.append(
+                f"    {name:<24} {_number(old):>12} {_number(value):>12}"
+                f" {ratio}"
+            )
+    return lines
+
+
+def _number(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        return f"{value:.4g}"
+    return str(value)
 
 
 def gate_core(report: dict, baseline: dict, tolerance: float) -> bool:

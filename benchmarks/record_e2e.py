@@ -9,14 +9,19 @@ For every perfbench workload it runs ``perfbench/run.py --workload W
 records the median and quartiles of each end-to-end metric over those
 runs, with the run count (``pairs``: a change measured against its
 parent in alternating pairs contributes one run per pair).  ``--trace``
-adds one ``--trace 1 --seed 1`` run per workload for the layer split;
-``--tests`` runs the tier-1 suite for its test count and wall time.
-Each perfbench result (the JSON line it prints last) is kept in a
-fresh temporary directory as ``<workload>.<seed>.json`` and
-``<workload>.trace.json``; ``--saved DIR`` builds the entry from such
-files instead of running perfbench, so runs made by hand (say the
-change side of a pair series) can be recorded.  perfbench itself is
-never edited.
+adds three ``--trace 1 --seed 1`` runs per workload for the layer
+split: one traced run is too noisy to attribute a change (say, four
+traced ``fig3c_steady`` runs of one commit spread ``trace.run_s`` over
+0.56-0.93 s), so the entry records each timed metric's median over the
+three, and a count metric (unit ``count``) must read the same in all
+three or nothing is recorded.  ``--tests`` runs the tier-1 suite for
+its test count and wall time.  Each perfbench result (the JSON line it
+prints last) is kept in a fresh temporary directory as
+``<workload>.<seed>.json`` and ``<workload>.trace.<n>.json``;
+``--saved DIR`` builds the entry from such files (or from a single
+``<workload>.trace.json``, as kept before) instead of running
+perfbench, so runs made by hand (say the change side of a pair series)
+can be recorded.  perfbench itself is never edited.
 
 The entry's ``commit`` is ``git rev-parse --short HEAD``; ``dirty`` says
 whether ``src/`` differed from it when the entry was made.
@@ -40,6 +45,8 @@ ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "benchmarks" / "BENCH_e2e.json"
 WORKLOADS = ("fig3c_steady", "fig2_bigimage", "fig7_sweep")
 END_TO_END = ("run_s", "cpu_s", "setup_s", "peak_rss_mb")
+#: Traced regenerations per workload behind an entry's layer split.
+TRACE_RUNS = 3
 
 
 def perfbench(workload: str, seed: int, trace: bool, out: Path) -> None:
@@ -72,7 +79,7 @@ def workload_entry(saved: Path, workload: str) -> Optional[dict]:
     """The end-to-end summary of the kept runs of one workload."""
     runs = []
     for path in sorted(saved.glob(f"{workload}.*.json")):
-        if path.name.endswith(".trace.json"):
+        if path.name.startswith(f"{workload}.trace."):
             continue
         runs.append(json.loads(path.read_text()))
     if not runs:
@@ -85,11 +92,28 @@ def workload_entry(saved: Path, workload: str) -> Optional[dict]:
 
 
 def trace_entry(saved: Path, workload: str) -> Optional[dict]:
-    path = saved / f"{workload}.trace.json"
-    if not path.exists():
+    """The layer split of the kept traced runs of one workload: each
+    count metric's common value, every other metric's median."""
+    paths = sorted(saved.glob(f"{workload}.trace.*.json"))
+    if not paths:
+        paths = list(saved.glob(f"{workload}.trace.json"))  # one kept run
+    if not paths:
         return None
-    metrics = json.loads(path.read_text())["metrics"]
-    return {name: metric["value"] for name, metric in metrics.items()}
+    runs = [json.loads(path.read_text())["metrics"] for path in paths]
+    entry = {}
+    for name, metric in runs[0].items():
+        values = [run[name]["value"] for run in runs]
+        if metric["unit"] == "count":
+            if len(set(values)) > 1:
+                raise SystemExit(
+                    f"{workload}: {name} differs among the traced runs "
+                    f"({values}); no entry recorded"
+                )
+            entry[name] = values[0]
+        else:
+            known = [value for value in values if value is not None]
+            entry[name] = statistics.median(known) if known else None
+    return entry
 
 
 def tier1() -> Dict[str, float]:
@@ -138,9 +162,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                     workload, seed, False, saved / f"{workload}.{seed}.json"
                 )
             if args.trace:
-                perfbench(
-                    workload, 1, True, saved / f"{workload}.trace.json"
-                )
+                for run in range(1, TRACE_RUNS + 1):
+                    perfbench(
+                        workload, 1, True,
+                        saved / f"{workload}.trace.{run}.json",
+                    )
     status = git("status", "--porcelain", "--", "src")
     entry = {
         "label": args.label,

@@ -24,6 +24,31 @@ from repro.mem.address_space import PageTable, int_list
 from repro.mem.physmem import HostPhysicalMemory
 
 
+def _share_resident(
+    physmem: HostPhysicalMemory, table: PageTable, vpn: int, fid: int
+) -> None:
+    """Back a fill at ``vpn`` with the resident frame ``fid`` (same
+    content), write-protected like a KSM-merged page.
+
+    Sharing wins over an intact huge block, as in a KSM merge: a block
+    holding either frame is split first (reason ``satori-share``).  A
+    page already at ``vpn`` is re-pointed when it holds the same
+    content; when it holds other content (a gfn the guest reused before
+    the host saw a write), the fill overwrites it, so its mapping goes.
+    """
+    physmem.split_block_of(fid, "satori-share")
+    physmem.mark_ksm_stable(fid)
+    old = table.translate(vpn)
+    if old is None:
+        physmem.share_mapping(table, vpn, fid)
+    elif physmem.tokens[old] == physmem.tokens[fid]:
+        physmem.split_block_of(old, "satori-share")
+        physmem.merge_into(table, vpn, fid)
+    else:
+        physmem.unmap(table, vpn)
+        physmem.share_mapping(table, vpn, fid)
+
+
 class SatoriRegistry:
     """Host-side map from disk-block content to the resident frame."""
 
@@ -54,11 +79,7 @@ class SatoriRegistry:
                     physmem.is_live(existing)
                     and physmem.tokens[existing] == token
                 ):
-                    physmem.mark_ksm_stable(existing)
-                    if table.is_mapped(vpn):
-                        physmem.merge_into(table, vpn, existing)
-                    else:
-                        physmem.share_mapping(table, vpn, existing)
+                    _share_resident(physmem, table, vpn, existing)
                     self.immediate_shares += 1
                     continue
                 del by_token[token]

@@ -25,11 +25,22 @@ stable-node iteration (the statistics gauges, recorded once per pass)
 stays O(stable) however many candidates the ``INCREMENTAL`` policy keeps
 alive across passes.
 
-While the scanner replays a quiescent ``FULL`` pass (see
-:mod:`repro.ksm.scanner`), the candidates it would insert stay in its
-replay record and are only counted here (:meth:`add_replayed`), so
-:attr:`unstable_count` is exact at every point; the scanner inserts
-them for real before anything else reads the unstable tree.
+The ``FULL`` policy's unstable tree also holds **resting** candidates
+(see "Settled segments" in :mod:`repro.ksm.scanner`): pages whose last
+examination was a fresh, unchanged insert and which provably have not
+changed since.  The scanner keeps them in its worklist columns across
+passes and *renews* them a worklist segment at a time instead of
+re-inserting them; the index keeps, per table, the highest vpn renewed
+in the current generation (:meth:`TokenIndex.renew`) and how many
+candidates that renewed.  A resting candidate belongs to the tree once
+its table is renewed past its vpn, so it is visible only to pages
+examined after it, exactly as a re-inserted one would be, and
+:attr:`TokenIndex.unstable_count` counts it.  The end-of-pass discard,
+:meth:`TokenIndex.clear_unstable`, is a generation bump for resting
+candidates.  :meth:`lookup` and :meth:`any_node` do not see them: before
+the scanner probes a token a resting candidate may hold, it takes that
+candidate out, handing a renewed one to the tree as an ordinary node
+(:meth:`TokenIndex.adopt`).
 """
 
 from __future__ import annotations
@@ -53,7 +64,9 @@ UnstableNode = Tuple[str, "PageTable", int]
 class TokenIndex:
     """O(1) token → (stable | unstable) node index."""
 
-    __slots__ = ("_stable", "_unstable", "_stable_rev", "_replayed")
+    __slots__ = (
+        "_stable", "_unstable", "_stable_rev", "_renewed_to", "_renewed",
+    )
 
     def __init__(self) -> None:
         #: The stable tree: token -> fid of the merged frame.
@@ -63,8 +76,11 @@ class TokenIndex:
         # Bumped whenever the stable node set (or any stable fid) can
         # have changed; lets callers cache stable-tree projections.
         self._stable_rev = 0
-        # Unstable candidates of a replayed pass, counted but not stored.
-        self._replayed = 0
+        #: table -> the highest vpn renewed in this generation; resting
+        #: candidates at or below it are part of the tree.
+        self._renewed_to: Dict["PageTable", int] = {}
+        #: table -> resting candidates renewed in this generation.
+        self._renewed: Dict["PageTable", int] = {}
 
     # ------------------------------------------------------------------
     # Probes
@@ -72,7 +88,7 @@ class TokenIndex:
 
     def lookup(self, token: int) -> Optional[tuple]:
         """The node for ``token`` — ``(STABLE, fid)``,
-        ``(UNSTABLE, table, vpn)`` or None."""
+        ``(UNSTABLE, table, vpn)`` or None (resting candidates aside)."""
         fid = self._stable.get(token)
         if fid is not None:
             return (STABLE, fid)
@@ -83,7 +99,8 @@ class TokenIndex:
 
     def any_node(self, tokens) -> bool:
         """True when at least one of ``tokens`` has a node in either tree
-        (two C-level key-view probes, no per-token Python work)."""
+        (two C-level key-view probes, no per-token Python work; resting
+        candidates aside)."""
         return not (
             self._stable.keys().isdisjoint(tokens)
             and self._unstable.keys().isdisjoint(tokens)
@@ -125,20 +142,15 @@ class TokenIndex:
         else:
             self._unstable.pop(token, None)
 
-    def add_replayed(self, count: int) -> None:
-        """Count ``count`` unstable candidates a replayed pass holds in
-        its record instead of in the tree."""
-        self._replayed += count
-
-    def drop_replayed(self) -> None:
-        """Stop counting replayed candidates (the scanner has inserted
-        them for real)."""
-        self._replayed = 0
-
     def clear_unstable(self) -> None:
-        """Discard every unstable node (the end-of-full-pass reset)."""
+        """Discard every unstable node (the end-of-full-pass reset).
+
+        Resting candidates leave the tree too: a new generation begins,
+        in which none is renewed yet.
+        """
         self._unstable.clear()
-        self._replayed = 0
+        self._renewed_to.clear()
+        self._renewed.clear()
 
     def drop_unstable_for(self, table: "PageTable") -> None:
         """Retire every unstable candidate belonging to ``table``.
@@ -147,7 +159,8 @@ class TokenIndex:
         unstable tree (as the kernel does when an mm goes away);
         otherwise a persistent candidate can later merge a registered
         page against an unregistered table under INCREMENTAL/HYBRID,
-        diverging from the FULL fixpoint.
+        diverging from the FULL fixpoint.  Its renewed resting
+        candidates leave the tree too.
         """
         unstable = self._unstable
         dead = [
@@ -155,6 +168,35 @@ class TokenIndex:
         ]
         for token in dead:
             del unstable[token]
+        self._renewed_to.pop(table, None)
+        self._renewed.pop(table, None)
+
+    # ------------------------------------------------------------------
+    # Resting candidates (FULL passes; module docstring)
+    # ------------------------------------------------------------------
+
+    def renew(self, table: "PageTable", upto_vpn: int, count: int) -> None:
+        """Renew ``table``'s resting candidates up to ``upto_vpn``:
+        ``count`` of them, all above the previous mark, join the tree."""
+        self._renewed_to[table] = upto_vpn
+        self._renewed[table] = self._renewed.get(table, 0) + count
+
+    def renewed(self, table: "PageTable", vpn: int) -> bool:
+        """Whether a resting candidate of ``table`` at ``vpn`` is renewed
+        in this generation (part of the tree)."""
+        return vpn <= self._renewed_to.get(table, -1)
+
+    def adopt(self, token: int, table: "PageTable", vpn: int) -> None:
+        """Turn a renewed resting candidate into an ordinary unstable
+        node (it stays in the tree, and in the count)."""
+        self._renewed[table] -= 1
+        self._unstable[token] = (table, vpn)
+
+    def end_renewals(self) -> None:
+        """Forget the renewal marks once the scanner has adopted every
+        renewed candidate (the policy left FULL mid-pass)."""
+        self._renewed_to.clear()
+        self._renewed.clear()
 
     # ------------------------------------------------------------------
     # Inspection
@@ -175,7 +217,8 @@ class TokenIndex:
 
     @property
     def unstable_count(self) -> int:
-        return len(self._unstable) + self._replayed
+        """Unstable nodes in the tree, renewed resting ones included."""
+        return len(self._unstable) + sum(self._renewed.values())
 
     def stable_items(self) -> List[Tuple[int, int]]:
         """All (token, fid) stable nodes, as a list safe to mutate over."""

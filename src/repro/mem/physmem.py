@@ -2,7 +2,7 @@
 
 Frames are identified by monotonically increasing ids (never reused, so a
 stale frame id held by the KSM stable tree can always be detected).  The
-frame table is four fid-indexed columns, and they are the only record of
+frame table is five fid-indexed columns, and they are the only record of
 a frame:
 
 * ``tokens`` — the exact Python content token per fid (tokens are full
@@ -15,7 +15,8 @@ a frame:
   :data:`STABLE`.  A STABLE frame is a merged, write-protected KSM
   frame: any write to one triggers a copy-on-write break, even when only
   a single mapper remains;
-* ``refs`` — the mapping refcount per fid in an ``array('q')``.
+* ``refs`` — the mapping refcount per fid in an ``array('q')``;
+* ``stamps`` — when the frame last changed, in an ``array('q')`` (below).
 
 Slot 0 is a permanent FREE pad, so fids start at 1 and the scanner can
 clamp a missing translation to index 0 instead of branch-filtering it.
@@ -26,13 +27,18 @@ and :meth:`~HostPhysicalMemory.block_of`; only the methods of
 :class:`HostPhysicalMemory` write them, and each refuses a fid that is
 not a live frame with ``KeyError``.
 
-Every change to a live frame's token or state bumps one counter,
-:attr:`HostPhysicalMemory.frame_writes` (an in-place store, a KSM
-promotion, a free); with the page tables' ``version`` and
-``remap_epoch`` it tells the KSM scanner that nothing it reads has
-changed since an earlier pass.
+Every change to a live frame's token, state or refcount (an
+in-place store, a KSM promotion, a mapping added or dropped, a free)
+advances :attr:`HostPhysicalMemory.stamp_clock` by one and stamps the
+frame with it; a new frame is stamped with the clock as it stands.  A
+reader that noted the clock when it last looked at a frame knows the
+frame is unchanged while its stamp is not above that note.  Because a
+remap away from a frame drops one of its references, the frame a page
+*used* to map shows the remap too: the KSM scanner checks a whole
+worklist segment against the frames it recorded with one vectorized
+compare, never with the dirty log and without re-translating it.
 
-Huge-block membership is a sparse ``fid -> block id`` dict, not a fifth
+Huge-block membership is a sparse ``fid -> block id`` dict, not a sixth
 column: only the THP policies form blocks, and a column would cost 8 B
 for every frame ever allocated on the default path too.
 
@@ -123,9 +129,10 @@ class HostPhysicalMemory:
         self.masked = array("Q", [0])
         self.states = bytearray(1)
         self.refs = array("q", [0])
+        self.stamps = array("q", [0])
         self._in_use = 0
         self._cow_breaks = 0
-        self._frame_writes = 0
+        self._stamp_clock = 0
         self._pool_bytes = 0
         self._block_of: Dict[int, int] = {}
         self._blocks: Dict[int, HugeBlock] = {}
@@ -145,6 +152,7 @@ class HostPhysicalMemory:
         self.masked.append(token & _MASK64)
         self.states.append(ACTIVE)
         self.refs.append(1)
+        self.stamps.append(self._stamp_clock)
         self._in_use += 1
         return fid
 
@@ -159,6 +167,7 @@ class HostPhysicalMemory:
         self.masked.frombytes(_masked_column(tokens).tobytes())
         self.states.extend(bytes((ACTIVE,)) * count)
         self.refs.extend(array("q", (1,)) * count)
+        self.stamps.extend(array("q", (self._stamp_clock,)) * count)
         self._in_use += count
         return range(first, first + count)
 
@@ -203,9 +212,15 @@ class HostPhysicalMemory:
                 snapshot[fid] = (tokens[fid], refs[fid])
         return snapshot
 
+    def _stamp(self, fid: int) -> None:
+        """Date a change to frame ``fid``."""
+        self._stamp_clock += 1
+        self.stamps[fid] = self._stamp_clock
+
     def inc_ref(self, fid: int) -> None:
         self._live_state(fid)
         self.refs[fid] += 1
+        self._stamp(fid)
 
     def dec_ref(self, fid: int) -> None:
         """Drop one reference; the frame is freed when none remain."""
@@ -222,8 +237,8 @@ class HostPhysicalMemory:
                 self.split_block(bid, "free")
             self.states[fid] = FREE
             self._in_use -= 1
-            self._frame_writes += 1
         self.refs[fid] = left
+        self._stamp(fid)
 
     def mark_ksm_stable(self, fid: int) -> None:
         """Flag ``fid`` as a write-protected KSM-stable frame.
@@ -240,7 +255,7 @@ class HostPhysicalMemory:
                 "split it before KSM promotion"
             )
         self.states[fid] = STABLE
-        self._frame_writes += 1
+        self._stamp(fid)
 
     # ------------------------------------------------------------------
     # Huge (THP-style) frame blocks
@@ -378,7 +393,7 @@ class HostPhysicalMemory:
         if self._live_state(fid) == ACTIVE and self.refs[fid] == 1:
             self.tokens[fid] = token
             self.masked[fid] = token & _MASK64
-            self._frame_writes += 1
+            self._stamp(fid)
             table.log_dirty(vpn)
             return fid
         self._cow_breaks += 1
@@ -396,8 +411,8 @@ class HostPhysicalMemory:
 
         The rows apply in order and leave exactly the state one
         :meth:`write_token` per row would: the same fids, refcounts and
-        states, the same dirty-log order and sink stream, and the same
-        ``frame_writes``, ``cow_breaks``, ``version`` and
+        states and stamps, the same dirty-log order and sink stream, and
+        the same ``stamp_clock``, ``cow_breaks``, ``version`` and
         ``remap_epoch``.  Runs of unmapped rows get fresh frames through
         one :meth:`alloc_many` and one :meth:`PageTable.map_many`; a
         mapped row goes through :meth:`write_token`, which stores in
@@ -476,6 +491,7 @@ class HostPhysicalMemory:
                 "split first"
             )
         self.refs[target_fid] += 1
+        self._stamp(target_fid)
         table.remap(vpn, target_fid)
         self.dec_ref(old_fid)
         return old_fid
@@ -539,10 +555,10 @@ class HostPhysicalMemory:
         return self._cow_breaks
 
     @property
-    def frame_writes(self) -> int:
-        """Changes to a live frame's token or state since boot (in-place
-        stores, KSM promotions, frees); never decreases."""
-        return self._frame_writes
+    def stamp_clock(self) -> int:
+        """Changes to a live frame's token, state or refcount since boot;
+        the newest frame stamp.  Never decreases."""
+        return self._stamp_clock
 
     def __repr__(self) -> str:
         return (

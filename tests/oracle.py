@@ -256,17 +256,25 @@ def alloc_gfn_per_page(kernel, owner) -> int:
 
 
 def satori_fill_page_per_page(registry, table: PageTable, vpn, token):
-    """One Satori page-cache fill: share a resident copy, else write
-    the page and register its frame."""
+    """One Satori page-cache fill: share a resident copy (splitting a
+    huge block around either frame, and dropping a reused page that
+    holds other content), else write the page and register its frame."""
     registry.fills += 1
     physmem = registry.physmem
     existing = registry._by_token.get(token)
     if existing is not None:
         if physmem.is_live(existing) and physmem.tokens[existing] == token:
+            physmem.split_block_of(existing, "satori-share")
             physmem.mark_ksm_stable(existing)
-            if table.is_mapped(vpn):
+            old = table.translate(vpn)
+            if old is None:
+                physmem.share_mapping(table, vpn, existing)
+            elif physmem.tokens[old] == token:
+                physmem.split_block_of(old, "satori-share")
                 physmem.merge_into(table, vpn, existing)
             else:
+                # The fill overwrites a reused page holding other content.
+                physmem.unmap(table, vpn)
                 physmem.share_mapping(table, vpn, existing)
             registry.immediate_shares += 1
             return existing

@@ -9,15 +9,18 @@ sequence in :mod:`tests.oracle`.  After every step the two must agree
 on the frame columns and ``frames_in_use``; on every table's entries
 (in insertion order), ``version``, ``remap_epoch``, pending dirty log
 (in order) and sink stream; on each guest kernel's owner map, free list
-and next gfn; on ``frame_writes`` and ``cow_breaks``; and on the
-balloon, compressed pool and Satori registry.
+and next gfn; on the stamp clock, every frame's stamp and
+``cow_breaks``; and on the balloon, compressed pool and Satori
+registry.
 
 The deterministic cases make sure each hard case really happens: fresh
 ranges and in-place rewrites, writes over merged and STABLE frames,
 pages inside an intact huge block, gfns reused from the free list, a
 write that exhausts guest memory under a balloon's OOM handler, a
-compressed pool holding some of the pages, Satori fills, and a long
-rewrite of pages that all map one merged frame.  The Hypothesis test
+compressed pool holding some of the pages, Satori fills (into a reused
+page that still holds other content, and sharing a frame inside an
+intact huge block), and a long rewrite of pages that all map one merged
+frame.  The Hypothesis test
 mixes them at random.
 """
 
@@ -25,7 +28,6 @@ import time
 from typing import List
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.guestos.kernel import GuestKernel, OutOfGuestMemoryError
@@ -49,20 +51,6 @@ TOKENS = (0, 1, 2, 3, 5, 1 << 63, (1 << 64) + 9)
 #: The failures a range write defines: the rows before the failing one
 #: land, as page by page, so the states still compare afterwards.
 DEFINED_FAILURES = (IndexError, OutOfGuestMemoryError)
-#: The other errors a range write raises, both in a Satori fill that
-#: finds its block resident in another guest, and on both paths at the
-#: same row: ``merge_into`` refuses the share when the target gfn,
-#: reused from the free list, still holds other content at the host,
-#: and KSM promotion refuses a resident frame inside an intact huge
-#: block.
-SATORI_REFUSALS = (
-    "refusing to merge pages with different contents",
-    "split it before KSM promotion",
-)
-
-
-class Broken(Exception):
-    """Both sides stopped at a Satori refusal, part-way through a fault."""
 
 
 class Universe:
@@ -101,16 +89,8 @@ class Universe:
         table.attach_dirty_sink(stream.append)
         self.streams[table.name] = stream
 
-    def state(self, half_applied=None) -> dict:
-        """Everything the two paths must agree on.
-
-        ``half_applied`` names a guest whose last file fault stopped at
-        a Satori refusal.  Its kernel bookkeeping, page cache, balloon
-        and process table are left out: the bulk fault allocates the
-        range's gfns before it writes a row, and caches and maps the
-        pages only once all are written, while the per-page fault does
-        each page in turn.  The host side must still agree.
-        """
+    def state(self) -> dict:
+        """Everything the two paths must agree on."""
         physmem = self.host.physmem
         state = {
             "tokens": list(physmem.tokens),
@@ -118,7 +98,8 @@ class Universe:
             "states": bytes(physmem.states),
             "refs": list(physmem.refs),
             "frames_in_use": physmem.frames_in_use,
-            "frame_writes": physmem.frame_writes,
+            "stamp_clock": physmem.stamp_clock,
+            "stamps": list(physmem.stamps),
             "cow_breaks": physmem.cow_breaks,
             "blocks": dict(physmem._block_of),
             "splits": physmem.block_splits_by_reason,
@@ -126,22 +107,19 @@ class Universe:
         for index, (vm, kernel, process, _vmas, _files) in enumerate(
             self.guests
         ):
-            tables = [vm.page_table]
-            if index != half_applied:
-                tables.append(process.page_table)
-                state[vm.name] = (
-                    list(kernel._owners.items()),
-                    list(kernel._free_gfns),
-                    kernel._next_gfn,
-                    list(kernel.page_cache._pages.items()),
-                    dict(kernel.page_cache._mapcount),
+            state[vm.name] = (
+                list(kernel._owners.items()),
+                list(kernel._free_gfns),
+                kernel._next_gfn,
+                list(kernel.page_cache._pages.items()),
+                dict(kernel.page_cache._mapcount),
+            )
+            if self.balloons:
+                balloon = self.balloons[index]
+                state[f"balloon{index}"] = (
+                    list(balloon._balloon_gfns), balloon.oom_deflates,
                 )
-                if self.balloons:
-                    balloon = self.balloons[index]
-                    state[f"balloon{index}"] = (
-                        list(balloon._balloon_gfns), balloon.oom_deflates,
-                    )
-            for table in tables:
+            for table in (vm.page_table, process.page_table):
                 state[table.name] = (
                     list(table.entries()),
                     table.version,
@@ -172,25 +150,18 @@ def outcome(call):
     return None
 
 
-def agree(bulk, ref, got, want, guest):
+def agree(bulk, ref, got, want):
     """Same outcome on both sides, then the same state.
 
     A step may fail only as a range write defines (the rows before the
-    failing one land) or at a Satori refusal; then the host sides must
-    still agree, and the example stops, since the faulting guest's
-    bookkeeping is half-applied.  Any other error fails the test.
+    failing one land); any other error fails the test.
     """
-    assert type(got) is type(want), (got, want)
-    if got is None or isinstance(got, DEFINED_FAILURES):
-        assert bulk.state() == ref.state()
-        return type(got)
     for error in (got, want):
-        if type(error) is not ValueError or not any(
-            refusal in str(error) for refusal in SATORI_REFUSALS
-        ):
+        if error is not None and not isinstance(error, DEFINED_FAILURES):
             raise error
-    assert bulk.state(half_applied=guest) == ref.state(half_applied=guest)
-    raise Broken(str(got))
+    assert type(got) is type(want), (got, want)
+    assert bulk.state() == ref.state()
+    return type(got)
 
 
 def write(bulk, ref, guest, vma, pages, tokens):
@@ -205,7 +176,7 @@ def write(bulk, ref, guest, vma, pages, tokens):
             ref.guests[guest][2], ref.guests[guest][3][vma], pages, tokens
         )
     )
-    return agree(bulk, ref, got, want, guest)
+    return agree(bulk, ref, got, want)
 
 
 def fault(bulk, ref, guest, start, count):
@@ -219,7 +190,7 @@ def fault(bulk, ref, guest, start, count):
             ref.guests[guest][2], ref.guests[guest][4], start, count
         )
     )
-    agree(bulk, ref, got, want, guest)
+    agree(bulk, ref, got, want)
 
 
 def both(bulk, ref, action):
@@ -330,16 +301,40 @@ class TestCases:
         assert bulk.host.satori.immediate_shares == FILE_PAGES
         fault(bulk, ref, 0, 8, 4)  # runs past the file's end
 
-    def test_satori_refusal_stops_both_paths_at_the_same_row(self):
+    def test_satori_fill_over_a_reused_page_holding_other_content(self):
         bulk, ref = lockstep(("satori",))
         fault(bulk, ref, 1, 2, FILE_PAGES - 2)
         write(bulk, ref, 0, 0, range(3), [1, 2, 3])
         both(bulk, ref, lambda u: remap_vma(u, 0, 0))
-        # File pages 0 and 1 land in reused gfns; page 2 is resident in
-        # guest 1, and its reused gfn still holds token 1 at the host.
-        with pytest.raises(Broken, match=SATORI_REFUSALS[0]):
-            fault(bulk, ref, 0, 0, 4)
-        assert bulk.host.satori.fills == (FILE_PAGES - 2) + 3
+        # File pages 0 and 1 land in reused gfns; pages 2 and 3 are
+        # resident in guest 1, and page 2's reused gfn still holds
+        # token 1 at the host: the fill drops that page and shares.
+        fault(bulk, ref, 0, 0, 4)
+        satori = bulk.host.satori
+        assert satori.fills == (FILE_PAGES - 2) + 4
+        assert satori.immediate_shares == 2
+        vm, _kernel, process, _vmas, files = bulk.guests[0]
+        gfn = process.page_table.translate(files.vpn_of(2))
+        assert vm.read_gfn(gfn) == files.backing.page_token(2)
+
+    def test_satori_share_of_a_frame_inside_an_intact_huge_block(self):
+        bulk, ref = lockstep(("satori",))
+        fault(bulk, ref, 0, 0, 4)
+
+        def form(universe):
+            vm = universe.guests[0][0]
+            assert universe.host.physmem.form_block(
+                vm.page_table, vm.guest_host_base_vpn, 4
+            )
+
+        both(bulk, ref, form)
+        # Guest 1 reads the same blocks: their frames sit inside guest
+        # 0's intact huge block, which the first share splits.
+        fault(bulk, ref, 1, 0, 4)
+        physmem = bulk.host.physmem
+        assert bulk.host.satori.immediate_shares == 4
+        assert physmem.blocks_intact == 0
+        assert physmem.block_splits_by_reason == {"satori-share": 1}
 
     def test_unconsumed_process_table_logs_nothing(self):
         bulk, ref = lockstep()
@@ -352,9 +347,10 @@ class TestCases:
 def frame_table_state(physmem, table, stream):
     return (
         list(physmem.tokens), list(physmem.masked), bytes(physmem.states),
-        list(physmem.refs), physmem.frames_in_use, physmem.frame_writes,
-        physmem.cow_breaks, list(table.entries()), table.version,
-        table.remap_epoch, table.pending_dirty_vpns(), list(stream),
+        list(physmem.refs), list(physmem.stamps), physmem.frames_in_use,
+        physmem.stamp_clock, physmem.cow_breaks, list(table.entries()),
+        table.version, table.remap_epoch, table.pending_dirty_vpns(),
+        list(stream),
     )
 
 
@@ -425,13 +421,6 @@ def range_write(draw):
 @given(features=st.sampled_from(FEATURES), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_random_steps_in_lockstep(features, data):
-    try:
-        random_steps(features, data)
-    except Broken:
-        pass
-
-
-def random_steps(features, data):
     bulk, ref = lockstep(features, guest_pages=40)
     for _ in range(data.draw(st.integers(1, 14))):
         step = data.draw(

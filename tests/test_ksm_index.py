@@ -187,20 +187,44 @@ class TestAnyNode:
         assert index.any_node(probe) is expected
 
 
-class TestReplayedCount:
-    def test_counts_until_dropped_or_cleared(self):
-        """Replayed candidates count in ``unstable_count`` (and the
-        index length) but have no node; ``drop_replayed`` and
-        ``clear_unstable`` both stop counting them."""
+class TestRestingCount:
+    def test_exact_through_renew_adopt_and_clear(self):
+        """Renewed resting candidates count in ``unstable_count`` (and
+        the index length); an adopted one becomes an ordinary node at
+        the same count; ``clear_unstable`` starts a generation in which
+        none is renewed, and renewing again counts again."""
+        table, other = TABLES[0], TABLES[1]
         index = TokenIndex()
         index.set_stable(1, 10)
-        index.set_unstable(2, TABLES[0], 0)
-        index.add_replayed(3)
-        index.add_replayed(2)
-        assert (index.unstable_count, len(index)) == (6, 7)
-        assert not index.any_node([3, 4, 5])
-        index.drop_replayed()
+        index.set_unstable(2, other, 0)
         assert (index.unstable_count, len(index)) == (1, 2)
-        index.add_replayed(4)
+        index.renew(table, 11, 2)  # candidates at vpns 10 and 11
+        index.renew(other, 5, 1)
+        assert (index.unstable_count, len(index)) == (4, 5)
+        assert index.renewed(table, 11) and not index.renewed(table, 12)
+        assert not index.any_node([3, 4])  # resting candidates: no node
+        index.adopt(4, table, 11)
+        assert index.lookup(4) == (UNSTABLE, table, 11)
+        assert (index.unstable_count, len(index)) == (4, 5)
+        index.renew(table, 13, 1)
+        assert index.unstable_count == 5
         index.clear_unstable()
         assert (index.unstable_count, len(index)) == (0, 1)
+        assert not index.renewed(table, 10)
+        index.renew(table, 13, 2)
+        index.renew(other, 5, 1)
+        assert index.unstable_count == 3
+        index.drop_unstable_for(table)
+        assert index.unstable_count == 1 and not index.renewed(table, 10)
+
+    def test_end_renewals_keeps_the_adopted_nodes(self):
+        """When the tree outlives the pass, the scanner adopts every
+        renewed candidate; the marks then go, the nodes stay."""
+        table = TABLES[0]
+        index = TokenIndex()
+        index.renew(table, 10, 1)
+        index.adopt(3, table, 10)
+        index.end_renewals()
+        assert index.lookup(3) == (UNSTABLE, table, 10)
+        assert index.unstable_count == 1
+        assert not index.renewed(table, 10)
