@@ -39,8 +39,11 @@ regeneration, not noise.
 With a core report, the gate also prints the per-layer trend of the
 committed end-to-end record, ``benchmarks/BENCH_e2e.json``: per
 workload, the newest entry's ``--trace 1`` values next to those of the
-previous entry that has them, with their ratio.  The trend is a report
-only and never changes the exit code.
+previous entry that has them, with their ratio, and each layer time's
+share of ``trace.run_s`` in both entries, with the change in points
+(shares hold steady on a shared host where raw seconds do not).  An
+entry recorded before shares were kept shows the share of its median
+values.  The trend is a report only and never changes the exit code.
 
 Usage::
 
@@ -56,6 +59,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+from record_e2e import is_layer_time
 
 DEFAULT_BASELINE = Path(__file__).parent / "BENCH_core.baseline.json"
 DEFAULT_HUGEPAGES_BASELINE = (
@@ -156,6 +161,8 @@ def layer_trend(record: dict) -> list:
             lines.append(f"  {workload}: no earlier traced entry")
             continue
         before = previous["trace"][workload]
+        shares = layer_shares(newest, workload)
+        shares_before = layer_shares(previous, workload)
         lines.append(f"  {workload}:")
         lines.append(
             f"    {'metric':<24} {previous['label']:>12}"
@@ -173,7 +180,41 @@ def layer_trend(record: dict) -> list:
                 f"    {name:<24} {_number(old):>12} {_number(value):>12}"
                 f" {ratio}"
             )
+        lines.append(
+            f"    {'share of trace.run_s':<24} {previous['label']:>12}"
+            f" {newest['label']:>12}  points"
+        )
+        for name, share in shares.items():
+            old = shares_before.get(name)
+            points = (
+                f"{100 * (share - old):+7.1f}"
+                if share is not None and old is not None else "      -"
+            )
+            lines.append(
+                f"    {name:<24} {_percent(old):>12} {_percent(share):>12}"
+                f" {points}"
+            )
     return lines
+
+
+def layer_shares(entry: dict, workload: str) -> dict:
+    """Each layer time's share of ``trace.run_s`` in one entry: the
+    recorded ``shares``, else those of the recorded medians."""
+    recorded = (entry.get("shares") or {}).get(workload)
+    if recorded:
+        return recorded
+    trace = entry["trace"][workload]
+    run_s = trace.get("trace.run_s")
+    return {
+        name: value / run_s if isinstance(value, (int, float)) and run_s
+        else None
+        for name, value in trace.items()
+        if is_layer_time(name)
+    }
+
+
+def _percent(share) -> str:
+    return "-" if share is None else f"{100 * share:.1f} %"
 
 
 def _number(value) -> str:

@@ -14,7 +14,11 @@ split: one traced run is too noisy to attribute a change (say, four
 traced ``fig3c_steady`` runs of one commit spread ``trace.run_s`` over
 0.56-0.93 s), so the entry records each timed metric's median over the
 three, and a count metric (unit ``count``) must read the same in all
-three or nothing is recorded.  ``--tests`` runs the tier-1 suite for
+three or nothing is recorded.  Raw seconds still swing with the load of
+a shared host while each layer's share of the traced wall holds to a
+point or two, so the entry also records, under ``shares``, each layer
+time's (``*_s``) share of ``trace.run_s``: the median over the three
+runs of the per-run share.  ``--tests`` runs the tier-1 suite for
 its test count and wall time.  Each perfbench result (the JSON line it
 prints last) is kept in a fresh temporary directory as
 ``<workload>.<seed>.json`` and ``<workload>.trace.<n>.json``;
@@ -91,15 +95,42 @@ def workload_entry(saved: Path, workload: str) -> Optional[dict]:
     return entry
 
 
-def trace_entry(saved: Path, workload: str) -> Optional[dict]:
-    """The layer split of the kept traced runs of one workload: each
-    count metric's common value, every other metric's median."""
+def traced_runs(saved: Path, workload: str) -> List[dict]:
+    """The metrics of the kept traced runs of one workload."""
     paths = sorted(saved.glob(f"{workload}.trace.*.json"))
     if not paths:
         paths = list(saved.glob(f"{workload}.trace.json"))  # one kept run
-    if not paths:
+    return [json.loads(path.read_text())["metrics"] for path in paths]
+
+
+def is_layer_time(name: str) -> bool:
+    """Whether a trace metric is a layer's seconds (not the wall)."""
+    return name != "trace.run_s" and name.endswith(("_s", ".s"))
+
+
+def share_entry(saved: Path, workload: str) -> Optional[dict]:
+    """Each layer time's share of ``trace.run_s``: the median over the
+    kept traced runs of one workload of the per-run share."""
+    runs = traced_runs(saved, workload)
+    if not runs:
         return None
-    runs = [json.loads(path.read_text())["metrics"] for path in paths]
+    entry = {}
+    for name in filter(is_layer_time, runs[0]):
+        shares = [
+            run[name]["value"] / run["trace.run_s"]["value"]
+            for run in runs
+            if run[name]["value"] is not None and run["trace.run_s"]["value"]
+        ]
+        entry[name] = round(statistics.median(shares), 4) if shares else None
+    return entry
+
+
+def trace_entry(saved: Path, workload: str) -> Optional[dict]:
+    """The layer split of the kept traced runs of one workload: each
+    count metric's common value, every other metric's median."""
+    runs = traced_runs(saved, workload)
+    if not runs:
+        return None
     entry = {}
     for name, metric in runs[0].items():
         values = [run[name]["value"] for run in runs]
@@ -174,6 +205,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "dirty": None if status is None else bool(status),
         "workloads": {w: workload_entry(saved, w) for w in WORKLOADS},
         "trace": {w: trace_entry(saved, w) for w in WORKLOADS},
+        "shares": {w: share_entry(saved, w) for w in WORKLOADS},
         "tier1": tier1() if args.tests else None,
     }
     record = json.loads(RECORD.read_text())

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.guestos.pagecache import BackingFile, PageCache
 from repro.hypervisor.base import GuestVmBase
-from repro.sim.rng import RngFactory, stable_hash64
+from repro.sim.rng import RngFactory, mix64_many, stable_hash64
 from repro.units import MiB, pages_for
 
 if TYPE_CHECKING:
@@ -250,7 +250,7 @@ class GuestKernel:
         self._touch_kernel_area(
             "code",
             profile.code_bytes,
-            lambda i: stable_hash64("kimage", profile.image_id, "text", i),
+            stable_hash64("kimage", profile.image_id, "text"),
         )
         # Page cache of clean base-image files: identical across guests,
         # and — going through the real page cache — evictable under
@@ -264,33 +264,33 @@ class GuestKernel:
             boot_files, range(boot_files.npages)
         )
         # Private, per-guest kernel data (slabs, task structs, dirty pages).
-        private_stream = self.rng.stream("kernel-private", self.vm.name)
         self._touch_kernel_area(
             "data",
             profile.private_data_bytes,
-            lambda i: stable_hash64(
-                "kdata", self.vm.name, i, private_stream.getrandbits(32)
-            ),
+            stable_hash64("kdata", self.vm.name),
+            self.rng.stream("kernel-private", self.vm.name),
         )
-        buffer_stream = self.rng.stream("kernel-buffers", self.vm.name)
         self._touch_kernel_area(
             "buffers",
             profile.buffers_bytes,
-            lambda i: stable_hash64(
-                "kbuf", self.vm.name, i, buffer_stream.getrandbits(32)
-            ),
+            stable_hash64("kbuf", self.vm.name),
+            self.rng.stream("kernel-buffers", self.vm.name),
         )
         self._booted = True
 
     def _touch_kernel_area(
-        self, tag: str, num_bytes: int, token_fn, kind: OwnerKind = OwnerKind.KERNEL
+        self, tag: str, num_bytes: int, key: int, stream=None
     ) -> None:
-        owner = self.owner_record(kind, tag=f"kernel:{tag}")
+        """Allocate and write a kernel area: page ``i`` holds
+        ``mix64(key, i)``, or ``mix64(key, i, draw)`` with one 32-bit
+        draw of ``stream`` per page, in page order."""
+        owner = self.owner_record(OwnerKind.KERNEL, tag=f"kernel:{tag}")
         # A guest too small for its kernel fails to boot here.
         gfns = self.alloc_gfns(owner, pages_for(num_bytes, self.page_size))
-        self.vm.write_gfns(
-            gfns, [token_fn(index) for index in range(len(gfns))]
-        )
+        values = [range(len(gfns))]
+        if stream is not None:
+            values.append([stream.getrandbits(32) for _ in gfns])
+        self.vm.write_gfns(gfns, mix64_many(key, *values).tolist())
         self._kernel_pages[tag] = gfns
 
     def kernel_area_pages(self, tag: str) -> List[int]:

@@ -7,17 +7,18 @@ one shared-class-cache file to every VM makes class pages identical.
 
 A :class:`BackingFile` is identified by a ``file_id`` string; equal ids
 mean equal contents.  Page contents are either generated from the id
-(ordinary program/image files) or supplied explicitly as a token list (the
+(ordinary program/image files: ``mix64`` of the page index under a key
+hashed once from the id) or supplied explicitly as a token list (the
 shared class cache, whose layout is built by
 :class:`repro.jvm.sharedcache.SharedClassCache`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.mem.content import ZERO_TOKEN
-from repro.sim.rng import stable_hash64
+from repro.sim.rng import mix64_many, stable_hash64
 
 
 class BackingFile:
@@ -42,6 +43,9 @@ class BackingFile:
                 f"file has {self._npages}"
             )
         self._tokens = tokens
+        self._key = None if tokens is not None else stable_hash64(
+            "file", file_id
+        )
 
     @property
     def npages(self) -> int:
@@ -49,14 +53,20 @@ class BackingFile:
 
     def page_token(self, index: int) -> int:
         """Content token of file page ``index``."""
-        if not 0 <= index < self._npages:
+        return self.page_tokens([index])[0]
+
+    def page_tokens(self, indices: Sequence[int]) -> List[int]:
+        """Content tokens of file pages ``indices``."""
+        npages = self._npages
+        if indices and not (0 <= min(indices) and max(indices) < npages):
+            index = next(i for i in indices if not 0 <= i < npages)
             raise IndexError(
                 f"{self.file_id}: page {index} out of range "
-                f"(file has {self._npages} pages)"
+                f"(file has {npages} pages)"
             )
         if self._tokens is not None:
-            return self._tokens[index]
-        return stable_hash64("file", self.file_id, index)
+            return list(map(self._tokens.__getitem__, indices))
+        return mix64_many(self._key, indices).tolist()
 
     def copy_as(self, file_id: str) -> "BackingFile":
         """A byte-identical copy under a new path/identity.
@@ -65,7 +75,7 @@ class BackingFile:
         from the source so the copy's pages stay byte-identical to the
         original — the property the paper's cache-copy deployment needs.
         """
-        tokens = [self.page_token(i) for i in range(self._npages)]
+        tokens = self.page_tokens(range(self._npages))
         return BackingFile(file_id, self.size_bytes, self.page_size, tokens)
 
     def __repr__(self) -> str:
@@ -125,7 +135,7 @@ class PageCache:
         # A disk read: hypervisors with a sharing-aware block device
         # (Satori) can share the destination page at fill time.
         self._kernel.vm.write_gfns_filebacked(
-            gfns, [backing.page_token(index) for _, index in keys]
+            gfns, backing.page_tokens([index for _, index in keys])
         )
         self._pages.update(zip(keys, gfns))
 

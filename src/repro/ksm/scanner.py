@@ -254,32 +254,40 @@ class KsmConfig:
 
 
 #: A resting candidate is looked up by the low 32 bits of its token.
-_KEY_MASK = 0xFFFFFFFF
-_NO_KEYS = (np.empty(0, np.uint32), np.empty(0, np.int32))
+_KEY_MASK = np.uint64(0xFFFFFFFF)
+#: A lookup level holds one uint64 entry ``(key << 32) | row`` per row.
+_ROW_BITS = np.uint64(32)
+_NO_ENTRIES = np.empty(0, np.uint64)
+#: Entries of the ``latest`` level beyond which it merges into ``recent``.
+_LATEST_ENTRIES = 1 << 13
 
 
-def _sorted_pairs(chunks) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``(keys, rows)`` chunks as one pair of arrays sorted by key."""
-    keys = np.concatenate([chunk[0] for chunk in chunks])
-    rows = np.concatenate([chunk[1] for chunk in chunks])
-    order = np.argsort(keys, kind="stable")
-    return keys[order], rows[order]
+def _entries(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Unsorted level entries of ``rows`` with keys ``keys``."""
+    return (keys.astype(np.uint64) << _ROW_BITS) | rows.astype(np.uint64)
 
 
-def _lookup(level, keys: np.ndarray) -> List[int]:
-    """The rows of a sorted ``(keys, rows)`` level whose key is among
-    ``keys``."""
-    stored, rows = level
-    if not len(stored):
+def _sorted(*parts: np.ndarray) -> np.ndarray:
+    """The entries of ``parts`` as one sorted level."""
+    return np.sort(np.concatenate(parts))
+
+
+def _lookup(level: np.ndarray, low: np.ndarray) -> List[int]:
+    """The rows of sorted ``level`` whose key is among the sorted keys
+    ``low >> 32`` (``low``: the keys' lowest entries, ``key << 32``)."""
+    if not len(level):
         return []
-    lo = np.searchsorted(stored, keys)
-    hit = stored[np.minimum(lo, len(stored) - 1)] == keys
+    lo = np.searchsorted(level, low)
+    # level[lo] is the first entry at or above low: of the key if below
+    # the next key's lowest entry (a clamped miss wraps around).
+    hit = level[np.minimum(lo, len(level) - 1)] - low <= _KEY_MASK
     if not hit.any():
         return []
     lo = lo[hit]
-    count = np.searchsorted(stored, keys[hit], "right") - lo
+    count = np.searchsorted(level, low[hit] | _KEY_MASK, "right") - lo
     first = np.repeat(lo - np.cumsum(count) + count, count)
-    return rows[np.arange(int(count.sum())) + first].tolist()
+    found = level[np.arange(int(count.sum())) + first] & _KEY_MASK
+    return found.tolist()
 
 
 class _Worklist:
@@ -292,18 +300,19 @@ class _Worklist:
     clock when the row last settled, -1 while it has not), ``rests``
     (bool: the row holds a resting candidate) and ``rest_keys`` (uint32:
     the low 32 bits of the candidate's token), and finds a candidate's row
-    from its key through two sorted levels of ``(key, row)`` pairs:
-    ``base`` and the smaller ``recent``, which takes the rows rested
-    since (``pending``) at the next lookup and folds into ``base`` once
-    it grows.  A row that stopped resting stays in them until ``base``
-    is rebuilt, and a key can be shared, so the caller confirms a hit
-    against the exact token.  The module docstring's "Settled segments"
-    says how they are used.
+    from its key through three sorted levels of ``(key, row)`` entries:
+    ``base``, the smaller ``recent``, and ``latest``, which takes the
+    rows rested since (``pending``) at the next lookup and merges into
+    ``recent`` once it outgrows ``_LATEST_ENTRIES``; ``recent`` in turn
+    folds into ``base`` once it outgrows a quarter of it.  A row that
+    stopped resting stays in them until ``base`` is rebuilt, and a key
+    can be shared, so the caller confirms a hit against the exact token.
+    The module docstring's "Settled segments" says how they are used.
     """
 
     __slots__ = (
         "vpns", "fids", "fkey", "settled", "rests", "rest_keys", "base",
-        "recent", "pending",
+        "recent", "latest", "pending",
     )
 
     def __init__(self, vpns: List[int]) -> None:
@@ -315,8 +324,8 @@ class _Worklist:
     def unsettle(self) -> None:
         """Drop the settling columns: every row is stale."""
         self.settled = self.rests = self.rest_keys = None
-        self.base = self.recent = _NO_KEYS
-        self.pending: List[Tuple[np.ndarray, np.ndarray]] = []
+        self.base = self.recent = self.latest = _NO_ENTRIES
+        self.pending: List[np.ndarray] = []
 
     def settle_columns(self) -> None:
         """Allocate the settling columns, every row stale."""
@@ -331,37 +340,45 @@ class _Worklist:
         keys = (masked & _KEY_MASK).astype(np.uint32)
         self.rests[rows] = True
         self.rest_keys[rows] = keys
-        self.pending.append((keys, rows.astype(np.int32)))
+        self.pending.append(_entries(keys, rows))
 
     def holders(self, keys: np.ndarray) -> List[int]:
         """The resting rows whose candidate's key is among ``keys``
-        (sorted uint32)."""
+        (sorted uint64 values below 2**32)."""
         if self.pending:
             self._merge_pending()
-        found = _lookup(self.base, keys) + _lookup(self.recent, keys)
+        low = keys << _ROW_BITS
+        found = (
+            _lookup(self.base, low)
+            + _lookup(self.recent, low)
+            + _lookup(self.latest, low)
+        )
         rests = self.rests
-        # A row rested twice with one key is in both levels.
+        # A row rested twice with one key is in two levels.
         return [row for row in dict.fromkeys(found) if rests[row]]
 
     def _merge_pending(self) -> None:
-        """Sort the rows rested since the last lookup into ``recent``;
-        fold ``recent`` into ``base`` once it outgrows a quarter of it."""
-        recent = _sorted_pairs([self.recent] + self.pending)
+        """Sort the rows rested since the last lookup into ``latest``,
+        and let each level that outgrew its bound merge down."""
+        latest = _sorted(self.latest, *self.pending)
         self.pending = []
+        if len(latest) <= _LATEST_ENTRIES:
+            self.latest = latest
+            return
+        self.latest = _NO_ENTRIES
+        recent = _sorted(self.recent, latest)
         base = self.base
-        if len(recent[0]) <= len(base[0]) // 4 + 256:
+        if len(recent) <= len(base) // 4 + 256:
             self.recent = recent
             return
+        self.recent = _NO_ENTRIES
         live = np.count_nonzero(self.rests)
-        if len(base[0]) + len(recent[0]) > 2 * live + 1024:
+        if len(base) + len(recent) > 2 * live + 1024:
             # Mostly rows that stopped resting: rebuild from the columns.
             rows = np.flatnonzero(self.rests)
-            self.base = _sorted_pairs(
-                [(self.rest_keys[rows], rows.astype(np.int32))]
-            )
+            self.base = _sorted(_entries(self.rest_keys[rows], rows))
         else:
-            self.base = _sorted_pairs([base, recent])
-        self.recent = _NO_KEYS
+            self.base = _sorted(base, recent)
 
     def carry(self, old: "_Worklist", at: np.ndarray, kept: np.ndarray):
         """Take over the settling state of ``old``'s rows: row ``i`` of
@@ -372,7 +389,7 @@ class _Worklist:
         self.rests[kept] = old.rests[from_rows]
         self.rest_keys[kept] = old.rest_keys[from_rows]
         rows = np.flatnonzero(self.rests)
-        self.pending = [(self.rest_keys[rows], rows.astype(np.int32))]
+        self.pending = [_entries(self.rest_keys[rows], rows)]
 
 
 class KsmScanner:
@@ -513,7 +530,7 @@ class KsmScanner:
         """Examine up to ``budget`` pages; returns the number examined."""
         if budget <= 0 or not self._tables:
             return 0
-        if not self._work_hint and self._scan_pos >= len(self._scan_list):
+        if self._idle():
             # Idle: the last wrap proved every worklist source empty and
             # no table event has arrived since — O(1) instead of a
             # len(tables)+1 empty-round spin.  The spin's only lasting
@@ -554,6 +571,23 @@ class KsmScanner:
         self.stats.pages_scanned += examined
         return examined
 
+    def _idle(self) -> bool:
+        """Whether a scan call is provably a no-op: the last wrap found
+        no work and no table event has arrived since.  A policy switch
+        that changes what the next pass walks wakes the scanner: a full
+        pass has work while any table maps a page."""
+        if self._next_pass_full() != self._current_pass_full:
+            self._work_hint = True
+        return not self._work_hint and self._scan_pos >= len(self._scan_list)
+
+    def _next_pass_full(self) -> bool:
+        """Whether a pass beginning now walks every mapped page."""
+        policy = self.config.scan_policy
+        if policy is ScanPolicy.HYBRID:
+            interval = self.config.hybrid_full_interval
+            return self._passes_done % interval == 0
+        return policy is ScanPolicy.FULL
+
     def _advance_table(self) -> bool:
         """Move to the next table's worklist; handle pass ends.
 
@@ -582,15 +616,8 @@ class KsmScanner:
     def _begin_pass(self) -> None:
         """Decide whether the pass now starting walks everything, and
         whether it settles rows."""
-        policy = self.config.scan_policy
-        if policy is ScanPolicy.FULL:
-            self._current_pass_full = True
-        elif policy is ScanPolicy.INCREMENTAL:
-            self._current_pass_full = False
-        else:  # HYBRID
-            interval = self.config.hybrid_full_interval
-            self._current_pass_full = self._passes_done % interval == 0
-        self._settling = policy is ScanPolicy.FULL
+        self._current_pass_full = self._next_pass_full()
+        self._settling = self.config.scan_policy is ScanPolicy.FULL
         if not self._settling:
             self._unsettle()
 
@@ -916,7 +943,7 @@ class KsmScanner:
         stale one, to be examined with it.
         """
         index = self._index
-        keys = np.sort((keys & _KEY_MASK).astype(np.uint32))
+        keys = np.sort(keys & _KEY_MASK)
         extra: List[int] = []
         for other, worklist in self._column_cache.items():
             if worklist.rests is None:

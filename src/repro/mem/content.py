@@ -3,69 +3,64 @@
 Real TPS scanners (KSM, PowerVM AMS dedup) compare raw page bytes.  Storing
 4 KiB of bytes per simulated page would be wasteful and slow, so the
 simulator replaces byte contents with a 64-bit *token* per page, computed so
-that the equality relation is the same one byte comparison would give:
+that the equality relation is the same one byte comparison would give.  A
+token is only ever compared for equality, so it comes from
+:func:`repro.sim.rng.mix64_many` (splitmix64 over integers), never from
+the BLAKE2b :func:`repro.sim.rng.stable_hash64`, which serves the hashes
+whose value is read:
 
 * A logical datum (a ROM class, a JIT method body, a 64 KiB heap block, an
   NIO buffer) is a :class:`Chunk` with a ``content_id`` and a ``size``.
   Equal ``content_id`` + equal ``size`` means byte-identical data.
   ``content_id`` 0 is reserved for all-zero bytes.
 
-* A page covered by a sequence of chunk slices gets a token hashed over the
+* Each non-zero chunk *slice* covering a page hashes its
   ``(content_id, slice offset within the chunk, slice length, offset within
-  the page)`` of every slice.  Identical data at identical intra-page
-  offsets therefore yields identical tokens — and *shifted* data yields
-  different tokens, which is exactly the page-alignment sensitivity the
-  paper discusses (Section III.B: a moved object "would no longer be
-  shareable by using TPS").
+  the page)`` under one fixed key, and a page's token is the sum (modulo
+  2**64) of its slice hashes.  The slices of a page are disjoint and carry
+  their offsets, so the sum stands for "the same data at the same
+  offsets": identical data at identical intra-page offsets yields
+  identical tokens — and *shifted* data yields different tokens, which is
+  exactly the page-alignment sensitivity the paper discusses (Section
+  III.B: a moved object "would no longer be shareable by using TPS").
 
 * A page whose covering slices are all zero gets the reserved
   :data:`ZERO_TOKEN` (0), so zero-filled pages from different processes and
-  VMs compare equal, as they do for KSM.
+  VMs compare equal, as they do for KSM.  A non-zero page whose slice
+  hashes sum to 0 gets 1 instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from repro.sim.rng import stable_hash64
+import numpy as np
+
+from repro.sim.rng import mix64_many, stable_hash64
 
 #: Token of the all-zero page.  Guaranteed never returned by either
-#: :func:`repro.sim.rng.stable_hash64` or :func:`repro.sim.rng.mix64`.
+#: :func:`repro.sim.rng.stable_hash64` or :func:`repro.sim.rng.mix64`,
+#: nor by :func:`page_tokens` for a page holding non-zero data.
 ZERO_TOKEN = 0
-
-#: Bound on the page-token memo.  Identical page layouts recur heavily —
-#: every guest booted from the same image and every JVM loading the same
-#: middleware lays out the same (content_id, offsets) per page — so the
-#: BLAKE2b digest for a repeated layout is paid once per process.  The
-#: bound only guards against pathological content churn.
-TOKEN_MEMO_SIZE = 1 << 16
-
-
-@lru_cache(maxsize=TOKEN_MEMO_SIZE)
-def _page_token(parts: Tuple[int, ...]) -> int:
-    """Memoized token of one page's slice layout (the scan hot path)."""
-    return stable_hash64("page", *parts)
-
-
-def token_memo_stats() -> Dict[str, int]:
-    """Hit/miss counters of the page-token memo (for micro-benchmarks)."""
-    info = _page_token.cache_info()
-    return {
-        "hits": info.hits,
-        "misses": info.misses,
-        "entries": info.currsize,
-        "max_entries": info.maxsize,
-    }
-
-
-def token_memo_clear() -> None:
-    """Empty the page-token memo (micro-benchmarks measure from cold)."""
-    _page_token.cache_clear()
 
 #: ``content_id`` representing all-zero bytes inside a chunk sequence.
 ZERO_CONTENT = 0
+
+#: Key of the slice hashes.
+_SLICE_KEY = stable_hash64("page")
+
+#: Layout pages computed since import (read by :func:`token_memo_stats`).
+_computed = [0]
+
+
+def token_memo_stats() -> Dict[str, int]:
+    """Layout-page counters, under the names the page-token memo had.
+
+    There is no memo: every page a layout covers is computed, so
+    ``misses`` counts those pages and the other three keys read 0.
+    """
+    return {"hits": 0, "misses": _computed[0], "entries": 0, "max_entries": 0}
 
 
 @dataclass(frozen=True)
@@ -96,19 +91,37 @@ def zero_chunk(size: int) -> Chunk:
     return Chunk(ZERO_CONTENT, size)
 
 
-def page_tokens_for_chunks(
-    chunks: Sequence[Chunk],
+def sum_slice_hashes(
+    hashes: np.ndarray, pages: np.ndarray, page_count: int
+) -> np.ndarray:
+    """Page tokens from slice hashes: ``hashes[i]`` belongs to page
+    ``pages[i]`` (ascending).  A page with no slice gets
+    :data:`ZERO_TOKEN`; a page whose hashes sum to 0 gets 1."""
+    tokens = np.zeros(page_count, np.uint64)
+    if len(hashes):
+        first = np.flatnonzero(np.diff(pages, prepend=-1))
+        sums = np.add.reduceat(hashes, first)
+        sums[sums == 0] = 1
+        tokens[pages[first]] = sums
+    return tokens
+
+
+def page_tokens(
+    content_ids: Sequence[int],
+    sizes: Sequence[int],
     page_size: int,
     base_offset: int = 0,
 ) -> List[int]:
-    """Compute page tokens for a chunk sequence laid out contiguously.
+    """Compute page tokens for chunks laid out contiguously.
 
-    The sequence starts ``base_offset`` bytes into the first page; any bytes
+    Chunk ``i`` holds ``sizes[i]`` bytes of ``content_ids[i]``.  The
+    sequence starts ``base_offset`` bytes into the first page; any bytes
     of a partially covered page that are not covered by a chunk are treated
     as zeros (freshly mapped anonymous memory).
 
     Args:
-        chunks: the chunk sequence, in address order.
+        content_ids: the chunks' content ids, in address order.
+        sizes: the chunks' sizes in bytes (positive).
         page_size: page size in bytes.
         base_offset: start offset of the first chunk within the first page;
             must satisfy ``0 <= base_offset < page_size``.
@@ -124,65 +137,40 @@ def page_tokens_for_chunks(
             f"base_offset must be within one page (0..{page_size - 1}), "
             f"got {base_offset}"
         )
-    total = sum(chunk.size for chunk in chunks)
-    if total == 0:
+    ids = np.array(content_ids, np.uint64)
+    sizes = np.array(sizes, np.int64)
+    ends = base_offset + np.cumsum(sizes)
+    if not len(ends):
         return []
-
-    page_count = -(-(base_offset + total) // page_size)
-    tokens: List[int] = []
-    # Walk pages and chunks in lock-step.  ``cursor`` is the absolute byte
-    # address (page 0 starts at 0); the first chunk begins at base_offset.
-    chunk_index = 0
-    chunk_start = base_offset  # absolute address where current chunk begins
-    for page in range(page_count):
-        page_begin = page * page_size
-        page_end = page_begin + page_size
-        parts: List[int] = []
-        all_zero = True
-        # Advance to the first chunk overlapping this page.
-        while chunk_index < len(chunks):
-            chunk = chunks[chunk_index]
-            chunk_end = chunk_start + chunk.size
-            if chunk_end <= page_begin:
-                chunk_index += 1
-                chunk_start = chunk_end
-                continue
-            if chunk_start >= page_end:
-                break
-            slice_begin = max(chunk_start, page_begin)
-            slice_end = min(chunk_end, page_end)
-            if not chunk.is_zero:
-                all_zero = False
-                parts.extend(
-                    (
-                        chunk.content_id,
-                        slice_begin - chunk_start,  # offset within the chunk
-                        slice_end - slice_begin,  # slice length
-                        slice_begin - page_begin,  # offset within the page
-                    )
-                )
-            if chunk_end > page_end:
-                # Chunk continues on the next page; keep it current.
-                break
-            chunk_index += 1
-            chunk_start = chunk_end
-        if all_zero:
-            tokens.append(ZERO_TOKEN)
-        else:
-            tokens.append(_page_token(tuple(parts)))
-    return tokens
+    page_count = -(-int(ends[-1]) // page_size)
+    _computed[0] += page_count
+    # The non-zero chunks, then one row per page each one covers.
+    data = ids != ZERO_CONTENT
+    starts = (ends - sizes)[data]
+    ends = ends[data]
+    first = starts // page_size
+    spans = (ends - 1) // page_size - first + 1
+    chunk = np.repeat(np.arange(len(spans)), spans)
+    pages = first[chunk] + np.arange(len(chunk)) - np.repeat(
+        np.cumsum(spans) - spans, spans
+    )
+    page_begin = pages * page_size
+    begin = np.maximum(starts[chunk], page_begin)
+    end = np.minimum(ends[chunk], page_begin + page_size)
+    hashes = mix64_many(
+        _SLICE_KEY,
+        ids[data][chunk],
+        begin - starts[chunk],  # offset within the chunk
+        end - begin,  # slice length
+        begin - page_begin,  # offset within the page
+    )
+    return sum_slice_hashes(hashes, pages, page_count).tolist()
 
 
-def uniform_tokens(content_ids: Iterable[int], page_size: int) -> List[int]:
-    """Tokens for pages each wholly filled by a single chunk of page size.
-
-    A fast path for components that manage page-granular data (e.g. the
-    guest page cache, where each cached disk block is one page).
-    """
-    tokens = []
-    for content_id in content_ids:
-        if content_id == ZERO_CONTENT:
-            tokens.append(ZERO_TOKEN)
-        else:
-            tokens.append(_page_token((content_id, 0, page_size, 0)))
-    return tokens
+def page_tokens_for_chunks(
+    chunks: Sequence[Chunk], page_size: int, base_offset: int = 0
+) -> List[int]:
+    """:func:`page_tokens` for a sequence of :class:`Chunk` objects."""
+    ids = [chunk.content_id for chunk in chunks]
+    sizes = [chunk.size for chunk in chunks]
+    return page_tokens(ids, sizes, page_size, base_offset)

@@ -9,13 +9,18 @@ alignment — the property the paper's preloading technique exploits.
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional, Tuple
 
-from repro.mem.content import Chunk, page_tokens_for_chunks
+from repro.mem.content import Chunk, page_tokens
 
 
 class Region:
-    """An append-only sequence of chunks with page-token materialisation."""
+    """An append-only sequence of chunks with page-token materialisation.
+
+    The chunks live in two columns, content ids and sizes, not as one
+    :class:`Chunk` object each.
+    """
 
     def __init__(self, page_size: int, base_offset: int = 0) -> None:
         if page_size <= 0:
@@ -26,8 +31,8 @@ class Region:
             )
         self._page_size = page_size
         self._base_offset = base_offset
-        self._chunks: List[Chunk] = []
-        self._offsets: List[int] = []  # byte offset of each chunk from base
+        self._ids = array("Q")
+        self._sizes = array("q")
         self._total = 0
         self._tokens: Optional[List[int]] = None  # cache, invalidated on append
 
@@ -53,13 +58,17 @@ class Region:
 
     @property
     def chunk_count(self) -> int:
-        return len(self._chunks)
+        return len(self._ids)
 
     def append(self, content_id: int, size: int) -> int:
         """Append a chunk; returns its byte offset from the region start."""
+        if size <= 0:
+            raise ValueError(f"chunk size must be positive, got {size}")
+        if content_id < 0:
+            raise ValueError("content_id must be non-negative")
         offset = self._total
-        self._chunks.append(Chunk(content_id, size))
-        self._offsets.append(offset)
+        self._ids.append(content_id)
+        self._sizes.append(size)
         self._total += size
         self._tokens = None
         return offset
@@ -83,27 +92,28 @@ class Region:
 
     def chunk_offset(self, index: int) -> int:
         """Byte offset of chunk ``index`` from the region start."""
-        return self._offsets[index]
+        index = range(len(self._sizes))[index]  # IndexError when out of range
+        return sum(self._sizes[:index])
 
     def chunk_page_span(self, index: int) -> Tuple[int, int]:
         """(first page, last page) indices covered by chunk ``index``."""
-        begin = self._base_offset + self._offsets[index]
-        end = begin + self._chunks[index].size - 1
+        begin = self._base_offset + self.chunk_offset(index)
+        end = begin + self._sizes[index] - 1
         return begin // self._page_size, end // self._page_size
 
     def page_tokens(self) -> List[int]:
         """Materialise page tokens for the current layout (cached)."""
         if self._tokens is None:
-            self._tokens = page_tokens_for_chunks(
-                self._chunks, self._page_size, self._base_offset
+            self._tokens = page_tokens(
+                self._ids, self._sizes, self._page_size, self._base_offset
             )
         return list(self._tokens)
 
     def __len__(self) -> int:
-        return len(self._chunks)
+        return len(self._ids)
 
     def __repr__(self) -> str:
         return (
-            f"Region(chunks={len(self._chunks)}, bytes={self._total}, "
+            f"Region(chunks={len(self._ids)}, bytes={self._total}, "
             f"pages={self.page_count})"
         )

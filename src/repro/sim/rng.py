@@ -12,13 +12,18 @@ Two rules keep the simulation deterministic:
   per process), and comes from one of two functions:
 
   - :func:`stable_hash64`, a BLAKE2b digest of type-tagged parts, for
-    names, RNG seeds, cache fingerprints and every hash whose *value* is
-    consumed (compressibility, Bloom bits, class sizes);
-  - :func:`mix64`, a splitmix64 finalizer chain over integers, for
-    per-page identity that is only ever compared for equality.  A
-    producer derives its stream key once with :func:`stable_hash64`
-    (say ``("heap", vm, pid, area)``) and mixes the page, epoch and
-    stream draws into it as integers.
+    names, RNG seeds, cache fingerprints, content ids (a ROM class, the
+    shared-cache header), each token stream's key, and every hash whose
+    *value* is consumed (``compressed_fraction``, Bloom bits, class
+    sizes);
+  - :func:`mix64` and its array form :func:`mix64_many`, a splitmix64
+    finalizer chain over integers, for every page token, which is only
+    ever compared for equality.  A producer derives its stream key once
+    with :func:`stable_hash64` (say ``("heap", vm, pid, area)``,
+    ``("kdata", vm)`` or ``("file", file_id)``) and mixes the page,
+    epoch and stream draws into it as integers; a page laid out from
+    chunks sums the hashes of its slices under one key
+    (:mod:`repro.mem.content`).  No page token is a BLAKE2b digest.
 """
 
 from __future__ import annotations

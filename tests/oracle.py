@@ -18,6 +18,10 @@ Each one is the paper's method written a page or a frame at a time:
   compressed-pool fault, Satori fill, :meth:`HostPhysicalMemory.write_token`),
   the reference for the bulk ``write_pages`` / ``alloc_gfns`` /
   ``write_gfns`` / ``write_tokens`` chain.
+* :func:`page_tokens_per_page` — page tokens of a chunk layout, one page
+  at a time, each a BLAKE2b digest of the page's non-zero slices: the
+  reference for the equality relation of
+  :func:`repro.mem.content.page_tokens`.
 
 Importable from ``tests/`` and ``benchmarks/`` as ``tests.oracle``.
 """
@@ -38,7 +42,9 @@ from repro.guestos.kernel import OutOfGuestMemoryError, OwnerKind
 from repro.ksm.index import STABLE
 from repro.ksm.scanner import KsmScanner, ScanPolicy
 from repro.mem.address_space import PageTable
+from repro.mem.content import ZERO_CONTENT, ZERO_TOKEN
 from repro.mem.physmem import STABLE as FRAME_STABLE
+from repro.sim.rng import stable_hash64
 
 
 class PerPageScanner(KsmScanner):
@@ -47,7 +53,7 @@ class PerPageScanner(KsmScanner):
     def scan_pages(self, budget: int) -> int:
         if budget <= 0 or not self._tables:
             return 0
-        if not self._work_hint and self._scan_pos >= len(self._scan_list):
+        if self._idle():
             if self._started_pass:
                 self._table_cursor = (
                     self._table_cursor + 2
@@ -349,3 +355,45 @@ def fault_file_pages_per_page(process, vma, start_page=0, count=None) -> None:
         process.page_table.map(vpn, gfn)
         key = (vma.backing.file_id, file_index)
         cache._mapcount[key] = cache._mapcount.get(key, 0) + 1
+
+
+def page_tokens_per_page(chunks, page_size: int, base_offset: int = 0):
+    """Page tokens of ``chunks`` (:class:`repro.mem.content.Chunk`) laid
+    out from ``base_offset``: per page, the BLAKE2b digest of its
+    non-zero slices ``(content id, offset in chunk, length, offset in
+    page)`` in address order, or ``ZERO_TOKEN`` when it has none."""
+    total = sum(chunk.size for chunk in chunks)
+    if total == 0:
+        return []
+    page_count = -(-(base_offset + total) // page_size)
+    tokens = []
+    chunk_index = 0
+    chunk_start = base_offset  # absolute address of the current chunk
+    for page in range(page_count):
+        page_begin = page * page_size
+        page_end = page_begin + page_size
+        parts = []
+        while chunk_index < len(chunks):
+            chunk = chunks[chunk_index]
+            chunk_end = chunk_start + chunk.size
+            if chunk_end <= page_begin:
+                chunk_index += 1
+                chunk_start = chunk_end
+                continue
+            if chunk_start >= page_end:
+                break
+            slice_begin = max(chunk_start, page_begin)
+            slice_end = min(chunk_end, page_end)
+            if chunk.content_id != ZERO_CONTENT:
+                parts.extend((
+                    chunk.content_id,
+                    slice_begin - chunk_start,
+                    slice_end - slice_begin,
+                    slice_begin - page_begin,
+                ))
+            if chunk_end > page_end:
+                break  # the chunk continues on the next page
+            chunk_index += 1
+            chunk_start = chunk_end
+        tokens.append(stable_hash64("page", *parts) if parts else ZERO_TOKEN)
+    return tokens

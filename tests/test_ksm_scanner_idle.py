@@ -160,3 +160,41 @@ def test_idle_equivalence_with_reference_spin(engine):
         assert stats.merges == stats_none.merges
         # Idle calls record no passes, so history lengths agree too.
         assert len(hist) == len(hist_none)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("wake_to", [ScanPolicy.FULL, ScanPolicy.HYBRID])
+def test_switch_to_a_full_pass_wakes_idle_scanner(engine, wake_to):
+    """Idled by incremental passes, the scanner wakes when the policy
+    makes the next pass full: a full pass has work while any table maps
+    a page, so it must not stay idle until some table event."""
+    physmem, scanner, tables = build(engine, ScanPolicy.FULL)
+    for table in tables:
+        physmem.map_token(table, 100, 5)  # merges across the tables
+    for _ in range(3):
+        scanner.scan_pages(10_000)
+    scanner.config.scan_policy = ScanPolicy.INCREMENTAL
+    drain(scanner)
+    mapped = sum(len(t.snapshot()) for t in tables)
+    passes = scanner.stats.full_scans
+    scanner.config.hybrid_full_interval = 1  # every HYBRID pass is full
+    scanner.config.scan_policy = wake_to
+    assert scanner.scan_pages(mapped) == mapped
+    assert scanner.scan_pages(mapped) == mapped
+    assert scanner.stats.full_scans > passes
+
+
+def test_switch_to_full_keeps_the_engines_in_lockstep():
+    """After the wake-up both engines walk the same pages."""
+    universes = [build(engine, ScanPolicy.FULL) for engine in ENGINES]
+    for _, scanner, _ in universes:
+        for _ in range(3):
+            scanner.scan_pages(10_000)
+        scanner.config.scan_policy = ScanPolicy.INCREMENTAL
+        drain(scanner)
+        scanner.config.scan_policy = ScanPolicy.FULL
+    for budget in (7, 400, 13, 400):
+        got = [scanner.scan_pages(budget) for _, scanner, _ in universes]
+        assert got == [budget, budget]
+    stats = [scanner.snapshot_stats() for _, scanner, _ in universes]
+    assert stats[0] == stats[1]

@@ -7,7 +7,7 @@ from repro.mem.content import (
     Chunk,
     ZERO_TOKEN,
     page_tokens_for_chunks,
-    uniform_tokens,
+    token_memo_stats,
     zero_chunk,
 )
 
@@ -140,51 +140,35 @@ class TestPageTokens:
         assert all(token == ZERO_TOKEN for token in tokens)
 
 
-class TestUniformTokens:
+class TestFullPageChunks:
     def test_zero_content(self):
-        assert uniform_tokens([0, 0], PAGE) == [ZERO_TOKEN, ZERO_TOKEN]
-
-    def test_matches_full_page_chunk(self):
-        token = uniform_tokens([42], PAGE)[0]
-        assert token == page_tokens_for_chunks([Chunk(42, PAGE)], PAGE)[0]
+        assert page_tokens_for_chunks(
+            [zero_chunk(PAGE), zero_chunk(PAGE)], PAGE
+        ) == [ZERO_TOKEN, ZERO_TOKEN]
 
     def test_distinct_ids_distinct_tokens(self):
-        tokens = uniform_tokens([1, 2, 3], PAGE)
-        assert len(set(tokens)) == 3
-
-
-class TestTokenMemo:
-    """The memoized token path must be invisible except for speed."""
-
-    def test_memo_matches_direct_hash(self):
-        from repro.mem.content import token_memo_clear
-        from repro.sim.rng import stable_hash64
-
-        token_memo_clear()
-        for content_id in (1, 7, 1 << 40):
-            assert uniform_tokens([content_id], PAGE) == [
-                stable_hash64("page", content_id, 0, PAGE, 0)
-            ]
-        chunks = [Chunk(9, PAGE // 2), Chunk(11, PAGE // 2)]
-        expected = stable_hash64(
-            "page", 9, 0, PAGE // 2, 0, 11, 0, PAGE // 2, PAGE // 2
+        tokens = page_tokens_for_chunks(
+            [Chunk(1, PAGE), Chunk(2, PAGE), Chunk(3, PAGE)], PAGE
         )
-        assert page_tokens_for_chunks(chunks, PAGE) == [expected]
+        assert len(set(tokens)) == 3
+        assert ZERO_TOKEN not in tokens
 
-    def test_repeated_layouts_hit_the_memo(self):
-        from repro.mem.content import token_memo_clear, token_memo_stats
+    def test_equal_ids_equal_tokens(self):
+        assert page_tokens_for_chunks([Chunk(42, PAGE)], PAGE) == (
+            page_tokens_for_chunks([Chunk(7, PAGE), Chunk(42, PAGE)], PAGE)[1:]
+        )
 
-        token_memo_clear()
-        first = uniform_tokens([3, 4, 5], PAGE)
-        cold = token_memo_stats()
-        assert cold["misses"] == 3 and cold["hits"] == 0
-        second = uniform_tokens([3, 4, 5], PAGE)
-        warm = token_memo_stats()
-        assert second == first
-        assert warm["misses"] == 3 and warm["hits"] == 3
+    def test_page_size_enters_the_token(self):
+        assert page_tokens_for_chunks([Chunk(6, PAGE)], PAGE) != (
+            page_tokens_for_chunks([Chunk(6, 2 * PAGE)], 2 * PAGE)
+        )
 
-    def test_memo_keys_include_page_size(self):
-        from repro.mem.content import token_memo_clear
 
-        token_memo_clear()
-        assert uniform_tokens([6], PAGE) != uniform_tokens([6], PAGE * 2)
+class TestLayoutPageCounter:
+    def test_counts_every_layout_page_under_the_memo_keys(self):
+        before = token_memo_stats()
+        assert set(before) == {"hits", "misses", "entries", "max_entries"}
+        page_tokens_for_chunks([Chunk(1, PAGE + 1)], PAGE, base_offset=5)
+        after = token_memo_stats()
+        assert after["misses"] - before["misses"] == 2
+        assert after["hits"] == after["entries"] == after["max_entries"] == 0
