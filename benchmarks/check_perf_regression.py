@@ -43,7 +43,10 @@ previous entry that has them, with their ratio, and each layer time's
 share of ``trace.run_s`` in both entries, with the change in points
 (shares hold steady on a shared host where raw seconds do not).  An
 entry recorded before shares were kept shows the share of its median
-values.  The trend is a report only and never changes the exit code.
+values.  When the newest entry holds paper-scale rows
+(``paper_scale``: wall seconds and peak RSS per figure), the trend
+prints them next to those of the previous entry that has them.  The
+trend is a report only and never changes the exit code.
 
 Usage::
 
@@ -194,6 +197,35 @@ def layer_trend(record: dict) -> list:
                 f"    {name:<24} {_percent(old):>12} {_percent(share):>12}"
                 f" {points}"
             )
+    return lines + paper_scale_trend(entries)
+
+
+def paper_scale_trend(entries: list) -> list:
+    """The newest entry's paper-scale rows against the previous entry
+    that has some, with the ratio newest/previous."""
+    rows = entries[-1].get("paper_scale")
+    if not rows:
+        return []
+    previous = next(
+        (e for e in reversed(entries[:-1]) if e.get("paper_scale")), None
+    )
+    label = "-" if previous is None else previous["label"]
+    lines = [
+        "  paper scale (wall s / peak RSS MB):",
+        f"    {'figure':<10} {label:>16} {entries[-1]['label']:>16}"
+        "   ratio",
+    ]
+    for figure, row in rows.items():
+        old = (previous or {}).get("paper_scale", {}).get(figure)
+        ratio = (
+            f"{row['peak_rss_mb'] / old['peak_rss_mb']:7.3f}"
+            if old and old["peak_rss_mb"] else "      -"
+        )
+        before = (
+            f"{old['wall_s']:.1f} / {old['peak_rss_mb']:.1f}" if old else "-"
+        )
+        now = f"{row['wall_s']:.1f} / {row['peak_rss_mb']:.1f}"
+        lines.append(f"    {figure:<10} {before:>16} {now:>16} {ratio}")
     return lines
 
 

@@ -25,7 +25,11 @@ prints last) is kept in a fresh temporary directory as
 ``--saved DIR`` builds the entry from such files (or from a single
 ``<workload>.trace.json``, as kept before) instead of running
 perfbench, so runs made by hand (say the change side of a pair series)
-can be recorded.  perfbench itself is never edited.
+can be recorded.  perfbench itself is never edited.  Markdown files
+(``*.md``) in the ``--saved`` directory may hold the
+``| figure | wall s | peak RSS MB |`` rows ``benchmarks/rusage_run.py``
+writes for the paper-scale figures; their rows are recorded under
+``paper_scale``.
 
 The entry's ``commit`` is ``git rev-parse --short HEAD``; ``dirty`` says
 whether ``src/`` differed from it when the entry was made.
@@ -147,6 +151,27 @@ def trace_entry(saved: Path, workload: str) -> Optional[dict]:
     return entry
 
 
+#: One ``benchmarks/rusage_run.py`` row: ``| LABEL | wall s | peak MB |``.
+PAPER_SCALE_ROW = re.compile(
+    r"^\|\s*(\S+)\s*\|\s*([\d.]+)\s*\|\s*([\d.]+)\s*\|\s*$"
+)
+
+
+def paper_scale_entry(saved: Path) -> Optional[dict]:
+    """Wall seconds and peak RSS per label, from the rusage rows in the
+    Markdown files of ``saved`` (None when there are none)."""
+    rows = {}
+    for path in sorted(saved.glob("*.md")):
+        for line in path.read_text().splitlines():
+            found = PAPER_SCALE_ROW.match(line)
+            if found:
+                rows[found.group(1)] = {
+                    "wall_s": float(found.group(2)),
+                    "peak_rss_mb": float(found.group(3)),
+                }
+    return rows or None
+
+
 def tier1() -> Dict[str, float]:
     """Run the tier-1 suite; its test count and wall time."""
     started = time.monotonic()
@@ -206,6 +231,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "workloads": {w: workload_entry(saved, w) for w in WORKLOADS},
         "trace": {w: trace_entry(saved, w) for w in WORKLOADS},
         "shares": {w: share_entry(saved, w) for w in WORKLOADS},
+        "paper_scale": paper_scale_entry(saved),
         "tier1": tier1() if args.tests else None,
     }
     record = json.loads(RECORD.read_text())

@@ -69,7 +69,7 @@ def main() -> None:
     dump = collect_system_dump(testbed.host, testbed.kernels)
     print(f"system dump: {len(dump.guests)} guest dumps, "
           f"{len(dump.host.page_tables)} host page tables, "
-          f"{len(dump.frame_tokens)} frames")
+          f"{len(dump.frames)} frames")
 
     # Step 3: walk one Java heap page through all three layers.
     guest = dump.guest("vm1")

@@ -16,27 +16,17 @@ two policies for splitting shared frames:
 
 Both operate purely on a :class:`~repro.core.dump.SystemDump` and run on
 the columnar pipeline of :mod:`repro.core.columnar`.
-:func:`build_frame_usage` lists every frame's mappings one by one; the
-per-frame diagnostics of :mod:`repro.core.diagnostics` are built on it.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.categories import MemoryCategory, categorize_tag
-from repro.core.columnar.backend import merge_intervals, point_in_intervals
+from repro.core.categories import MemoryCategory
 from repro.core.dump import SystemDump
-from repro.core.translate import (
-    iter_process_frames,
-    iter_vm_process_pages,
-    qemu_table_name,
-    resolve_gfn,
-)
-from repro.guestos.kernel import OwnerKind
+from repro.core.translate import qemu_table_name
 
 
 class UserKind(enum.IntEnum):
@@ -60,72 +50,6 @@ class UserKey:
     @property
     def is_java(self) -> bool:
         return self.kind is UserKind.JAVA
-
-
-@dataclass(frozen=True)
-class Mapping:
-    """One page-table mapping of one frame."""
-
-    user: UserKey
-    category: Optional[MemoryCategory]
-    tag: str
-
-
-#: fid -> all mappings of that frame.
-FrameUsage = Dict[int, List[Mapping]]
-
-
-def build_frame_usage(dump: SystemDump) -> FrameUsage:
-    """Attribute every backed frame to its users.
-
-    Guest-process pages (including file mappings pulled from the guest page
-    cache) belong to the process; guest pages backed on the host but not
-    mapped by any process belong to the guest kernel ("including buffers
-    and caches", Fig. 2); QEMU pages outside the guest-memory slots belong
-    to the guest VM itself.
-    """
-    usage: FrameUsage = defaultdict(list)
-    for guest in dump.guests:
-        claimed_gfns = set()
-        for process in guest.processes:
-            kind = UserKind.JAVA if process.is_java else UserKind.PROCESS
-            user = UserKey(kind, process.pid, guest.vm_index, guest.vm_name)
-            for _vpn, gfn, fid, vma in iter_process_frames(
-                dump, guest, process
-            ):
-                claimed_gfns.add(gfn)
-                tag = vma.tag if vma else "anon"
-                usage[fid].append(
-                    Mapping(user, categorize_tag(tag), tag)
-                )
-        kernel_user = UserKey(
-            UserKind.KERNEL, -1, guest.vm_index, guest.vm_name
-        )
-        for gfn in range(guest.guest_npages):
-            if gfn in claimed_gfns:
-                continue
-            fid = resolve_gfn(dump, guest, gfn)
-            if fid is None:
-                continue
-            owner = guest.gfn_owners.get(gfn)
-            tag = owner.tag if owner else "kernel:unknown"
-            if owner is not None and owner.kind is OwnerKind.FREE:
-                tag = "kernel:free"
-            usage[fid].append(Mapping(kernel_user, None, tag))
-        # QEMU's own pages: host vpns outside every memslot.  The slot
-        # cover is merged once per guest; the membership test is one
-        # bisect per page instead of a scan of the whole slot array.
-        vm_self_user = UserKey(
-            UserKind.VM_SELF, -1, guest.vm_index, guest.vm_name
-        )
-        slot_cover = merge_intervals(
-            (slot.host_base_vpn, slot.host_base_vpn + slot.npages)
-            for slot in guest.memslots
-        )
-        for host_vpn, fid in iter_vm_process_pages(dump, guest):
-            if not point_in_intervals(slot_cover, host_vpn):
-                usage[fid].append(Mapping(vm_self_user, None, "qemu"))
-    return usage
 
 
 @dataclass

@@ -15,10 +15,11 @@ once per dump:
   add replaces the per-page ``translate_gfn`` bisect), the merged
   host-vpn cover of the slots (the QEMU-overhead membership test), the
   QEMU host page table as a sorted equi-join table, and the guest
-  kernel's gfn-ownership map as a ``gfn → tag rank`` equi-join table;
-* per process, a :class:`ProcessTables` — aligned vpn/gfn columns plus
-  the VMA list as an interval table whose payload indexes aligned
-  per-VMA tag-rank / cell-id columns.
+  kernel's gfn-ownership map as a ``gfn → tag rank`` equi-join table
+  (one rank per owner record, gathered through the dump's record ids);
+* per process, a :class:`ProcessTables` — the dump's vpn/gfn columns as
+  they are, plus the VMA list as an interval table whose payload
+  indexes aligned per-VMA tag-rank / cell-id columns.
 
 Everything downstream (:mod:`repro.core.columnar.pipeline`) is pure
 column algebra on these.
@@ -42,7 +43,6 @@ from .backend import (
     MergedIntervals,
     column,
     exact_build,
-    interval_build,
     membership_build,
 )
 
@@ -86,13 +86,6 @@ class Registry:
     ] = field(default_factory=dict)
     #: cell id -> user id (the PSS group-by recovers users from cells).
     cell_user: List[int] = field(default_factory=list)
-    #: per guest (by vm_name): the gfn-ownership map pre-classified as
-    #: ``(unique_owner_records, per-gfn index into them)`` — built in
-    #: the same sweep that collects tags, so the per-page owner dict is
-    #: read exactly once per dump.
-    owner_columns: Dict[str, Tuple[list, List[int]]] = (
-        field(default_factory=dict)
-    )
 
     def user_id(self, user: UserKey) -> int:
         found = self._user_ids.get(user)
@@ -118,38 +111,16 @@ class Registry:
 def build_registry(dump: SystemDump) -> Registry:
     """Collect every tag the accounting can see and rank them.
 
-    This is the only full sweep over per-page *objects* the columnar
-    path keeps (the gfn-ownership map stores :class:`PageOwner` values);
-    it reads each entry once and retains only the unique tag strings.
+    Tags come from the VMA records and the guests' owner records, never
+    from a per-page column.
     """
     tags = {TAG_ANON, TAG_QEMU, TAG_KERNEL_UNKNOWN, TAG_KERNEL_FREE}
-    owner_columns: Dict[str, Tuple[list, List[int]]] = {}
     for guest in dump.guests:
         for process in guest.processes:
-            for vma in process.vmas:
-                tags.add(vma.tag)
-        # Classify gfns by owner-record identity.  The guest kernel
-        # interns records at allocation (``GuestKernel.owner_record``),
-        # not at snapshot, so the memo hits on all but the first page of
-        # each ownership class; records built elsewhere degrade to one
-        # memo entry per page, never to wrong answers.
-        memo: Dict[int, int] = {}
-        unique: list = []
-        indexes: List[int] = []
-        append = indexes.append
-        for owner in guest.gfn_owners.values():
-            index = memo.get(id(owner))
-            if index is None:
-                index = len(unique)
-                memo[id(owner)] = index
-                unique.append(owner)
-            append(index)
-        owner_columns[guest.vm_name] = (unique, indexes)
-        for owner in unique:
-            tags.add(owner.tag)
+            tags.update(vma.tag for vma in process.vmas)
+        tags.update(owner.tag for owner in guest.owner_records)
     return Registry(
-        tag_rank={tag: rank for rank, tag in enumerate(sorted(tags))},
-        owner_columns=owner_columns,
+        tag_rank={tag: rank for rank, tag in enumerate(sorted(tags))}
     )
 
 
@@ -160,7 +131,7 @@ class ProcessTables:
     process: GuestProcessDump
     user: UserKey
     user_id: int
-    #: aligned page-table columns (insertion order of the dump dict).
+    #: the dump's aligned page-table columns (the live table's order).
     vpns: object
     gfns: object
     #: VMA intervals; payload indexes the aligned per-VMA columns below.
@@ -179,18 +150,9 @@ def lower_process(
     kind = UserKind.JAVA if process.is_java else UserKind.PROCESS
     user = UserKey(kind, process.pid, guest.vm_index, guest.vm_name)
     user_id = registry.user_id(user)
-    table = process.page_table
-    vpns = column(table.keys(), count=len(table))
-    gfns = column(table.values(), count=len(table))
-    starts = []
-    ends = []
-    payloads = []
     vma_ranks = []
     vma_cells = []
-    for index, vma in enumerate(process.vmas):
-        starts.append(vma.start_vpn)
-        ends.append(vma.end_vpn)
-        payloads.append(index)
+    for vma in process.vmas:
         vma_ranks.append(registry.tag_rank[vma.tag])
         vma_cells.append(
             registry.cell_id(user, categorize_tag(vma.tag))
@@ -199,9 +161,9 @@ def lower_process(
         process=process,
         user=user,
         user_id=user_id,
-        vpns=vpns,
-        gfns=gfns,
-        vma_table=interval_build(starts, ends, payloads),
+        vpns=process.page_table.keys,
+        gfns=process.page_table.values,
+        vma_table=process.vma_table(),
         vma_ranks=column(vma_ranks, count=len(vma_ranks)),
         vma_cells=column(vma_cells, count=len(vma_cells)),
         anon_rank=registry.tag_rank[TAG_ANON],
@@ -235,35 +197,27 @@ def lower_guest(
     dump: SystemDump, guest: GuestDump, registry: Registry
 ) -> GuestTables:
     """Lower one guest of the dump ``registry`` was built from."""
-    bases, npages, host_bases = memslot_columns(guest.memslots)
-    slot_table = interval_build(
-        bases,
-        [base + count for base, count in zip(bases, npages)],
-        [host - base for base, host in zip(bases, host_bases)],
-    )
+    _bases, npages, host_bases = memslot_columns(guest.memslots)
     slot_host_cover = membership_build(
         (host, host + count)
         for host, count in zip(host_bases, npages)
     )
-    host_dict = dump.host.page_tables.get(
-        qemu_table_name(guest.vm_name), {}
-    )
-    host_table = exact_build(
-        column(host_dict.keys(), count=len(host_dict)),
-        column(host_dict.values(), count=len(host_dict)),
+    host = dump.host.page_tables.get(qemu_table_name(guest.vm_name))
+    host_table = (
+        exact_build(host.keys, host.values) if host is not None
+        else exact_build([], [])
     )
     tag_rank = registry.tag_rank
     free_rank = tag_rank[TAG_KERNEL_FREE]
-    owners = guest.gfn_owners
-    unique, indexes = registry.owner_columns[guest.vm_name]
-    unique_ranks = [
+    record_ranks = [
         free_rank if owner.kind is OwnerKind.FREE else tag_rank[owner.tag]
-        for owner in unique
+        for owner in guest.owner_records
     ]
-    owner_gfns = column(owners.keys(), count=len(owners))
-    owner_ranks = column(unique_ranks, count=len(unique_ranks))[
-        column(indexes, count=len(indexes))
-    ]
+    owners = guest.gfn_owners
+    owner_table = exact_build(
+        owners.keys,
+        column(record_ranks, count=len(record_ranks))[owners.values],
+    )
     kernel_user = UserKey(
         UserKind.KERNEL, -1, guest.vm_index, guest.vm_name
     )
@@ -272,10 +226,10 @@ def lower_guest(
     )
     return GuestTables(
         guest=guest,
-        slot_table=slot_table,
+        slot_table=guest.slot_table(),
         slot_host_cover=slot_host_cover,
         host_table=host_table,
-        owner_table=exact_build(owner_gfns, owner_ranks),
+        owner_table=owner_table,
         kernel_user=kernel_user,
         kernel_cell=registry.cell_id(kernel_user, None),
         unknown_rank=tag_rank[TAG_KERNEL_UNKNOWN],

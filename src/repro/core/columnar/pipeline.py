@@ -1,7 +1,8 @@
 """The columnar dump→accounting pipeline.
 
-Runs the three passes of :func:`repro.core.accounting.build_frame_usage`
-(guest processes, guest kernel, QEMU overhead) and the paper's ownership
+Runs the three passes of the paper's frame attribution (guest
+processes, guest kernel, QEMU overhead; the per-frame form is
+``build_frame_usage`` in ``tests/oracle.py``) and the paper's ownership
 rule behind :func:`repro.core.accounting.owner_oriented_accounting` /
 :func:`~repro.core.accounting.distribution_oriented_accounting`, expressed
 as column algebra over the lowered tables of
@@ -10,8 +11,8 @@ as column algebra over the lowered tables of
 * the three-layer walk is one interval ``searchsorted`` (memslots) plus
   an affine add plus one exact-join ``searchsorted`` (QEMU host page
   table) over whole page-table columns;
-* frame attribution never materializes per-page
-  :class:`~repro.core.accounting.Mapping` objects — every pass emits a
+* frame attribution never materializes per-page mapping objects —
+  every pass emits a
   *chunk* of six parallel int columns ``(fid, kind, pid, vm_index,
   tag_rank, cell)``, the ownership sort key flattened to integers;
 * owner election is one lexsort + first-of-group reduction per fid
@@ -56,6 +57,7 @@ from .lower import (
 __all__ = [
     "distribution_accounting_columnar",
     "iter_mapping_chunks",
+    "mapping_columns",
     "owner_accounting_columnar",
     "resolve_process_columns",
 ]
@@ -74,8 +76,7 @@ def resolve_process_columns(
     """Vectorized three-layer walk for one guest process.
 
     Returns ``(vpns, gfns, host_vpns, fids)`` columns restricted to the
-    *backed* pages — exactly the rows
-    :func:`repro.core.translate.iter_process_frames` would yield.
+    *backed* pages — the pages whose walk reaches a host frame.
     """
     deltas = interval_lookup(guest_tables.slot_table, process_tables.gfns)
     in_slot = deltas != MISS
@@ -100,9 +101,8 @@ def iter_mapping_chunks(
 ) -> Iterator[Chunk]:
     """Yield mapping chunks per (process | guest kernel | QEMU) pass.
 
-    Chunk rows correspond one-to-one with the
-    :class:`~repro.core.accounting.Mapping` objects
-    :func:`~repro.core.accounting.build_frame_usage` appends, with the
+    Chunk rows correspond one-to-one with the mappings the per-frame
+    walk lists (``build_frame_usage`` in ``tests/oracle.py``), with the
     ownership sort key pre-flattened to integers.
     """
     for guest in dump.guests:
@@ -161,21 +161,30 @@ def iter_mapping_chunks(
             )
 
 
-def _concat_chunks(dump: SystemDump, registry: Registry) -> Chunk:
-    """Every mapping chunk of ``dump``, each column concatenated."""
-    chunks = list(iter_mapping_chunks(dump, registry))
-    if not chunks:
+def mapping_columns(dump: SystemDump, registry: Registry) -> Chunk:
+    """Every mapping chunk of ``dump``, each column concatenated (one
+    column at a time, each column's chunks dropped once it is built)."""
+    pieces = [list(columns) for columns in zip(*iter_mapping_chunks(
+        dump, registry
+    ))]
+    if not pieces:
         return (np.empty(0, dtype=np.int64),) * 6
-    return tuple(np.concatenate(columns) for columns in zip(*chunks))
+    out = []
+    for index in range(len(pieces)):
+        out.append(np.concatenate(pieces[index]))
+        pieces[index] = None
+    return tuple(out)
 
 
 def owner_accounting_columnar(dump: SystemDump) -> OwnerAccounting:
     """Owner-oriented accounting: one owner election over every mapping
     row, then one count of the winners per cell."""
     registry = build_registry(dump)
-    survivors, shared = owner_reduce(_concat_chunks(dump, registry))
+    (winner_cells,), shared = owner_reduce(
+        mapping_columns(dump, registry), keep=(5,)
+    )
     cells = registry.cells
-    usage_counts = np.bincount(survivors[5], minlength=len(cells)).tolist()
+    usage_counts = np.bincount(winner_cells, minlength=len(cells)).tolist()
     result = OwnerAccounting(page_size=dump.host.page_size)
     page = dump.host.page_size
     for cell_id, (user, category) in enumerate(cells):
@@ -195,7 +204,7 @@ def distribution_accounting_columnar(dump: SystemDump) -> PssAccounting:
     per-frame summation by summation order (within a few ULP).
     """
     registry = build_registry(dump)
-    fids, _kind, _pid, _vm_index, _ranks, cells = _concat_chunks(
+    fids, _kind, _pid, _vm_index, _ranks, cells = mapping_columns(
         dump, registry
     )
     user_lookup = column(registry.cell_user, count=len(registry.cell_user))

@@ -11,58 +11,85 @@ when staring at a dump:
   (the paper's §III.A heap observation);
 * :func:`category_sharing_summary` — shared fraction per Table-IV
   category, across all Java processes.
+
+Each report is a group-by over the mapping rows of the accounting
+pipeline (:func:`repro.core.columnar.pipeline.mapping_columns`, one row
+per page-table mapping of a backed frame) and the dump's frame table.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.core.accounting import FrameUsage, build_frame_usage
+import numpy as np
+
 from repro.core.categories import MemoryCategory
+from repro.core.columnar.lower import build_registry
+from repro.core.columnar.pipeline import mapping_columns
 from repro.core.dump import SystemDump
 from repro.mem.content import ZERO_TOKEN
 
 
-def sharing_histogram(
-    dump: SystemDump, usage: Optional[FrameUsage] = None
-) -> Dict[int, int]:
+def _mappers(fids) -> np.ndarray:
+    """Mapping rows per fid (0 for fids no row names)."""
+    return np.bincount(fids) if fids.shape[0] else np.zeros(0, np.int64)
+
+
+def sharing_histogram(dump: SystemDump) -> Dict[int, int]:
     """Map *number of mappings per frame* → frame count.
 
     Bucket 1 is private memory; everything above is TPS-shared (or
     guest-internal file sharing).
     """
-    if usage is None:
-        usage = build_frame_usage(dump)
-    histogram: Counter = Counter()
-    for mappings in usage.values():
-        histogram[len(mappings)] += 1
-    return dict(histogram)
+    fids = mapping_columns(dump, build_registry(dump))[0]
+    frames_per_size = np.bincount(_mappers(fids)).tolist()
+    return {
+        size: count
+        for size, count in enumerate(frames_per_size)
+        if size and count
+    }
 
 
-def cross_vm_sharing_matrix(
-    dump: SystemDump, usage: Optional[FrameUsage] = None
-) -> Dict[Tuple[str, str], int]:
+def cross_vm_sharing_matrix(dump: SystemDump) -> Dict[Tuple[str, str], int]:
     """Bytes of frames jointly mapped by each (unordered) pair of VMs.
 
     A frame mapped by three VMs contributes the page size to each of the
     three pairs.  Diagonal cells hold bytes shared only *within* one VM
-    (e.g. two processes mapping the same guest file page).
+    (e.g. two processes mapping the same guest file page).  Each frame's
+    mappers reduce to a VM bitmask (one bit per dumped guest), and the
+    pairs are counted once per distinct mask.
     """
-    if usage is None:
-        usage = build_frame_usage(dump)
+    fids, _kind, _pid, vm_index, _rank, _cell = mapping_columns(
+        dump, build_registry(dump)
+    )
+    if not fids.shape[0]:
+        return {}
+    names = [guest.vm_name for guest in dump.guests]
+    bit_of = np.zeros(1 + max(g.vm_index for g in dump.guests), np.uint64)
+    bit_of[[guest.vm_index for guest in dump.guests]] = np.arange(
+        len(names), dtype=np.uint64
+    )
+    order = np.argsort(fids, kind="stable")
+    ordered = fids[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+    masks = np.bitwise_or.reduceat(
+        np.left_shift(np.uint64(1), bit_of[vm_index[order]]), starts
+    )
+    mappers = np.diff(np.append(starts, ordered.shape[0]))
     page = dump.host.page_size
     matrix: Dict[Tuple[str, str], int] = defaultdict(int)
-    for mappings in usage.values():
-        vm_names = sorted({m.user.vm_name for m in mappings})
+    shared_masks, frames = np.unique(masks[mappers > 1], return_counts=True)
+    for mask, count in zip(shared_masks.tolist(), frames.tolist()):
+        vm_names = sorted(
+            name for bit, name in enumerate(names) if mask >> bit & 1
+        )
         if len(vm_names) == 1:
-            if len(mappings) > 1:
-                matrix[(vm_names[0], vm_names[0])] += page
-            continue
+            matrix[(vm_names[0], vm_names[0])] += count * page
         for index, first in enumerate(vm_names):
             for second in vm_names[index + 1:]:
-                matrix[(first, second)] += page
+                matrix[(first, second)] += count * page
     return dict(matrix)
 
 
@@ -82,46 +109,53 @@ class ZeroCensus:
         return self.zero_frames / self.total_frames
 
 
-def zero_page_census(
-    dump: SystemDump, usage: Optional[FrameUsage] = None
-) -> ZeroCensus:
+def zero_page_census(dump: SystemDump) -> ZeroCensus:
     """Count zero frames and their mappings in the dump."""
-    if usage is None:
-        usage = build_frame_usage(dump)
-    census = ZeroCensus()
-    for fid, mappings in usage.items():
-        census.total_frames += 1
-        token = dump.frame_tokens.get(fid)
-        if token == ZERO_TOKEN:
-            census.zero_frames += 1
-            census.zero_mappings += len(mappings)
-        elif len(mappings) > 1:
-            census.shared_nonzero_frames += 1
-    return census
+    counts = _mappers(mapping_columns(dump, build_registry(dump))[0])
+    fids = np.flatnonzero(counts)
+    mappers = counts[fids]
+    table = dump.frames
+    zero = np.zeros(fids.shape[0], dtype=bool)
+    if len(table):
+        at = np.minimum(np.searchsorted(table.fids, fids), len(table) - 1)
+        zero = (
+            (table.fids[at] == fids)
+            & table.has_token[at]
+            & (table.tokens[at] == ZERO_TOKEN)
+        )
+    return ZeroCensus(
+        zero_frames=int(np.count_nonzero(zero)),
+        zero_mappings=int(mappers[zero].sum()),
+        shared_nonzero_frames=int(np.count_nonzero(~zero & (mappers > 1))),
+        total_frames=int(fids.shape[0]),
+    )
 
 
 def category_sharing_summary(
-    dump: SystemDump, usage: Optional[FrameUsage] = None
+    dump: SystemDump,
 ) -> Dict[MemoryCategory, Tuple[int, int]]:
     """Per Table-IV category: (total mapped bytes, bytes on shared frames).
 
     Aggregated over every Java process in the dump; "shared" means the
     frame has more than one mapping anywhere in the system.
     """
-    if usage is None:
-        usage = build_frame_usage(dump)
+    registry = build_registry(dump)
+    fids, _kind, _pid, _vm_index, _rank, cells = mapping_columns(
+        dump, registry
+    )
+    size = len(registry.cells)
+    rows = np.bincount(cells, minlength=size).tolist()
+    shared_rows = np.bincount(
+        cells[_mappers(fids)[fids] > 1], minlength=size
+    ).tolist()
     page = dump.host.page_size
     totals: Dict[MemoryCategory, int] = defaultdict(int)
     shared: Dict[MemoryCategory, int] = defaultdict(int)
-    for mappings in usage.values():
-        frame_shared = len(mappings) > 1
-        for mapping in mappings:
-            if mapping.category is None:
-                continue
-            totals[mapping.category] += page
-            if frame_shared:
-                shared[mapping.category] += page
+    for cell, (_user, category) in enumerate(registry.cells):
+        if category is not None and rows[cell]:
+            totals[category] += rows[cell] * page
+            shared[category] += shared_rows[cell] * page
     return {
-        category: (totals[category], shared.get(category, 0))
+        category: (totals[category], shared[category])
         for category in totals
     }

@@ -19,15 +19,25 @@ transient dump failures are retried with a bounded deterministic
 backoff, guests that stay unanalyzable are quarantined instead of
 killing the run, and everything that happened is recorded in a
 :class:`CollectionReport` attached to the dump.
+
+Like the paper's tooling, which reads the struct-page array and the page
+tables out of a crash dump in bulk, collection copies every per-page
+layer into numpy columns (:class:`PageColumns`, :class:`FrameTable`)
+straight from the live structures; no layer is held as a per-page dict.
+VMAs and memslots stay record lists (a handful per process or guest).
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
+from repro.core.columnar.backend import (
+    MISS, IntervalTable, column, interval_build, interval_lookup, marked,
+)
 from repro.errors import DumpUnanalyzableError
 from repro.faults.inject import inject_guest_faults, inject_system_faults
 from repro.faults.plan import (
@@ -38,15 +48,18 @@ from repro.faults.plan import (
     InjectedFault,
 )
 from repro.guestos.kernel import GuestKernel, PageOwner
-from repro.hypervisor.kvm import KvmGuestVm, KvmHost, MemSlot
+from repro.hypervisor.kvm import KvmGuestVm, KvmHost, MemSlot, memslot_columns
+from repro.mem.physmem import FREE
 
 __all__ = [
     "CollectionReport",
     "DumpUnanalyzableError",
+    "FrameTable",
     "GuestCollectionRecord",
     "GuestDump",
     "GuestProcessDump",
     "HostDump",
+    "PageColumns",
     "SystemDump",
     "VmaRecord",
     "collect_system_dump",
@@ -69,128 +82,151 @@ class VmaRecord:
         return self.start_vpn + self.npages
 
 
+class PageColumns:
+    """One per-page layer of a dump as two aligned columns.
+
+    ``keys`` (int64) maps to ``values`` row by row: vpn -> gfn for a
+    guest process, vpn -> frame id for a host table, gfn -> owner-record
+    index for a guest kernel's ownership map.  Rows keep the order of
+    the live table, so sums over them add in the order a walk of the
+    table would.  :meth:`get` bisects a sorted copy of ``keys`` built on
+    first use; editing ``values`` in place keeps it valid, new keys need
+    a new object.
+    """
+
+    __slots__ = ("keys", "values", "_index")
+
+    def __init__(self, keys, values) -> None:
+        self.keys = keys
+        self.values = values
+        self._index = None
+
+    def __len__(self) -> int:
+        return int(self.keys.shape[0])
+
+    def row_of(self, key: int) -> Optional[int]:
+        """The row holding ``key``, or None."""
+        if self._index is None:
+            order = np.argsort(self.keys, kind="stable")
+            self._index = (self.keys[order], order)
+        keys, order = self._index
+        at = int(np.searchsorted(keys, key))
+        if at < keys.shape[0] and keys[at] == key:
+            return int(order[at])
+        return None
+
+    def get(self, key: int) -> Optional[int]:
+        row = self.row_of(key)
+        return None if row is None else int(self.values[row])
+
+
 @dataclass
-class GuestProcessDump:
-    """One guest process: its page table and VMA map."""
+class FrameTable:
+    """The dumped struct-page array: the live frames the collected host
+    tables map, sorted by ``fids``, with their content ``tokens``
+    (uint64) and mapping ``refcounts``.  ``has_token`` is False where
+    collection lost a frame's token; its refcount stays."""
+
+    fids: object
+    tokens: object
+    refcounts: object
+    has_token: object
+
+    def __len__(self) -> int:
+        return int(self.fids.shape[0])
+
+
+class _RecordIndex:
+    """A lookup table over a record list, rebuilt when the list changes
+    length or :meth:`invalidate_caches` is called (replacing a record in
+    place is invisible to the length check)."""
+
+    _generation = 0
+    _index: tuple = (None, None)
+
+    def invalidate_caches(self) -> None:
+        self._generation += 1
+
+    def _interval_index(self, records, starts, ends, payloads):
+        key = (self._generation, len(records))
+        if self._index[0] != key:
+            self._index = (key, interval_build(starts, ends, payloads))
+        return self._index[1]
+
+
+@dataclass
+class GuestProcessDump(_RecordIndex):
+    """One guest process: its page table (vpn -> gfn) and VMA map."""
 
     pid: int
     name: str
-    page_table: Dict[int, int]  # vpn -> gfn
+    page_table: PageColumns
     vmas: List[VmaRecord]
-
-    def __post_init__(self) -> None:
-        self._vma_starts: Optional[List[int]] = None
-        self._vmas_sorted: List[VmaRecord] = []
-        self._generation = 0
-        self._indexed_generation = -1
 
     @property
     def is_java(self) -> bool:
         """Java processes are identified by their JVM VMAs."""
         return any(vma.tag.startswith("java:") for vma in self.vmas)
 
-    def invalidate_caches(self) -> None:
-        """Drop the sorted-VMA index (after mutating ``vmas``).
-
-        Appends and removals are detected automatically by length;
-        *replacing* a VMA with another of equal count is not — callers
-        mutating in place must invalidate explicitly or the bisect
-        index silently serves the stale layout.
-        """
-        self._generation += 1
+    def vma_table(self) -> IntervalTable:
+        """The VMAs as an interval table; payloads index ``vmas``."""
+        vmas = self.vmas
+        return self._interval_index(
+            vmas, [vma.start_vpn for vma in vmas],
+            [vma.end_vpn for vma in vmas], range(len(vmas)),
+        )
 
     def vma_of(self, vpn: int) -> Optional[VmaRecord]:
-        """The VMA containing ``vpn`` (bisect over sorted start vpns).
-
-        When VMAs overlap — which only a damaged dump produces — the
-        latest-starting VMA containing ``vpn`` wins, deterministically.
-        """
-        if (
-            self._vma_starts is None
-            or self._indexed_generation != self._generation
-            or len(self._vmas_sorted) != len(self.vmas)
-        ):
-            self._vmas_sorted = sorted(
-                self.vmas, key=lambda vma: vma.start_vpn
-            )
-            self._vma_starts = [
-                vma.start_vpn for vma in self._vmas_sorted
-            ]
-            self._indexed_generation = self._generation
-        index = bisect_right(self._vma_starts, vpn) - 1
-        while index >= 0:
-            vma = self._vmas_sorted[index]
-            if vma.start_vpn <= vpn < vma.end_vpn:
-                return vma
-            index -= 1
-        return None
+        """The VMA containing ``vpn``.  When VMAs overlap — which only a
+        damaged dump produces — the latest-starting one wins."""
+        index = int(interval_lookup(self.vma_table(), column([vpn]))[0])
+        return None if index == MISS else self.vmas[index]
 
 
 @dataclass
-class GuestDump:
-    """virsh dump of one guest VM plus its KVM memslots."""
+class GuestDump(_RecordIndex):
+    """virsh dump of one guest VM plus its KVM memslots.
+
+    ``gfn_owners`` maps each gfn the kernel labelled to an int32 index
+    into ``owner_records``, the :class:`PageOwner` records the kernel
+    interned.
+    """
 
     vm_name: str
     vm_index: int
     memslots: List[MemSlot]
     processes: List[GuestProcessDump]
-    gfn_owners: Dict[int, PageOwner]
+    gfn_owners: PageColumns
+    owner_records: List[PageOwner]
     guest_npages: int
 
-    def __post_init__(self) -> None:
-        self._slot_bases: Optional[List[int]] = None
-        self._slots_sorted: List[MemSlot] = []
-        self._generation = 0
-        self._indexed_generation = -1
-
-    def invalidate_caches(self) -> None:
-        """Drop the sorted-slot index (after mutating ``memslots``).
-
-        Required when a slot is *replaced* in place (equal-count
-        mutations are invisible to the length check below); appends and
-        removals are caught automatically.
-        """
-        self._generation += 1
+    def slot_table(self) -> IntervalTable:
+        """The memslots as an interval table over gfns whose payload is
+        the affine ``host_base_vpn - base_gfn`` shift."""
+        bases, npages, host_bases = memslot_columns(self.memslots)
+        return self._interval_index(
+            self.memslots, bases,
+            [base + count for base, count in zip(bases, npages)],
+            [host - base for base, host in zip(bases, host_bases)],
+        )
 
     def translate_gfn(self, gfn: int) -> Optional[int]:
-        """gfn → host vpn, bisecting the slots sorted by ``base_gfn``.
-
-        Overlapping slots (a damaged dump) resolve to the latest-based
-        containing slot, deterministically.
-        """
-        if (
-            self._slot_bases is None
-            or self._indexed_generation != self._generation
-            or len(self._slots_sorted) != len(self.memslots)
-        ):
-            self._slots_sorted = sorted(
-                self.memslots, key=lambda slot: slot.base_gfn
-            )
-            self._slot_bases = [
-                slot.base_gfn for slot in self._slots_sorted
-            ]
-            self._indexed_generation = self._generation
-        index = bisect_right(self._slot_bases, gfn) - 1
-        while index >= 0:
-            slot = self._slots_sorted[index]
-            if slot.contains(gfn):
-                return slot.to_host_vpn(gfn)
-            index -= 1
-        return None
+        """gfn -> host vpn; overlapping slots (a damaged dump) resolve to
+        the latest-based containing slot."""
+        shift = int(interval_lookup(self.slot_table(), column([gfn]))[0])
+        return None if shift == MISS else gfn + shift
 
 
 @dataclass
 class HostDump:
-    """Crash dump of the host: per-process page tables (vpn → frame id)."""
+    """Crash dump of the host: per-process page tables (vpn -> frame id)."""
 
     page_size: int
-    page_tables: Dict[str, Dict[int, int]]
+    page_tables: Dict[str, PageColumns]
 
     def frame_of(self, table_name: str, vpn: int) -> Optional[int]:
         table = self.page_tables.get(table_name)
-        if table is None:
-            return None
-        return table.get(vpn)
+        return None if table is None else table.get(vpn)
 
 
 @dataclass
@@ -283,11 +319,9 @@ class SystemDump:
 
     host: HostDump
     guests: List[GuestDump]
-    #: frame id -> content token, for zero-page and dedup diagnostics.
-    frame_tokens: Dict[int, int] = field(default_factory=dict)
-    #: frame id -> mapping refcount at collection time (the dumped
-    #: struct-page array); validation checks it against PTE sharer counts.
-    frame_refcounts: Dict[int, int] = field(default_factory=dict)
+    #: the frames the host tables map: tokens for zero-page and dedup
+    #: diagnostics, refcounts for validation against PTE sharer counts.
+    frames: FrameTable
     #: how collection went (attached by :func:`collect_system_dump`).
     collection: Optional[CollectionReport] = None
 
@@ -321,29 +355,18 @@ def dump_guest(
     processes = []
     for process in kernel.processes:
         vmas = [
-            VmaRecord(
-                vma.start_vpn,
-                vma.npages,
-                vma.tag,
-                vma.backing.file_id if vma.backing else None,
-            )
+            VmaRecord(vma.start_vpn, vma.npages, vma.tag,
+                      vma.backing.file_id if vma.backing else None)
             for vma in process.vmas
         ]
-        processes.append(
-            GuestProcessDump(
-                pid=process.pid,
-                name=process.name,
-                page_table=process.page_table.snapshot(),
-                vmas=vmas,
-            )
-        )
+        processes.append(GuestProcessDump(
+            process.pid, process.name,
+            PageColumns(*process.page_table.columns()), vmas,
+        ))
+    gfns, owner_ids, records = kernel.owner_columns()
     return GuestDump(
-        vm_name=vm.name,
-        vm_index=vm_index,
-        memslots=read_kvm_memslots(vm),
-        processes=processes,
-        gfn_owners=kernel.owners_snapshot(),
-        guest_npages=vm.guest_npages,
+        vm.name, vm_index, read_kvm_memslots(vm), processes,
+        PageColumns(gfns, owner_ids), records, vm.guest_npages,
     )
 
 
@@ -427,24 +450,16 @@ def collect_system_dump(
             "the host runs a non-debug kernel; crash(8) cannot analyse "
             "the host crash dump"
         )
-    page_tables: Dict[str, Dict[int, int]] = {}
-    frame_tokens: Dict[int, int] = {}
-    frame_refcounts: Dict[int, int] = {}
+    page_tables: Dict[str, PageColumns] = {}
     guests: List[GuestDump] = []
     report = CollectionReport(
         fault_seed=faults.seed if faults is not None else None
     )
     attempted: List[str] = []
     for index, vm in enumerate(host.guests):
-        page_tables[vm.page_table.name] = vm.page_table.snapshot()
-        snapshot = host.physmem.frames_snapshot(
-            fid
-            for _vpn, fid in vm.page_table.entries()
-            if fid not in frame_tokens
+        page_tables[vm.page_table.name] = PageColumns(
+            *vm.page_table.columns()
         )
-        for fid, (token, refcount) in snapshot.items():
-            frame_tokens[fid] = token
-            frame_refcounts[fid] = refcount
         kernel = kernels.get(vm.name)
         if kernel is None:
             continue
@@ -459,11 +474,23 @@ def collect_system_dump(
         guest = _dump_guest_resilient(vm, kernel, index, faults, record)
         if guest is not None:
             guests.append(guest)
+    # The struct-page array read: one gather per column over the live
+    # frames the tables map (a mark pass finds them, freed ones skipped).
+    physmem = host.physmem
+    fids = np.flatnonzero(
+        marked(len(physmem.states), (t.values for t in page_tables.values()))
+        & (np.frombuffer(physmem.states, dtype=np.uint8) != FREE)
+    )
+    frames = FrameTable(
+        fids,
+        np.frombuffer(physmem.masked, dtype=np.uint64)[fids],
+        np.frombuffer(physmem.refs, dtype=np.int64)[fids],
+        np.ones(fids.shape[0], dtype=bool),
+    )
     dump = SystemDump(
         host=HostDump(page_size=host.page_size, page_tables=page_tables),
         guests=guests,
-        frame_tokens=frame_tokens,
-        frame_refcounts=frame_refcounts,
+        frames=frames,
         collection=report,
     )
     if faults is not None and attempted:

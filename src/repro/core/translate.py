@@ -12,20 +12,17 @@ lives takes three steps (§II.B):
 
 Any step may miss (demand paging); the resolution then reports where it
 stopped, which the accounting uses to classify "not backed by host
-physical memory".
+physical memory".  These are single-page lookups over the dump's
+columns; the whole-dump walk is the vectorized one of
+:mod:`repro.core.columnar.pipeline`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional
 
-from repro.core.dump import (
-    GuestDump,
-    GuestProcessDump,
-    SystemDump,
-    VmaRecord,
-)
+from repro.core.dump import GuestDump, GuestProcessDump, SystemDump
 
 
 @dataclass(frozen=True)
@@ -72,28 +69,3 @@ def resolve_gfn(
     if host_vpn is None:
         return None
     return dump.host.frame_of(qemu_table_name(guest.vm_name), host_vpn)
-
-
-def iter_process_frames(
-    dump: SystemDump, guest: GuestDump, process: GuestProcessDump
-) -> Iterator[Tuple[int, int, int, Optional[VmaRecord]]]:
-    """Yield ``(vpn, gfn, frame_id, vma)`` for every backed process page."""
-    for vpn, gfn in process.page_table.items():
-        host_vpn = guest.translate_gfn(gfn)
-        if host_vpn is None:
-            continue
-        frame_id = dump.host.frame_of(
-            qemu_table_name(guest.vm_name), host_vpn
-        )
-        if frame_id is None:
-            continue
-        yield vpn, gfn, frame_id, process.vma_of(vpn)
-
-
-def iter_vm_process_pages(
-    dump: SystemDump, guest: GuestDump
-) -> Iterator[Tuple[int, int]]:
-    """Yield ``(host_vpn, frame_id)`` for every backed page of the QEMU
-    process, guest memory and overhead alike."""
-    table = dump.host.page_tables.get(qemu_table_name(guest.vm_name), {})
-    return iter(table.items())

@@ -2,7 +2,8 @@
 
 Each injector mutates the *collected* :class:`~repro.core.dump.GuestDump`
 or :class:`~repro.core.dump.SystemDump` — never the live system — the
-same way a real collection fault corrupts what lands on disk.  All
+same way a real collection fault corrupts what lands on disk: it edits
+the dump's columns in place or filters their rows.  All
 choices draw from plan streams keyed by ``("inject", kind, vm_name)``,
 so the damage is a pure function of (seed, rates, dump contents).
 """
@@ -11,12 +12,22 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List
 
+import numpy as np
+
+from repro.core.columnar.backend import (
+    column,
+    exact_build,
+    exact_lookup,
+    interval_lookup,
+    marked,
+    select,
+)
 from repro.faults.plan import FaultKind, FaultPlan, InjectedFault
 from repro.guestos.kernel import OwnerKind
 from repro.hypervisor.kvm import MemSlot
 
 if TYPE_CHECKING:  # avoid a cycle: core.dump imports this module
-    from repro.core.dump import GuestDump, SystemDump
+    from repro.core.dump import GuestDump, PageColumns, SystemDump
 
 #: Host-vpn offset used to aim an injected stale memslot at unmapped
 #: space inside the VM's region (far above guest memory and overhead).
@@ -56,21 +67,20 @@ def inject_guest_faults(
 def _truncate_guest_dump(
     guest: "GuestDump", plan: FaultPlan
 ) -> InjectedFault:
-    """Cut the dump short: the tail of the gfn-ownership map is lost and,
-    when several processes were dumped, so is the last process."""
+    """Cut the dump short: the tail of the gfn-ownership map (its
+    highest gfns) is lost and, when several processes were dumped, so is
+    the last process."""
     stream = plan.stream(
         "inject", FaultKind.TRUNCATED_GUEST_DUMP.value, guest.vm_name
     )
-    ordered = sorted(guest.gfn_owners)
-    keep = int(len(ordered) * (0.3 + 0.4 * stream.random()))
-    dropped_owners = len(ordered) - keep
-    kept_gfns = set(ordered[:keep])
-    guest.gfn_owners = {
-        gfn: owner
-        for gfn, owner in guest.gfn_owners.items()
-        if gfn in kept_gfns
-    }
-    detail = f"dropped {dropped_owners} tail gfn-owner records"
+    owners = guest.gfn_owners
+    keep = int(len(owners) * (0.3 + 0.4 * stream.random()))
+    if keep < len(owners):
+        kept = owners.keys < np.partition(owners.keys, keep)[keep]
+        guest.gfn_owners = type(owners)(
+            owners.keys[kept], owners.values[kept]
+        )
+    detail = f"dropped {len(owners) - keep} tail gfn-owner records"
     if len(guest.processes) > 1:
         lost = guest.processes.pop()
         detail += f"; lost process pid={lost.pid} ({lost.name})"
@@ -128,37 +138,40 @@ def _corrupt_guest_ptes(guest: "GuestDump", plan: FaultPlan):
     )
     candidates = []
     for process in guest.processes:
-        anon_vpns = [
-            vpn
-            for vpn in process.page_table
-            if (vma := process.vma_of(vpn)) is not None
-            and vma.file_id is None
-        ]
-        if anon_vpns:
-            candidates.append((process, anon_vpns))
+        vpns = process.page_table.keys
+        anon = select(column(
+            [vma.file_id is None for vma in process.vmas]
+        ), interval_lookup(process.vma_table(), vpns), 0)
+        if anon.any():
+            candidates.append((process, vpns[anon.astype(bool)]))
     if not candidates:
         return None
     victim, anon_vpns = candidates[stream.randrange(len(candidates))]
     count = min(16, max(1, len(anon_vpns) // 64))
-    chosen = _sample(stream, anon_vpns, count)
+    chosen = _sample(stream, anon_vpns.tolist(), count)
     # Cross-pid targets: gfns anonymously owned by a *different* process.
-    pool = sorted(
-        gfn
-        for process in guest.processes
-        if process.pid != victim.pid
-        for gfn in process.page_table.values()
-        if (owner := guest.gfn_owners.get(gfn)) is not None
-        and owner.kind is OwnerKind.PROCESS_ANON
-        and owner.pid == process.pid
-    )
+    owners = guest.gfn_owners
+    owner_table = exact_build(owners.keys, owners.values)
+    targets = []
+    for process in guest.processes:
+        if process.pid == victim.pid:
+            continue
+        gfns = process.page_table.values
+        owned = select(column([
+            owner.kind is OwnerKind.PROCESS_ANON and owner.pid == process.pid
+            for owner in guest.owner_records
+        ]), exact_lookup(owner_table, gfns), 0)
+        targets.append(gfns[owned.astype(bool)])
+    pool = np.sort(np.concatenate(targets)).tolist() if targets else []
     out_of_range = 0
     cross_pid = 0
     for index, vpn in enumerate(sorted(chosen)):
+        row = victim.page_table.row_of(vpn)
         if pool and index % 2 == 0:
-            victim.page_table[vpn] = stream.choice(pool)
+            victim.page_table.values[row] = stream.choice(pool)
             cross_pid += 1
         else:
-            victim.page_table[vpn] = guest.guest_npages + 1 + index
+            victim.page_table.values[row] = guest.guest_npages + 1 + index
             out_of_range += 1
     return InjectedFault(
         FaultKind.CORRUPT_GUEST_PTE,
@@ -196,24 +209,27 @@ def inject_system_faults(
 
 
 def _tear_host_ptes(
-    dump: "SystemDump", table: Dict[int, int], vm_name: str, plan: FaultPlan
+    dump: "SystemDump", table: "PageColumns", vm_name: str, plan: FaultPlan
 ):
     """Rewrite host PTEs to frames KSM merged *after* the frame array was
     snapshotted, so PTE sharer counts disagree with dumped refcounts."""
     stream = plan.stream(
         "inject", FaultKind.TORN_HOST_PTE.value, vm_name
     )
-    fids = sorted(set(table.values()))
+    fids = np.flatnonzero(
+        marked(int(table.values.max()) + 1, [table.values])
+    ).tolist()
     if len(fids) < 2:
         return None
     count = min(8, max(1, len(table) // 128))
-    chosen = _sample(stream, table, count)
+    chosen = _sample(stream, table.keys.tolist(), count)
     for vpn in sorted(chosen):
-        current = table[vpn]
+        row = table.row_of(vpn)
+        current = int(table.values[row])
         target = stream.choice(fids)
         if target == current:
             target = fids[(fids.index(current) + 1) % len(fids)]
-        table[vpn] = target
+        table.values[row] = target
     return InjectedFault(
         FaultKind.TORN_HOST_PTE,
         vm_name,
@@ -222,18 +238,21 @@ def _tear_host_ptes(
 
 
 def _drop_frame_tokens(
-    dump: "SystemDump", table: Dict[int, int], vm_name: str, plan: FaultPlan
+    dump: "SystemDump", table: "PageColumns", vm_name: str, plan: FaultPlan
 ):
+    """Lose the content tokens of some frames the table maps; their
+    refcounts stay in the frame table."""
     stream = plan.stream(
         "inject", FaultKind.MISSING_FRAME_TOKEN.value, vm_name
     )
-    fids = sorted(set(table.values()) & dump.frame_tokens.keys())
+    frames = dump.frames
+    mapped = np.isin(frames.fids, table.values)
+    fids = frames.fids[mapped & frames.has_token].tolist()
     if not fids:
         return None
     count = min(8, max(1, len(fids) // 128))
     chosen = _sample(stream, fids, count)
-    for fid in chosen:
-        dump.frame_tokens.pop(fid, None)
+    frames.has_token[np.searchsorted(frames.fids, chosen)] = False
     return InjectedFault(
         FaultKind.MISSING_FRAME_TOKEN,
         vm_name,

@@ -17,7 +17,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import (
+    Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING,
+)
+
+import numpy as np
 
 from repro.guestos.pagecache import BackingFile, PageCache
 from repro.hypervisor.base import GuestVmBase
@@ -224,16 +228,39 @@ class GuestKernel:
             if owner.kind is not OwnerKind.FREE
         )
 
-    def owners_snapshot(self) -> Dict[int, PageOwner]:
-        """Copy of the gfn-ownership map (collected into guest dumps).
+    def owner_columns(self) -> Tuple[np.ndarray, np.ndarray, List[PageOwner]]:
+        """The gfn-ownership map as columns (collected into guest dumps).
 
-        Records are interned at allocation (:meth:`owner_record`), not
-        here: every gfn the kernel allocated with the same (kind, pid,
-        tag) already shares one :class:`PageOwner`, so the columnar dump
-        lowering can classify pages by record identity.  Records are
-        frozen, so the copy cannot alias mutable state.
+        Returns ``(gfns, ids, records)``: the gfns in allocation order
+        (int64), per gfn an int32 index into ``records``, and the
+        records.  Records are interned at allocation
+        (:meth:`owner_record`), so the index is found by record identity
+        at C speed; a record the kernel never interned (one built by the
+        caller) gets an entry of its own value.
         """
-        return dict(self._owners)
+        owners = self._owners
+        count = len(owners)
+        records = list(self._owner_records.values())
+        ids = {id(record): index for index, record in enumerate(records)}
+
+        def record_ids() -> np.ndarray:
+            return np.fromiter(
+                map(ids.__getitem__, map(id, owners.values())),
+                dtype=np.int32, count=count,
+            )
+
+        try:
+            index = record_ids()
+        except KeyError:
+            by_value = {record: at for at, record in enumerate(records)}
+            for owner in owners.values():
+                if owner not in by_value:
+                    by_value[owner] = len(records)
+                    records.append(owner)
+                ids[id(owner)] = by_value[owner]
+            index = record_ids()
+        gfns = np.fromiter(owners.keys(), dtype=np.int64, count=count)
+        return gfns, index, records
 
     # ------------------------------------------------------------------
     # Kernel memory

@@ -40,6 +40,8 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 
 def int_list(values) -> List[int]:
     """Python ints from a list, range or numpy array of page numbers."""
@@ -177,8 +179,18 @@ class PageTable:
         return self._entries.keys()
 
     def snapshot(self) -> Dict[int, int]:
-        """A copy of the raw mapping (used when collecting dumps)."""
+        """A copy of the raw mapping."""
         return dict(self._entries)
+
+    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The mapping as aligned int64 ``(vpns, pfns)`` columns, in the
+        table's row order (what dump collection copies)."""
+        entries = self._entries
+        count = len(entries)
+        return (
+            np.fromiter(entries.keys(), dtype=np.int64, count=count),
+            np.fromiter(entries.values(), dtype=np.int64, count=count),
+        )
 
     # ------------------------------------------------------------------
     # Dirty-page tracking (the PML-style write-notification log)

@@ -194,24 +194,6 @@ class HostPhysicalMemory:
         """Id of the intact huge block holding ``fid`` (0 = none)."""
         return self._block_of.get(fid, 0)
 
-    def frames_snapshot(self, fids) -> Dict[int, Tuple[int, int]]:
-        """Bulk metadata read: ``fid -> (token, refcount)``.
-
-        Freed fids are skipped, duplicates collapse; dump collection
-        snapshots a whole page table's frames in one call (the
-        struct-page array read of the paper's crash dump, taken in one
-        pass).
-        """
-        tokens = self.tokens
-        states = self.states
-        refs = self.refs
-        end = len(states)
-        snapshot: Dict[int, Tuple[int, int]] = {}
-        for fid in fids:
-            if fid not in snapshot and 0 < fid < end and states[fid]:
-                snapshot[fid] = (tokens[fid], refs[fid])
-        return snapshot
-
     def _stamp(self, fid: int) -> None:
         """Date a change to frame ``fid``."""
         self._stamp_clock += 1

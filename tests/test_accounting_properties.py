@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.accounting import (
     UserKind,
-    build_frame_usage,
     distribution_oriented_accounting,
     owner_oriented_accounting,
 )
@@ -23,6 +22,8 @@ from repro.core.dump import collect_system_dump
 from repro.guestos.kernel import GuestKernel
 from repro.hypervisor.kvm import KvmHost
 from repro.units import MiB
+
+from tests.oracle import build_frame_usage
 
 PAGE = 4096
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.accounting import (
     UserKind,
-    build_frame_usage,
     distribution_oriented_accounting,
     owner_oriented_accounting,
 )
@@ -16,6 +15,7 @@ from repro.hypervisor.kvm import KvmHost
 from repro.units import KiB, MiB
 
 from tests.conftest import tiny_kernel_profile
+from tests.oracle import build_frame_usage
 
 PAGE = 4096
 

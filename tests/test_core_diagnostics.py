@@ -15,6 +15,14 @@ from repro.hypervisor.kvm import KvmHost
 from repro.mem.content import ZERO_TOKEN
 from repro.units import MiB
 
+from tests.oracle import (
+    build_frame_usage,
+    dict_category_sharing_summary,
+    dict_cross_vm_sharing_matrix,
+    dict_sharing_histogram,
+    dict_zero_page_census,
+)
+
 PAGE = 4096
 
 
@@ -51,8 +59,6 @@ class TestHistogram:
     def test_total_matches_frames(self, env):
         _host, dump = env
         histogram = sharing_histogram(dump)
-        from repro.core.accounting import build_frame_usage
-
         assert sum(histogram.values()) == len(build_frame_usage(dump))
 
 
@@ -102,3 +108,43 @@ class TestCategorySummary:
         assert total == 11 * PAGE
         # Shared: the 77-frame (3 mappings), 88-frame (2), zero frame (3).
         assert shared == 8 * PAGE
+
+
+#: Each report and its per-frame form in tests/oracle.py.
+REPORTS = [
+    (sharing_histogram, dict_sharing_histogram),
+    (cross_vm_sharing_matrix, dict_cross_vm_sharing_matrix),
+    (zero_page_census, dict_zero_page_census),
+    (category_sharing_summary, dict_category_sharing_summary),
+]
+
+
+def empty_dump():
+    host = KvmHost(16 * MiB, seed=1)
+    vm = host.create_guest("vm1", MiB)
+    kernel = GuestKernel(vm, host.rng.derive("g"))
+    return collect_system_dump(host, {"vm1": kernel})
+
+
+@pytest.mark.parametrize(
+    "report, oracle", REPORTS, ids=[r.__name__ for r, _ in REPORTS]
+)
+class TestMatchesPerFrameForm:
+    def test_shared_world(self, env, report, oracle):
+        _host, dump = env
+        assert report(dump) == oracle(dump)
+
+    def test_empty_world(self, report, oracle):
+        dump = empty_dump()
+        assert report(dump) == oracle(dump)
+
+    def test_lost_tokens(self, report, oracle):
+        from repro.faults import FaultKind, FaultPlan, FaultRates
+
+        from tests.test_faults import build_host
+
+        host, kernels = build_host()
+        plan = FaultPlan(5, FaultRates.only(FaultKind.MISSING_FRAME_TOKEN))
+        dump = collect_system_dump(host, kernels, faults=plan)
+        assert not dump.frames.has_token.all()
+        assert report(dump) == oracle(dump)

@@ -2,6 +2,8 @@
 
 import pytest
 
+import numpy as np
+
 from repro.core.dump import (
     DumpUnanalyzableError,
     collect_system_dump,
@@ -12,6 +14,8 @@ from repro.guestos.kernel import GuestKernel, OwnerKind
 from repro.guestos.pagecache import BackingFile
 from repro.hypervisor.kvm import KvmHost
 from repro.units import MiB
+
+from tests.oracle import dict_view
 
 PAGE = 4096
 
@@ -86,7 +90,10 @@ class TestGuestDump:
     def test_gfn_owners_included(self):
         host, kernels = build_small_host()
         dump = dump_guest(host.guest("vm1"), kernels["vm1"], 0)
-        kinds = {owner.kind for owner in dump.gfn_owners.values()}
+        kinds = {
+            dump.owner_records[index].kind
+            for index in dump.gfn_owners.values.tolist()
+        }
         assert OwnerKind.PROCESS_ANON in kinds
         assert OwnerKind.PAGE_CACHE in kinds
 
@@ -98,7 +105,7 @@ class TestSystemDump:
         assert len(dump.guests) == 2
         assert "host:qemu-vm1" in dump.host.page_tables
         assert dump.host.page_size == PAGE
-        assert dump.frame_tokens  # tokens captured for diagnostics
+        assert len(dump.frames)  # tokens captured for diagnostics
 
     def test_non_debug_host_refused(self):
         host, kernels = build_small_host()
@@ -123,10 +130,16 @@ class TestSystemDump:
                 if p.name == "java"
             )
         )
-        before = dict(dump.guest("vm1").processes[0].page_table)
+        before = dict_view(dump)
         extra = java.mmap_anon(PAGE, "java:heap")
         java.write_token(extra, 0, 99)
-        assert dict(dump.guest("vm1").processes[0].page_table) == before
+        after = dict_view(dump)
+        assert after.host.page_tables == before.host.page_tables
+        assert (
+            after.guest("vm1").processes[0].page_table
+            == before.guest("vm1").processes[0].page_table
+        )
+        assert after.frame_tokens == before.frame_tokens
 
     def test_guests_without_kernel_info_skipped(self):
         host, kernels = build_small_host()
@@ -134,3 +147,63 @@ class TestSystemDump:
         assert len(dump.guests) == 1
         # The undumped guest's pages still show in the host dump.
         assert "host:qemu-vm2" in dump.host.page_tables
+
+
+class TestFrameTable:
+    def test_matches_per_frame_probes(self):
+        host, kernels = build_small_host()
+        host.ksm.run_until_converged()
+        dump = collect_system_dump(host, kernels)
+        frames = dump.frames
+        mapped = {
+            fid
+            for vm in host.guests
+            for _vpn, fid in vm.page_table.entries()
+        }
+        assert frames.fids.tolist() == sorted(mapped)
+        physmem = host.physmem
+        for fid, token, refcount in zip(
+            frames.fids.tolist(), frames.tokens.tolist(),
+            frames.refcounts.tolist(),
+        ):
+            assert token == physmem.token_of(fid)
+            assert refcount == physmem.refs[fid]
+        assert frames.tokens.dtype == np.uint64
+        assert frames.has_token.all()
+
+    def test_skips_freed_frames(self):
+        host, kernels = build_small_host()
+        vm = host.guest("vm1")
+        vpn, fid = next(iter(vm.page_table.entries()))
+        # A table still naming a freed frame (a torn read): the frame
+        # table leaves it out, as the struct-page array has no entry.
+        host.physmem.dec_ref(fid)
+        dump = collect_system_dump(host, kernels)
+        assert not host.physmem.is_live(fid)
+        assert fid not in dump.frames.fids.tolist()
+        assert dump.host.frame_of(vm.page_table.name, vpn) == fid
+
+
+class TestOwnerColumns:
+    def test_interned_and_caller_built_records(self):
+        from repro.guestos.kernel import PageOwner
+
+        host, kernels = build_small_host()
+        kernel = kernels["vm1"]
+        own = kernel.alloc_gfns(PageOwner(OwnerKind.KERNEL, tag="x"), 2)
+        other = kernel.alloc_gfn(PageOwner(OwnerKind.KERNEL, tag="x"))
+        gfns, ids, records = kernel.owner_columns()
+        assert ids.dtype == np.int32 and gfns.dtype == np.int64
+        assert gfns.tolist() == list(kernel._owners)
+        for gfn, index in zip(gfns.tolist(), ids.tolist()):
+            assert records[index] == kernel.owner_of(gfn)
+        # Equal caller-built records share one entry.
+        assert len({ids[gfns.tolist().index(g)] for g in own + [other]}) == 1
+
+    def test_columns_are_a_copy(self):
+        host, kernels = build_small_host()
+        kernel = kernels["vm1"]
+        gfns, ids, _records = kernel.owner_columns()
+        kernel.alloc_gfn(kernel.owner_record(OwnerKind.KERNEL, tag="y"))
+        assert len(kernel.owner_columns()[0]) == len(gfns) + 1
+        assert len(ids) == len(gfns)

@@ -4,8 +4,6 @@ import pytest
 
 from repro.core.dump import collect_system_dump
 from repro.core.translate import (
-    iter_process_frames,
-    iter_vm_process_pages,
     qemu_table_name,
     resolve_gfn,
     resolve_process_page,
@@ -13,6 +11,8 @@ from repro.core.translate import (
 from repro.guestos.kernel import GuestKernel
 from repro.hypervisor.kvm import KvmHost
 from repro.units import MiB
+
+from tests.oracle import dict_view, iter_process_frames, iter_vm_process_pages
 
 PAGE = 4096
 
@@ -52,7 +52,7 @@ class TestResolve:
 
     def test_resolve_gfn(self, env):
         _host, dump, guest, process, heap = env
-        gfn = process.page_table[heap.start_vpn]
+        gfn = process.page_table.get(heap.start_vpn)
         assert resolve_gfn(dump, guest, gfn) is not None
 
     def test_resolve_gfn_outside_slots(self, env):
@@ -63,7 +63,9 @@ class TestResolve:
 class TestIteration:
     def test_iter_process_frames_yields_backed_only(self, env):
         _host, dump, guest, process, heap = env
-        frames = list(iter_process_frames(dump, guest, process))
+        view = dict_view(dump)
+        guest = view.guest("vm1")
+        frames = list(iter_process_frames(view, guest, guest.processes[0]))
         assert len(frames) == 2
         for vpn, gfn, fid, vma in frames:
             assert vma.tag == "java:heap"
@@ -74,7 +76,7 @@ class TestIteration:
         host.guest("vm1").allocate_overhead(PAGE)
         dump2 = collect_system_dump(host, {})
         pages = list(
-            iter_vm_process_pages(dump2, guest)
+            iter_vm_process_pages(dict_view(dump2), guest)
         )
         # 2 guest pages + kernel pages (none booted) + 1 overhead page
         assert len(pages) >= 3

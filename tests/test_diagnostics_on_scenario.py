@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.accounting import build_frame_usage
 from repro.core.categories import MemoryCategory
 from repro.core.diagnostics import (
     category_sharing_summary,
@@ -22,6 +21,14 @@ from repro.core.preload import CacheDeployment
 from repro.config import Benchmark
 from repro.units import GiB, MiB
 from repro.workloads.base import build_workload
+
+from tests.oracle import (
+    build_frame_usage,
+    dict_category_sharing_summary,
+    dict_cross_vm_sharing_matrix,
+    dict_sharing_histogram,
+    dict_zero_page_census,
+)
 
 SCALE = 0.03
 
@@ -75,7 +82,7 @@ class TestDiagnosticsIntegration:
     def test_zero_census_consistent(self, dump_and_host):
         dump, _host = dump_and_host
         usage = build_frame_usage(dump)
-        census = zero_page_census(dump, usage)
+        census = zero_page_census(dump)
         assert census.total_frames == len(usage)
         assert census.zero_frames >= 1
         assert census.zero_mappings >= census.zero_frames
@@ -89,3 +96,13 @@ class TestDiagnosticsIntegration:
         assert class_shared / class_total > 0.7
         heap_total, heap_shared = summary[MemoryCategory.JAVA_HEAP]
         assert heap_shared / heap_total < 0.1
+
+    @pytest.mark.parametrize("report, oracle", [
+        (sharing_histogram, dict_sharing_histogram),
+        (cross_vm_sharing_matrix, dict_cross_vm_sharing_matrix),
+        (zero_page_census, dict_zero_page_census),
+        (category_sharing_summary, dict_category_sharing_summary),
+    ], ids=["histogram", "matrix", "zero_census", "category_summary"])
+    def test_matches_per_frame_form(self, dump_and_host, report, oracle):
+        dump, _host = dump_and_host
+        assert report(dump) == oracle(dump)

@@ -1,15 +1,17 @@
 """Unit tests for the sorted-index dump lookups (vma_of, translate_gfn).
 
-The bisect-based lookups must agree with a linear scan on clean dumps
+The searchsorted lookups must agree with a linear scan on clean dumps
 and resolve deterministically on the overlapping records only a damaged
 dump produces.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.dump import (
     GuestDump,
     GuestProcessDump,
+    PageColumns,
     VmaRecord,
     collect_system_dump,
 )
@@ -18,9 +20,15 @@ from repro.hypervisor.kvm import MemSlot
 from tests.test_faults import build_host
 
 
+def no_pages():
+    return PageColumns(
+        np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    )
+
+
 def process_with(vmas):
     return GuestProcessDump(
-        pid=100, name="java", page_table={}, vmas=list(vmas)
+        pid=100, name="java", page_table=no_pages(), vmas=list(vmas)
     )
 
 
@@ -77,7 +85,7 @@ class TestVmaOf:
         host, kernels = build_host(guests=1)
         dump = collect_system_dump(host, kernels)
         for process in dump.guest("vm1").processes:
-            for vpn in process.page_table:
+            for vpn in process.page_table.keys.tolist():
                 expected = next(
                     (
                         v for v in process.vmas
@@ -94,7 +102,8 @@ def guest_with(slots, npages=100):
         vm_index=0,
         memslots=list(slots),
         processes=[],
-        gfn_owners={},
+        gfn_owners=no_pages(),
+        owner_records=[],
         guest_npages=npages,
     )
 

@@ -1,7 +1,5 @@
 """Unit tests for the guest kernel: gfn allocation, ownership, boot."""
 
-import dataclasses
-
 import pytest
 
 from repro.guestos.kernel import (
@@ -190,17 +188,3 @@ class TestProcesses:
         kernel.exit_process(process)
         assert process.pid not in [p.pid for p in kernel.processes]
         assert not process.alive
-
-
-class TestSnapshots:
-    def test_owners_snapshot_is_deep(self, env):
-        _host, _vm, kernel = env
-        gfn = kernel.alloc_gfn(PageOwner(OwnerKind.KERNEL, tag="x"))
-        snap = kernel.owners_snapshot()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            snap[gfn].tag = "mutated"
-        assert kernel.owner_of(gfn).tag == "x"
-        snap[gfn + 1] = PageOwner(OwnerKind.KERNEL, tag="y")
-        del snap[gfn]
-        assert kernel.owner_of(gfn).tag == "x"
-        assert kernel.owner_of(gfn + 1) is None

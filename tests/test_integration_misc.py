@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.accounting import (
     UserKind,
-    build_frame_usage,
     owner_oriented_accounting,
 )
 from repro.core.dump import collect_system_dump
@@ -15,6 +14,7 @@ from repro.jvm.jvm import JavaVM
 from repro.units import MiB
 
 from tests.conftest import tiny_kernel_profile, tiny_workload
+from tests.oracle import build_frame_usage
 
 PAGE = 4096
 

@@ -255,26 +255,3 @@ class TestInvariants:
             assert (
                 pm.bytes_in_use == pm.frames_in_use * PAGE + pm.pool_bytes
             )
-
-
-class TestFramesSnapshot:
-    def test_matches_per_frame_probes(self, pm, table):
-        fids = [pm.alloc(token) for token in (5, 6, 7)]
-        pm.inc_ref(fids[1])
-        snapshot = pm.frames_snapshot(fids)
-        assert snapshot == {
-            fid: (pm.token_of(fid), pm.refs[fid]) for fid in fids
-        }
-        assert snapshot[fids[1]][1] == 2
-
-    def test_skips_freed_and_collapses_duplicates(self, pm):
-        live = pm.alloc(1)
-        freed = pm.alloc(2)
-        pm.dec_ref(freed)
-        snapshot = pm.frames_snapshot([live, freed, live, live])
-        assert snapshot == {live: (1, 1)}
-
-    def test_empty_and_generator_input(self, pm):
-        assert pm.frames_snapshot([]) == {}
-        fid = pm.alloc(9)
-        assert pm.frames_snapshot(f for f in (fid,)) == {fid: (9, 1)}
