@@ -68,6 +68,9 @@ _NO_PID = 1 << 30
 
 #: A mapping chunk: (fid, kind, pid, vm_index, tag_rank, cell) columns.
 Chunk = Tuple[object, object, object, object, object, object]
+#: Their dtypes: fids stay int64, the rest are as narrow as their values
+#: (``_NO_PID`` fits int32).
+_CHUNK_DTYPES = (np.int64, np.int8, np.int32, np.int16, np.int32, np.int32)
 
 
 def resolve_process_columns(
@@ -90,9 +93,9 @@ def resolve_process_columns(
 
 def _constant_columns(count: int, kind: int, pid: int, vm_index: int):
     return (
-        np.full(count, kind, dtype=np.int64),
-        np.full(count, pid if pid >= 0 else _NO_PID, dtype=np.int64),
-        np.full(count, vm_index, dtype=np.int64),
+        np.full(count, kind, dtype=np.int8),
+        np.full(count, pid if pid >= 0 else _NO_PID, dtype=np.int32),
+        np.full(count, vm_index, dtype=np.int16),
     )
 
 
@@ -118,7 +121,9 @@ def iter_mapping_chunks(
                 continue
             vma_ids = interval_lookup(lowered.vma_table, vpns)
             ranks = select(lowered.vma_ranks, vma_ids, lowered.anon_rank)
+            ranks = ranks.astype(np.int32)
             cells = select(lowered.vma_cells, vma_ids, lowered.anon_cell)
+            cells = cells.astype(np.int32)
             kind, pid, vm_index = _constant_columns(
                 fids.shape[0], int(lowered.user.kind), process.pid,
                 guest.vm_index,
@@ -138,10 +143,11 @@ def iter_mapping_chunks(
         if count:
             ranks = exact_lookup(tables.owner_table, gfns)
             ranks = np.where(ranks == MISS, tables.unknown_rank, ranks)
+            ranks = ranks.astype(np.int32)
             kind, pid, vm_index = _constant_columns(
                 count, int(UserKind.KERNEL), -1, guest.vm_index
             )
-            cells = np.full(count, tables.kernel_cell, dtype=np.int64)
+            cells = np.full(count, tables.kernel_cell, dtype=np.int32)
             yield fids, kind, pid, vm_index, ranks, cells
 
         # QEMU-overhead pass: host pages outside every memslot.
@@ -156,8 +162,8 @@ def iter_mapping_chunks(
             )
             yield (
                 fids, kind, pid, vm_index,
-                np.full(count, tables.qemu_rank, dtype=np.int64),
-                np.full(count, tables.vm_self_cell, dtype=np.int64),
+                np.full(count, tables.qemu_rank, dtype=np.int32),
+                np.full(count, tables.vm_self_cell, dtype=np.int32),
             )
 
 
@@ -168,7 +174,7 @@ def mapping_columns(dump: SystemDump, registry: Registry) -> Chunk:
         dump, registry
     ))]
     if not pieces:
-        return (np.empty(0, dtype=np.int64),) * 6
+        return tuple(np.empty(0, dtype) for dtype in _CHUNK_DTYPES)
     out = []
     for index in range(len(pieces)):
         out.append(np.concatenate(pieces[index]))

@@ -483,7 +483,7 @@ def collect_system_dump(
     )
     frames = FrameTable(
         fids,
-        np.frombuffer(physmem.masked, dtype=np.uint64)[fids],
+        np.frombuffer(physmem.tokens, dtype=np.uint64)[fids],
         np.frombuffer(physmem.refs, dtype=np.int64)[fids],
         np.ones(fids.shape[0], dtype=bool),
     )

@@ -2,21 +2,25 @@
 
 Frames are identified by monotonically increasing ids (never reused, so a
 stale frame id held by the KSM stable tree can always be detected).  The
-frame table is five fid-indexed columns, and they are the only record of
+frame table is four fid-indexed columns, and they are the only record of
 a frame:
 
-* ``tokens`` — the exact Python content token per fid (tokens are full
-  unsigned 64-bit hashes, and tests may use arbitrary ints, so exactness
-  lives in a list);
-* ``masked`` — ``token & 2**64-1`` in an ``array('Q')``, giving the KSM
-  scanner a zero-copy ``np.frombuffer`` view for vectorized group-by
-  keys;
+* ``tokens`` — the content token per fid in an ``array('Q')``, so the
+  KSM scanner and dump collection read it zero-copy as a numpy
+  ``uint64`` column;
 * ``states`` — a ``bytearray`` of :data:`FREE`, :data:`ACTIVE` or
   :data:`STABLE`.  A STABLE frame is a merged, write-protected KSM
   frame: any write to one triggers a copy-on-write break, even when only
   a single mapper remains;
 * ``refs`` — the mapping refcount per fid in an ``array('q')``;
 * ``stamps`` — when the frame last changed, in an ``array('q')`` (below).
+
+A token is an unsigned 64-bit value: every producer (``mix64``, the
+layout-slice sums modulo 2**64, ``ZERO_TOKEN``) makes one.
+:meth:`~HostPhysicalMemory.alloc`, :meth:`~HostPhysicalMemory.alloc_many`,
+:meth:`~HostPhysicalMemory.write_token` and
+:meth:`~HostPhysicalMemory.write_tokens` refuse a token outside
+``[0, 2**64)`` with ``ValueError``, before any frame changes.
 
 Slot 0 is a permanent FREE pad, so fids start at 1 and the scanner can
 clamp a missing translation to index 0 instead of branch-filtering it.
@@ -38,7 +42,7 @@ remap away from a frame drops one of its references, the frame a page
 worklist segment against the frames it recorded with one vectorized
 compare, never with the dirty log and without re-translating it.
 
-Huge-block membership is a sparse ``fid -> block id`` dict, not a sixth
+Huge-block membership is a sparse ``fid -> block id`` dict, not a fifth
 column: only the THP policies form blocks, and a column would cost 8 B
 for every frame ever allocated on the default path too.
 
@@ -52,26 +56,44 @@ in :mod:`repro.perf` can compute the penalty.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.mem.address_space import PageTable, int_list
-
-_MASK64 = (1 << 64) - 1
 
 #: Frame states held in :attr:`HostPhysicalMemory.states`.
 FREE = 0
 ACTIVE = 1
 STABLE = 2
 
+#: Row kinds of :meth:`HostPhysicalMemory.write_tokens`.
+_OTHER, _IN_PLACE, _UNMAPPED = 0, 1, 2
 
-def _masked_column(tokens: Sequence[int]) -> np.ndarray:
-    """``token & 2**64-1`` per token, as a ``uint64`` array."""
+
+def _check_token(token: int) -> None:
+    if not 0 <= token < 1 << 64:
+        raise ValueError(f"token {token} is outside [0, 2**64)")
+
+
+def _token_column(tokens) -> np.ndarray:
+    """``tokens`` (ints or an integer numpy array) as a ``uint64``
+    column; ``ValueError`` when one lies outside ``[0, 2**64)``."""
+    if isinstance(tokens, np.ndarray) and tokens.dtype.kind in "iu":
+        if tokens.dtype.kind == "i" and tokens.size and tokens.min() < 0:
+            raise ValueError("a token is outside [0, 2**64)")
+        return tokens.astype(np.uint64, copy=False)
     try:
         return np.array(tokens, dtype=np.uint64)
-    except OverflowError:  # a test token outside [0, 2**64)
-        return np.array([token & _MASK64 for token in tokens], dtype=np.uint64)
+    except OverflowError:
+        raise ValueError("a token is outside [0, 2**64)") from None
+
+
+def stores_in_place(state, refs):
+    """Whether a write to a frame of ``state`` with ``refs`` mappings
+    stores in place (an exclusively owned ACTIVE frame) rather than
+    breaking copy-on-write; elementwise over numpy columns."""
+    return (state == ACTIVE) & (refs == 1)
 
 
 class HugeBlock:
@@ -125,8 +147,7 @@ class HostPhysicalMemory:
         self.capacity_bytes = capacity_bytes
         self.page_size = page_size
         # The frame table; slot 0 is the permanent FREE pad.
-        self.tokens: List[int] = [0]
-        self.masked = array("Q", [0])
+        self.tokens = array("Q", [0])
         self.states = bytearray(1)
         self.refs = array("q", [0])
         self.stamps = array("q", [0])
@@ -147,9 +168,9 @@ class HostPhysicalMemory:
 
     def alloc(self, token: int) -> int:
         """Allocate a fresh frame holding ``token``; refcount starts at 1."""
+        _check_token(token)
         fid = len(self.states)
         self.tokens.append(token)
-        self.masked.append(token & _MASK64)
         self.states.append(ACTIVE)
         self.refs.append(1)
         self.stamps.append(self._stamp_clock)
@@ -157,14 +178,12 @@ class HostPhysicalMemory:
         return fid
 
     def alloc_many(self, tokens: Sequence[int]) -> range:
-        """Bulk :meth:`alloc`: one fresh frame per token, in order.
-
-        Returns the new fids, which are consecutive.
-        """
+        """Bulk :meth:`alloc`: one fresh frame per token, in order;
+        returns the new fids, which are consecutive."""
+        column = _token_column(tokens)
         first = len(self.states)
-        count = len(tokens)
-        self.tokens.extend(tokens)
-        self.masked.frombytes(_masked_column(tokens).tobytes())
+        count = len(column)
+        self.tokens.frombytes(column.tobytes())
         self.states.extend(bytes((ACTIVE,)) * count)
         self.refs.extend(array("q", (1,)) * count)
         self.stamps.extend(array("q", (self._stamp_clock,)) * count)
@@ -363,18 +382,18 @@ class HostPhysicalMemory:
         Returns the frame id now backing the page.  A write to a shared or
         KSM-stable frame allocates a private copy (the COW break KSM relies
         on); a write to an exclusively owned, non-stable frame mutates the
-        frame in place.
+        frame in place (:func:`stores_in_place`).
 
         Both paths log the vpn into the table's dirty log — the in-place
         store plays the role of a PML write notification, the COW break
         that of the write-protect fault on a merged frame.
         """
+        _check_token(token)
         fid = table.translate(vpn)
         if fid is None:
             return self.map_token(table, vpn, token)
-        if self._live_state(fid) == ACTIVE and self.refs[fid] == 1:
+        if stores_in_place(self._live_state(fid), self.refs[fid]):
             self.tokens[fid] = token
-            self.masked[fid] = token & _MASK64
             self._stamp(fid)
             table.log_dirty(vpn)
             return fid
@@ -395,35 +414,62 @@ class HostPhysicalMemory:
         :meth:`write_token` per row would: the same fids, refcounts and
         states and stamps, the same dirty-log order and sink stream, and
         the same ``stamp_clock``, ``cow_breaks``, ``version`` and
-        ``remap_epoch``.  Runs of unmapped rows get fresh frames through
-        one :meth:`alloc_many` and one :meth:`PageTable.map_many`; a
-        mapped row goes through :meth:`write_token`, which stores in
-        place or breaks copy-on-write.  ``tokens`` may be a numpy
-        ``uint64`` array (say from :func:`repro.sim.rng.mix64_many`).
+        ``remap_epoch``.  ``tokens`` may be a numpy array (say from
+        :func:`repro.sim.rng.mix64_many`); all are checked before any
+        row lands.
+
+        The range is translated once, and one vectorized pass sorts the
+        rows.  A run of unmapped rows gets fresh frames through one
+        :meth:`alloc_many` and one :meth:`PageTable.map_many`; a run of
+        rows whose frame :func:`stores_in_place` takes one scatter into
+        ``tokens``, the stamps ``clock+1 … clock+n`` in row order and one
+        :meth:`PageTable.log_dirty_many`; any other row goes through
+        :meth:`write_token`, the one home of the copy-on-write break.
+        The pass can go stale only towards :meth:`write_token`: an
+        in-place frame has one mapping, its row's vpn, which no other
+        row names (a call naming a vpn twice goes row by row), and a
+        copy-on-write break that leaves a later row's shared frame with
+        one mapping is for that row's :meth:`write_token` to find.
         """
         vpns = int_list(vpns)
-        tokens = int_list(tokens)
-        if len(vpns) != len(tokens):
-            raise ValueError(
-                f"{len(vpns)} vpns but {len(tokens)} tokens"
-            )
-        # One translation for the whole range.  Only a row of this call
-        # can map a vpn found unmapped here (no row unmaps), so such a
-        # row is fresh unless an earlier row already mapped its vpn.
-        fids = table.translate_many(vpns)
-        placed = set()
-        end = len(vpns)
-        row = 0
-        while row < end:
-            if fids[row] >= 0 or vpns[row] in placed:
-                self.write_token(table, vpns[row], tokens[row])
-                row += 1
-                continue
-            start = row
-            while row < end and fids[row] < 0 and vpns[row] not in placed:
-                placed.add(vpns[row])
-                row += 1
-            table.map_many(vpns[start:row], self.alloc_many(tokens[start:row]))
+        column = _token_column(tokens)
+        if len(vpns) != len(column):
+            raise ValueError(f"{len(vpns)} vpns but {len(column)} tokens")
+        # Unmapped rows read frame 0, the FREE pad.
+        fids = np.array(table.translate_many(vpns, 0), np.int64)
+        states = np.frombuffer(self.states, np.uint8)
+        refs = np.frombuffer(self.refs, np.int64)
+        kinds = stores_in_place(states[fids], refs[fids]).astype(np.int8)
+        del states, refs
+        kinds[fids == 0] = _UNMAPPED
+        if len(set(vpns)) != len(vpns):
+            kinds[:] = _OTHER
+        cuts = (np.flatnonzero(kinds[1:] != kinds[:-1]) + 1).tolist()
+        starts = [0, *cuts] if len(vpns) else []
+        for start, stop in zip(starts, cuts + [len(vpns)]):
+            kind = kinds[start]
+            if kind == _UNMAPPED:
+                table.map_many(
+                    vpns[start:stop], self.alloc_many(column[start:stop])
+                )
+            elif kind == _IN_PLACE:
+                self._store_in_place(fids[start:stop], column[start:stop])
+                table.log_dirty_many(vpns[start:stop])
+            else:
+                for vpn, token in zip(
+                    vpns[start:stop], column[start:stop].tolist()
+                ):
+                    self.write_token(table, vpn, token)
+
+    def _store_in_place(self, fids: np.ndarray, column: np.ndarray) -> None:
+        """Store ``column`` into the distinct in-place frames ``fids``,
+        stamping them in row order."""
+        clock = self._stamp_clock
+        np.frombuffer(self.tokens, np.uint64)[fids] = column
+        np.frombuffer(self.stamps, np.int64)[fids] = np.arange(
+            clock + 1, clock + 1 + len(fids)
+        )
+        self._stamp_clock = clock + len(fids)
 
     def unmap(self, table: PageTable, vpn: int) -> None:
         """Remove the mapping at ``vpn`` and drop its frame reference."""

@@ -67,7 +67,29 @@ from repro.sim.rng import stable_hash64
 
 
 class PerPageScanner(KsmScanner):
-    """The KSM scanner, examining one page at a time."""
+    """The KSM scanner, examining one page at a time, with its
+    volatility history as one ``vpn -> token`` dict per table."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._last_tokens: Dict[PageTable, Dict[int, int]] = {}
+
+    def register(self, table: PageTable) -> None:
+        super().register(table)
+        self._last_tokens[table] = {}
+
+    def unregister(self, table: PageTable) -> None:
+        super().unregister(table)
+        self._last_tokens.pop(table, None)
+
+    def _prune_last_tokens(self) -> None:
+        for table in self._tables:
+            last = self._last_tokens[table]
+            for vpn in [vpn for vpn in last if not table.is_mapped(vpn)]:
+                del last[vpn]
+
+    def volatility_tracked(self, table: PageTable) -> Dict[int, int]:
+        return dict(self._last_tokens.get(table, {}))
 
     def scan_pages(self, budget: int) -> int:
         if budget <= 0 or not self._tables:

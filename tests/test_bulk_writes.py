@@ -28,6 +28,7 @@ import time
 from typing import List
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.guestos.kernel import GuestKernel, OutOfGuestMemoryError
@@ -45,9 +46,9 @@ PAGE = 4096
 GUEST_PAGES = 48
 VMA_PAGES = 20
 FILE_PAGES = 10
-#: Few distinct tokens, so pages merge across guests; one is above
-#: 2**64 (tests may use any int), 0 is the zero page.
-TOKENS = (0, 1, 2, 3, 5, 1 << 63, (1 << 64) + 9)
+#: Few distinct tokens, so pages merge across guests; the largest is
+#: the top of the token range, 0 is the zero page.
+TOKENS = (0, 1, 2, 3, 5, 1 << 63, (1 << 64) - 1)
 #: The failures a range write defines: the rows before the failing one
 #: land, as page by page, so the states still compare afterwards.
 DEFINED_FAILURES = (IndexError, OutOfGuestMemoryError)
@@ -94,7 +95,6 @@ class Universe:
         physmem = self.host.physmem
         state = {
             "tokens": list(physmem.tokens),
-            "masked": list(physmem.masked),
             "states": bytes(physmem.states),
             "refs": list(physmem.refs),
             "frames_in_use": physmem.frames_in_use,
@@ -346,7 +346,7 @@ class TestCases:
 
 def frame_table_state(physmem, table, stream):
     return (
-        list(physmem.tokens), list(physmem.masked), bytes(physmem.states),
+        list(physmem.tokens), bytes(physmem.states),
         list(physmem.refs), list(physmem.stamps), physmem.frames_in_use,
         physmem.stamp_clock, physmem.cow_breaks, list(table.entries()),
         table.version, table.remap_epoch, table.pending_dirty_vpns(),
@@ -383,6 +383,42 @@ def test_rewrite_of_many_pages_over_one_merged_frame_is_linear():
     assert frame_table_state(*bulk) == frame_table_state(*ref)
     assert bulk[0].cow_breaks == rows
     assert elapsed < 1.0, f"{rows} rows took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("bad", [-1, 1 << 64])
+def test_tokens_outside_the_range_are_refused(bad):
+    """alloc, alloc_many, write_token and write_tokens refuse a token
+    outside [0, 2**64) with ValueError, before any frame changes: a
+    refused write_tokens leaves the frame columns, the stamps, the stamp
+    clock and the dirty log as they were, whatever rows precede the bad
+    token."""
+    physmem = HostPhysicalMemory(1 << 30, PAGE)
+    table = PageTable("host:t")
+    stream: List[int] = []
+    table.attach_dirty_sink(stream.append)
+    physmem.write_tokens(table, range(4), [1, 2, 3, 4])
+    merged = physmem.map_token(table, 9, 5)
+    physmem.mark_ksm_stable(merged)
+    physmem.share_mapping(table, 10, merged)
+    before = frame_table_state(physmem, table, stream)
+    calls = [
+        lambda: physmem.alloc(bad),
+        lambda: physmem.alloc_many([7, bad]),
+        lambda: physmem.write_token(table, 0, bad),  # in place
+        lambda: physmem.write_token(table, 9, bad),  # copy-on-write
+        lambda: physmem.write_token(table, 20, bad),  # unmapped
+        lambda: physmem.write_tokens(table, [0, 1, 20, 9, 2], [8] * 4 + [bad]),
+        lambda: physmem.write_tokens(table, [0, 20], [8, bad]),
+    ]
+    if bad < 0:
+        calls += [
+            lambda: physmem.alloc_many(np.array([3, bad])),
+            lambda: physmem.write_tokens(table, [0, 1], np.array([3, bad])),
+        ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+        assert frame_table_state(physmem, table, stream) == before
 
 
 FEATURES = [

@@ -8,7 +8,9 @@ scan policies.  After every scan the return value must agree; at the
 end the complete observable state must: stats (including scan-cost
 ``cpu_ms``), convergence history, table mappings, visible page
 contents, volatility bookkeeping, frame counts, COW breaks and unstable
-candidates.  Scenario-level comparisons live in
+candidates.  The vpns reach past the first 512-entry leaf of the
+scanner's volatility history: both sides of a leaf boundary, and a far
+leaf.  Scenario-level comparisons live in
 ``tests/test_default_path_equivalence.py``.
 """
 
@@ -25,6 +27,9 @@ from tests.oracle import PerPageScanner
 N_TABLES = 3
 N_VPNS = 24
 N_TOKENS = 6
+#: Vpns beyond the first 512-entry history leaf: both sides of the
+#: boundary between the second and third leaves, and a far leaf.
+EDGE_VPNS = (510, 511, 512, 513, (1 << 40) + 7)
 
 POLICIES = [ScanPolicy.FULL, ScanPolicy.INCREMENTAL, ScanPolicy.HYBRID]
 
@@ -94,29 +99,33 @@ def observe(physmem, scanner, tables):
     return state
 
 
+vpns = st.one_of(
+    st.integers(0, N_VPNS - 1), st.sampled_from(EDGE_VPNS)
+)
+
 ops_strategy = st.lists(
     st.one_of(
         st.tuples(
             st.just("write"),
             st.integers(0, N_TABLES - 1),
-            st.integers(0, N_VPNS - 1),
+            vpns,
             st.integers(1, N_TOKENS),
         ),
         st.tuples(
             st.just("map"),
             st.integers(0, N_TABLES - 1),
-            st.integers(0, N_VPNS - 1),
+            vpns,
             st.integers(1, N_TOKENS),
         ),
         st.tuples(
             st.just("unmap"),
             st.integers(0, N_TABLES - 1),
-            st.integers(0, N_VPNS - 1),
+            vpns,
         ),
         st.tuples(
             st.just("hint"),
             st.integers(0, N_TABLES - 1),
-            st.lists(st.integers(0, N_VPNS - 1), max_size=3),
+            st.lists(vpns, max_size=3),
         ),
         st.tuples(st.just("scan"), st.sampled_from([1, 2, 7, 30, 200])),
         st.tuples(st.just("run_ms"), st.sampled_from([1, 5, 25])),

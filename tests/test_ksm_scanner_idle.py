@@ -102,7 +102,7 @@ def test_unmap_wakes_idle_scanner(engine):
     # (pruning bookkeeping) rather than short-circuit forever.
     scanner.scan_pages(10_000)
     assert scanner.scan_pages(10_000) == 0
-    assert 2 not in scanner._last_tokens[tables[1]]
+    assert 2 not in scanner.volatility_tracked(tables[1])
 
 
 @pytest.mark.parametrize("engine", ENGINES)
