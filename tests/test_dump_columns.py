@@ -1,11 +1,16 @@
 """The columnar dump against the dict dump it replaced.
 
-``DIGESTS`` holds the SHA-256 of :func:`tests.oracle.canonical_dump` for
-dumps collected by the per-page dict collector (recorded on the commit
-before dumps became columnar, whose dump *was* the dict form).  The
+``DIGESTS`` holds the SHA-256 of :func:`tests.oracle.canonical_dump`,
+which lists every table's and owner map's rows by key.  The digests
+were recorded for dumps collected by the per-page dict collector, on the
+commit before dumps became columnar, whose dump *was* the dict form.
+Listing rows by key left the ``build_host`` digests as they were (those
+tables were filled in key order); the two daytrader4 digests were
+recorded again when the listing changed, with the collector that still
+kept each table's insertion order and passed the old digests.  The
 columnar dump's dict view must hash the same: every table and owner map
-row for row, in order, every frame token and refcount, and the
-collection report.  The cases cover clean collection, the fault plans of
+row for row, every frame token and refcount, and the collection report.
+The cases cover clean collection, the fault plans of
 ``tests/test_faults.py`` and ``tests/test_columnar_equivalence.py``, one
 plan per dump-corrupting fault class (so every injector is pinned), and
 a daytrader4 scenario clean and faulted.
@@ -54,9 +59,9 @@ DIGESTS = {
     "build_host:5:only:missing-frame-token":
         "36fbca841267c8b18358cb0d59c9225db18731e0c7157db77f910ac9ee0e319b",
     "daytrader4:0.02:1":
-        "8708822028ed737b36dd9f3cc33e048d4b5b7c11d8f766068b9c3dc42ca7b582",
+        "399dc03ae79b929b4ac85461d1e57eb1864cc56f817c2e2491f403eb521d4b2e",
     "daytrader4:0.02:1:1337:0.5":
-        "e79f7350ff81418059b3d1070e15421af2c10194dbbb895b9e78fe494628d79b",
+        "2dcb6596ed2ef41bc296a4692627b5b0830ae9168dadc5f8747c0639e3ae1bbd",
 }
 
 SCENARIO = ScenarioSpec("daytrader4", scale=0.02, measurement_ticks=1)
