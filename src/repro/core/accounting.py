@@ -150,7 +150,9 @@ class OwnerAccounting:
         return total, total + self.total_unattributable()
 
 
-def owner_oriented_accounting(dump: SystemDump) -> OwnerAccounting:
+def owner_oriented_accounting(
+    dump: SystemDump, mapping_fids: Optional[list] = None
+) -> OwnerAccounting:
     """The paper's accounting: one owner per frame, the rest share free.
 
     The owner — by user kind (Java first), then smallest PID, then VM
@@ -160,11 +162,12 @@ def owner_oriented_accounting(dump: SystemDump) -> OwnerAccounting:
     that user's *shared* tally.  Summed over all users, ``usage`` equals
     backed physical memory and ``usage + shared`` equals mapped guest
     memory.  Computed by
-    :func:`repro.core.columnar.pipeline.owner_accounting_columnar`.
+    :func:`repro.core.columnar.pipeline.owner_accounting_columnar`,
+    which appends its mapping rows' fid column to ``mapping_fids``.
     """
     from repro.core.columnar.pipeline import owner_accounting_columnar
 
-    return owner_accounting_columnar(dump)
+    return owner_accounting_columnar(dump, mapping_fids)
 
 
 @dataclass

@@ -23,7 +23,7 @@ as column algebra over the lowered tables of
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -182,13 +182,18 @@ def mapping_columns(dump: SystemDump, registry: Registry) -> Chunk:
     return tuple(out)
 
 
-def owner_accounting_columnar(dump: SystemDump) -> OwnerAccounting:
+def owner_accounting_columnar(
+    dump: SystemDump, mapping_fids: Optional[list] = None
+) -> OwnerAccounting:
     """Owner-oriented accounting: one owner election over every mapping
-    row, then one count of the winners per cell."""
+    row, then one count of the winners per cell.  The rows' fid column
+    is appended to ``mapping_fids`` when one is given."""
     registry = build_registry(dump)
-    (winner_cells,), shared = owner_reduce(
-        mapping_columns(dump, registry), keep=(5,)
-    )
+    columns = mapping_columns(dump, registry)
+    if mapping_fids is not None:
+        mapping_fids.append(columns[0])
+    (winner_cells,), shared = owner_reduce(columns, keep=(5,))
+    del columns
     cells = registry.cells
     usage_counts = np.bincount(winner_cells, minlength=len(cells)).tolist()
     result = OwnerAccounting(page_size=dump.host.page_size)

@@ -87,11 +87,13 @@ class PageColumns:
 
     ``keys`` (int64) maps to ``values`` row by row: vpn -> gfn for a
     guest process, vpn -> frame id for a host table, gfn -> owner-record
-    index for a guest kernel's ownership map.  Rows keep the order of
-    the live table, so sums over them add in the order a walk of the
-    table would.  :meth:`get` bisects a sorted copy of ``keys`` built on
-    first use; editing ``values`` in place keeps it valid, new keys need
-    a new object.
+    index for a guest kernel's ownership map.  Collected rows come in
+    key order, the order a walk of the live table's leaves (or of the
+    owner column) gives, so sums over them add in that order; a fault
+    plan may drop rows or change values, never reorder them.
+    :meth:`get` bisects a sorted copy of ``keys`` built on first use;
+    editing ``values`` in place keeps it valid, new keys need a new
+    object.
     """
 
     __slots__ = ("keys", "values", "_index")

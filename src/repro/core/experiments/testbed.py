@@ -419,10 +419,12 @@ class KvmTestbed:
                 self.host, self.kernels, faults=faults
             )
         with self._phase("accounting"):
-            accounting = owner_oriented_accounting(dump)
+            # Under a fault plan the guard reads the accounting's rows.
+            rows = None if faults is None else []
+            accounting = owner_oriented_accounting(dump, mapping_fids=rows)
             validation = None
             if faults is not None:
-                validation = validate_dump(dump)
+                validation = validate_dump(dump, rows)
                 apply_degradation(
                     accounting, dump, validation, dump.collection
                 )

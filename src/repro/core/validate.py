@@ -267,17 +267,20 @@ def _validate_guest(report: ValidationReport, guest: GuestDump) -> None:
     ])
 
 
-def _validate_host(report: ValidationReport, dump: SystemDump) -> None:
+def _validate_host(report: ValidationReport, dump: SystemDump, rows) -> None:
     """Group-by counts of each frame's PTE sharers over the collected
     host tables, against the frame table (tokens, refcounts) and against
-    the accounting pipeline's mapping rows (frame conservation)."""
+    the accounting pipeline's mapping rows, ``rows`` (frame
+    conservation)."""
     tables = {
         name: table.values for name, table in dump.host.page_tables.items()
     }
     frames = dump.frames
-    rows = [
-        chunk[0] for chunk in iter_mapping_chunks(dump, build_registry(dump))
-    ]
+    if rows is None:
+        rows = [
+            chunk[0]
+            for chunk in iter_mapping_chunks(dump, build_registry(dump))
+        ]
     size = 1 + max(
         (int(fids.max()) for fids in (*tables.values(), *rows, frames.fids)
          if fids.shape[0]),
@@ -309,8 +312,12 @@ def _validate_host(report: ValidationReport, dump: SystemDump) -> None:
     ])
 
 
-def validate_dump(dump: SystemDump) -> ValidationReport:
-    """Run every cross-layer invariant check on ``dump``."""
+def validate_dump(
+    dump: SystemDump, mapping_fids: Optional[list] = None
+) -> ValidationReport:
+    """Run every cross-layer invariant check on ``dump``; the frame
+    conservation guard reads the accounting's ``mapping_fids`` when
+    given them, else walks the mappings itself."""
     report = ValidationReport()
     if not dump.guests and dump.host.page_tables:
         report.add(
@@ -320,7 +327,7 @@ def validate_dump(dump: SystemDump) -> ValidationReport:
         )
     for guest in dump.guests:
         _validate_guest(report, guest)
-    _validate_host(report, dump)
+    _validate_host(report, dump, mapping_fids)
     report.sort()
     return report
 

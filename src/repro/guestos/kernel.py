@@ -90,7 +90,7 @@ class OutOfGuestMemoryError(Exception):
 
     def __init__(self, message: str, gfns: Sequence[int] = ()) -> None:
         super().__init__(message)
-        self.gfns = list(gfns)
+        self.gfns = gfns
 
 
 class GuestKernel:
@@ -114,14 +114,18 @@ class GuestKernel:
         self._npages = pages_for(vm.guest_memory_bytes, self.page_size)
         self._next_gfn = 0
         self._free_gfns: List[int] = []
-        self._owners: Dict[int, PageOwner] = {}
+        # The owner map: per gfn an index into ``_records`` (-1 for a
+        # gfn never allocated).  Records are interned by value.
+        self._owners = np.full(self._npages, -1, np.int32)
+        self._records: List[PageOwner] = []
+        self._record_ids: Dict[PageOwner, int] = {}
         self._owner_records: Dict[tuple, PageOwner] = {}
         self.page_cache = PageCache(self)
         self._processes: Dict[int, "GuestProcess"] = {}
         if pid_base is None:
             pid_base = 300 + rng.stream("pid-base").randrange(0, 2000)
         self._next_pid = pid_base
-        self._kernel_pages: Dict[str, List[int]] = {}
+        self._kernel_pages: Dict[str, Sequence[int]] = {}
         self._booted = False
         # Deflate-on-OOM hook (virtio-balloon's F_DEFLATE_ON_OOM): called
         # when the allocator runs dry; returns True if it freed pages.
@@ -166,22 +170,32 @@ class GuestKernel:
             record = self._owner_records[key] = PageOwner(kind, pid, tag)
         return record
 
+    def record_id(self, owner: PageOwner) -> int:
+        """The owner map's index of ``owner``, interned by value."""
+        index = self._record_ids.get(owner)
+        if index is None:
+            index = self._record_ids[owner] = len(self._records)
+            self._records.append(owner)
+        return index
+
     def alloc_gfn(self, owner: PageOwner) -> int:
         """Allocate one guest-physical page and record its owner."""
-        return self.alloc_gfns(owner, 1)[0]
+        return int(self.alloc_gfns(owner, 1)[0])
 
-    def alloc_gfns(self, owner: PageOwner, count: int) -> List[int]:
+    def alloc_gfns(self, owner: PageOwner, count: int) -> np.ndarray:
         """Allocate ``count`` guest-physical pages for ``owner``, in order.
 
         Pages come from the free list first, most recently freed first,
         then from the never-used top; the OOM handler runs whenever both
-        are empty.  The gfns and their order are those of ``count``
-        one-page allocations.  When memory runs out,
+        are empty.  The gfns (an int64 array) and their order are those
+        of ``count`` one-page allocations.  When memory runs out,
         :class:`OutOfGuestMemoryError` carries the gfns allocated so far.
         """
-        gfns: List[int] = []
+        gfns = np.empty(count, np.int64)
+        got = 0
         free = self._free_gfns
-        while len(gfns) < count:
+        owner_id = self.record_id(owner)
+        while got < count:
             if not free and self._next_gfn >= self._npages:
                 if self._oom_handler is None or not self._oom_handler() or (
                     not free and self._next_gfn >= self._npages
@@ -189,21 +203,19 @@ class GuestKernel:
                     raise OutOfGuestMemoryError(
                         f"{self.vm.name}: guest memory exhausted "
                         f"({self._npages} pages)",
-                        gfns,
+                        gfns[:got],
                     )
-            want = count - len(gfns)
             if free:
-                take = min(want, len(free))
-                chunk = free[: -take - 1 : -1]
+                take = min(count - got, len(free))
+                gfns[got:got + take] = free[: -take - 1 : -1]
                 del free[-take:]
             else:
-                top = min(self._next_gfn + want, self._npages)
-                # One int object per gfn, shared by the owner map and
-                # whatever maps the gfn (a range would make two).
-                chunk = list(range(self._next_gfn, top))
-                self._next_gfn = top
-            self._owners.update(dict.fromkeys(chunk, owner))
-            gfns.extend(chunk)
+                start = self._next_gfn
+                take = min(count - got, self._npages - start)
+                gfns[got:got + take] = np.arange(start, start + take)
+                self._next_gfn += take
+            self._owners[gfns[got:got + take]] = owner_id
+            got += take
         return gfns
 
     def free_gfn(self, gfn: int) -> None:
@@ -212,55 +224,32 @@ class GuestKernel:
         The host backing is *not* released (no ballooning): the stale
         content keeps occupying a host frame, exactly as on real KVM.
         """
-        owner = self._owners.get(gfn)
+        owner = self.owner_of(gfn)
         if owner is None or owner.kind is OwnerKind.FREE:
             raise ValueError(f"gfn {gfn:#x} is not allocated")
-        self._owners[gfn] = self.owner_record(OwnerKind.FREE)
+        self._owners[gfn] = self.record_id(self.owner_record(OwnerKind.FREE))
         self._free_gfns.append(gfn)
 
     def owner_of(self, gfn: int) -> Optional[PageOwner]:
-        return self._owners.get(gfn)
+        if not 0 <= gfn < self._npages:
+            return None
+        index = self._owners[gfn]
+        return None if index < 0 else self._records[index]
 
     def allocated_pages(self) -> int:
-        return sum(
-            1
-            for owner in self._owners.values()
-            if owner.kind is not OwnerKind.FREE
-        )
+        # A never-allocated gfn (index -1) reads the trailing True.
+        free = [record.kind is OwnerKind.FREE for record in self._records]
+        return int(np.count_nonzero(~np.array(free + [True])[self._owners]))
 
     def owner_columns(self) -> Tuple[np.ndarray, np.ndarray, List[PageOwner]]:
         """The gfn-ownership map as columns (collected into guest dumps).
 
-        Returns ``(gfns, ids, records)``: the gfns in allocation order
+        Returns ``(gfns, ids, records)``: the allocated gfns, ascending
         (int64), per gfn an int32 index into ``records``, and the
-        records.  Records are interned at allocation
-        (:meth:`owner_record`), so the index is found by record identity
-        at C speed; a record the kernel never interned (one built by the
-        caller) gets an entry of its own value.
+        records, one per distinct value.
         """
-        owners = self._owners
-        count = len(owners)
-        records = list(self._owner_records.values())
-        ids = {id(record): index for index, record in enumerate(records)}
-
-        def record_ids() -> np.ndarray:
-            return np.fromiter(
-                map(ids.__getitem__, map(id, owners.values())),
-                dtype=np.int32, count=count,
-            )
-
-        try:
-            index = record_ids()
-        except KeyError:
-            by_value = {record: at for at, record in enumerate(records)}
-            for owner in owners.values():
-                if owner not in by_value:
-                    by_value[owner] = len(records)
-                    records.append(owner)
-                ids[id(owner)] = by_value[owner]
-            index = record_ids()
-        gfns = np.fromiter(owners.keys(), dtype=np.int64, count=count)
-        return gfns, index, records
+        gfns = np.flatnonzero(self._owners >= 0)
+        return gfns, self._owners[gfns], list(self._records)
 
     # ------------------------------------------------------------------
     # Kernel memory
@@ -316,12 +305,12 @@ class GuestKernel:
         gfns = self.alloc_gfns(owner, pages_for(num_bytes, self.page_size))
         values = [range(len(gfns))]
         if stream is not None:
-            values.append([stream.getrandbits(32) for _ in gfns])
-        self.vm.write_gfns(gfns, mix64_many(key, *values).tolist())
+            values.append([stream.getrandbits(32) for _ in range(len(gfns))])
+        self.vm.write_gfns(gfns, mix64_many(key, *values))
         self._kernel_pages[tag] = gfns
 
     def kernel_area_pages(self, tag: str) -> List[int]:
-        return list(self._kernel_pages.get(tag, []))
+        return np.asarray(self._kernel_pages.get(tag, []), np.int64).tolist()
 
     def kernel_resident_bytes(self) -> int:
         """Kernel-owned memory including buffers and caches (Fig. 2 bar).

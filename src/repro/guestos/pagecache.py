@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.mem.address_space import int64_column
 from repro.mem.content import ZERO_TOKEN
 from repro.sim.rng import mix64_many, stable_hash64
 
@@ -137,7 +138,7 @@ class PageCache:
         self._kernel.vm.write_gfns_filebacked(
             gfns, backing.page_tokens([index for _, index in keys])
         )
-        self._pages.update(zip(keys, gfns))
+        self._pages.update(zip(keys, int64_column(gfns).tolist()))
 
     def note_mapped(self, backing: BackingFile, index: int) -> None:
         self.note_mapped_many(backing, [index])

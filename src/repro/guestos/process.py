@@ -16,9 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.guestos.kernel import GuestKernel, OutOfGuestMemoryError, OwnerKind
 from repro.guestos.pagecache import BackingFile
-from repro.mem.address_space import PageTable, first_outside, int_list
+from repro.mem.address_space import PageTable, first_outside, int64_column
 from repro.units import pages_for
 
 #: Guard gap (in pages) left between successive VMAs.
@@ -49,6 +51,13 @@ class Vma:
                 f"page {page_index} outside VMA of {self.npages} pages"
             )
         return self.start_vpn + page_index
+
+
+def _distinct(vpns: np.ndarray) -> np.ndarray:
+    """``vpns`` without repeats, in order of first appearance."""
+    if (vpns[1:] > vpns[:-1]).all():
+        return vpns
+    return np.array(list(dict.fromkeys(vpns.tolist())), np.int64)
 
 
 class GuestProcess:
@@ -159,22 +168,20 @@ class GuestProcess:
             vma, range(start_page, start_page + len(tokens)), tokens
         )
 
-    def write_pages(
-        self, vma: Vma, pages: Sequence[int], tokens: Sequence[int]
-    ) -> None:
+    def write_pages(self, vma: Vma, pages, tokens) -> None:
         """Write ``tokens[i]`` at page ``pages[i]`` of an anonymous VMA.
 
         The bulk write path: the pages not yet faulted in get their gfns
         from one :meth:`GuestKernel.alloc_gfns` call and their mappings
         from one :meth:`PageTable.map_many`, and the writes go down in
-        one :meth:`GuestVmBase.write_gfns`.  The result is that of one
-        :meth:`write_token` per row, in row order, down to the gfns
-        taken from the free list; a page outside the VMA or an
-        exhausted guest fails after the rows before it have landed.
-        ``pages`` and ``tokens`` may be numpy arrays.
+        one :meth:`GuestVmBase.write_gfns`, all as int64 arrays.  The
+        result is that of one :meth:`write_token` per row, in row order,
+        down to the gfns taken from the free list; a page outside the
+        VMA or an exhausted guest fails after the rows before it have
+        landed.  ``pages`` and ``tokens`` may be numpy arrays.
         """
-        pages = int_list(pages)
-        if not pages:
+        pages = int64_column(pages)
+        if not len(pages):
             return
         self._check_alive()
         if vma.is_file_backed:
@@ -185,17 +192,13 @@ class GuestProcess:
         bad = first_outside(pages, vma.npages)
         if bad is not None:
             self.write_pages(vma, pages[:bad], tokens[:bad])
-            vma.vpn_of(pages[bad])  # raises
-        start = vma.start_vpn
-        vpns = [start + page for page in pages]
+            vma.vpn_of(int(pages[bad]))  # raises
+        vpns = pages + vma.start_vpn
         table = self.page_table
         gfns = table.translate_many(vpns)
-        if -1 in gfns:
-            missing = list(
-                dict.fromkeys(
-                    [vpn for vpn, gfn in zip(vpns, gfns) if gfn < 0]
-                )
-            )
+        unmapped = gfns < 0
+        if unmapped.any():
+            missing = _distinct(vpns[unmapped])
             owner = self.kernel.owner_record(
                 OwnerKind.PROCESS_ANON, self.pid, vma.tag
             )
@@ -206,7 +209,7 @@ class GuestProcess:
             except OutOfGuestMemoryError as exhausted:
                 got = exhausted.gfns
                 table.map_many(missing[: len(got)], got)
-                cut = vpns.index(missing[len(got)])
+                cut = int(np.flatnonzero(vpns == missing[len(got)])[0])
                 self.kernel.vm.write_gfns(
                     table.translate_many(vpns[:cut]), tokens[:cut]
                 )

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.hypervisor.base import GuestVmBase, HypervisorHost
 from repro.ksm.scanner import KsmConfig, KsmScanner
-from repro.mem.address_space import PageTable, first_outside
+from repro.mem.address_space import PageTable, first_outside, int64_column
 from repro.mem.physmem import HostPhysicalMemory
 from repro.sim.clock import SimClock
 from repro.sim.rng import RngFactory, mix64_many, stable_hash64
@@ -194,21 +194,20 @@ class KvmGuestVm(GuestVmBase):
         the range is written in segments between restores; a gfn outside
         guest memory fails after the rows before it, as page by page.
         """
-        gfns = list(gfns)
+        gfns = int64_column(gfns)
         bad = first_outside(gfns, self._guest_npages)
         if bad is not None:
             self._write_gfns(gfns[:bad], tokens[:bad], write)
-            self._host_vpn(gfns[bad])  # raises
-        shift = self._slot.host_base_vpn - self._slot.base_gfn
-        vpns = [gfn + shift for gfn in gfns]
+            self._host_vpn(int(gfns[bad]))  # raises
+        vpns = gfns + (self._slot.host_base_vpn - self._slot.base_gfn)
         table = self.page_table
         start = 0
         store = self.host.compression
         if store is not None:
-            for row in store.pooled_rows(table, vpns):
+            for row in store.pooled_rows(table, vpns.tolist()):
                 if row > start:
                     write(table, vpns[start:row], tokens[start:row])
-                store.access_page(table, vpns[row])
+                store.access_page(table, int(vpns[row]))
                 start = row
         if start < len(vpns):
             write(table, vpns[start:], tokens[start:])
@@ -259,10 +258,11 @@ class KvmGuestVm(GuestVmBase):
 
     def guest_memory_host_vpns(self):
         """Iterate host vpns of currently backed guest-memory pages."""
-        limit = self._slot.host_base_vpn + self._guest_npages
-        for vpn, _ in self.page_table.entries():
-            if self._slot.host_base_vpn <= vpn < limit:
-                yield vpn
+        vpns = self.page_table.mapped_vpns()
+        base = self._slot.host_base_vpn
+        yield from vpns[
+            (base <= vpns) & (vpns < base + self._guest_npages)
+        ].tolist()
 
     def resident_bytes(self) -> int:
         """Host-mapped bytes of the whole VM process (guest + overhead)."""
@@ -361,7 +361,7 @@ class KvmHost(HypervisorHost):
         if vm not in self._guests:
             raise ValueError(f"guest {vm.name!r} is not on this host")
         self.ksm.unregister(vm.page_table)
-        for vpn in [v for v, _ in vm.page_table.entries()]:
+        for vpn in vm.page_table.mapped_vpns().tolist():
             self.physmem.unmap(vm.page_table, vpn)
         self._guests.remove(vm)
 

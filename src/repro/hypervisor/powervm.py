@@ -26,7 +26,7 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hypervisor.base import GuestVmBase, HypervisorHost
-from repro.mem.address_space import PageTable, first_outside
+from repro.mem.address_space import PageTable, first_outside, int64_column
 from repro.mem.physmem import HostPhysicalMemory
 from repro.sim.clock import SimClock
 from repro.sim.rng import RngFactory
@@ -63,11 +63,11 @@ class PowerVmGuest(GuestVmBase):
             )
 
     def write_gfns(self, gfns: Sequence[int], tokens: Sequence[int]) -> None:
-        gfns = list(gfns)
+        gfns = int64_column(gfns)
         bad = first_outside(gfns, self._guest_npages)
         if bad is not None:
             self.write_gfns(gfns[:bad], tokens[:bad])
-            self._check_gfn(gfns[bad])  # raises
+            self._check_gfn(int(gfns[bad]))  # raises
         self.host.physmem.write_tokens(self.page_table, gfns, tokens)
 
     def read_gfn(self, gfn: int) -> Optional[int]:

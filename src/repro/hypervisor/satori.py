@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.mem.address_space import PageTable, int_list
+from repro.mem.address_space import PageTable, int64_column
 from repro.mem.physmem import HostPhysicalMemory
 
 
@@ -71,7 +71,8 @@ class SatoriRegistry:
         """
         physmem = self.physmem
         by_token = self._by_token
-        for vpn, token in zip(int_list(vpns), int_list(tokens)):
+        tokens = tokens.tolist() if hasattr(tokens, "tolist") else tokens
+        for vpn, token in zip(int64_column(vpns).tolist(), tokens):
             self.fills += 1
             existing = by_token.get(token)
             if existing is not None:

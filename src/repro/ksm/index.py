@@ -37,7 +37,7 @@ its table is renewed past its vpn, so it is visible only to pages
 examined after it, exactly as a re-inserted one would be, and
 :attr:`TokenIndex.unstable_count` counts it.  The end-of-pass discard,
 :meth:`TokenIndex.clear_unstable`, is a generation bump for resting
-candidates.  :meth:`lookup` and :meth:`any_node` do not see them: before
+candidates.  :meth:`lookup` and :meth:`with_node` do not see them: before
 the scanner probes a token a resting candidate may hold, it takes that
 candidate out, handing a renewed one to the tree as an ordinary node
 (:meth:`TokenIndex.adopt`).
@@ -46,7 +46,7 @@ candidate out, handing a renewed one to the tree as an ordinary node
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.mem.address_space import PageTable
@@ -97,13 +97,12 @@ class TokenIndex:
             return (UNSTABLE,) + node
         return None
 
-    def any_node(self, tokens) -> bool:
-        """True when at least one of ``tokens`` has a node in either tree
-        (two C-level key-view probes, no per-token Python work; resting
-        candidates aside)."""
-        return not (
-            self._stable.keys().isdisjoint(tokens)
-            and self._unstable.keys().isdisjoint(tokens)
+    def with_node(self, tokens) -> Set[int]:
+        """The tokens among ``tokens`` that have a node in either tree
+        (two C-level key-view intersections, no per-token Python work;
+        resting candidates aside)."""
+        return (self._stable.keys() & tokens) | (
+            self._unstable.keys() & tokens
         )
 
     # ------------------------------------------------------------------

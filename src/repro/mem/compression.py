@@ -168,7 +168,7 @@ class CompressedRamStore:
         """
         saved = 0
         count = 0
-        for vpn in sorted(vpn for vpn, _ in table.entries()):
+        for vpn in table.mapped_vpns().tolist():
             if limit is not None and count >= limit:
                 break
             if self.is_compressed(table, vpn):

@@ -60,7 +60,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.mem.address_space import PageTable, int_list
+from repro.mem.address_space import SMALL_CALL, PageTable, int64_column
 
 #: Frame states held in :attr:`HostPhysicalMemory.states`.
 FREE = 0
@@ -404,19 +404,17 @@ class HostPhysicalMemory:
         table.log_dirty(vpn)
         return new_fid
 
-    def write_tokens(
-        self, table: PageTable, vpns: Sequence[int], tokens: Sequence[int]
-    ) -> None:
+    def write_tokens(self, table: PageTable, vpns, tokens) -> None:
         """Bulk :meth:`write_token`: row ``i`` writes ``tokens[i]`` at
         ``vpns[i]``.
 
         The rows apply in order and leave exactly the state one
         :meth:`write_token` per row would: the same fids, refcounts and
-        states and stamps, the same dirty-log order and sink stream, and
-        the same ``stamp_clock``, ``cow_breaks``, ``version`` and
-        ``remap_epoch``.  ``tokens`` may be a numpy array (say from
-        :func:`repro.sim.rng.mix64_many`); all are checked before any
-        row lands.
+        states and stamps, the same dirty log and sink stream, and the
+        same ``stamp_clock``, ``cow_breaks``, ``version`` and
+        ``remap_epoch``.  ``vpns`` and ``tokens`` may be numpy arrays;
+        all tokens are checked before any row lands.  A call of at most
+        :data:`~repro.mem.address_space.SMALL_CALL` rows goes row by row.
 
         The range is translated once, and one vectorized pass sorts the
         rows.  A run of unmapped rows gets fresh frames through one
@@ -431,22 +429,26 @@ class HostPhysicalMemory:
         copy-on-write break that leaves a later row's shared frame with
         one mapping is for that row's :meth:`write_token` to find.
         """
-        vpns = int_list(vpns)
         column = _token_column(tokens)
+        vpns = int64_column(vpns)
         if len(vpns) != len(column):
             raise ValueError(f"{len(vpns)} vpns but {len(column)} tokens")
+        if len(vpns) <= SMALL_CALL:
+            for vpn, token in zip(vpns.tolist(), column.tolist()):
+                self.write_token(table, vpn, token)
+            return
         # Unmapped rows read frame 0, the FREE pad.
-        fids = np.array(table.translate_many(vpns, 0), np.int64)
+        fids = table.translate_many(vpns, 0)
         states = np.frombuffer(self.states, np.uint8)
         refs = np.frombuffer(self.refs, np.int64)
         kinds = stores_in_place(states[fids], refs[fids]).astype(np.int8)
         del states, refs
         kinds[fids == 0] = _UNMAPPED
-        if len(set(vpns)) != len(vpns):
+        ascending = (vpns[1:] > vpns[:-1]).all()
+        if not ascending and len(set(vpns.tolist())) != len(vpns):
             kinds[:] = _OTHER
         cuts = (np.flatnonzero(kinds[1:] != kinds[:-1]) + 1).tolist()
-        starts = [0, *cuts] if len(vpns) else []
-        for start, stop in zip(starts, cuts + [len(vpns)]):
+        for start, stop in zip([0, *cuts], cuts + [len(vpns)]):
             kind = kinds[start]
             if kind == _UNMAPPED:
                 table.map_many(
@@ -457,7 +459,7 @@ class HostPhysicalMemory:
                 table.log_dirty_many(vpns[start:stop])
             else:
                 for vpn, token in zip(
-                    vpns[start:stop], column[start:stop].tolist()
+                    vpns[start:stop].tolist(), column[start:stop].tolist()
                 ):
                     self.write_token(table, vpn, token)
 

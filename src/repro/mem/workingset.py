@@ -85,7 +85,10 @@ class WorkingSetEstimator:
         if table in self._buffers:
             return
         buffer: Set[int] = set()
-        sink = buffer.add
+
+        def sink(vpns) -> None:
+            buffer.update(map(int, vpns))
+
         table.attach_dirty_sink(sink)
         self._tables.append(table)
         self._buffers[table] = buffer
@@ -202,7 +205,7 @@ class WorkingSetEstimator:
         """
         hot = set(self.hot_vpns(table))
         return tuple(
-            sorted(vpn for vpn, _ in table.entries() if vpn not in hot)
+            vpn for vpn in table.mapped_vpns().tolist() if vpn not in hot
         )
 
     def wss_bytes(self, table: Optional[PageTable] = None) -> int:

@@ -6,9 +6,9 @@ chain (``GuestProcess.write_pages`` → ``GuestKernel.alloc_gfns`` and
 ``PageTable.map_many`` → ``KvmGuestVm.write_gfns`` →
 ``HostPhysicalMemory.write_tokens``); the other through the per-page
 sequence in :mod:`tests.oracle`.  After every step the two must agree
-on the frame columns and ``frames_in_use``; on every table's entries
-(in insertion order), ``version``, ``remap_epoch``, pending dirty log
-(in order) and sink stream; on each guest kernel's owner map, free list
+on the frame columns and ``frames_in_use``; on every table's entries,
+``version``, ``remap_epoch``, pending dirty log and sink stream (in
+order); on each guest kernel's owner map, free list
 and next gfn; on the stamp clock, every frame's stamp and
 ``cow_breaks``; and on the balloon, compressed pool and Satori
 registry.
@@ -87,7 +87,7 @@ class Universe:
 
     def _record(self, table) -> None:
         stream: List[int] = []
-        table.attach_dirty_sink(stream.append)
+        table.attach_dirty_sink(stream.extend)
         self.streams[table.name] = stream
 
     def state(self) -> dict:
@@ -107,8 +107,10 @@ class Universe:
         for index, (vm, kernel, process, _vmas, _files) in enumerate(
             self.guests
         ):
+            gfns, ids, records = kernel.owner_columns()
+            owners = zip(gfns.tolist(), map(records.__getitem__, ids.tolist()))
             state[vm.name] = (
-                list(kernel._owners.items()),
+                list(owners),
                 list(kernel._free_gfns),
                 kernel._next_gfn,
                 list(kernel.page_cache._pages.items()),
@@ -365,7 +367,7 @@ def test_rewrite_of_many_pages_over_one_merged_frame_is_linear():
         physmem = HostPhysicalMemory(1 << 40, PAGE)
         table = PageTable("host:zeros")
         stream: List[int] = []
-        table.attach_dirty_sink(stream.append)
+        table.attach_dirty_sink(stream.extend)
         fid = physmem.map_token(table, 0, 0)
         physmem.mark_ksm_stable(fid)
         for vpn in range(1, rows):
@@ -395,7 +397,7 @@ def test_tokens_outside_the_range_are_refused(bad):
     physmem = HostPhysicalMemory(1 << 30, PAGE)
     table = PageTable("host:t")
     stream: List[int] = []
-    table.attach_dirty_sink(stream.append)
+    table.attach_dirty_sink(stream.extend)
     physmem.write_tokens(table, range(4), [1, 2, 3, 4])
     merged = physmem.map_token(table, 9, 5)
     physmem.mark_ksm_stable(merged)

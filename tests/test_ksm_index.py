@@ -164,7 +164,7 @@ class TestBulkFreshInsert:
         # the stable and unstable nodes the sequence left behind.
         fresh = [
             (token, vpn) for token, vpn in candidates
-            if not bulk.any_node([token])
+            if not bulk.with_node([token])
         ]
         fresh_tokens = [token for token, _ in fresh]
         fresh_vpns = [vpn for _, vpn in fresh]
@@ -183,8 +183,10 @@ class TestAnyNode:
     @given(st.lists(operations, max_size=40), st.lists(tokens, max_size=6))
     def test_reports_whether_some_token_has_a_node(self, ops, probe):
         index = build(ops)
-        expected = any(index.lookup(token) is not None for token in probe)
-        assert index.any_node(probe) is expected
+        expected = {
+            token for token in probe if index.lookup(token) is not None
+        }
+        assert index.with_node(probe) == expected
 
 
 class TestRestingCount:
@@ -202,7 +204,7 @@ class TestRestingCount:
         index.renew(other, 5, 1)
         assert (index.unstable_count, len(index)) == (4, 5)
         assert index.renewed(table, 11) and not index.renewed(table, 12)
-        assert not index.any_node([3, 4])  # resting candidates: no node
+        assert not index.with_node([3, 4])  # resting candidates: no node
         index.adopt(4, table, 11)
         assert index.lookup(4) == (UNSTABLE, table, 11)
         assert (index.unstable_count, len(index)) == (4, 5)

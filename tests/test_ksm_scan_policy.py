@@ -102,11 +102,11 @@ class TestDirtyLog:
         def ignore(vpn):
             return None
 
-        a.attach_dirty_sink(seen.append)
+        a.attach_dirty_sink(seen.extend)
         a.attach_dirty_sink(ignore)
         pm.write_tokens(a, [2, 3], [1, 1])
         assert a.pending_dirty_vpns() == (2, 3) and seen == [2, 3]
-        a.detach_dirty_sink(seen.append)
+        a.detach_dirty_sink(seen.extend)
         assert a.dirty_count == 2  # one consumer left
         a.detach_dirty_sink(ignore)
         assert a.dirty_count == 0
