@@ -107,12 +107,15 @@ examination, and the examined-at-segment-start snapshot of
    volatility filter is one compare against the history columns, and
    the unchanged rows go into the unstable tree in one bulk insert
    (under FULL, as resting candidates: below);
-4. dispatches the **other singletons** through one fused kernel: an
-   index probe (:meth:`TokenIndex.lookup`) per row, and the elected
-   stable-tree merges applied together after the walk;
-5. runs **multi-page groups** (and the rare stale/unstable tails)
-   through :meth:`KsmScanner._examine_row`, the per-page state
-   machine, in segment order.
+4. runs the **other singletons** through one column kernel: an index
+   probe (:meth:`TokenIndex.lookup`) per row, then masks per node kind
+   (a live stable node; an unstable partner, translated per table, and
+   the volatility and partner-token checks), with the segment's merges
+   in one :meth:`HostPhysicalMemory.merge_many`;
+5. runs **multi-page groups**, and the singletons whose stable node is
+   dead or whose partner maps their own frame, through
+   :meth:`KsmScanner._examine_row`, the per-page state machine, in
+   segment order.
 
 Volatility history
 ------------------
@@ -147,8 +150,9 @@ burst boundaries fall:
   FULL worklist keeps, beside its translation, the frame table's stamp
   clock when each row last settled (-1 while it has not), whether it
   rests, and the low 32 bits of its candidate's token, with a sorted
-  token-to-row lookup over the resting rows (class ``_Worklist``): a
-  few bytes per row, no Python object.
+  token-to-row lookup over the resting rows behind a bit filter of
+  their keys (class ``_Worklist``): a few bytes per row, no Python
+  object.
 * A row is **fresh** while the frame it recorded is unchanged since it
   settled: ``stamps[fid] <= settled``, one vectorized compare per
   segment (:class:`repro.mem.physmem.HostPhysicalMemory` stamps a frame
@@ -169,7 +173,8 @@ burst boundaries fall:
   pass becomes an ordinary unstable node (:meth:`TokenIndex.adopt`),
   one not yet renewed is dropped.  Either way its row stops resting;
   when it lies in the segment being examined, it is examined with it,
-  in segment order.
+  in segment order.  Each worklist's bit filter first drops the keys
+  none of its resting rows holds, so its lookup costs in its hits.
 * So a fresh row's examination would repeat its last one: a merged
   page is skipped again, and a resting page (same token, unchanged
   history entry, no node) would be inserted again.  A segment's
@@ -196,6 +201,7 @@ import enum
 from array import array
 from dataclasses import dataclass, replace
 from itertools import compress
+from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -267,6 +273,8 @@ _ROW_BITS = np.uint64(32)
 _NO_ENTRIES = np.empty(0, np.uint64)
 #: Entries of the ``latest`` level beyond which it merges into ``recent``.
 _LATEST_ENTRIES = 1 << 13
+#: The multiplier of a key's second filter bit (``_Worklist.may_hold``).
+_FILTER_HASH = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _entries(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -342,12 +350,15 @@ class _Worklist:
     folds into ``base`` once it outgrows a quarter of it.  A row that
     stopped resting stays in them until ``base`` is rebuilt, and a key
     can be shared, so the caller confirms a hit against the exact token.
-    The module docstring's "Settled segments" says how they are used.
+    A lookup first drops the keys with a clear bit in ``bits``, a filter
+    of at most a byte per row rebuilt with ``base``: a key entering a
+    level sets a bit in each half, its low bits in the first.  The module
+    docstring's "Settled segments" says how the columns are used.
     """
 
     __slots__ = (
         "vpns", "version", "fids", "hidx", "fkey", "settled", "rests",
-        "rest_keys", "base", "recent", "latest", "pending",
+        "rest_keys", "base", "recent", "latest", "pending", "bits",
     )
 
     def __init__(self, vpns: np.ndarray, version: int = -1) -> None:
@@ -360,7 +371,7 @@ class _Worklist:
 
     def unsettle(self) -> None:
         """Drop the settling columns: every row is stale."""
-        self.settled = self.rests = self.rest_keys = None
+        self.settled = self.rests = self.rest_keys = self.bits = None
         self.base = self.recent = self.latest = _NO_ENTRIES
         self.pending: List[np.ndarray] = []
 
@@ -370,6 +381,7 @@ class _Worklist:
         self.settled = np.full(size, -1, np.int64)
         self.rests = np.zeros(size, np.bool_)
         self.rest_keys = np.zeros(size, np.uint32)
+        self.bits = np.zeros(1 << max(size.bit_length() - 1, 0), np.uint8)
 
     def rest(self, rows: np.ndarray, tokens: np.ndarray) -> None:
         """Mark ``rows`` resting, with candidates of uint64 ``tokens``."""
@@ -377,12 +389,36 @@ class _Worklist:
         self.rests[rows] = True
         self.rest_keys[rows] = keys
         self.pending.append(_entries(keys, rows))
+        self._mark(keys)
+
+    def _filter_bits(self, keys: np.ndarray):
+        """The two filter bits of each key (class docstring)."""
+        half = len(self.bits) << 2
+        keys = keys.astype(np.uint64)
+        high = keys * _FILTER_HASH >> np.uint64(65 - half.bit_length())
+        return keys & np.uint64(half - 1), high + np.uint64(half)
+
+    def _mark(self, keys: np.ndarray) -> None:
+        """Set the filter bits of ``keys``."""
+        for bit in self._filter_bits(keys):
+            mask = np.left_shift(1, bit & 7, dtype=np.uint8)
+            np.bitwise_or.at(self.bits, bit >> 3, mask)
+
+    def may_hold(self, keys: np.ndarray) -> np.ndarray:
+        """Per key, whether both its filter bits are set (class doc)."""
+        low, high = self._filter_bits(keys)
+        bits = self.bits
+        both = bits[low >> 3] >> (low & 7) & bits[high >> 3] >> (high & 7)
+        return (both & 1).astype(np.bool_)
 
     def holders(self, keys: np.ndarray) -> List[int]:
         """The resting rows whose candidate's key is among ``keys``
         (sorted uint64 values below 2**32)."""
-        if self.pending:
-            self._merge_pending()
+        keys = keys[self.may_hold(keys)]
+        if len(keys) and self.pending and self._merge_pending():
+            keys = keys[self.may_hold(keys)]  # the filter was rebuilt
+        if not len(keys):
+            return []
         low = keys << _ROW_BITS
         found = (
             _lookup(self.base, low)
@@ -393,28 +429,31 @@ class _Worklist:
         # A row rested twice with one key is in two levels.
         return [row for row in dict.fromkeys(found) if rests[row]]
 
-    def _merge_pending(self) -> None:
+    def _merge_pending(self) -> bool:
         """Sort the rows rested since the last lookup into ``latest``,
-        and let each level that outgrew its bound merge down."""
+        and let each level that outgrew its bound merge down; True when
+        ``base`` (and the filter) was rebuilt from the columns."""
         latest = _sorted(self.latest, *self.pending)
         self.pending = []
         if len(latest) <= _LATEST_ENTRIES:
             self.latest = latest
-            return
+            return False
         self.latest = _NO_ENTRIES
         recent = _sorted(self.recent, latest)
         base = self.base
         if len(recent) <= len(base) // 4 + 256:
             self.recent = recent
-            return
+            return False
         self.recent = _NO_ENTRIES
-        live = np.count_nonzero(self.rests)
-        if len(base) + len(recent) > 2 * live + 1024:
-            # Mostly rows that stopped resting: rebuild from the columns.
-            rows = np.flatnonzero(self.rests)
-            self.base = _sorted(_entries(self.rest_keys[rows], rows))
-        else:
+        if len(base) + len(recent) <= 2 * np.count_nonzero(self.rests) + 1024:
             self.base = _sorted(base, recent)
+            return False
+        # Mostly rows that stopped resting: rebuild from the columns.
+        rows = np.flatnonzero(self.rests)
+        self.base = _sorted(_entries(self.rest_keys[rows], rows))
+        self.bits[:] = 0
+        self._mark(self.rest_keys[rows])
+        return True
 
     def carry(self, old: "_Worklist", at: np.ndarray, kept: np.ndarray):
         """Take over the settling state of ``old``'s rows: row ``i`` of
@@ -426,6 +465,7 @@ class _Worklist:
         self.rest_keys[kept] = old.rest_keys[from_rows]
         rows = np.flatnonzero(self.rests)
         self.pending = [_entries(self.rest_keys[rows], rows)]
+        self._mark(self.rest_keys[rows])
 
 
 class KsmScanner:
@@ -926,13 +966,16 @@ class KsmScanner:
         """
         index = self._index
         keys = np.sort(tokens & _KEY_MASK)
-        wanted = set(tokens.tolist())
+        wanted = None
         extra: List[int] = []
         for other, worklist in self._column_cache.items():
             if worklist.rests is None:
                 continue
+            found = worklist.holders(keys)
+            if found and wanted is None:
+                wanted = set(tokens.tolist())
             last = self._history[other].last
-            for row in worklist.holders(keys):
+            for row in found:
                 token = last[worklist.hidx[row]]
                 if token not in wanted:
                     continue  # only the keys are equal
@@ -972,30 +1015,13 @@ class KsmScanner:
     def _insert_unseen(
         self, table: PageTable, rows, tokens, listed: List[int]
     ) -> None:
-        """Singletons none of whose tokens has a node in either tree
-        (``listed``: ``tokens`` as ints).
-
-        Each row then only runs the volatility filter and, when its
-        content is unchanged since the page was last examined, becomes a
-        fresh unstable candidate: one compare and one store on the
-        history columns, then one bulk insert, as resting candidates of
-        the rows in a settling pass.  A worklist never repeats a vpn, so
-        reading every previous token before storing the new ones matches
-        the per-row order.
-        """
+        """Singletons none of whose tokens (``listed`` as ints) has a
+        node: each unchanged row becomes a fresh unstable candidate, all
+        in one bulk insert, or rests in a settling pass."""
         cur = self._cur
-        at = cur.hidx[rows]
-        last, seen = self._history[table].columns()
-        same = seen[at] & (last[at] == tokens)
-        last[at] = tokens
-        seen[at] = True
-        del last, seen
-        if not same.all():
-            self.stats.volatile_skips += len(same) - int(same.sum())
-            if self.config.scan_policy is not ScanPolicy.FULL:
-                self._recheck[table].update(cur.vpns[rows[~same]].tolist())
-            rows = rows[same]
-            tokens = tokens[same]
+        same = self._unchanged(table, rows, tokens)
+        rows = rows[same]
+        tokens = tokens[same]
         if not len(rows):
             return
         if self._settling:
@@ -1007,57 +1033,103 @@ class KsmScanner:
                 cur.vpns[rows].tolist(),
             )
 
+    def _unchanged(self, table: PageTable, rows, tokens) -> np.ndarray:
+        """Which worklist ``rows`` showed the uint64 ``tokens`` they show
+        now at their last examination, storing the tokens (a worklist
+        never repeats a vpn); the others are volatile skips."""
+        at = self._cur.hidx[rows]
+        last, seen = self._history[table].columns()
+        same = seen[at] & (last[at] == tokens)
+        last[at] = tokens
+        seen[at] = True
+        del last, seen
+        if not same.all():
+            self.stats.volatile_skips += len(same) - int(same.sum())
+            if self.config.scan_policy is not ScanPolicy.FULL:
+                vpns = self._cur.vpns[rows[~same]]
+                self._recheck[table].update(vpns.tolist())
+        return same
+
     def _examine_singletons(
         self, table: PageTable, rows, fids, tokens, listed: List[int],
         noded: Set[int],
     ) -> None:
-        """The fused singleton kernel: the rows whose token has a node
-        (``noded``) take one probe each, with the stable-tree merges
-        applied together after the walk; the other rows take
-        :meth:`_insert_unseen` together."""
+        """The singletons' column kernel (module docstring, step 4): the
+        rows whose token has no node take :meth:`_insert_unseen`, the
+        others (``noded``) one probe each.  Partners are read before any
+        merge lands, which token locality allows."""
         index = self._index
         physmem = self.physmem
-        states = physmem.states
-        column = physmem.tokens
-        row = self._examine_row
+        cur = self._cur
         has = np.fromiter(map(noded.__contains__, listed), np.bool_, len(rows))
-        picks = rows[has]
-        merges: List[Tuple[int, int]] = []
-        probed = tokens[has].tolist()
-        nodes = list(map(index.lookup, probed))
-        for vpn, fid, token, at, node in zip(
-            self._cur.vpns[picks].tolist(), fids[has].tolist(), probed,
-            self._cur.hidx[picks].tolist(), nodes,
-        ):
-            if node[0] == STABLE:
-                stable_fid = node[1]
-                if (
-                    states[stable_fid] != FRAME_STABLE
-                    or column[stable_fid] != token
-                ):
-                    # Dead stable node: prune, then rerun the row — the
-                    # re-probe misses, exactly the per-row fall-through.
-                    index.drop(token)
-                    row(table, vpn, fid, token, at)
-                elif stable_fid != fid:
-                    # Split-on-KSM-merge happens eagerly (in examination
-                    # order) even though the merge itself is deferred —
-                    # splits are idempotent and blocks never re-form
-                    # mid-pass, so the deferral cannot diverge.
-                    self._split_for_merge(fid)
-                    merges.append((vpn, stable_fid))
-                # else: this frame *is* the stable node.
-            else:
-                row(table, vpn, fid, token, at)
         if not has.all():
             self._insert_unseen(
                 table, rows[~has], tokens[~has],
                 list(compress(listed, (~has).tolist())),
             )
-        merge = physmem.merge_into
-        for vpn, stable_fid in merges:
-            merge(table, vpn, stable_fid)
-        self.stats.merges += len(merges)
+            rows, fids, tokens = rows[has], fids[has], tokens[has]
+        nodes = list(map(index.lookup, tokens.tolist()))
+        stable = np.fromiter(map(len, nodes), np.int8, len(nodes)) == 2
+        vpns = cur.vpns[rows]
+        frame_tokens = np.frombuffer(physmem.tokens, np.uint64)
+        # Per row: the frame it merges into (0: none; a partner's frame
+        # is promoted first) and whether the row takes _examine_row.
+        target = np.zeros(len(rows), np.int64)
+        alone = np.zeros(len(rows), np.bool_)
+        picked = np.flatnonzero(stable)
+        node_fids = np.fromiter(
+            map(itemgetter(1), compress(nodes, stable.tolist())),
+            np.int64, len(picked),
+        )
+        live = (
+            np.frombuffer(physmem.states, np.uint8)[node_fids] == FRAME_STABLE
+        ) & (frame_tokens[node_fids] == tokens[picked])
+        alone[picked[~live]] = True
+        live &= node_fids != fids[picked]
+        target[picked[live]] = node_fids[live]
+        # Each unstable node's page, translated one table at a time.
+        picked = np.flatnonzero(~stable)
+        unstable = list(compress(nodes, (~stable).tolist()))
+        tables = list(map(itemgetter(1), unstable))
+        pvpns = np.fromiter(map(itemgetter(2), unstable), np.int64)
+        code = {other: k for k, other in enumerate(dict.fromkeys(tables))}
+        which = np.fromiter(map(code.__getitem__, tables), np.intp)
+        partners = np.empty(len(picked), np.int64)
+        for other, k in code.items():
+            partners[which == k] = other.translate_many(pvpns[which == k])
+        own = partners == fids[picked]
+        alone[picked[own]] = True
+        picked, partners = picked[~own], partners[~own]
+        same = self._unchanged(table, rows[picked], tokens[picked])
+        picked, partners = picked[same], partners[same]
+        # An unmapped partner (-1) reads the last frame's token: masked.
+        moved = (partners < 0) | (frame_tokens[partners] != tokens[picked])
+        del frame_tokens
+        stale = picked[moved]
+        for token, vpn in zip(tokens[stale].tolist(), vpns[stale].tolist()):
+            index.set_unstable(token, table, vpn)
+        self.stats.stale_drops += len(stale)
+        target[picked[~moved]] = partners[~moved]
+        merged = np.flatnonzero(target)
+        promote = (target > 0) & ~stable
+        if physmem.blocks_intact:
+            # Split-on-KSM-merge: a promoted partner's block, then the
+            # row's own (frame 0 is in none).
+            frames = np.stack((np.where(promote, target, 0), fids), 1)
+            for frame in frames[merged].ravel().tolist():
+                self._split_for_merge(frame)
+        for token, fid in zip(
+            tokens[promote].tolist(), target[promote].tolist()
+        ):
+            physmem.mark_ksm_stable(fid)
+            index.set_stable(token, fid)
+        for i in np.flatnonzero(alone).tolist():
+            vpn, fid, token = int(vpns[i]), int(fids[i]), int(tokens[i])
+            if stable[i]:  # a dead stable node: the re-probe misses
+                index.drop(token)
+            self._examine_row(table, vpn, fid, token, int(cur.hidx[rows[i]]))
+        physmem.merge_many(table, vpns[merged], target[merged])
+        self.stats.merges += len(merged)
 
     def _examine_row(
         self, table: PageTable, vpn: int, fid: int, token: int, at: int
@@ -1118,13 +1190,8 @@ class KsmScanner:
         if partner_table is table and partner_vpn == vpn:
             return
         partner_fid = partner_table.translate(partner_vpn)
-        if partner_fid is None:
-            # Partner page was unmapped; take its slot.
-            self.stats.stale_drops += 1
-            self._index.set_unstable(token, table, vpn)
-            return
-        if tokens[partner_fid] != token:
-            # Partner was rewritten since insertion; replace it.
+        if partner_fid is None or tokens[partner_fid] != token:
+            # The partner was unmapped or rewritten: take its place.
             self.stats.stale_drops += 1
             self._index.set_unstable(token, table, vpn)
             return
@@ -1154,12 +1221,15 @@ class KsmScanner:
             self.stats.thp_splits += 1
 
     def _record_history(self) -> None:
-        """Sample the sharing gauges at a pass end, over frame columns.
+        """Sample the sharing gauges at a pass end."""
+        self.history.append((self.clock.now_ms, *self._stable_gauges()[:2]))
 
-        A stable node's frame is alive and merged exactly when its state
-        is STABLE (``mark_ksm_stable`` is the only setter, frees reset
-        the state, and fids are never reused), so the gauges are two
-        vectorized reads of the ``states`` and ``refs`` columns.
+    def _stable_gauges(self) -> Tuple[int, int, np.ndarray]:
+        """``(pages_shared, pages_sharing, dead fids)`` over the stable
+        nodes' fid column (cached against the stable revision).  A node's
+        frame is alive and merged exactly when its state is STABLE
+        (``mark_ksm_stable`` is the only setter, frees reset the state,
+        and fids are never reused): two reads of ``states`` and ``refs``.
         """
         index = self._index
         rev = index.stable_rev
@@ -1172,10 +1242,8 @@ class KsmScanner:
         physmem = self.physmem
         states = np.frombuffer(physmem.states, dtype=np.uint8)[fid_arr]
         alive = states == FRAME_STABLE
-        shared = int(alive.sum())
         refs = np.frombuffer(physmem.refs, dtype=np.int64)[fid_arr]
-        sharing = int(refs[alive].sum())
-        self.history.append((self.clock.now_ms, shared, sharing))
+        return int(alive.sum()), int(refs[alive].sum()), fid_arr[~alive]
 
     # ------------------------------------------------------------------
     # Cold-region hints (fed by the tiering layer)
@@ -1286,20 +1354,15 @@ class KsmScanner:
     # ------------------------------------------------------------------
 
     def snapshot_stats(self) -> KsmStats:
-        """Recompute the sharing gauges and return a copy of the stats."""
-        states = self.physmem.states
-        refs = self.physmem.refs
-        shared = 0
-        sharing = 0
-        dead_tokens = []
-        for token, fid in self._index.stable_items():
-            if states[fid] != FRAME_STABLE:
-                dead_tokens.append(token)
-                continue
-            shared += 1
-            sharing += refs[fid]
-        for token in dead_tokens:
-            self._index.drop(token)
+        """Recompute the sharing gauges, drop the dead stable nodes and
+        return a copy of the stats."""
+        shared, sharing, dead = self._stable_gauges()
+        if len(dead):
+            # A stable frame holds one token, so one node names it.
+            dead = set(dead.tolist())
+            for token, fid in self._index.stable_items():
+                if fid in dead:
+                    self._index.drop(token)
         self.stats.pages_shared = shared
         self.stats.pages_sharing = sharing
         return replace(self.stats, extra={})

@@ -34,8 +34,8 @@ the last sink drops the log.  Guest process tables and the host
 kernel's table have no sink, so they log nothing.
 
 Range writers use the bulk forms (:meth:`PageTable.map_many`,
-:meth:`PageTable.log_dirty_many`), which leave the table exactly as the
-one-vpn calls would in the same order.
+:meth:`PageTable.remap_many`, :meth:`PageTable.log_dirty_many`), which
+leave the table exactly as the one-vpn calls would in the same order.
 """
 
 from __future__ import annotations
@@ -229,6 +229,23 @@ class PageTable:
         self._slots[slot] = pfn
         self._remap_epoch += 1
         return previous
+
+    def remap_many(self, vpns, pfns) -> np.ndarray:
+        """Bulk :meth:`remap` in row order; returns the previous pfns
+        (int64).  An unmapped or repeated vpn sends the call row by row:
+        the rows before an unmapped one land, the error is remap's."""
+        vpns, pfns = int64_column(vpns), int64_column(pfns)
+        slots = self.slots_of(vpns)
+        if (slots >= 0).all() and len(np.unique(slots)) == len(slots):
+            column = np.frombuffer(self._slots, np.int64)
+            previous = column[slots]
+            if (previous >= 0).all():
+                column[slots] = pfns
+                self._remap_epoch += len(slots)
+                return previous
+            del column
+        remapped = map(self.remap, vpns.tolist(), pfns.tolist())
+        return np.fromiter(remapped, np.int64, len(vpns))
 
     def unmap(self, vpn: int) -> int:
         """Remove a translation; returns the pfn it pointed to."""

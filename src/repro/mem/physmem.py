@@ -526,6 +526,46 @@ class HostPhysicalMemory:
         self.dec_ref(old_fid)
         return old_fid
 
+    def merge_many(self, table: PageTable, vpns, targets) -> None:
+        """Bulk :meth:`merge_into` in row order, stamps included.  A batch
+        with an unmapped vpn, a frame named twice, dead or in an intact
+        huge block, or unequal tokens goes row by row through
+        :meth:`merge_into`, which keeps every refusal."""
+        vpns, targets = int64_column(vpns), int64_column(targets)
+        if len(vpns) != len(targets):
+            raise ValueError(f"{len(vpns)} vpns but {len(targets)} targets")
+        olds = table.translate_many(vpns)
+        frames = np.concatenate((olds, targets))
+        named = np.sort(frames)
+        states = np.frombuffer(self.states, np.uint8)
+        refs = np.frombuffer(self.refs, np.int64)
+        tokens = np.frombuffer(self.tokens, np.uint64)
+        block_of = self._block_of
+        if not (
+            (named[:1] > 0).all()
+            and (named[-1:] < len(states)).all()
+            and (named[1:] != named[:-1]).all()
+            and (states[frames] != FREE).all()
+            and (refs[olds] > 0).all()
+            and (tokens[olds] == tokens[targets]).all()
+            and not (block_of and block_of.keys() & named.tolist())
+        ):
+            for vpn, target in zip(vpns.tolist(), targets.tolist()):
+                self.merge_into(table, vpn, target)
+            return
+        # Row i stamps its target at clock + 2i + 1, its old frame next.
+        clock, n = self._stamp_clock, len(vpns)
+        stamps = np.frombuffer(self.stamps, np.int64)
+        stamps[targets] = np.arange(clock + 1, clock + 2 * n, 2)
+        stamps[olds] = np.arange(clock + 2, clock + 2 * n + 1, 2)
+        self._stamp_clock = clock + 2 * n
+        refs[targets] += 1
+        refs[olds] -= 1
+        freed = olds[refs[olds] == 0]
+        states[freed] = FREE
+        self._in_use -= len(freed)
+        table.remap_many(vpns, targets)
+
     # ------------------------------------------------------------------
     # Side pools (compressed RAM stores)
     # ------------------------------------------------------------------
