@@ -1118,9 +1118,8 @@ class KsmScanner:
             frames = np.stack((np.where(promote, target, 0), fids), 1)
             for frame in frames[merged].ravel().tolist():
                 self._split_for_merge(frame)
-        for token, fid in zip(
-            tokens[promote].tolist(), target[promote].tolist()
-        ):
+        promoted = zip(tokens[promote].tolist(), target[promote].tolist())
+        for token, fid in promoted:
             physmem.mark_ksm_stable(fid)
             index.set_stable(token, fid)
         for i in np.flatnonzero(alone).tolist():

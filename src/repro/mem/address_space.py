@@ -236,7 +236,8 @@ class PageTable:
         the rows before an unmapped one land, the error is remap's."""
         vpns, pfns = int64_column(vpns), int64_column(pfns)
         slots = self.slots_of(vpns)
-        if (slots >= 0).all() and len(np.unique(slots)) == len(slots):
+        # (np.unique would import numpy.ma, about 1.5 MB of RSS.)
+        if (slots >= 0).all() and (np.diff(np.sort(slots)) != 0).all():
             column = np.frombuffer(self._slots, np.int64)
             previous = column[slots]
             if (previous >= 0).all():

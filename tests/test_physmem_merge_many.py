@@ -134,10 +134,15 @@ def faulty_row(rng, pm, table, rows, fault):
     if not rows:
         return None
     vpn, target = rng.choice(rows)
-    if fault == "vpn twice":
-        return vpn, rng.choice(live)
-    # A second page merging into one target.
     token = pm.tokens[target]
+    if fault == "vpn twice":
+        # The page merges again, into another frame of its token.
+        again = [
+            f for f in live
+            if f != target and pm.tokens[f] == token and not pm.block_of(f)
+        ]
+        return (vpn, rng.choice(again)) if again else None
+    # A second page merging into one target.
     others = [
         v for v in mapped
         if v != vpn and pm.tokens[table.translate(v)] == token
