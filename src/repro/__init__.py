@@ -105,7 +105,7 @@ from repro.mem.workingset import WorkingSetEstimator
 from repro.tiering import TieringEngine
 from repro.workloads import Workload, build_workload
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 __all__ = [
     # configuration

@@ -16,25 +16,29 @@ experiment; Figs. 7–8 the consolidation sweeps.  ``--scale`` shrinks all
 memory sizes proportionally (default 0.1 for interactive use; pass 1.0
 for the paper's actual sizes).
 
-Every scenario-running subcommand shares one option set, declared once
-in :func:`add_scenario_options` and decoded once by
-``ScenarioSpec.from_cli_args`` into a :class:`repro.config.ScenarioSpec`
+Each subcommand accepts exactly the options it reads, and argparse
+rejects any other.  Every shared option is declared once, on one of the
+parent parsers of :func:`_option_parents`, which group the options by
+the commands that read them; :data:`_COMMANDS` names the groups each
+subcommand composes.  ``ScenarioSpec.from_cli_args`` decodes a
+one-testbed command's namespace into a :class:`repro.config.ScenarioSpec`
 — the single value object behind the whole experiment API.
 ``--thp-policy`` / ``--hugepages`` switch the guests to transparent huge
 pages (KSM then splits huge blocks to merge, the trade-off ``repro
 hugepages`` charts).
 
-``--faults SEED[:RATE]`` arms the fault-injection plan on any dump-based
-command: collection turns resilient (retry, backoff, quarantine), the
-dump is cross-validated, and breakdowns carry explicit bounds for
-whatever the damage made unattributable.  ``doctor`` runs one scenario
-under that regime and prints the full collection + validation reports.
+``--faults SEED[:RATE]`` arms the fault-injection plan on the commands
+that collect a dump: collection turns resilient (retry, backoff,
+quarantine), the dump is cross-validated, and breakdowns carry explicit
+bounds for whatever the damage made unattributable.  ``doctor`` runs one
+scenario under that regime and prints the full collection + validation
+reports.
 
 ``--jobs N`` (or ``REPRO_JOBS``) fans the independent cells of an
 experiment grid — the two footprints behind a consolidation sweep, the
 pressure arms, the huge-page curve points — out over worker processes;
-results are bit-identical to serial runs.  Figure results are
-also persisted in a content-addressed cache (``.repro-cache`` or
+results are bit-identical to serial runs.  Figure results are also
+persisted in a content-addressed cache (``.repro-cache`` or
 ``REPRO_CACHE_DIR``), so re-running a figure, or a figure that shares
 its scenario with one already run (Fig. 2 / Fig. 3(a)), is near
 instant.  ``--no-cache`` bypasses it, ``--cache-stats`` reports on it,
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.config import THP_POLICIES, ScenarioSpec
 from repro.core.experiments.consolidation import (
@@ -84,27 +88,76 @@ _BREAKDOWN_FIGURES = {
     "fig5c": ("tuscany3", CacheDeployment.SHARED_COPY, "java"),
 }
 
+#: The option groups every one-testbed command reads, and those of the
+#: consolidation sweeps (Figs. 7-8).
+_TESTBED = ("scale", "ticks", "scan-policy", "tiering", "hugepages")
+_CONSOLIDATION = ("scale", "scan-policy", "jobs", "cache")
 
-def add_scenario_options(parser: argparse.ArgumentParser) -> None:
-    """Declare every shared scenario knob on ``parser``, exactly once.
+#: subcommand -> (help, the option groups it reads), in help order.
+_COMMANDS = {
+    **{
+        figure: (f"regenerate {figure}", _TESTBED + ("profile", "cache"))
+        for figure in _BREAKDOWN_FIGURES
+    },
+    "fig6": ("PowerVM before/after totals", ("scale",)),
+    "fig7": ("DayTrader consolidation sweep", _CONSOLIDATION),
+    "fig8": ("SPECjEnterprise consolidation sweep", _CONSOLIDATION),
+    "tables": ("print Tables I-IV presets", ()),
+    "scenario": (
+        "run a custom scenario",
+        _TESTBED + ("profile", "cache", "deployment"),
+    ),
+    "profile": (
+        "run one scenario under the phase profiler and print the "
+        "per-phase wall/CPU table",
+        _TESTBED + ("profile", "deployment"),
+    ),
+    "doctor": (
+        "collect one scenario resiliently and print its health reports",
+        _TESTBED + ("deployment",),
+    ),
+    "hugepages": (
+        "run the huge-page trade-off curve: bytes KSM saves by "
+        "splitting huge blocks vs the translation benefit lost, "
+        "across THP policies",
+        ("scale", "ticks", "hugepages", "jobs", "cache", "report"),
+    ),
+    "pressure": (
+        "run the pressure family: KSM vs compression vs ballooning "
+        "vs combined on an undersized host, identical seeds",
+        ("scale", "ticks", "jobs", "cache", "report"),
+    ),
+    "cache": ("inspect or wipe the result cache", ()),
+}
 
-    Each option maps onto one :class:`repro.config.ScenarioSpec` field;
-    ``ScenarioSpec.from_cli_args`` turns the parsed namespace back into a
-    spec.
-    Every subcommand that runs a testbed shares this set, so a new knob
-    is added here (and read in ``ScenarioSpec.from_cli_args``) and
-    nowhere else.
+
+def _option_parents() -> Dict[str, argparse.ArgumentParser]:
+    """The shared options, each declared once on the parent parser of
+    its group.
+
+    A group holds the options that the same commands read (named after
+    its first option); a subcommand composes the groups it reads, and
+    parent parsers share their actions, so no option is declared twice.
     """
-    parser.add_argument(
+    parents: Dict[str, argparse.ArgumentParser] = {}
+
+    def group(name: str):
+        parents[name] = argparse.ArgumentParser(add_help=False)
+        return parents[name].add_argument
+
+    add = group("scale")
+    add(
         "--scale", type=float, default=0.1,
         help="size factor for all memory quantities (1.0 = paper sizes)",
     )
-    parser.add_argument(
+    add("--seed", type=int, default=20130421)
+    add = group("ticks")
+    add(
         "--ticks", type=int, default=4,
-        help="measurement ticks for the breakdown scenarios",
+        help="measurement ticks of each testbed run",
     )
-    parser.add_argument("--seed", type=int, default=20130421)
-    parser.add_argument(
+    add = group("scan-policy")
+    add(
         "--scan-policy",
         choices=["full", "incremental", "hybrid"],
         default="full",
@@ -114,7 +167,15 @@ def add_scenario_options(parser: argparse.ArgumentParser) -> None:
             "full passes"
         ),
     )
-    parser.add_argument(
+    add(
+        "--faults", metavar="SEED[:RATE]", default=None,
+        help=(
+            "inject collection faults from this seed (optional RATE in "
+            "[0,1] overrides every per-kind probability)"
+        ),
+    )
+    add = group("tiering")
+    add(
         "--tiering",
         choices=["off", "hints", "compress", "balloon", "combined"],
         default="off",
@@ -124,7 +185,7 @@ def add_scenario_options(parser: argparse.ArgumentParser) -> None:
             "small working sets, or all three combined"
         ),
     )
-    parser.add_argument(
+    add(
         "--thp-policy",
         choices=list(THP_POLICIES),
         default="never",
@@ -135,14 +196,17 @@ def add_scenario_options(parser: argparse.ArgumentParser) -> None:
             "working-set-hot ranges; KSM splits huge blocks on merge"
         ),
     )
-    parser.add_argument(
+    add = group("hugepages")
+    add(
         "--hugepages", type=int, default=512, metavar="PAGES",
         help=(
             "huge-block size in base pages (power of two; default 512 "
-            "= 2 MiB); only meaningful with --thp-policy != never"
+            "= 2 MiB); a scenario uses it only with --thp-policy other "
+            "than never"
         ),
     )
-    parser.add_argument(
+    add = group("profile")
+    add(
         "--profile", metavar="PATH", default=None,
         help=(
             "profile the run per phase (build/warmup/workload/tiering/"
@@ -150,63 +214,51 @@ def add_scenario_options(parser: argparse.ArgumentParser) -> None:
             "report to PATH; profiled runs bypass the result cache"
         ),
     )
-    parser.add_argument(
-        "--faults", metavar="SEED[:RATE]", default=None,
-        help=(
-            "inject collection faults from this seed (optional RATE in "
-            "[0,1] overrides every per-kind probability)"
-        ),
-    )
-    parser.add_argument(
+    add = group("jobs")
+    add(
         "--jobs", type=int, default=None,
         help=(
             "worker processes for independent work units "
             "(default: $REPRO_JOBS, else 1 = in-process)"
         ),
     )
-    parser.add_argument(
+    add = group("cache")
+    add(
         "--no-cache", action="store_true",
         help="bypass the on-disk result cache for this command",
     )
-    parser.add_argument(
+    add(
         "--cache-dir", default=None,
         help=(
             "result-cache directory (default: $REPRO_CACHE_DIR, "
             "else .repro-cache)"
         ),
     )
-    parser.add_argument(
+    add(
         "--cache-stats", action="store_true",
         help="print cache and runner statistics after the command",
     )
-
-
-def _add_deployment_arguments(parser: argparse.ArgumentParser) -> None:
-    """The scenario-name + deployment positional pair."""
-    parser.add_argument("name", choices=SCENARIOS)
-    parser.add_argument(
+    add = group("deployment")
+    add("name", choices=SCENARIOS)
+    add(
         "--deployment",
         choices=[d.value for d in CacheDeployment],
         default="none",
     )
-
-
-def _add_report_arguments(parser: argparse.ArgumentParser) -> None:
-    """The JSON/artifact output pair shared by the family commands."""
-    parser.add_argument(
+    add = group("report")
+    add(
         "--json", action="store_true",
         help="emit the full report as JSON instead of text",
     )
-    parser.add_argument(
+    add(
         "--bench-out", metavar="PATH", default=None,
         help="also write the JSON report to this file",
     )
+    return parents
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    add_scenario_options(common)
-
+    parents = _option_parents()
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -215,52 +267,18 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for figure in _BREAKDOWN_FIGURES:
-        sub.add_parser(figure, parents=[common], help=f"regenerate {figure}")
-    sub.add_parser("fig6", parents=[common],
-                   help="PowerVM before/after totals")
-    sub.add_parser("fig7", parents=[common],
-                   help="DayTrader consolidation sweep")
-    sub.add_parser("fig8", parents=[common],
-                   help="SPECjEnterprise consolidation sweep")
-    sub.add_parser("tables", help="print Tables I-IV presets")
-    scenario = sub.add_parser(
-        "scenario", parents=[common], help="run a custom scenario"
-    )
-    _add_deployment_arguments(scenario)
-    profile = sub.add_parser(
-        "profile", parents=[common],
-        help=(
-            "run one scenario under the phase profiler and print the "
-            "per-phase wall/CPU table"
-        ),
-    )
-    _add_deployment_arguments(profile)
-    doctor = sub.add_parser(
-        "doctor", parents=[common],
-        help="collect one scenario resiliently and print its health reports",
-    )
-    _add_deployment_arguments(doctor)
-    hugepages = sub.add_parser(
-        "hugepages", parents=[common],
-        help=(
-            "run the huge-page trade-off curve: bytes KSM saves by "
-            "splitting huge blocks vs the translation benefit lost, "
-            "across THP policies"
-        ),
-    )
-    hugepages.add_argument(
+    commands = {
+        command: sub.add_parser(
+            command, help=summary,
+            parents=[parents[group] for group in groups],
+        )
+        for command, (summary, groups) in _COMMANDS.items()
+    }
+    commands["hugepages"].add_argument(
         "name", nargs="?", choices=SCENARIOS, default=None,
         help="restrict the curve to one scenario (default: all three)",
     )
-    _add_report_arguments(hugepages)
-    pressure = sub.add_parser(
-        "pressure", parents=[common],
-        help=(
-            "run the pressure family: KSM vs compression vs ballooning "
-            "vs combined on an undersized host, identical seeds"
-        ),
-    )
+    pressure = commands["pressure"]
     pressure.add_argument(
         "name", nargs="?", choices=SCENARIOS, default="daytrader4"
     )
@@ -271,10 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "(< 1 creates the pressure; default 0.6)"
         ),
     )
-    _add_report_arguments(pressure)
-    cache_cmd = sub.add_parser(
-        "cache", help="inspect or wipe the result cache"
-    )
+    cache_cmd = commands["cache"]
     cache_cmd.add_argument(
         "--cache-dir", default=None,
         help="cache directory (default: $REPRO_CACHE_DIR, else .repro-cache)",
@@ -289,19 +304,13 @@ def _cache_from(args) -> Optional[ResultCache]:
     """The result cache a command should use (None = bypass)."""
     if getattr(args, "no_cache", False):
         return None
-    if getattr(args, "cache_dir", None):
+    if args.cache_dir:
         return ResultCache(root=args.cache_dir)
     return default_cache()
 
 
-def _fault_plan(args) -> Optional[FaultPlan]:
-    if getattr(args, "faults", None) is None:
-        return None
-    return FaultPlan.from_spec(args.faults)
-
-
 def _print_fault_reports(collection_report, validation_report) -> None:
-    """The collection + validation tail shared by figures and doctor."""
+    """The collection + validation tail of the one-testbed commands."""
     if collection_report is not None:
         print()
         print(collection_report.render())
@@ -317,7 +326,7 @@ def _scenario_result(
     spec = ScenarioSpec.from_cli_args(
         args, scenario=scenario, deployment=deployment
     )
-    profile_path = getattr(args, "profile", None)
+    profile_path = args.profile
     if profile_path is None and args.command != "profile":
         return run_cached(spec, cache=cache)
     from repro.perf import PhaseProfiler
@@ -356,12 +365,6 @@ def _run_breakdown_figure(
 
 
 def _run_fig6(args) -> None:
-    if args.faults is not None:
-        print(
-            "note: fig6 models the PowerVM hosts without a crash dump; "
-            "--faults has nothing to inject and is ignored",
-            file=sys.stderr,
-        )
     result = run_powervm_experiment(scale=args.scale, seed=args.seed)
     cases = ["not-preloaded", "preloaded"]
     print(render_series(
@@ -383,7 +386,7 @@ def _run_fig6(args) -> None:
 def _run_consolidation(
     figure: str, args, cache: Optional[ResultCache]
 ) -> None:
-    faults = _fault_plan(args)
+    faults = None if args.faults is None else FaultPlan.from_spec(args.faults)
     if figure == "fig7":
         result = run_daytrader_consolidation(
             footprint_scale=args.scale, seed=args.seed, faults=faults,
@@ -420,12 +423,14 @@ def _run_consolidation(
 
 
 def _run_doctor(args) -> None:
-    faults = _fault_plan(args)
     spec = ScenarioSpec.from_cli_args(args, scenario=args.name)
     # Measured directly: doctor inspects the dump, which no (cached)
     # ScenarioResult carries.
     result = testbed_for(spec).measure(faults=spec.faults)
-    mode = "clean collection" if faults is None else f"faults {args.faults}"
+    mode = (
+        "clean collection" if args.faults is None
+        else f"faults {args.faults}"
+    )
     print(f"doctor: {args.name} ({args.deployment}), {mode}")
     _print_fault_reports(result.dump.collection, result.validation)
     if result.validation is None:
@@ -630,10 +635,12 @@ def _run_cache(args, cache: ResultCache) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     command = args.command
+    status = 0
     try:
         # One instance per command, so --cache-stats reports the
-        # lookups the command itself made.
-        cache = _cache_from(args)
+        # lookups the command itself made; a command that takes no
+        # cache option builds none.
+        cache = _cache_from(args) if "cache_dir" in args else None
         if command in _BREAKDOWN_FIGURES:
             _run_breakdown_figure(command, args, cache)
         elif command == "fig6":
@@ -645,9 +652,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         elif command == "doctor":
             _run_doctor(args)
         elif command == "pressure":
-            return _run_pressure(args, cache)
+            status = _run_pressure(args, cache)
         elif command == "hugepages":
-            return _run_hugepages(args, cache)
+            status = _run_hugepages(args, cache)
         elif command == "cache":
             _run_cache(args, cache)
         elif command in ("scenario", "profile"):
@@ -661,14 +668,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             print()
             print(render_java_breakdown(result.java_breakdown, "per-JVM"))
             if args.faults is not None:
-                _print_fault_reports(result)
+                _print_fault_reports(
+                    result.collection_report, result.validation_report
+                )
         if getattr(args, "cache_stats", False):
             print()
             print(render_exec_stats(cache=cache))
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -67,13 +67,13 @@ class KsmSettings:
 
     The paper scans 10 000 pages per cycle for the first three minutes
     (server start + scenario initialisation) and 1 000 afterwards; the
-    sleep interval is 100 ms throughout.
+    sleep interval is 100 ms throughout.  The testbed runs the boosted
+    warm-up until sharing converges instead of for a fixed time.
     """
 
     pages_to_scan: int = 1000
     sleep_millisecs: int = 100
     warmup_pages_to_scan: int = 10000
-    warmup_minutes: float = 3.0
     #: Scan policy ("full", "incremental" or "hybrid"); "full" is the
     #: paper's configuration, the others use PML-style dirty tracking.
     scan_policy: str = "full"
@@ -111,11 +111,6 @@ class TieringSettings:
     hot_threshold: float = 1.0
     #: Max pages compressed per epoch across all guests (0 = unlimited).
     compress_pages_per_epoch: int = 512
-    #: Only act when the host is within this many bytes of capacity
-    #: (0 = act on any pressure; negative never happens).
-    pressure_reserve_bytes: int = 0
-    #: Guest-allocatable pages the balloon must leave behind.
-    balloon_min_free_pages: int = 64
 
     def __post_init__(self) -> None:
         if self.mode not in TIERING_MODES:
@@ -131,8 +126,6 @@ class TieringSettings:
             raise ValueError("hot_threshold must be positive")
         if self.compress_pages_per_epoch < 0:
             raise ValueError("compress_pages_per_epoch must be >= 0")
-        if self.balloon_min_free_pages < 0:
-            raise ValueError("balloon_min_free_pages must be >= 0")
 
     @property
     def hints_enabled(self) -> bool:
@@ -169,9 +162,6 @@ class HugePageSettings:
     policy: str = "never"
     #: 4 KiB pages per huge block (512 = a 2 MiB x86 PMD).
     block_pages: int = 512
-    #: khugepaged only: collapse a range when at least this fraction of
-    #: its pages is hot in the working-set histogram.
-    collapse_hot_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.policy not in THP_POLICIES:
@@ -181,8 +171,6 @@ class HugePageSettings:
             )
         if self.block_pages < 2 or self.block_pages & (self.block_pages - 1):
             raise ValueError("block_pages must be a power of two >= 2")
-        if not 0.0 < self.collapse_hot_fraction <= 1.0:
-            raise ValueError("collapse_hot_fraction must be in (0, 1]")
 
     @property
     def enabled(self) -> bool:
@@ -205,8 +193,8 @@ class ScenarioSpec:
 
     Construction paths:
 
-    * :meth:`from_cli_args` — from an argparse namespace produced by
-      ``repro.cli.add_scenario_options``;
+    * :meth:`from_cli_args` — from an argparse namespace of a
+      one-testbed ``repro`` command;
     * direct keyword construction in tests and experiment drivers.
     """
 
@@ -251,11 +239,11 @@ class ScenarioSpec:
         scenario: Optional[str] = None,
         deployment: Optional[object] = None,
     ) -> "ScenarioSpec":
-        """Build a spec from an ``add_scenario_options`` namespace.
+        """Build a spec from the namespace of a one-testbed command.
 
         ``scenario``/``deployment`` override the namespace (figure
-        subcommands hard-code both); missing attributes fall back to
-        their defaults so partially-wired parsers keep working.
+        subcommands hard-code both); an attribute the namespace lacks
+        falls back to the field's default.
         """
         from repro.faults.plan import FaultPlan
 
@@ -315,7 +303,6 @@ class JvmConfig:
     heap_bytes: int  # -Xms == -Xmx in all paper runs
     shared_cache_bytes: int
     share_classes: bool = False  # -Xshareclasses
-    cache_persistent: bool = True  # persistent sub-option (mmap file)
     cache_name: str = "webspherev70"
     gc_policy: GcPolicy = GcPolicy.OPTTHRUPUT
     nursery_bytes: Optional[int] = None  # gencon only

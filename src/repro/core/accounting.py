@@ -131,14 +131,6 @@ class OwnerAccounting:
             + self.unassigned_unattributable_bytes
         )
 
-    def category_bounds(
-        self, user: UserKey, category: Optional[MemoryCategory]
-    ) -> Tuple[int, int]:
-        """[lower, upper] for one cell: any unattributable byte of the
-        user could belong to any of its categories."""
-        usage = self.category_usage(user, category).usage_bytes
-        return usage, usage + self.unattributable_of(user)
-
     def total_usage_bounds(self) -> Tuple[int, int]:
         """[lower, upper] for backed physical memory across all users.
 

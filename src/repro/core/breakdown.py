@@ -176,14 +176,6 @@ class JavaProcessRow:
     def category(self, category: MemoryCategory) -> CategoryUsage:
         return self.categories.get(category, CategoryUsage())
 
-    def category_bounds(
-        self, category: MemoryCategory
-    ) -> Tuple[int, int]:
-        """[lower, upper] physical bytes of one category: any
-        unattributable byte could belong to any category."""
-        usage = self.category(category).usage_bytes
-        return usage, usage + self.unattributable_bytes
-
     def total_bounds(self) -> Tuple[int, int]:
         """[lower, upper] for this process's mapped bytes."""
         total = self.total_bytes()

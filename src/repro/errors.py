@@ -1,9 +1,9 @@
 """The exception hierarchy of the reproduction.
 
 Everything the pipeline raises on *expected* failure modes — unanalyzable
-dumps, malformed fault specifications, transient collection errors —
-derives from :class:`ReproError`, so the CLI can catch one type and exit
-with a clean message instead of a traceback.  Programming errors
+dumps, malformed fault specifications — derives from :class:`ReproError`,
+so the CLI can catch one type and exit with a clean message instead of a
+traceback.  Programming errors
 (``ValueError`` on bad arguments, ``KeyError`` on unknown names) stay
 ordinary Python exceptions.
 """
@@ -17,15 +17,6 @@ class ReproError(Exception):
 
 class DumpUnanalyzableError(ReproError):
     """A kernel without debug info cannot be analysed by crash(8)."""
-
-
-class TransientDumpError(ReproError):
-    """A dump attempt failed for a transient reason (retry may succeed).
-
-    The paper's collection is not atomic: virsh dumps race with the
-    workload and with KSM, and a dump can fail mid-flight without the
-    guest being permanently unanalyzable.
-    """
 
 
 class FaultSpecError(ReproError):

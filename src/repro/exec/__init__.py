@@ -23,11 +23,10 @@ independent pieces out over processes:
   independent :class:`WorkUnit` s over a ``ProcessPoolExecutor``
   (``--jobs N`` / ``REPRO_JOBS``), bit-identical to serial execution
   regardless of worker count or completion order, with graceful
-  fallback to in-process execution (reusing the retry/backoff schedule
-  of :mod:`repro.faults`) when the pool dies.
+  fallback to in-process execution when the pool dies.
 
 * :mod:`repro.exec.stats` surfaces hit/miss/eviction and
-  parallel/serial/retry counters (``repro cache``, ``--cache-stats``).
+  parallel/serial/fallback counters (``repro cache``, ``--cache-stats``).
 """
 
 from repro.exec.cache import (

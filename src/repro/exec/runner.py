@@ -8,13 +8,11 @@ scheduling order or wall clock.  Parallel execution is therefore
 bit-identical to serial execution, and :class:`ParallelRunner` only has
 to preserve input order when collecting results.
 
-Robustness reuses the collection machinery of :mod:`repro.faults`: a
-unit that fails transiently is retried up to
-:data:`repro.faults.plan.MAX_DUMP_ATTEMPTS` times with the same bounded
-:data:`repro.faults.plan.BACKOFF_SCHEDULE_MS` backoff the resilient
-dump collector uses, and a worker pool that dies (crashed worker,
-fork failure, unpicklable payload) degrades gracefully to in-process
-execution instead of failing the run.
+A worker pool that dies (crashed worker, fork failure, unpicklable
+payload) degrades to in-process execution instead of failing the run.
+A unit that raises fails the run: dump collection retries its own
+simulated transient failures (:mod:`repro.core.dump`), so nothing a
+unit raises is worth another attempt.
 """
 
 from __future__ import annotations
@@ -27,9 +25,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.errors import ReproError, TransientDumpError
+from repro.errors import ReproError
 from repro.exec.fingerprint import fingerprint64
-from repro.faults.plan import BACKOFF_SCHEDULE_MS, MAX_DUMP_ATTEMPTS
 
 #: Environment variable providing the default worker count.
 ENV_JOBS = "REPRO_JOBS"
@@ -104,6 +101,7 @@ class RunnerStats:
 
     parallel_units: int = 0
     serial_units: int = 0
+    #: Always 0: no unit is retried (kept for the reports that list it).
     retries: int = 0
     pool_fallbacks: int = 0
     wall_seconds: float = 0.0
@@ -129,26 +127,17 @@ class ParallelRunner:
     """Maps :class:`WorkUnit` s over a process pool, deterministically.
 
     ``jobs=1`` (the default) runs everything in-process; results are
-    always returned in input order and are identical either way.  Units
-    raising one of ``retryable`` (transient failures) are retried with
-    the fault machinery's backoff schedule; a broken pool falls back to
-    in-process execution for whatever had not completed.
+    always returned in input order and are identical either way.  A
+    broken pool falls back to in-process execution for whatever had not
+    completed.
     """
 
     def __init__(
         self,
         jobs: Optional[int] = None,
-        max_attempts: int = MAX_DUMP_ATTEMPTS,
-        backoff_schedule_ms: Sequence[int] = BACKOFF_SCHEDULE_MS,
-        retryable: Tuple[type, ...] = (TransientDumpError,),
-        sleep: Callable[[float], None] = time.sleep,
         stats: Optional[RunnerStats] = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
-        self.max_attempts = max(1, max_attempts)
-        self.backoff_schedule_ms = tuple(backoff_schedule_ms) or (0,)
-        self.retryable = retryable
-        self.sleep = sleep
         self.stats = stats if stats is not None else RunnerStats()
 
     def map(self, units: Sequence[WorkUnit]) -> List[Any]:
@@ -168,7 +157,6 @@ class ParallelRunner:
 
     def _run_parallel(self, units: List[WorkUnit]) -> List[Any]:
         results: dict = {}
-        retry_indices: List[int] = []
         pool_broke = False
         try:
             with ProcessPoolExecutor(
@@ -184,9 +172,6 @@ class ParallelRunner:
                         self.stats.parallel_units += 1
                     except BrokenProcessPool:
                         pool_broke = True
-                        retry_indices.append(index)
-                    except self.retryable:
-                        retry_indices.append(index)
         except Exception:
             # The pool itself could not be built or torn down (fork
             # failure, unpicklable unit, resource limits): degrade to
@@ -195,25 +180,11 @@ class ParallelRunner:
         if pool_broke:
             self.stats.pool_fallbacks += 1
         for index in range(len(units)):
-            if index not in results and index not in retry_indices:
-                retry_indices.append(index)
-        for index in sorted(set(retry_indices)):
-            results[index] = self._run_serial(units[index])
+            if index not in results:
+                results[index] = self._run_serial(units[index])
         return [results[index] for index in range(len(units))]
 
     def _run_serial(self, unit: WorkUnit) -> Any:
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                value = _execute(unit)
-                self.stats.serial_units += 1
-                return value
-            except self.retryable:
-                if attempts >= self.max_attempts:
-                    raise
-                self.stats.retries += 1
-                schedule = self.backoff_schedule_ms
-                delay_ms = schedule[min(attempts - 1, len(schedule) - 1)]
-                if delay_ms:
-                    self.sleep(delay_ms / 1000.0)
+        value = _execute(unit)
+        self.stats.serial_units += 1
+        return value

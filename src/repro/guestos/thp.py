@@ -44,6 +44,10 @@ if TYPE_CHECKING:
 
 __all__ = ["ThpManager"]
 
+#: khugepaged collapses a range once at least this fraction of its
+#: pages is hot in the working-set histogram.
+COLLAPSE_HOT_FRACTION = 0.5
+
 
 class ThpManager:
     """Huge-page policy engine for one VM's guest-memory region."""
@@ -103,7 +107,7 @@ class ThpManager:
         hot = self._estimator.hot_count_in_range(
             self.table, base, base + npages
         )
-        return hot >= self.settings.collapse_hot_fraction * npages
+        return hot >= COLLAPSE_HOT_FRACTION * npages
 
     # ------------------------------------------------------------------
     # Gauges

@@ -380,9 +380,6 @@ class KvmHost(HypervisorHost):
     def total_physical_usage_bytes(self) -> int:
         return self.physmem.bytes_in_use
 
-    def run_ksm_for_ms(self, duration_ms: int):
-        return self.ksm.run_for_ms(duration_ms)
-
     def __repr__(self) -> str:
         return (
             f"KvmHost(ram={self.physmem.capacity_bytes >> 20} MiB, "

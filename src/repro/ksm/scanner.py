@@ -215,11 +215,7 @@ from repro.mem.physmem import (
     STABLE as FRAME_STABLE,
     HostPhysicalMemory,
 )
-from repro.perf.scancost import (
-    DEFAULT_COST_US_PER_PAGE,
-    DEFAULT_DIRTY_LOG_COST_US,
-    scan_cost_ms,
-)
+from repro.perf.scancost import DEFAULT_COST_US_PER_PAGE, scan_cost_ms
 from repro.sim.clock import SimClock
 
 #: Row = (vpn, fid, token, table slot); multi-page groups carry
@@ -244,12 +240,9 @@ class KsmConfig:
 
     pages_to_scan: int = 1000
     sleep_millisecs: int = 100
-    cost_us_per_page: float = DEFAULT_COST_US_PER_PAGE
     #: Which pages each pass examines; accepts a ScanPolicy or its value
     #: string ("full", "incremental", "hybrid").
     scan_policy: ScanPolicy = ScanPolicy.FULL
-    #: Simulated cost of consuming one dirty-log entry (µs).
-    dirty_log_cost_us: float = DEFAULT_DIRTY_LOG_COST_US
     #: Under HYBRID, every Nth pass is a full pass (1 = always full).
     hybrid_full_interval: int = 8
 
@@ -260,8 +253,6 @@ class KsmConfig:
             raise ValueError("sleep_millisecs must be positive")
         if not isinstance(self.scan_policy, ScanPolicy):
             self.scan_policy = ScanPolicy(self.scan_policy)
-        if self.dirty_log_cost_us < 0:
-            raise ValueError("dirty_log_cost_us must be non-negative")
         if self.hybrid_full_interval < 1:
             raise ValueError("hybrid_full_interval must be >= 1")
 
@@ -1283,10 +1274,7 @@ class KsmScanner:
         drained_before = self.stats.dirty_log_drained
         examined = self.scan_pages(budget)
         scan_ms = scan_cost_ms(
-            examined,
-            self.stats.dirty_log_drained - drained_before,
-            self.config.cost_us_per_page,
-            self.config.dirty_log_cost_us,
+            examined, self.stats.dirty_log_drained - drained_before
         )
         self.stats.cpu_ms += scan_ms
         advance = self.config.sleep_millisecs + int(scan_ms)
@@ -1301,7 +1289,7 @@ class KsmScanner:
 
     def run_for_ms(self, duration_ms: int) -> KsmStats:
         """Run wake/sleep cycles until ``duration_ms`` of simulated time."""
-        cost_ms_per_page = self.config.cost_us_per_page / 1000.0
+        cost_ms_per_page = DEFAULT_COST_US_PER_PAGE / 1000.0
         cycle_ms = self.config.sleep_millisecs + int(
             self.config.pages_to_scan * cost_ms_per_page
         )

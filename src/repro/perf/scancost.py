@@ -25,12 +25,7 @@ DEFAULT_COST_US_PER_PAGE = 3.2
 DEFAULT_DIRTY_LOG_COST_US = 0.08
 
 
-def scan_cost_ms(
-    pages_examined: int,
-    dirty_entries_drained: int = 0,
-    cost_us_per_page: float = DEFAULT_COST_US_PER_PAGE,
-    dirty_log_cost_us: float = DEFAULT_DIRTY_LOG_COST_US,
-) -> float:
+def scan_cost_ms(pages_examined: int, dirty_entries_drained: int = 0) -> float:
     """Simulated CPU milliseconds for one scan burst.
 
     ``pages_examined`` pages were checksummed/tree-searched and
@@ -44,6 +39,6 @@ def scan_cost_ms(
     # ms, then multiplied) so FULL-policy charges are bit-for-bit equal
     # to the pre-policy scanner's, not merely numerically close.
     return (
-        pages_examined * (cost_us_per_page / 1000.0)
-        + dirty_entries_drained * (dirty_log_cost_us / 1000.0)
+        pages_examined * (DEFAULT_COST_US_PER_PAGE / 1000.0)
+        + dirty_entries_drained * (DEFAULT_DIRTY_LOG_COST_US / 1000.0)
     )

@@ -35,6 +35,9 @@ from repro.mem.workingset import WorkingSetEstimator
 
 __all__ = ["TieringEngine", "TieringAction", "TieringSummary"]
 
+#: Guest-allocatable pages a balloon must leave behind.
+BALLOON_MIN_FREE_PAGES = 64
+
 
 @dataclass
 class TieringAction:
@@ -95,11 +98,10 @@ class TieringEngine:
     # ------------------------------------------------------------------
 
     def _deficit_bytes(self) -> int:
-        """Bytes above the pressure line (≤ 0 means no pressure)."""
+        """Bytes above the pressure line, the host's capacity (≤ 0
+        means no pressure)."""
         physmem = self.host.physmem
-        return physmem.bytes_in_use - (
-            physmem.capacity_bytes - self.settings.pressure_reserve_bytes
-        )
+        return physmem.bytes_in_use - physmem.capacity_bytes
 
     def tick(self) -> Optional[TieringAction]:
         """Account one workload tick; runs an epoch when one is due."""
@@ -131,9 +133,7 @@ class TieringEngine:
             page_size = self.host.page_size
             weights = {name: len(cold) * page_size for name, cold in cold_by_vm}
             plans = self.balloons.rebalance(
-                reserve_bytes=self.settings.pressure_reserve_bytes,
-                weights=weights,
-                min_free_pages=self.settings.balloon_min_free_pages,
+                weights=weights, min_free_pages=BALLOON_MIN_FREE_PAGES
             )
             action.balloon_plans = plans
             action.balloon_reclaimed_bytes = sum(

@@ -62,7 +62,6 @@ class TestTable2Guests:
         assert settings.pages_to_scan == 1000
         assert settings.sleep_millisecs == 100
         assert settings.warmup_pages_to_scan == 10_000
-        assert settings.warmup_minutes == 3.0
 
     def test_invalid_memory_rejected(self):
         with pytest.raises(ValueError):

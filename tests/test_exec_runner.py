@@ -1,11 +1,11 @@
-"""The parallel runner (repro.exec.runner): fan-out, fallback, retry."""
+"""The parallel runner (repro.exec.runner): fan-out and fallback."""
 
 import multiprocessing
 import os
 
 import pytest
 
-from repro.errors import ReproError, TransientDumpError
+from repro.errors import ReproError
 from repro.exec.runner import (
     ENV_JOBS,
     ParallelRunner,
@@ -13,7 +13,6 @@ from repro.exec.runner import (
     WorkUnit,
     resolve_jobs,
 )
-from repro.faults.plan import BACKOFF_SCHEDULE_MS, MAX_DUMP_ATTEMPTS
 from repro.sim.rng import stable_hash64
 
 
@@ -27,20 +26,6 @@ def crash_in_worker(value):
     if multiprocessing.parent_process() is not None:
         os._exit(3)
     return ("survived", value)
-
-
-class FlakyFn:
-    """Fails transiently a fixed number of times, then succeeds."""
-
-    def __init__(self, failures):
-        self.failures = failures
-        self.calls = 0
-
-    def __call__(self, value):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise TransientDumpError(f"attempt {self.calls} failed")
-        return value * 2
 
 
 class TestResolveJobs:
@@ -141,26 +126,3 @@ class TestMap:
 
         with pytest.raises(ValueError):
             ParallelRunner(jobs=1).map([WorkUnit(boom, (1,))])
-
-
-class TestRetry:
-    def test_transient_failure_retried_with_fault_backoff(self):
-        delays = []
-        stats = RunnerStats()
-        runner = ParallelRunner(
-            jobs=1, sleep=delays.append, stats=stats
-        )
-        flaky = FlakyFn(failures=2)
-        assert runner.map([WorkUnit(flaky, (21,))]) == [42]
-        assert flaky.calls == 3
-        assert stats.retries == 2
-        # The backoff schedule is the dump collector's, in seconds.
-        assert delays == [ms / 1000.0 for ms in BACKOFF_SCHEDULE_MS[:2]]
-
-    def test_retries_are_bounded(self):
-        runner = ParallelRunner(jobs=1, sleep=lambda _s: None)
-        flaky = FlakyFn(failures=MAX_DUMP_ATTEMPTS)
-        with pytest.raises(TransientDumpError):
-            runner.map([WorkUnit(flaky, (1,))])
-        assert flaky.calls == MAX_DUMP_ATTEMPTS
-

@@ -20,12 +20,14 @@ the canonical JSON (:func:`report_json`) of the pressure family and the
 huge-page curve runs in ``tests/test_experiments_pressure.py`` and
 ``tests/test_hugepages.py``, read through :func:`golden_report`.
 
-``benchmarks/golden/<fig>.txt`` holds the paper-scale outputs
-(``python -m repro <fig> --scale 1.0 --ticks 6``, default seed) of the
-eleven figure commands.  They take minutes, so CI's
-``paper-scale-golden`` job regenerates and diffs them; here one fast
-test reads their headline values and checks that EXPERIMENTS.md states
-the same numbers.
+``benchmarks/golden/<fig>.txt`` holds the paper-scale outputs (default
+seed) of the eleven figure commands, each given only the options it
+takes: ``python -m repro <fig> --scale 1.0 --ticks 6 --cache-dir DIR``
+for fig2–fig5c, ``--scale 1.0 --cache-dir DIR`` for fig7 and fig8, and
+``--scale 1.0`` for fig6 (EXPERIMENTS.md, "Paper-scale golden
+outputs").  They take minutes, so CI's ``paper-scale-golden`` job
+regenerates and diffs them; here one fast test reads their headline
+values and checks that EXPERIMENTS.md states the same numbers.
 """
 
 import hashlib

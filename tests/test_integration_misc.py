@@ -109,7 +109,7 @@ class TestHostKsmDriving:
         vm = host.create_guest("vm1", 4 * MiB)
         vm.write_gfn(0, 1)
         before = host.clock.now_ms
-        host.run_ksm_for_ms(1_000)
+        host.ksm.run_for_ms(1_000)
         assert host.clock.now_ms >= before + 900
 
     def test_warmup_restores_scan_rate(self):

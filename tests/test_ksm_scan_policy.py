@@ -127,10 +127,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             KsmConfig(hybrid_full_interval=0)
 
-    def test_negative_dirty_log_cost_rejected(self):
-        with pytest.raises(ValueError):
-            KsmConfig(dirty_log_cost_us=-1.0)
-
 
 def _populate(pm, tables, pages=16, shared_tokens=4):
     """Give each table ``pages`` pages; the first ``shared_tokens`` vpns

@@ -69,7 +69,6 @@ def test_cli_profile_subcommand(capsys):
 
     rc = main([
         "profile", "daytrader4", "--scale", "0.02", "--ticks", "2",
-        "--no-cache",
     ])
     out = capsys.readouterr().out
     assert rc == 0

@@ -11,7 +11,7 @@ class TestExports:
             assert hasattr(repro, name), name
 
     def test_version(self):
-        assert repro.__version__ == "8.0.0"
+        assert repro.__version__ == "9.0.0"
 
     def test_mem_exports_no_frame_object(self):
         """Since 4.0.0 a host frame is a row of HostPhysicalMemory's

@@ -87,12 +87,6 @@ class TestSettingsValidation:
         with pytest.raises(ValueError):
             HugePageSettings(policy="always", block_pages=1)
 
-    def test_collapse_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            HugePageSettings(policy="khugepaged", collapse_hot_fraction=0.0)
-        with pytest.raises(ValueError):
-            HugePageSettings(policy="khugepaged", collapse_hot_fraction=1.5)
-
     def test_guests_must_be_positive(self):
         with pytest.raises(ValueError):
             ScenarioSpec("daytrader4", guests=0)
