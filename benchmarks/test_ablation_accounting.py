@@ -9,47 +9,27 @@ one process while PSS smears it.
 """
 
 from conftest import BENCH_SCALE
+from repro.config import ScenarioSpec
 from repro.core.accounting import (
     UserKind,
     distribution_oriented_accounting,
     owner_oriented_accounting,
 )
 from repro.core.dump import collect_system_dump
-from repro.core.experiments.testbed import (
-    GuestSpec,
-    KvmTestbed,
-    TestbedConfig,
-    scale_kernel_profile,
-    scale_workload,
-)
+from repro.core.experiments import scenarios
 from repro.core.preload import CacheDeployment
 from repro.core.report import render_kv
-from repro.units import GiB, MiB
-from repro.workloads.base import build_workload
-from repro.config import Benchmark
+from repro.units import MiB
 
 
 def run():
-    workload = scale_workload(
-        build_workload(Benchmark.DAYTRADER), BENCH_SCALE
-    )
-    config = TestbedConfig(
-        deployment=CacheDeployment.SHARED_COPY,
-        kernel_profile=scale_kernel_profile(BENCH_SCALE),
-        measurement_ticks=2,
+    testbed = scenarios.testbed_for(ScenarioSpec(
+        "daytrader4",
+        CacheDeployment.SHARED_COPY,
         scale=BENCH_SCALE,
-    )
-    if BENCH_SCALE < 1.0:
-        config.host_ram_bytes = max(int(6 * GiB * BENCH_SCALE), 64 * MiB)
-        config.host_kernel_bytes = int(config.host_kernel_bytes * BENCH_SCALE)
-        config.qemu_overhead_bytes = max(
-            1 << 16, int(config.qemu_overhead_bytes * BENCH_SCALE)
-        )
-    specs = [
-        GuestSpec(f"vm{i + 1}", max(1, int(GiB * BENCH_SCALE)), workload)
-        for i in range(2)
-    ]
-    testbed = KvmTestbed(specs, config)
+        measurement_ticks=2,
+        guests=2,
+    ))
     testbed.run()
     dump = collect_system_dump(testbed.host, testbed.kernels)
     owner = owner_oriented_accounting(dump)

@@ -10,40 +10,24 @@ nothing — which is why the paper pursues more TPS rather than ballooning
 """
 
 from conftest import BENCH_SCALE
-from repro.config import Benchmark
-from repro.core.experiments.testbed import (
-    GuestSpec,
-    KvmTestbed,
-    TestbedConfig,
-    scale_kernel_profile,
-    scale_workload,
-)
+from repro.config import INTEL_HOST, ScenarioSpec
+from repro.core.experiments import scenarios
 from repro.core.preload import CacheDeployment
 from repro.core.report import render_kv
 from repro.hypervisor.balloon import BalloonDriver, BalloonManager
 from repro.units import GiB, MiB
-from repro.workloads.base import build_workload
 
 
 def run():
-    workload = scale_workload(
-        build_workload(Benchmark.DAYTRADER), BENCH_SCALE
-    )
     # Undersized host: two ~1 GB guests on ~1.6 GB of RAM.
-    config = TestbedConfig(
-        host_ram_bytes=max(int(1.6 * GiB * BENCH_SCALE), 48 * MiB),
-        host_kernel_bytes=int(100 * MiB * BENCH_SCALE),
-        qemu_overhead_bytes=max(1 << 16, int(40 * MiB * BENCH_SCALE)),
-        deployment=CacheDeployment.SHARED_COPY,
-        kernel_profile=scale_kernel_profile(BENCH_SCALE),
-        measurement_ticks=2,
+    testbed = scenarios.testbed_for(ScenarioSpec(
+        "daytrader4",
+        CacheDeployment.SHARED_COPY,
         scale=BENCH_SCALE,
-    )
-    specs = [
-        GuestSpec(f"vm{i + 1}", max(1, int(GiB * BENCH_SCALE)), workload)
-        for i in range(2)
-    ]
-    testbed = KvmTestbed(specs, config)
+        measurement_ticks=2,
+        guests=2,
+        host_ram_fraction=1.6 * GiB / INTEL_HOST.ram_bytes,
+    ))
     testbed.run()
     host = testbed.host
 

@@ -8,50 +8,28 @@ class-preloading benefit is GC-independent — which is how the paper can
 use gencon for Fig. 8.
 """
 
-import dataclasses
-
 from conftest import BENCH_SCALE
-from repro.config import Benchmark, GcPolicy, SPECJ_JVM_GENCON
+from repro.config import GcPolicy, ScenarioSpec
 from repro.core.categories import MemoryCategory
-from repro.core.experiments.testbed import (
-    GuestSpec,
-    KvmTestbed,
-    TestbedConfig,
-    scale_kernel_profile,
-    scale_workload,
-)
+from repro.core.experiments import scenarios
 from repro.core.preload import CacheDeployment
 from repro.core.report import render_series
-from repro.units import GiB, MiB
-from repro.workloads.base import Workload, build_workload
+
+#: The two-guest SPECjEnterprise testbed of each policy.
+_SCENARIO = {
+    GcPolicy.OPTTHRUPUT: "specj3-optthruput",
+    GcPolicy.GENCON: "specj3",
+}
 
 
 def run_policy(policy: GcPolicy):
-    base = build_workload(Benchmark.SPECJENTERPRISE)
-    if policy is GcPolicy.GENCON:
-        workload = Workload(base.profile, SPECJ_JVM_GENCON,
-                            base.driver_config)
-    else:
-        workload = base
-    workload = scale_workload(workload, BENCH_SCALE)
-    config = TestbedConfig(
-        deployment=CacheDeployment.SHARED_COPY,
-        kernel_profile=scale_kernel_profile(BENCH_SCALE),
-        measurement_ticks=3,
+    return scenarios.testbed_for(ScenarioSpec(
+        _SCENARIO[policy],
+        CacheDeployment.SHARED_COPY,
         scale=BENCH_SCALE,
-    )
-    if BENCH_SCALE < 1.0:
-        config.host_ram_bytes = max(int(6 * GiB * BENCH_SCALE), 64 * MiB)
-        config.host_kernel_bytes = int(config.host_kernel_bytes * BENCH_SCALE)
-        config.qemu_overhead_bytes = max(
-            1 << 16, int(config.qemu_overhead_bytes * BENCH_SCALE)
-        )
-    guest_memory = max(1, int(1.25 * GiB * BENCH_SCALE))
-    specs = [
-        GuestSpec(f"vm{i + 1}", guest_memory, workload) for i in range(2)
-    ]
-    testbed = KvmTestbed(specs, config)
-    return testbed.measure()
+        measurement_ticks=3,
+        guests=2,
+    )).measure()
 
 
 def run():

@@ -14,14 +14,9 @@ bench quantifies the comparison the paper makes qualitatively:
 """
 
 from conftest import BENCH_SCALE
-from repro.config import Benchmark
-from repro.core.experiments.testbed import (
-    GuestSpec,
-    KvmTestbed,
-    TestbedConfig,
-    scale_kernel_profile,
-    scale_workload,
-)
+from repro.config import Benchmark, ScenarioSpec
+from repro.core.experiments import scenarios
+from repro.core.experiments.testbed import scale_workload, sizes_for
 from repro.core.preload import CacheDeployment
 from repro.core.report import render_kv
 from repro.guestos.kernel import GuestKernel
@@ -34,32 +29,26 @@ SCALE = min(BENCH_SCALE, 0.2)
 APPS = 3
 
 
-def _vm_per_app(deployment: CacheDeployment) -> int:
-    workload = scale_workload(build_workload(Benchmark.DAYTRADER), SCALE)
-    config = TestbedConfig(
-        deployment=deployment,
-        kernel_profile=scale_kernel_profile(SCALE),
-        host_ram_bytes=max(int(6 * GiB * SCALE), 64 * MiB),
-        host_kernel_bytes=int(300 * MiB * SCALE),
-        qemu_overhead_bytes=max(1 << 16, int(40 * MiB * SCALE)),
-        measurement_ticks=1,
-        scale=SCALE,
+def _spec(deployment=None) -> ScenarioSpec:
+    return ScenarioSpec(
+        "daytrader4", deployment, scale=SCALE, measurement_ticks=1,
+        guests=APPS,
     )
-    specs = [
-        GuestSpec(f"vm{i + 1}", max(1, int(GiB * SCALE)), workload)
-        for i in range(APPS)
-    ]
-    testbed = KvmTestbed(specs, config)
+
+
+def _vm_per_app(deployment: CacheDeployment) -> int:
+    testbed = scenarios.testbed_for(_spec(deployment))
     testbed.run()
     return testbed.host.physmem.bytes_in_use
 
 
 def _multi_tenant() -> int:
     workload = scale_workload(build_workload(Benchmark.DAYTRADER), SCALE)
-    host = KvmHost(max(int(6 * GiB * SCALE), 64 * MiB), seed=20130421)
+    sizes = sizes_for(_spec())
+    host = KvmHost(sizes.host_ram_bytes, seed=20130421)
     vm = host.create_guest("mt", max(1, int(2 * GiB * SCALE)))
     kernel = GuestKernel(vm, host.rng.derive("guest", "mt"))
-    kernel.boot(scale_kernel_profile(SCALE))
+    kernel.boot(sizes.kernel_profile)
     process = kernel.spawn("mt-server")
     server = MultiTenantJavaVM(
         process,

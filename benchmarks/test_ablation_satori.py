@@ -10,38 +10,23 @@ remaining memory still needs.
 """
 
 from conftest import BENCH_SCALE
-from repro.config import Benchmark
-from repro.core.experiments.testbed import (
-    GuestSpec,
-    KvmTestbed,
-    TestbedConfig,
-    scale_kernel_profile,
-    scale_workload,
-)
+from repro.config import ScenarioSpec
+from repro.core.experiments import scenarios
 from repro.core.preload import CacheDeployment
 from repro.core.report import render_kv
-from repro.units import GiB, MiB
-from repro.workloads.base import build_workload
+from repro.units import MiB
 
 SCALE = min(BENCH_SCALE, 0.2)
 
 
 def _build(satori: bool):
-    workload = scale_workload(build_workload(Benchmark.DAYTRADER), SCALE)
-    config = TestbedConfig(
-        deployment=CacheDeployment.SHARED_COPY,
-        kernel_profile=scale_kernel_profile(SCALE),
-        host_ram_bytes=max(int(6 * GiB * SCALE), 64 * MiB),
-        host_kernel_bytes=int(300 * MiB * SCALE),
-        qemu_overhead_bytes=max(1 << 16, int(40 * MiB * SCALE)),
-        measurement_ticks=1,
+    testbed = scenarios.testbed_for(ScenarioSpec(
+        "daytrader4",
+        CacheDeployment.SHARED_COPY,
         scale=SCALE,
-    )
-    specs = [
-        GuestSpec(f"vm{i + 1}", max(1, int(GiB * SCALE)), workload)
-        for i in range(2)
-    ]
-    testbed = KvmTestbed(specs, config)
+        measurement_ticks=1,
+        guests=2,
+    ))
     if satori:
         testbed.host.enable_satori()
     testbed.build()

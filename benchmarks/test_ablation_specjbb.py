@@ -11,41 +11,23 @@ DayTrader/WAS under the same deployment serves as the contrast.
 """
 
 from conftest import BENCH_SCALE
-from repro.config import Benchmark
+from repro.config import ScenarioSpec
 from repro.core.categories import MemoryCategory
-from repro.core.experiments.testbed import (
-    GuestSpec,
-    KvmTestbed,
-    TestbedConfig,
-    scale_kernel_profile,
-    scale_workload,
-)
+from repro.core.experiments import scenarios
 from repro.core.preload import CacheDeployment
 from repro.core.report import render_kv
-from repro.units import GiB, MiB
-from repro.workloads.base import build_workload
 
 SCALE = min(BENCH_SCALE, 0.2)
 
 
-def _java_saving_fraction(benchmark: Benchmark, guest_memory: int):
-    workload = scale_workload(build_workload(benchmark), SCALE)
-    config = TestbedConfig(
-        deployment=CacheDeployment.SHARED_COPY,
-        kernel_profile=scale_kernel_profile(SCALE),
-        host_ram_bytes=max(int(6 * GiB * SCALE), 64 * MiB),
-        host_kernel_bytes=int(300 * MiB * SCALE),
-        qemu_overhead_bytes=max(1 << 16, int(40 * MiB * SCALE)),
-        measurement_ticks=3,
+def _java_saving_fraction(scenario: str):
+    result = scenarios.testbed_for(ScenarioSpec(
+        scenario,
+        CacheDeployment.SHARED_COPY,
         scale=SCALE,
-    )
-    specs = [
-        GuestSpec(
-            f"vm{i + 1}", max(1, int(guest_memory * SCALE)), workload
-        )
-        for i in range(2)
-    ]
-    result = KvmTestbed(specs, config).measure()
+        measurement_ticks=3,
+        guests=2,
+    )).measure()
     rows = result.java_breakdown.non_primary_rows()
     saving = sum(row.shared_bytes() for row in rows) / len(rows)
     total = sum(row.total_bytes() for row in rows) / len(rows)
@@ -60,10 +42,8 @@ def _java_saving_fraction(benchmark: Benchmark, guest_memory: int):
 
 def run():
     return {
-        "specjbb": _java_saving_fraction(
-            Benchmark.SPECJBB, int(1.25 * GiB)
-        ),
-        "daytrader": _java_saving_fraction(Benchmark.DAYTRADER, 1 * GiB),
+        "specjbb": _java_saving_fraction("specjbb3"),
+        "daytrader": _java_saving_fraction("daytrader4"),
     }
 
 

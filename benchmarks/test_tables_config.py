@@ -21,8 +21,9 @@ from repro.config import (
     TPCW_WORKLOAD,
     TUSCANY_JVM,
     TUSCANY_WORKLOAD,
+    KsmSettings,
 )
-from repro.core.categories import MemoryCategory
+from repro.core.categories import TABLE_IV_CATEGORIES
 from repro.core.report import render_kv
 from repro.units import GiB, MiB
 
@@ -41,8 +42,8 @@ def build_tables():
         ("SPECj guest memory",
          f"{INTEL_GUEST_SPECJ.memory_bytes / GiB:.2f} GB"),
         ("POWER guest memory", f"{POWER_GUEST.memory_bytes / GiB:.1f} GB"),
-        ("KSM pages per scan", str(INTEL_GUEST_1G.ksm.pages_to_scan)),
-        ("KSM sleep interval", f"{INTEL_GUEST_1G.ksm.sleep_millisecs} ms"),
+        ("KSM pages per scan", str(KsmSettings().pages_to_scan)),
+        ("KSM sleep interval", f"{KsmSettings().sleep_millisecs} ms"),
     ]
     table3 = [
         ("DayTrader heap", f"{DAYTRADER_JVM.heap_bytes // MiB} MB"),
@@ -64,7 +65,7 @@ def build_tables():
         ("DayTrader (POWER) client threads",
          str(DAYTRADER_POWER_WORKLOAD.client_threads)),
     ]
-    table4 = [(c.display_name, c.value) for c in MemoryCategory]
+    table4 = [(c.display_name, c.value) for c in TABLE_IV_CATEGORIES]
     return table1, table2, table3, table4
 
 

@@ -25,39 +25,32 @@ from repro import (
     BalloonManager,
     CacheDeployment,
     CompressedRamStore,
-    GuestSpec,
-    KvmTestbed,
     MultiTenantJavaVM,
+    ScenarioSpec,
     TenantSpec,
-    TestbedConfig,
 )
-from repro.config import Benchmark
-from repro.core.experiments.testbed import (
-    scale_kernel_profile,
-    scale_workload,
-)
+from repro.config import INTEL_HOST, Benchmark
+from repro.core.experiments.scenarios import testbed_for
+from repro.core.experiments.testbed import scale_workload, sizes_for
 from repro.guestos.kernel import GuestKernel
 from repro.hypervisor.kvm import KvmHost
 from repro.units import GiB, MiB
 from repro.workloads import build_workload
 
 
-def build_testbed(scale, satori=False, host_ram=None):
-    workload = scale_workload(build_workload(Benchmark.DAYTRADER), scale)
-    config = TestbedConfig(
-        deployment=CacheDeployment.SHARED_COPY,
-        kernel_profile=scale_kernel_profile(scale),
-        host_ram_bytes=host_ram or max(int(6 * GiB * scale), 64 * MiB),
-        host_kernel_bytes=int(300 * MiB * scale),
-        qemu_overhead_bytes=max(1 << 16, int(40 * MiB * scale)),
-        measurement_ticks=2,
+def two_guest_spec(scale, host_ram_fraction=1.0):
+    return ScenarioSpec(
+        "daytrader4",
+        CacheDeployment.SHARED_COPY,
         scale=scale,
+        measurement_ticks=2,
+        guests=2,
+        host_ram_fraction=host_ram_fraction,
     )
-    specs = [
-        GuestSpec(f"vm{i + 1}", max(1, int(GiB * scale)), workload)
-        for i in range(2)
-    ]
-    testbed = KvmTestbed(specs, config)
+
+
+def build_testbed(scale, satori=False, host_ram_fraction=1.0):
+    testbed = testbed_for(two_guest_spec(scale, host_ram_fraction))
     if satori:
         testbed.host.enable_satori()
     return testbed
@@ -89,9 +82,9 @@ def main() -> None:
           f"saved on top, but every access costs "
           f"{store.decompress_us:.0f} us to restore")
 
-    # 4. Ballooning under pressure (undersized host).
+    # 4. Ballooning under pressure (undersized host, ~1.6 GB).
     pressured = build_testbed(
-        scale, host_ram=max(int(1.6 * GiB * scale), 48 * MiB)
+        scale, host_ram_fraction=1.6 * GiB / INTEL_HOST.ram_bytes
     )
     pressured.run()
     manager = BalloonManager(pressured.host)
@@ -106,10 +99,11 @@ def main() -> None:
           "taken FROM the guests")
 
     # 5. Multi-tenancy: one middleware for three applications.
-    host = KvmHost(max(int(6 * GiB * scale), 64 * MiB), seed=20130421)
+    sizes = sizes_for(two_guest_spec(scale))
+    host = KvmHost(sizes.host_ram_bytes, seed=20130421)
     vm = host.create_guest("mt", max(1, int(2 * GiB * scale)))
     kernel = GuestKernel(vm, host.rng.derive("guest", "mt"))
-    kernel.boot(scale_kernel_profile(scale))
+    kernel.boot(sizes.kernel_profile)
     workload = scale_workload(build_workload(Benchmark.DAYTRADER), scale)
     server = MultiTenantJavaVM(
         kernel.spawn("mt-server"),

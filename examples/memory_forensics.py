@@ -19,41 +19,26 @@ import sys
 
 from repro import (
     CacheDeployment,
-    GuestSpec,
-    KvmTestbed,
-    TestbedConfig,
+    ScenarioSpec,
     distribution_oriented_accounting,
     owner_oriented_accounting,
 )
-from repro.config import Benchmark
 from repro.core.dump import collect_system_dump, read_kvm_memslots
-from repro.core.experiments.testbed import (
-    scale_kernel_profile,
-    scale_workload,
-)
+from repro.core.experiments.scenarios import testbed_for
 from repro.core.translate import resolve_process_page
-from repro.units import GiB, MiB
-from repro.workloads import build_workload
+from repro.units import MiB
 
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.05
 
-    workload = scale_workload(build_workload(Benchmark.DAYTRADER), scale)
-    config = TestbedConfig(
-        deployment=CacheDeployment.SHARED_COPY,
-        kernel_profile=scale_kernel_profile(scale),
-        host_ram_bytes=max(int(6 * GiB * scale), 64 * MiB),
-        host_kernel_bytes=int(300 * MiB * scale),
-        qemu_overhead_bytes=max(1 << 16, int(40 * MiB * scale)),
-        measurement_ticks=2,
+    testbed = testbed_for(ScenarioSpec(
+        "daytrader4",
+        CacheDeployment.SHARED_COPY,
         scale=scale,
-    )
-    guest_memory = max(1, int(1 * GiB * scale))
-    testbed = KvmTestbed(
-        [GuestSpec(f"vm{i + 1}", guest_memory, workload) for i in range(2)],
-        config,
-    )
+        measurement_ticks=2,
+        guests=2,
+    ))
     print("running the testbed ...")
     testbed.run()
 

@@ -60,7 +60,6 @@ from repro.core.experiments import (
     PowerVmResult,
     PressureFamilyResult,
     ScenarioResult,
-    TestbedConfig,
     run,
     run_cached,
     run_daytrader_consolidation,
@@ -105,7 +104,7 @@ from repro.mem.workingset import WorkingSetEstimator
 from repro.tiering import TieringEngine
 from repro.workloads import Workload, build_workload
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 __all__ = [
     # configuration
@@ -153,7 +152,6 @@ __all__ = [
     # experiments
     "GuestSpec",
     "KvmTestbed",
-    "TestbedConfig",
     "ScenarioResult",
     "run",
     "run_cached",

@@ -204,7 +204,8 @@ class ScenarioSpec:
     #: cycle; normalize via :attr:`resolved_deployment`).
     deployment: Optional[object] = None
     scale: float = 1.0
-    measurement_ticks: Optional[int] = None
+    #: Ticks of the measurement window after the KSM warm-up.
+    measurement_ticks: int = 6
     seed: int = 20130421
     ksm: KsmSettings = field(default_factory=KsmSettings)
     tiering: TieringSettings = field(default_factory=TieringSettings)
@@ -261,7 +262,7 @@ class ScenarioSpec:
             scenario=scenario or get("scenario"),
             deployment=deployment,
             scale=get("scale", 1.0),
-            measurement_ticks=get("ticks"),
+            measurement_ticks=get("ticks", 6),
             seed=get("seed", 20130421),
             ksm=KsmSettings(scan_policy=get("scan_policy", "full")),
             tiering=TieringSettings(mode=get("tiering") or "off"),
@@ -274,10 +275,26 @@ class ScenarioSpec:
 
     def cache_parts(self) -> tuple:
         """Parts fed to the result-cache fingerprint: every field, with
-        the deployment normalized so None and NONE share entries."""
+        what the testbed ignores normalized so specs that differ only
+        there share an entry: None and NONE deployments, huge-page
+        settings under policy "never" and tiering settings under mode
+        "off"."""
         return (
             "scenario-spec",
-            replace(self, deployment=self.resolved_deployment),
+            replace(
+                self,
+                deployment=self.resolved_deployment,
+                hugepages=(
+                    self.hugepages
+                    if self.hugepages.enabled
+                    else HugePageSettings()
+                ),
+                tiering=(
+                    self.tiering
+                    if self.tiering.mode != "off"
+                    else TieringSettings()
+                ),
+            ),
         )
 
 
@@ -289,7 +306,6 @@ class GuestConfig:
     vcpus: int = 2
     guest_os: str = "rhel5.5-debug"
     debug_kernel: bool = True
-    ksm: KsmSettings = field(default_factory=KsmSettings)
 
     def __post_init__(self) -> None:
         if self.memory_bytes <= 0:
@@ -345,6 +361,11 @@ INTEL_HOST = HostConfig(
     hypervisor="kvm",
     host_os="RHEL 5.5 (2.6.18-238.5.1.el5debug)",
 )
+
+#: The KVM host's own kernel memory (never a KSM candidate): what a
+#: testbed host touches before its guests, and what the paging model
+#: charges ahead of their demand.
+HOST_KERNEL_BYTES = 300 * MiB
 
 POWER_HOST = HostConfig(
     name="IBM BladeCenter PS701",

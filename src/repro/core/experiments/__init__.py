@@ -8,7 +8,6 @@ from repro.core.experiments.testbed import (
     GuestSpec,
     KvmTestbed,
     MeasurementResult,
-    TestbedConfig,
     scale_workload,
 )
 from repro.core.experiments.scenarios import (
@@ -44,7 +43,6 @@ __all__ = [
     "GuestSpec",
     "KvmTestbed",
     "MeasurementResult",
-    "TestbedConfig",
     "scale_workload",
     "SCENARIOS",
     "ScenarioResult",

@@ -28,13 +28,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
-from repro.config import Benchmark, KsmSettings, ScenarioSpec
+from repro.config import (
+    INTEL_GUEST_1G,
+    INTEL_GUEST_SPECJ,
+    INTEL_HOST,
+    Benchmark,
+    KsmSettings,
+    ScenarioSpec,
+)
 from repro.core.experiments.scenarios import run_grid, testbed_for
 from repro.core.preload import CacheDeployment
 from repro.exec.cache import ResultCache
 from repro.perf.paging import PagingModel
 from repro.perf.throughput import DayTraderThroughputModel, SpecjScoreModel
-from repro.units import GiB
 from repro.workloads.base import build_workload
 
 
@@ -164,7 +170,7 @@ def run_daytrader_consolidation(
     vm_counts: Sequence[int] = tuple(range(1, 10)),
     footprint_scale: float = 1.0,
     footprint_guests: int = 3,
-    host_ram_bytes: int = 6 * GiB,
+    host_ram_bytes: int = INTEL_HOST.ram_bytes,
     seed: int = 20130421,
     faults=None,
     scan_policy: str = "full",
@@ -199,8 +205,8 @@ def run_daytrader_consolidation(
         guests=footprint_guests,
     )
     return _sweep(
-        spec, workload.benchmark, 1 * GiB, vm_counts, metric, paging,
-        jobs, cache,
+        spec, workload.benchmark, INTEL_GUEST_1G.memory_bytes, vm_counts,
+        metric, paging, jobs, cache,
     )
 
 
@@ -208,7 +214,7 @@ def run_specj_consolidation(
     vm_counts: Sequence[int] = (5, 6, 7, 8),
     footprint_scale: float = 1.0,
     footprint_guests: int = 3,
-    host_ram_bytes: int = 6 * GiB,
+    host_ram_bytes: int = INTEL_HOST.ram_bytes,
     seed: int = 20130421,
     faults=None,
     scan_policy: str = "full",
@@ -239,6 +245,6 @@ def run_specj_consolidation(
         guests=footprint_guests,
     )
     return _sweep(
-        spec, workload.benchmark, int(1.25 * GiB), vm_counts, metric,
-        paging, jobs, cache,
+        spec, workload.benchmark, INTEL_GUEST_SPECJ.memory_bytes,
+        vm_counts, metric, paging, jobs, cache,
     )

@@ -38,7 +38,6 @@ from repro.core.experiments.scenarios import (
     testbed_for,
 )
 from repro.exec.cache import ResultCache
-from repro.perf.paging import PagingModel
 from repro.perf.tlb import TlbModel
 from repro.units import DEFAULT_PAGE_SIZE
 
@@ -58,11 +57,11 @@ FLEET_HOSTS = 24
 
 @dataclass
 class HugePagePoint:
-    """One (scenario, policy) point of the trade-off curve."""
+    """One (scenario, policy) point of the trade-off curve (its block
+    size is the curve's: a "never" cell's cache key ignores it)."""
 
     scenario: str
     policy: str
-    block_pages: int
     saved_bytes: int
     merges: int
     thp_splits: int
@@ -84,7 +83,6 @@ class HugePagePoint:
         return {
             "scenario": self.scenario,
             "policy": self.policy,
-            "block_pages": self.block_pages,
             "saved_bytes": self.saved_bytes,
             "merges": self.merges,
             "thp_splits": self.thp_splits,
@@ -140,7 +138,6 @@ def hugepage_pressure(spec: ScenarioSpec) -> HugePagePressurePoint:
     testbed = testbed_for(spec)
     testbed.build()
     testbed.run()
-    config = testbed.config
     host = testbed.host
     physmem = host.physmem
 
@@ -150,18 +147,11 @@ def hugepage_pressure(spec: ScenarioSpec) -> HugePagePressurePoint:
     coverage = (
         physmem.huge_backed_pages / guest_pages if guest_pages else 0.0
     )
-    paging = PagingModel(
-        capacity_bytes=config.host_ram_bytes,
-        host_kernel_bytes=config.host_kernel_bytes,
-    )
-    guests = testbed.specs
-    paging_penalty = paging.penalty(
-        float(physmem.bytes_in_use), len(guests), guests[0].memory_bytes
-    )
+    paging_penalty = testbed.paging_penalty()
     tlb_multiplier = TlbModel().throughput_multiplier(coverage)
     return HugePagePressurePoint(
         policy=spec.hugepages.policy,
-        host_ram_bytes=config.host_ram_bytes,
+        host_ram_bytes=physmem.capacity_bytes,
         bytes_in_use=physmem.bytes_in_use,
         ksm_saved_bytes=host.ksm.saved_bytes,
         thp_splits=host.ksm.stats.thp_splits,
@@ -202,7 +192,9 @@ class HugePageCurveResult:
             "ticks": self.measurement_ticks,
             "fleet_hosts": FLEET_HOSTS,
             "points": {
-                f"{scenario}/{policy}": point.to_dict()
+                f"{scenario}/{policy}": {
+                    **point.to_dict(), "block_pages": self.block_pages
+                }
                 for (scenario, policy), point in sorted(self.points.items())
             },
             "pressure": {
@@ -219,7 +211,6 @@ def curve_point(spec: ScenarioSpec) -> HugePagePoint:
     """Run one (scenario, policy) cell and fold it into a point: the
     measure of the curve cells."""
     result = run(spec)
-    block_pages = spec.hugepages.block_pages
     stats = result.ksm_stats
     thp = stats.extra.get("thp", {})
     guest_pages = thp.get("guest_pages", 0)
@@ -231,12 +222,13 @@ def curve_point(spec: ScenarioSpec) -> HugePagePoint:
     return HugePagePoint(
         scenario=spec.scenario,
         policy=spec.hugepages.policy,
-        block_pages=block_pages,
         saved_bytes=stats.pages_saved * DEFAULT_PAGE_SIZE,
         merges=stats.merges,
         thp_splits=stats.thp_splits,
+        # Zero splits under "never", so the block size reads only when
+        # it is part of the cell's cache key.
         huge_bytes_sacrificed=(
-            stats.thp_splits * block_pages * DEFAULT_PAGE_SIZE
+            stats.thp_splits * spec.hugepages.block_pages * DEFAULT_PAGE_SIZE
         ),
         intact_blocks=thp.get("intact_blocks", 0),
         huge_pages=huge_pages,
@@ -253,7 +245,7 @@ def curve_point(spec: ScenarioSpec) -> HugePagePoint:
 
 def run_hugepage_tradeoff(
     scale: float = 1.0,
-    measurement_ticks: Optional[int] = None,
+    measurement_ticks: int = 6,
     seed: int = 20130421,
     block_pages: int = 512,
     scenarios: Sequence[str] = SCENARIOS,
@@ -270,14 +262,13 @@ def run_hugepage_tradeoff(
     the result carries a purely analytic per-policy fleet estimate for
     the first scenario.
     """
-    ticks = measurement_ticks if measurement_ticks is not None else 6
     cells = [
         (
             curve_point,
             ScenarioSpec(
                 scenario,
                 scale=scale,
-                measurement_ticks=ticks,
+                measurement_ticks=measurement_ticks,
                 seed=seed,
                 hugepages=HugePageSettings(policy, block_pages),
             ),
@@ -291,7 +282,7 @@ def run_hugepage_tradeoff(
             ScenarioSpec(
                 scenarios[0],
                 scale=scale,
-                measurement_ticks=ticks,
+                measurement_ticks=measurement_ticks,
                 seed=seed,
                 hugepages=HugePageSettings(policy, block_pages),
                 host_ram_fraction=0.6,
@@ -303,7 +294,7 @@ def run_hugepage_tradeoff(
         block_pages=block_pages,
         seed=seed,
         scale=scale,
-        measurement_ticks=ticks,
+        measurement_ticks=measurement_ticks,
     )
     for (measure, _), point in zip(cells, run_grid(cells, jobs, cache)):
         if measure is curve_point:

@@ -15,14 +15,17 @@ import gc
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.config import Benchmark
+from repro.config import POWER_GUEST, POWER_HOST, Benchmark
 from repro.core.preload import CacheDeployment, CacheProvisioner
 from repro.guestos.kernel import GuestKernel, KernelProfile
 from repro.hypervisor.powervm import PowerVmHost
 from repro.jvm.jvm import JavaVM
-from repro.units import DEFAULT_PAGE_SIZE, GiB, MiB
+from repro.units import DEFAULT_PAGE_SIZE, MiB
 from repro.workloads.base import Workload, build_workload
-from repro.core.experiments.testbed import scale_workload
+from repro.core.experiments.testbed import (
+    scale_kernel_profile,
+    scale_workload,
+)
 
 #: The AIX 6.1 guests boot from the same mksysb image, so their kernel
 #: text and clean file cache are identical across LPARs too.
@@ -80,7 +83,7 @@ def _run_case(
     # to its host); free it before this case allocates its own image,
     # as KvmTestbed.build does, instead of holding both at the peak.
     gc.collect()
-    host = PowerVmHost(128 * GiB, page_size=page_size, seed=seed)
+    host = PowerVmHost(POWER_HOST.ram_bytes, page_size=page_size, seed=seed)
     deployment = (
         CacheDeployment.SHARED_COPY if preload else CacheDeployment.NONE
     )
@@ -90,7 +93,9 @@ def _run_case(
         host.rng.derive("preload"),
         jvm_build_id="ibm-j9-java6-sr9-ppc64",
     )
-    kernel_profile = _scaled_aix_profile(guest_memory_bytes)
+    kernel_profile = scale_kernel_profile(
+        guest_memory_bytes / POWER_GUEST.memory_bytes, _AIX_KERNEL_PROFILE
+    )
     for index in range(guests):
         name = f"lpar{index + 1}"
         lpar = host.create_guest(name, guest_memory_bytes)
@@ -123,23 +128,6 @@ def _run_case(
     return PowerVmCase(usage_before, usage_after)
 
 
-def _scaled_aix_profile(guest_memory_bytes: int) -> KernelProfile:
-    """Shrink the AIX kernel profile for scaled-down test guests."""
-    full = int(3.5 * GiB)
-    if guest_memory_bytes >= full:
-        return _AIX_KERNEL_PROFILE
-    factor = guest_memory_bytes / full
-    profile = _AIX_KERNEL_PROFILE
-    scale = lambda value: max(1 << 16, int(value * factor))  # noqa: E731
-    return KernelProfile(
-        image_id=profile.image_id,
-        code_bytes=scale(profile.code_bytes),
-        shared_pagecache_bytes=scale(profile.shared_pagecache_bytes),
-        private_data_bytes=scale(profile.private_data_bytes),
-        buffers_bytes=scale(profile.buffers_bytes),
-    )
-
-
 def run_powervm_experiment(
     guests: int = 3,
     scale: float = 1.0,
@@ -151,7 +139,7 @@ def run_powervm_experiment(
     workload = scale_workload(
         build_workload(Benchmark.DAYTRADER, platform="power"), scale
     )
-    guest_memory = max(page_size * 64, int(3.5 * GiB * scale))
+    guest_memory = max(page_size * 64, int(POWER_GUEST.memory_bytes * scale))
     cases = {}
     for label, preload in (("not-preloaded", False), ("preloaded", True)):
         cases[label] = _run_case(

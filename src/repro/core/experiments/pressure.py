@@ -31,9 +31,9 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config import KsmSettings, ScenarioSpec, TieringSettings
 from repro.core.experiments.scenarios import run_grid, testbed_for
+from repro.core.experiments.testbed import TICK_MINUTES
 from repro.core.validate import validate_compression
 from repro.exec.cache import ResultCache
-from repro.perf.paging import PagingModel
 from repro.perf.tiercost import TieringCostModel
 
 #: The externally meaningful arms (the baseline "none" is internal).
@@ -110,7 +110,6 @@ def pressure_arm(spec: ScenarioSpec) -> PressureArmResult:
     testbed = testbed_for(spec)
     testbed.build()
     testbed.run()
-    config = testbed.config
     host = testbed.host
     physmem = host.physmem
 
@@ -129,17 +128,8 @@ def pressure_arm(spec: ScenarioSpec) -> PressureArmResult:
     stores = [store] if store is not None else []
     validation = validate_compression(physmem, stores)
 
-    paging = PagingModel(
-        capacity_bytes=config.host_ram_bytes,
-        host_kernel_bytes=config.host_kernel_bytes,
-    )
-    guests = testbed.specs
-    paging_penalty = paging.penalty(
-        float(physmem.bytes_in_use), len(guests), guests[0].memory_bytes
-    )
-    window_ms = max(
-        1.0, config.measurement_ticks * config.tick_minutes * 60_000.0
-    )
+    paging_penalty = testbed.paging_penalty()
+    window_ms = max(1.0, spec.measurement_ticks * TICK_MINUTES * 60_000.0)
     tiercost = TieringCostModel(window_ms=window_ms)
     tiering_penalty = tiercost.penalty(
         store_cpu_us=compression_cpu_us,
@@ -147,7 +137,7 @@ def pressure_arm(spec: ScenarioSpec) -> PressureArmResult:
     )
     return PressureArmResult(
         arm=arm,
-        host_ram_bytes=config.host_ram_bytes,
+        host_ram_bytes=physmem.capacity_bytes,
         bytes_in_use=physmem.bytes_in_use,
         pool_bytes=physmem.pool_bytes,
         ksm_saved_bytes=ksm_saved,

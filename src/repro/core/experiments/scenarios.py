@@ -11,7 +11,9 @@ Three guest-VM arrangements appear in the breakdown figures (Figs. 2–5):
   with the bigbank demo (Figs. 3(c), 5(c)).
 
 A fourth, ``specj3``, is Fig. 8's footprint testbed: three 1.25 GB
-SPECjEnterprise guests with the gencon heap of §V.C.
+SPECjEnterprise guests with the gencon heap of §V.C.  Two more serve
+the ablations: ``specj3-optthruput`` (the same guests under the default
+GC) and ``specjbb3`` (SPECjbb in SPECj-sized guests).
 
 Each runs either without class sharing (the baseline) or with the paper's
 shared-copy cache deployment.  Every experiment family is a grid of
@@ -25,7 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.config import SPECJ_JVM_GENCON, Benchmark, ScenarioSpec
+from repro.config import (
+    INTEL_GUEST_1G,
+    INTEL_GUEST_SPECJ,
+    SPECJ_JVM_GENCON,
+    Benchmark,
+    ScenarioSpec,
+)
 from repro.core.accounting import OwnerAccounting
 from repro.core.breakdown import JavaBreakdown, VmBreakdown
 from repro.core.dump import CollectionReport
@@ -33,8 +41,6 @@ from repro.core.validate import ValidationReport
 from repro.core.experiments.testbed import (
     GuestSpec,
     KvmTestbed,
-    TestbedConfig,
-    scale_kernel_profile,
     scale_workload,
 )
 from repro.core.preload import CacheDeployment
@@ -42,24 +48,32 @@ from repro.exec.cache import ResultCache
 from repro.exec.runner import ParallelRunner, WorkUnit
 from repro.exec.stats import GLOBAL_RUNNER_STATS
 from repro.ksm.stats import KsmStats
-from repro.units import GiB, MiB
 from repro.workloads.base import Workload, build_workload
 
 #: The breakdown scenarios (the CLI's choices).
 SCENARIOS = ("daytrader4", "mixed3", "tuscany3")
 
+_GUEST_1G = INTEL_GUEST_1G.memory_bytes
+_GUEST_SPECJ = INTEL_GUEST_SPECJ.memory_bytes
+
 #: Scenario -> per guest: (benchmark, JVM settings override, memory).
+#: The last two rows are ablation testbeds: SPECjEnterprise under the
+#: default optthruput GC (A4) and SPECjbb (A10) in SPECj-sized guests.
 _GUEST_TABLE = {
-    "daytrader4": ((Benchmark.DAYTRADER, None, 1 * GiB),) * 4,
+    "daytrader4": ((Benchmark.DAYTRADER, None, _GUEST_1G),) * 4,
     "mixed3": (
-        (Benchmark.DAYTRADER, None, 1 * GiB),
-        (Benchmark.SPECJENTERPRISE, None, int(1.25 * GiB)),
-        (Benchmark.TPCW, None, 1 * GiB),
+        (Benchmark.DAYTRADER, None, _GUEST_1G),
+        (Benchmark.SPECJENTERPRISE, None, _GUEST_SPECJ),
+        (Benchmark.TPCW, None, _GUEST_1G),
     ),
-    "tuscany3": ((Benchmark.TUSCANY_BIGBANK, None, 1 * GiB),) * 3,
+    "tuscany3": ((Benchmark.TUSCANY_BIGBANK, None, _GUEST_1G),) * 3,
     "specj3": (
-        (Benchmark.SPECJENTERPRISE, SPECJ_JVM_GENCON, int(1.25 * GiB)),
+        (Benchmark.SPECJENTERPRISE, SPECJ_JVM_GENCON, _GUEST_SPECJ),
     ) * 3,
+    "specj3-optthruput": (
+        (Benchmark.SPECJENTERPRISE, None, _GUEST_SPECJ),
+    ) * 3,
+    "specjbb3": ((Benchmark.SPECJBB, None, _GUEST_SPECJ),) * 3,
 }
 
 
@@ -108,39 +122,17 @@ def _guest_specs(spec: ScenarioSpec) -> List[GuestSpec]:
 
 
 def testbed_for(spec: ScenarioSpec, profiler=None) -> KvmTestbed:
-    """The (unbuilt) testbed a spec describes.
+    """The (unbuilt) testbed a spec describes: the only constructor of
+    a :class:`KvmTestbed`.
 
     ``spec.scale`` < 1 shrinks every byte quantity proportionally (for
     tests); the figures run at scale 1.0, the paper's actual sizes.
-    ``host_ram_fraction`` then undersizes the host.  ``profiler`` (a
-    :class:`repro.perf.PhaseProfiler`) accumulates per-phase wall/CPU
-    cost.
+    ``host_ram_fraction`` then undersizes the host
+    (:func:`repro.core.experiments.testbed.sizes_for` holds both
+    rules).  ``profiler`` (a :class:`repro.perf.PhaseProfiler`)
+    accumulates per-phase wall/CPU cost.
     """
-    config = TestbedConfig(
-        deployment=spec.resolved_deployment,
-        kernel_profile=scale_kernel_profile(spec.scale),
-        seed=spec.seed,
-        scale=spec.scale,
-        ksm=spec.ksm,
-        tiering=spec.tiering if spec.tiering.mode != "off" else None,
-        hugepages=spec.hugepages if spec.hugepages.enabled else None,
-    )
-    if spec.scale < 1.0:
-        config.host_ram_bytes = max(
-            int(config.host_ram_bytes * spec.scale), 64 * MiB
-        )
-        config.host_kernel_bytes = int(
-            config.host_kernel_bytes * spec.scale
-        )
-        config.qemu_overhead_bytes = max(
-            1 << 16, int(config.qemu_overhead_bytes * spec.scale)
-        )
-    config.host_ram_bytes = max(
-        1 << 20, int(config.host_ram_bytes * spec.host_ram_fraction)
-    )
-    if spec.measurement_ticks is not None:
-        config.measurement_ticks = spec.measurement_ticks
-    return KvmTestbed(_guest_specs(spec), config, profiler=profiler)
+    return KvmTestbed(spec, _guest_specs(spec), profiler=profiler)
 
 
 def run(spec: ScenarioSpec, profiler=None) -> ScenarioResult:

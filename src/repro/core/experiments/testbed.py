@@ -18,16 +18,16 @@ from __future__ import annotations
 import dataclasses
 import functools
 import gc
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.config import (
-    HugePageSettings,
+    HOST_KERNEL_BYTES,
+    INTEL_HOST,
     JvmConfig,
-    KsmSettings,
-    TieringSettings,
+    ScenarioSpec,
 )
 from repro.core.accounting import (
     OwnerAccounting,
@@ -41,7 +41,7 @@ from repro.core.breakdown import (
     vm_breakdown,
 )
 from repro.core.dump import SystemDump, collect_system_dump
-from repro.core.preload import CacheDeployment, CacheProvisioner
+from repro.core.preload import CacheProvisioner
 from repro.core.validate import (
     ValidationReport,
     validate_dump,
@@ -54,9 +54,17 @@ from repro.hypervisor.kvm import KvmHost
 from repro.jvm.jvm import JavaVM
 from repro.ksm.scanner import KsmConfig
 from repro.ksm.stats import KsmStats
+from repro.perf.paging import PagingModel
 from repro.sim.rng import mix64_many, stable_hash64
-from repro.units import DEFAULT_PAGE_SIZE, GiB, MiB
+from repro.units import DEFAULT_PAGE_SIZE, MiB
 from repro.workloads.base import Workload
+
+#: Simulated minutes of one measurement tick (workload, then KSM).
+TICK_MINUTES = 2.0
+#: QEMU's own memory per guest (device state, heap) at scale 1.
+QEMU_OVERHEAD_BYTES = 40 * MiB
+#: The system daemons of every guest: name, binary MB, heap MB.
+_DAEMONS = (("sshd", 4, 5), ("rsyslogd", 3, 6))
 
 
 @dataclass(frozen=True)
@@ -68,31 +76,41 @@ class GuestSpec:
     workload: Workload
 
 
-@dataclass
-class TestbedConfig:
-    """Host-level knobs; defaults are the paper's Intel platform."""
+@dataclass(frozen=True)
+class TestbedSizes:
+    """Every byte size of a testbed host, derived from its spec."""
 
     __test__ = False  # not a pytest test class, despite the name
 
-    host_ram_bytes: int = 6 * GiB
-    page_size: int = DEFAULT_PAGE_SIZE
-    seed: int = 20130421
-    deployment: CacheDeployment = CacheDeployment.NONE
-    host_kernel_bytes: int = 300 * MiB
-    qemu_overhead_bytes: int = 40 * MiB
-    kernel_profile: Optional[KernelProfile] = None
-    ksm: KsmSettings = field(default_factory=KsmSettings)
-    measurement_ticks: int = 6
-    tick_minutes: float = 2.0
-    system_processes: bool = True
-    #: Size factor applied to the system daemons (set alongside
-    #: ``scale_workload`` when building shrunk test configurations).
-    scale: float = 1.0
-    #: Working-set tiering; None leaves the engine out entirely.
-    tiering: Optional[TieringSettings] = None
-    #: Transparent-huge-page policy; None (or policy "never") keeps
-    #: every mapping at 4 KiB, the paper's configuration.
-    hugepages: Optional[HugePageSettings] = None
+    host_ram_bytes: int
+    host_kernel_bytes: int
+    qemu_overhead_bytes: int
+    kernel_profile: KernelProfile
+    #: (name, binary bytes, heap bytes) of each system daemon.
+    daemons: Tuple[Tuple[str, int, int], ...]
+
+
+def sizes_for(spec: ScenarioSpec) -> TestbedSizes:
+    """The sizes of ``spec``'s testbed: the Table-I host and its guests'
+    kernels and daemons shrunk by ``spec.scale`` (floors keep a tiny
+    host usable), then the host RAM by ``spec.host_ram_fraction``."""
+    scale = spec.scale
+    host_ram = max(int(INTEL_HOST.ram_bytes * scale), 64 * MiB)
+    page = DEFAULT_PAGE_SIZE
+    return TestbedSizes(
+        host_ram_bytes=max(1 << 20, int(host_ram * spec.host_ram_fraction)),
+        host_kernel_bytes=int(HOST_KERNEL_BYTES * scale),
+        qemu_overhead_bytes=max(1 << 16, int(QEMU_OVERHEAD_BYTES * scale)),
+        kernel_profile=scale_kernel_profile(scale),
+        daemons=tuple(
+            (
+                name,
+                max(page, int(file_mb * MiB * scale)),
+                max(page, int(anon_mb * MiB * scale)),
+            )
+            for name, file_mb, anon_mb in _DAEMONS
+        ),
+    )
 
 
 @dataclass
@@ -165,20 +183,25 @@ def scale_workload(workload: Workload, factor: float) -> Workload:
     return Workload(scaled_profile, jvm_config, workload.driver_config)
 
 
-def scale_kernel_profile(factor: float) -> KernelProfile:
-    profile = KernelProfile()
+def scale_kernel_profile(
+    factor: float, base: Optional[KernelProfile] = None
+) -> KernelProfile:
+    """``base`` (the RHEL guest profile by default) with each byte size
+    shrunk by ``factor``, to at least 64 KiB; ``base`` itself at
+    ``factor`` >= 1."""
+    base = base or KernelProfile()
     if factor >= 1.0:
-        return profile
-    return KernelProfile(
-        image_id=profile.image_id,
-        code_bytes=max(1 << 16, int(profile.code_bytes * factor)),
-        shared_pagecache_bytes=max(
-            1 << 16, int(profile.shared_pagecache_bytes * factor)
-        ),
-        private_data_bytes=max(
-            1 << 16, int(profile.private_data_bytes * factor)
-        ),
-        buffers_bytes=max(1 << 16, int(profile.buffers_bytes * factor)),
+        return base
+
+    def scale_bytes(value: int) -> int:
+        return max(1 << 16, int(value * factor))
+
+    return dataclasses.replace(
+        base,
+        code_bytes=scale_bytes(base.code_bytes),
+        shared_pagecache_bytes=scale_bytes(base.shared_pagecache_bytes),
+        private_data_bytes=scale_bytes(base.private_data_bytes),
+        buffers_bytes=scale_bytes(base.buffers_bytes),
     )
 
 
@@ -220,44 +243,44 @@ def _collector_paused(method):
 
 
 class KvmTestbed:
-    """Builds and drives one multi-guest KVM measurement.
+    """Builds and drives one multi-guest KVM measurement: the testbed
+    of one :class:`ScenarioSpec`, built by
+    :func:`repro.core.experiments.scenarios.testbed_for` only.
 
     ``build``, ``run`` and ``measure`` run with the cyclic garbage
     collector paused (see :func:`_collector_paused`).
     """
 
     def __init__(
-        self,
-        specs: List[GuestSpec],
-        config: Optional[TestbedConfig] = None,
-        profiler=None,
+        self, spec: ScenarioSpec, guests: List[GuestSpec], profiler=None
     ) -> None:
-        if not specs:
-            raise ValueError("a testbed needs at least one guest")
-        self.specs = specs
-        self.config = config or TestbedConfig()
+        #: The spec this testbed measures; :func:`sizes_for` derives
+        #: every host and guest size from it.
+        self.spec = spec
+        self.guests = guests
+        self.sizes = sizes_for(spec)
         #: Optional :class:`repro.perf.PhaseProfiler`; when set, build,
         #: warm-up, workload, tiering, scan, dump and accounting phases
         #: accumulate wall/CPU cost into it.
         self.profiler = profiler
-        cfg = self.config
         self.host = KvmHost(
-            cfg.host_ram_bytes,
-            page_size=cfg.page_size,
+            self.sizes.host_ram_bytes,
             ksm_config=KsmConfig(
-                pages_to_scan=cfg.ksm.pages_to_scan,
-                sleep_millisecs=cfg.ksm.sleep_millisecs,
-                scan_policy=cfg.ksm.scan_policy,
+                pages_to_scan=spec.ksm.pages_to_scan,
+                sleep_millisecs=spec.ksm.sleep_millisecs,
+                scan_policy=spec.ksm.scan_policy,
             ),
-            seed=cfg.seed,
+            seed=spec.seed,
+            host_kernel_bytes=self.sizes.host_kernel_bytes,
         )
-        self.host.allocate_host_kernel(cfg.host_kernel_bytes)
         self.kernels: Dict[str, GuestKernel] = {}
         self.jvms: Dict[str, JavaVM] = {}
         self._provisioner = CacheProvisioner(
-            cfg.deployment, cfg.page_size, self.host.rng.derive("preload")
+            spec.resolved_deployment,
+            DEFAULT_PAGE_SIZE,
+            self.host.rng.derive("preload"),
         )
-        #: Created during build() when config.tiering is set.
+        #: Created during build() unless the spec's tiering is "off".
         self.tiering = None
         self._built = False
         self._ran = False
@@ -274,48 +297,43 @@ class KvmTestbed:
         if self._built:
             raise RuntimeError("testbed already built")
         gc.collect()
-        cfg = self.config
-        for spec in self.specs:
-            vm = self.host.create_guest(spec.name, spec.memory_bytes)
-            kernel = GuestKernel(vm, self.host.rng.derive("guest", spec.name))
-            kernel.boot(cfg.kernel_profile)
-            self.kernels[spec.name] = kernel
-            if cfg.system_processes:
-                self._spawn_system_processes(kernel)
+        for guest in self.guests:
+            vm = self.host.create_guest(guest.name, guest.memory_bytes)
+            kernel = GuestKernel(vm, self.host.rng.derive("guest", guest.name))
+            kernel.boot(self.sizes.kernel_profile)
+            self.kernels[guest.name] = kernel
+            self._spawn_system_processes(kernel)
             java_process = kernel.spawn("java")
-            cache = self._provisioner.cache_for(spec.workload, spec.name)
-            jvm_config: JvmConfig = spec.workload.jvm_config
+            cache = self._provisioner.cache_for(guest.workload, guest.name)
+            jvm_config: JvmConfig = guest.workload.jvm_config
             if cache is not None:
                 jvm_config = jvm_config.with_sharing(True)
             jvm = JavaVM(
                 java_process,
                 jvm_config,
-                spec.workload.profile,
-                spec.workload.universe(),
-                self.host.rng.derive("jvm", spec.name),
+                guest.workload.profile,
+                guest.workload.universe(),
+                self.host.rng.derive("jvm", guest.name),
                 cache=cache,
             )
             jvm.startup()
-            self.jvms[spec.name] = jvm
-            vm.allocate_overhead(cfg.qemu_overhead_bytes)
-            kernel.enable_thp(cfg.hugepages)
-        if self._thp_enabled:
+            self.jvms[guest.name] = jvm
+            vm.allocate_overhead(self.sizes.qemu_overhead_bytes)
+            kernel.enable_thp(self.spec.hugepages)
+        if self.spec.hugepages.enabled:
             # Initial collapse pass: under "always" the boot-time image
             # is huge-backed before KSM ever sees it (the THP-first
             # ordering real kernels exhibit); "khugepaged" waits for
             # heat, so this pass is a no-op there.
             for kernel in self.kernels.values():
                 kernel.thp_tick()
-        if cfg.tiering is not None:
+        if self.spec.tiering.mode != "off":
             from repro.tiering import TieringEngine
 
-            self.tiering = TieringEngine(self.host, self.kernels, cfg.tiering)
+            self.tiering = TieringEngine(
+                self.host, self.kernels, self.spec.tiering
+            )
         self._built = True
-
-    @property
-    def _thp_enabled(self) -> bool:
-        cfg = self.config
-        return cfg.hugepages is not None and cfg.hugepages.enabled
 
     def _spawn_system_processes(self, kernel: GuestKernel) -> None:
         """sshd + rsyslogd: small daemons from the base image.
@@ -323,19 +341,11 @@ class KvmTestbed:
         Their binaries come from the common disk image (cross-VM
         shareable); their heaps are private.
         """
-        image_id = (
-            kernel.profile.image_id
-            if hasattr(kernel, "profile")
-            else "rhel5.5-base"
-        )
-        page_size = kernel.page_size
-        factor = self.config.scale
-        for name, file_mb, anon_mb in (("sshd", 4, 5), ("rsyslogd", 3, 6)):
+        image_id = kernel.profile.image_id
+        for name, file_bytes, anon_bytes in self.sizes.daemons:
             process = kernel.spawn(name)
-            file_bytes = max(page_size, int(file_mb * MiB * factor))
-            anon_bytes = max(page_size, int(anon_mb * MiB * factor))
             backing = BackingFile(
-                f"{image_id}:/usr/sbin/{name}", file_bytes, page_size
+                f"{image_id}:/usr/sbin/{name}", file_bytes, kernel.page_size
             )
             vma = process.mmap_file(backing, f"{name}:text")
             process.fault_file_pages(vma)
@@ -358,7 +368,7 @@ class KvmTestbed:
         """
         scanner = self.host.ksm
         normal = scanner.config.pages_to_scan
-        scanner.config.pages_to_scan = self.config.ksm.warmup_pages_to_scan
+        scanner.config.pages_to_scan = self.spec.ksm.warmup_pages_to_scan
         scanner.run_until_converged(max_passes=8)
         scanner.config.pages_to_scan = normal
 
@@ -378,22 +388,22 @@ class KvmTestbed:
                 self.build()
         if self._ran:
             raise RuntimeError("testbed already ran")
-        if self.config.ksm.enabled:
+        if self.spec.ksm.enabled:
             with self._phase("warmup"):
                 self.warmup()
-        tick_ms = int(self.config.tick_minutes * 60_000)
-        for _ in range(self.config.measurement_ticks):
+        tick_ms = int(TICK_MINUTES * 60_000)
+        for _ in range(self.spec.measurement_ticks):
             with self._phase("workload"):
                 for jvm in self.jvms.values():
                     jvm.tick()
             if self.tiering is not None:
                 with self._phase("tiering"):
                     self.tiering.tick()
-            if self._thp_enabled:
+            if self.spec.hugepages.enabled:
                 with self._phase("thp"):
                     for kernel in self.kernels.values():
                         kernel.thp_tick()
-            if self.config.ksm.enabled:
+            if self.spec.ksm.enabled:
                 with self._phase("scan"):
                     self.host.ksm.run_for_ms(tick_ms)
             else:
@@ -429,11 +439,11 @@ class KvmTestbed:
                     accounting, dump, validation, dump.collection
                 )
         ksm_stats = self.host.ksm.snapshot_stats()
-        if self._thp_enabled:
+        if self.spec.hugepages.enabled:
             physmem = self.host.physmem
             ksm_stats.extra["thp"] = {
-                "block_pages": self.config.hugepages.block_pages,
-                "policy": self.config.hugepages.policy,
+                "block_pages": self.spec.hugepages.block_pages,
+                "policy": self.spec.hugepages.policy,
                 "intact_blocks": physmem.blocks_intact,
                 "huge_pages": physmem.huge_backed_pages,
                 "guest_pages": sum(
@@ -459,4 +469,19 @@ class KvmTestbed:
             ksm_stats=ksm_stats,
             dump=dump,
             validation=validation,
+        )
+
+    def paging_penalty(self) -> float:
+        """The :class:`PagingModel` throughput multiplier of what the
+        host holds now, against the capacity and host kernel it was
+        built with (the pressure measures' paging cost)."""
+        physmem = self.host.physmem
+        paging = PagingModel(
+            capacity_bytes=physmem.capacity_bytes,
+            host_kernel_bytes=self.host.host_kernel_bytes,
+        )
+        return paging.penalty(
+            float(physmem.bytes_in_use),
+            len(self.guests),
+            self.guests[0].memory_bytes,
         )

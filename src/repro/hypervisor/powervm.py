@@ -15,17 +15,19 @@ Two differences from the KVM model matter for the reproduction:
   physical usage before and after the dedup scanner finishes.  We expose
   exactly that coarse :meth:`PowerVmHost.monitor_total_usage_bytes` API.
 
-The dedup engine here is deliberately a different implementation from KSM:
-a batch scanner that converges in one call (the paper measures "after
-finishing page sharing", not the time axis).
+Deduplication reuses the KSM scanner, run to convergence in one call:
+the paper reads only the totals "after finishing page sharing", never
+the time axis, so any engine that merges every identical page gives
+the same numbers.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
+from repro.config import KsmSettings
 from repro.hypervisor.base import GuestVmBase, HypervisorHost
+from repro.ksm.scanner import KsmConfig, KsmScanner
 from repro.mem.address_space import PageTable, first_outside, int64_column
 from repro.mem.physmem import HostPhysicalMemory
 from repro.sim.clock import SimClock
@@ -106,6 +108,12 @@ class PowerVmHost(HypervisorHost):
         self.clock = SimClock()
         self.rng = RngFactory(seed)
         self.physmem = HostPhysicalMemory(ram_bytes, page_size)
+        #: The dedup scanner, at the testbeds' boosted warm-up rate.
+        self.ksm = KsmScanner(
+            self.physmem,
+            self.clock,
+            KsmConfig(pages_to_scan=KsmSettings().warmup_pages_to_scan),
+        )
         self._guests: List[PowerVmGuest] = []
 
     def create_guest(
@@ -137,40 +145,19 @@ class PowerVmHost(HypervisorHost):
     def run_page_sharing(self) -> int:
         """Deduplicate identical pages across all sharing-eligible LPARs.
 
-        Batch convergence: groups every mapped page by content token and
-        folds each group into a single stable frame.  Returns the number of
-        pages merged in this call.  LPARs with dedicated physical memory do
-        not participate.
+        Registers every LPAR without dedicated physical memory with the
+        scanner (LPARs with it do not participate), runs the scanner
+        until sharing converges and returns the pages merged in this
+        call.
         """
-        by_token: Dict[int, List[Tuple[PageTable, int]]] = defaultdict(list)
+        registered = self.ksm.registered_tables
         for guest in self._guests:
-            if guest.dedicated_memory:
-                continue
-            for vpn, _fid in list(guest.page_table.entries()):
-                token = self.physmem.read_token(guest.page_table, vpn)
-                if token is None:
-                    continue
-                by_token[token].append((guest.page_table, vpn))
-        merged = 0
-        for token, mappings in by_token.items():
-            if len(mappings) < 2:
-                continue
-            target_table, target_vpn = mappings[0]
-            target_fid = target_table.translate(target_vpn)
-            if target_fid is None:
-                continue
-            if self.physmem.token_of(target_fid) != token:
-                continue  # rewritten since grouping
-            self.physmem.mark_ksm_stable(target_fid)
-            for table, vpn in mappings[1:]:
-                fid = table.translate(vpn)
-                if fid is None or fid == target_fid:
-                    continue
-                if self.physmem.token_of(fid) != token:
-                    continue
-                self.physmem.merge_into(table, vpn, target_fid)
-                merged += 1
-        return merged
+            table = guest.page_table
+            if not guest.dedicated_memory and table not in registered:
+                self.ksm.register(table)
+        merges = self.ksm.stats.merges
+        self.ksm.run_until_converged()
+        return self.ksm.stats.merges - merges
 
     # ------------------------------------------------------------------
     # Monitoring (the only measurement interface on this platform)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.config import HOST_KERNEL_BYTES
 from repro.units import MiB
 
 
@@ -36,7 +37,7 @@ class PagingModel:
     """Host-level paging penalty model."""
 
     capacity_bytes: int
-    host_kernel_bytes: int = 300 * MiB
+    host_kernel_bytes: int = HOST_KERNEL_BYTES
     #: Cold (cheaply evictable) bytes per VM, as a fraction of its guest
     #: memory: page cache the guest can lose plus cold anonymous pages.
     cold_fraction_of_guest: float = 0.086

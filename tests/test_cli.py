@@ -59,6 +59,21 @@ class TestCli:
         assert main(argv) == 0
         assert "1 hits, 0 misses, 0 stores" in capsys.readouterr().out
 
+    def test_settings_the_testbed_ignores_share_an_entry(
+        self, tmp_path, capsys
+    ):
+        """A block size under THP "never" changes no testbed, so the
+        run without ``--hugepages`` hits the entry of the run with it."""
+        argv = [
+            "fig3c", "--scale", "0.02", "--ticks", "1",
+            "--cache-dir", str(tmp_path), "--cache-stats",
+        ]
+        assert main(argv + ["--hugepages", "64"]) == 0
+        assert "0 hits, 1 misses, 1 stores" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "1 hits, 0 misses, 0 stores" in capsys.readouterr().out
+        assert ResultCache(tmp_path).entry_count() == 1
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig99"])

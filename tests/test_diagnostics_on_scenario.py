@@ -10,17 +10,9 @@ from repro.core.diagnostics import (
     zero_page_census,
 )
 from repro.core.dump import collect_system_dump
-from repro.core.experiments.testbed import (
-    GuestSpec,
-    KvmTestbed,
-    TestbedConfig,
-    scale_kernel_profile,
-    scale_workload,
-)
+from repro.core.experiments import scenarios
 from repro.core.preload import CacheDeployment
-from repro.config import Benchmark
-from repro.units import GiB, MiB
-from repro.workloads.base import build_workload
+from repro.config import ScenarioSpec
 
 from tests.oracle import (
     build_frame_usage,
@@ -35,21 +27,13 @@ SCALE = 0.03
 
 @pytest.fixture(scope="module")
 def dump_and_host():
-    workload = scale_workload(build_workload(Benchmark.DAYTRADER), SCALE)
-    config = TestbedConfig(
-        deployment=CacheDeployment.SHARED_COPY,
-        kernel_profile=scale_kernel_profile(SCALE),
-        host_ram_bytes=max(int(6 * GiB * SCALE), 64 * MiB),
-        host_kernel_bytes=int(300 * MiB * SCALE),
-        qemu_overhead_bytes=max(1 << 16, int(40 * MiB * SCALE)),
-        measurement_ticks=2,
+    testbed = scenarios.testbed_for(ScenarioSpec(
+        "daytrader4",
+        CacheDeployment.SHARED_COPY,
         scale=SCALE,
-    )
-    specs = [
-        GuestSpec(f"vm{i + 1}", max(1, int(GiB * SCALE)), workload)
-        for i in range(3)
-    ]
-    testbed = KvmTestbed(specs, config)
+        measurement_ticks=2,
+        guests=3,
+    ))
     testbed.run()
     dump = collect_system_dump(testbed.host, testbed.kernels)
     return dump, testbed.host

@@ -121,10 +121,17 @@ class TestScenarioRequestFingerprint:
         assert fingerprint64(self.BASE.cache_parts()) == fingerprint64(
             clone.cache_parts()
         )
-        unset = dataclasses.replace(self.BASE, deployment=None)
-        assert fingerprint64(unset.cache_parts()) == fingerprint64(
-            self.BASE.cache_parts()
-        )
+        # Settings the testbed ignores: the deployment's None spelling,
+        # a block size under THP "never", tuning under tiering "off".
+        for ignored in (
+            {"deployment": None},
+            {"hugepages": HugePageSettings(policy="never", block_pages=64)},
+            {"tiering": TieringSettings(mode="off", epoch_ticks=4)},
+        ):
+            same = dataclasses.replace(self.BASE, **ignored)
+            assert fingerprint64(same.cache_parts()) == fingerprint64(
+                self.BASE.cache_parts()
+            )
 
 
 def _module_level_fn():

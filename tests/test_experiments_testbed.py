@@ -16,38 +16,26 @@ from repro.config import (
 )
 from repro.core.experiments import scenarios
 from repro.core.experiments.testbed import (
-    GuestSpec,
     KvmTestbed,
-    TestbedConfig,
     scale_kernel_profile,
     scale_workload,
 )
 from repro.core.preload import CacheDeployment
 from repro.faults.plan import FaultPlan
-from repro.units import KiB, MiB
+from repro.guestos.kernel import KernelProfile
 from repro.workloads.base import build_workload
 
-from tests.conftest import tiny_kernel_profile, tiny_workload
+from tests.conftest import tiny_kernel_profile
 
 
-def small_config(**overrides):
+def small_testbed(**fields):
+    """An unbuilt two-guest Tuscany testbed at scale 0.02."""
     values = dict(
-        host_ram_bytes=128 * MiB,
-        host_kernel_bytes=2 * MiB,
-        qemu_overhead_bytes=256 * KiB,
-        kernel_profile=tiny_kernel_profile(),
-        measurement_ticks=2,
-        tick_minutes=0.2,
-        scale=0.02,
+        scenario="tuscany3", scale=0.02, guests=2, measurement_ticks=2,
         seed=11,
     )
-    values.update(overrides)
-    return TestbedConfig(**values)
-
-
-def small_specs(n=2):
-    workload = tiny_workload()
-    return [GuestSpec(f"vm{i + 1}", 16 * MiB, workload) for i in range(n)]
+    values.update(fields)
+    return scenarios.testbed_for(ScenarioSpec(**values))
 
 
 class TestScaleWorkload:
@@ -99,14 +87,21 @@ class TestScaleWorkload:
         profile = scale_kernel_profile(0.1)
         assert profile.total_bytes < tiny_kernel_profile().total_bytes * 10**6
 
+    def test_scale_kernel_profile_of_a_base(self):
+        base = KernelProfile(image_id="aix6.1-tl6", code_bytes=10 << 20)
+        assert scale_kernel_profile(1.0, base) is base
+        scaled = scale_kernel_profile(0.1, base)
+        assert scaled.image_id == "aix6.1-tl6"
+        assert scaled.code_bytes == 1 << 20
+
 
 class TestTestbed:
     def test_requires_guests(self):
         with pytest.raises(ValueError):
-            KvmTestbed([], small_config())
+            small_testbed(guests=0)
 
     def test_build_creates_jvms_and_daemons(self):
-        testbed = KvmTestbed(small_specs(), small_config())
+        testbed = small_testbed()
         testbed.build()
         assert set(testbed.jvms) == {"vm1", "vm2"}
         for kernel in testbed.kernels.values():
@@ -114,13 +109,13 @@ class TestTestbed:
             assert names == {"java", "sshd", "rsyslogd"}
 
     def test_double_build_rejected(self):
-        testbed = KvmTestbed(small_specs(), small_config())
+        testbed = small_testbed()
         testbed.build()
         with pytest.raises(RuntimeError):
             testbed.build()
 
     def test_run_and_measure(self):
-        testbed = KvmTestbed(small_specs(), small_config())
+        testbed = small_testbed()
         result = testbed.measure()
         assert len(result.vm_breakdown.rows) == 2
         assert len(result.java_breakdown.rows) == 2
@@ -128,21 +123,13 @@ class TestTestbed:
         assert result.accounting.total_usage() > 0
 
     def test_double_run_rejected(self):
-        testbed = KvmTestbed(small_specs(), small_config())
+        testbed = small_testbed()
         testbed.run()
         with pytest.raises(RuntimeError):
             testbed.run()
 
-    def test_no_system_processes_option(self):
-        config = small_config(system_processes=False)
-        testbed = KvmTestbed(small_specs(), config)
-        testbed.build()
-        for kernel in testbed.kernels.values():
-            assert {p.name for p in kernel.processes} == {"java"}
-
     def test_preload_deployment_attaches_caches(self):
-        config = small_config(deployment=CacheDeployment.SHARED_COPY)
-        testbed = KvmTestbed(small_specs(), config)
+        testbed = small_testbed(deployment=CacheDeployment.SHARED_COPY)
         testbed.build()
         for jvm in testbed.jvms.values():
             assert jvm.cache_attached
@@ -173,12 +160,12 @@ class TestCollectorPause:
 
         monkeypatch.setattr(KvmTestbed, "warmup", observed)
         assert gc.isenabled()
-        KvmTestbed(small_specs(), small_config()).measure()
+        small_testbed().measure()
         assert seen == [False]
         assert gc.isenabled()
 
     def test_enabled_after_a_phase_raises(self):
-        testbed = KvmTestbed(small_specs(), small_config())
+        testbed = small_testbed()
         testbed.build()
         with pytest.raises(RuntimeError):
             testbed.build()
@@ -186,18 +173,18 @@ class TestCollectorPause:
 
     def test_caller_disabled_collector_stays_disabled(self):
         with collector_disabled():
-            KvmTestbed(small_specs(), small_config()).measure()
+            small_testbed().measure()
             assert not gc.isenabled()
 
     def test_build_frees_a_dead_testbed(self):
         # The caller keeps the collector off, so only build()'s own
         # collection can free the first testbed's reference cycles.
         with collector_disabled():
-            first = KvmTestbed(small_specs(), small_config())
+            first = small_testbed()
             first.build()
             host = weakref.ref(first.host)
             del first
-            second = KvmTestbed(small_specs(), small_config())
+            second = small_testbed()
             assert host() is not None  # cyclic: refcounting cannot free it
             second.build()
             assert host() is None

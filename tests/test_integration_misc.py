@@ -115,26 +115,14 @@ class TestHostKsmDriving:
     def test_warmup_restores_scan_rate(self):
         """The testbed boosts pages_to_scan for warm-up and must restore
         the measurement setting afterwards (§II.C)."""
-        from repro.core.experiments.testbed import (
-            GuestSpec,
-            KvmTestbed,
-            TestbedConfig,
-        )
+        from repro.config import ScenarioSpec
+        from repro.core.experiments import scenarios
 
-        config = TestbedConfig(
-            host_ram_bytes=128 * MiB,
-            host_kernel_bytes=MiB,
-            qemu_overhead_bytes=1 << 16,
-            kernel_profile=tiny_kernel_profile(),
-            measurement_ticks=1,
-            tick_minutes=0.1,
-            scale=0.02,
-        )
-        testbed = KvmTestbed(
-            [GuestSpec("vm1", 16 * MiB, tiny_workload())], config
-        )
+        testbed = scenarios.testbed_for(ScenarioSpec(
+            "tuscany3", scale=0.02, guests=1, measurement_ticks=1
+        ))
         testbed.run()
         assert (
             testbed.host.ksm.config.pages_to_scan
-            == config.ksm.pages_to_scan
+            == testbed.spec.ksm.pages_to_scan
         )

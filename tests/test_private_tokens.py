@@ -46,8 +46,8 @@ def _built_testbed(monkeypatch):
     testbed = scenarios.testbed_for(
         ScenarioSpec("daytrader4", scale=0.02, measurement_ticks=1)
     )
-    spec = testbed.specs[0] = dataclasses.replace(
-        testbed.specs[0], memory_bytes=2 * testbed.specs[0].memory_bytes
+    spec = testbed.guests[0] = dataclasses.replace(
+        testbed.guests[0], memory_bytes=2 * testbed.guests[0].memory_bytes
     )
     testbed.build()
     twin = JavaVM(

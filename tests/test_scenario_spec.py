@@ -19,6 +19,7 @@ from repro.config import (
     TieringSettings,
 )
 from repro.core.experiments import scenarios
+from repro.core.experiments.testbed import TICK_MINUTES
 from repro.core.preload import CacheDeployment
 
 KWARGS = dict(scale=0.02, measurement_ticks=2, seed=20130421)
@@ -71,6 +72,7 @@ class TestFromCliArgs:
             argparse.Namespace(scale=0.5), scenario="daytrader4"
         )
         assert spec.scale == 0.5
+        assert spec.measurement_ticks == 6
         assert spec.ksm == KsmSettings()
         assert spec.tiering == TieringSettings()
         assert not spec.hugepages.enabled
@@ -96,10 +98,10 @@ class TestSettingsValidation:
 class TestTestbedFor:
     def test_scenario_arrangement_by_default(self):
         testbed = scenarios.testbed_for(ScenarioSpec("mixed3", **KWARGS))
-        assert [guest.name for guest in testbed.specs] == [
+        assert [guest.name for guest in testbed.guests] == [
             "vm1", "vm2", "vm3"
         ]
-        assert [guest.workload.benchmark for guest in testbed.specs] == [
+        assert [guest.workload.benchmark for guest in testbed.guests] == [
             Benchmark.DAYTRADER, Benchmark.SPECJENTERPRISE, Benchmark.TPCW
         ]
 
@@ -107,7 +109,7 @@ class TestTestbedFor:
         testbed = scenarios.testbed_for(
             ScenarioSpec("mixed3", guests=5, **KWARGS)
         )
-        guests = testbed.specs
+        guests = testbed.guests
         assert [guest.name for guest in guests] == [
             "vm1", "vm2", "vm3", "vm4", "vm5"
         ]
@@ -123,8 +125,8 @@ class TestTestbedFor:
         from repro.config import GcPolicy
 
         testbed = scenarios.testbed_for(ScenarioSpec("specj3", **KWARGS))
-        assert len(testbed.specs) == 3
-        for guest in testbed.specs:
+        assert len(testbed.guests) == 3
+        for guest in testbed.guests:
             assert guest.workload.jvm_config.gc_policy is GcPolicy.GENCON
 
     def test_host_ram_fraction_undersizes_the_host(self):
@@ -132,8 +134,8 @@ class TestTestbedFor:
         small = scenarios.testbed_for(
             ScenarioSpec("daytrader4", host_ram_fraction=0.5, **KWARGS)
         )
-        assert small.config.host_ram_bytes == (
-            full.config.host_ram_bytes // 2
+        assert small.host.physmem.capacity_bytes == (
+            full.host.physmem.capacity_bytes // 2
         )
 
     def test_spec_settings_reach_the_config(self):
@@ -143,18 +145,25 @@ class TestTestbedFor:
             ksm=KsmSettings(enabled=False),
             tiering=TieringSettings(mode="compress"),
             hugepages=HugePageSettings(policy="always", block_pages=16),
+            guests=2,
             **KWARGS,
         )
-        config = scenarios.testbed_for(spec).config
-        assert config.deployment is CacheDeployment.SHARED_COPY
-        assert config.ksm.enabled is False
-        assert config.tiering.mode == "compress"
-        assert config.hugepages.policy == "always"
-        assert config.measurement_ticks == 2
+        testbed = scenarios.testbed_for(spec)
+        assert testbed.spec is spec
+        testbed.run()
+        assert all(jvm.cache_attached for jvm in testbed.jvms.values())
+        assert testbed.host.ksm.stats.pages_scanned == 0
+        assert testbed.tiering.settings.mode == "compress"
+        for kernel in testbed.kernels.values():
+            assert kernel.thp.settings.policy == "always"
+        # Two ticks of two simulated minutes, with no scan cost added.
+        assert testbed.host.clock.now_ms == 2 * TICK_MINUTES * 60_000
         default = scenarios.testbed_for(
-            ScenarioSpec("daytrader4", **KWARGS)
-        ).config
-        assert default.tiering is None and default.hugepages is None
+            ScenarioSpec("daytrader4", guests=2, **KWARGS)
+        )
+        default.build()
+        assert default.tiering is None
+        assert all(kernel.thp is None for kernel in default.kernels.values())
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
